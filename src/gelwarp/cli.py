@@ -303,6 +303,17 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     lane_keys = grid.lane_keys(include_reference=False)
     if len(lane_keys) < 2:
         raise ValueError("need at least two sample lanes to cluster")
+    N = len(lane_keys)
+    if n_values is None:
+        n_values = list(range(2, N + 1))
+    for n in n_values:
+        if not (isinstance(n, (int, np.integer)) and 2 <= n <= N):
+            raise ValueError(
+                f"cluster.n_values: {n!r} is not an integer in 2..{N} "
+                f"({N} sample lanes)"
+            )
+    if not (isinstance(draw_thin, (int, np.integer)) and draw_thin >= 1):
+        raise ValueError(f"cluster.draw_thin must be an integer >= 1, got {draw_thin!r}")
 
     D = distance_matrix(grid)
     dend = hclust_complete(D)
@@ -318,9 +329,6 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     if truth_path:
         truth = read_truth_labels(truth_path, lane_keys)
 
-    N = len(lane_keys)
-    if n_values is None:
-        n_values = list(range(2, N + 1))
     if zmap_path and aligned_path:
         # quality bands across the stored assignment draws
         amanifest = read_manifest(manifest_path) if manifest_path else None

@@ -97,35 +97,28 @@ def distance_matrix(grid: IntensityGrid, include_reference: bool = False) -> Dis
 
 
 def hclust_complete(D: DistanceMatrix) -> Dendrogram:
-    """Complete-linkage agglomeration; ties broken by lowest (id, id) pair."""
+    """Complete-linkage agglomeration of the upper triangle of ``D``.
+
+    Each step merges the lowest (id, id) pair among those within 1e-15 of
+    the smallest distance, at that pair's own distance as height.
+    """
     n = D.n
     if n < 2:
         raise ValueError("need at least 2 observations")
-    # working matrix over active nodes; Lance-Williams max update
+    # upper triangle indexed by node id; merged nodes' rows and columns go
+    # to inf, so the first near-minimal entry in row-major order is the
+    # lowest (id, id) pair
     size = 2 * n - 1
     W = np.full((size, size), np.inf)
-    W[:n, :n] = D.values
-    np.fill_diagonal(W, np.inf)
-    active = list(range(n))
+    W[:n, :n] = np.where(np.triu(np.ones((n, n), dtype=bool), 1), D.values, np.inf)
     merges = []
     for step in range(n - 1):
-        best = None
-        for ia, a in enumerate(active):
-            for b in active[ia + 1:]:
-                d = W[a, b]
-                if best is None or d < best[0] - 1e-15 or (
-                    abs(d - best[0]) <= 1e-15 and (a, b) < (best[1], best[2])
-                ):
-                    best = (d, a, b)
-        h, a, b = best
-        new = n + step
-        for c in active:
-            if c != a and c != b:
-                W[new, c] = W[c, new] = max(W[a, c], W[b, c])
-        active.remove(a)
-        active.remove(b)
-        active.append(new)
-        merges.append((a, b, float(h)))
+        a, b = divmod(int(np.argmax(W <= W.min() + 1e-15)), size)
+        merges.append((a, b, float(W[a, b])))
+        # Lance-Williams max update into the new node's column
+        W[:, n + step] = np.maximum(np.minimum(W[a], W[:, a]), np.minimum(W[b], W[:, b]))
+        W[[a, b], :] = np.inf
+        W[:, [a, b]] = np.inf
     return Dendrogram(tuple(merges), n, D.keys)
 
 
@@ -171,11 +164,11 @@ def adjusted_rand(a, b) -> float:
     N = a.size
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    idx = sum(math.comb(int(v), 2) for v in table.ravel())
-    ra = sum(math.comb(int(v), 2) for v in table.sum(axis=1))
-    cb = sum(math.comb(int(v), 2) for v in table.sum(axis=0))
+    kb = int(bi.max()) + 1
+    table = np.bincount(ai * kb + bi, minlength=(int(ai.max()) + 1) * kb).reshape(-1, kb)
+    # exact integer pair counts; float arithmetic starts only below
+    idx, ra, cb = (int((v * (v - 1) // 2).sum())
+                   for v in (table, table.sum(axis=1), table.sum(axis=0)))
     pairs = math.comb(N, 2)
     expected = ra * cb / pairs
     maximum = 0.5 * (ra + cb)
@@ -185,25 +178,31 @@ def adjusted_rand(a, b) -> float:
 
 
 def average_silhouette(D: DistanceMatrix, labels) -> float:
-    """Mean silhouette width; singletons contribute 0."""
+    """Mean silhouette width; singletons contribute 0.
+
+    Per-cluster distance sums and the sum of widths are added in index
+    order, so the result equals the plain per-point loop bit for bit.
+    """
     labels = np.asarray(labels)
     if labels.size != D.n:
         raise ValueError("label vector does not match distance matrix")
-    uniq = np.unique(labels)
+    uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("need at least 2 clusters for silhouettes")
-    V = D.values
-    total = 0.0
-    for i in range(D.n):
-        own = labels == labels[i]
-        if own.sum() == 1:
-            continue
-        a = V[i, own].sum() / (own.sum() - 1)
-        b = min(V[i, labels == c].mean() for c in uniq if c != labels[i])
-        denom = max(a, b)
-        if denom > 0.0:
-            total += (b - a) / denom
-    return total / D.n
+    # S[c, i]: sum of D[i, j] over members j of cluster c, added in j order
+    S = np.zeros((uniq.size, D.n))
+    np.add.at(S, inv, D.values.T)
+    counts = np.bincount(inv)
+    own = np.arange(D.n)
+    size = counts[inv]
+    a = S[inv, own] / np.maximum(size - 1, 1)
+    means = S / counts[:, None]
+    means[inv, own] = np.inf
+    b = means.min(axis=0)
+    denom = np.maximum(a, b)
+    s = np.divide(b - a, denom, out=np.zeros(D.n), where=(size > 1) & (denom > 0.0))
+    # cumsum adds strictly left to right; np.sum's pairwise order would not
+    return float(np.cumsum(s)[-1]) / D.n
 
 
 def bootstrap_confidence(

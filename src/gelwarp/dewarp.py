@@ -1083,4 +1083,4 @@ def write_chain_log(result: MCMCResult, path) -> None:
     with open(path, "w") as f:
         f.write("# saved_state log_joint\n")
         for k, v in enumerate(result.log_joint_trace):
-            f.write(f"{k} {v!r}\n")
+            f.write(f"{k} {float(v)!r}\n")

@@ -59,8 +59,10 @@ class PeakTable:
         prev_key = None
         prev_loc = None
         expected_j = 1
+        self._by_lane: dict[tuple[str, int], list[Peak]] = {}
         for p in self.entries:
             key = (p.gel_id, p.lane)
+            self._by_lane.setdefault(key, []).append(p)
             if key != prev_key:
                 prev_key, prev_loc, expected_j = key, None, 1
             if p.j != expected_j:
@@ -88,7 +90,7 @@ class PeakTable:
         return keys
 
     def lane_peaks(self, gel_id: str, lane: int) -> list[Peak]:
-        return [p for p in self.entries if p.gel_id == gel_id and p.lane == lane]
+        return list(self._by_lane.get((gel_id, lane), ()))
 
     def gel_peaks(self, gel_id: str) -> list[Peak]:
         return [p for p in self.entries if p.gel_id == gel_id]

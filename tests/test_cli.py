@@ -12,6 +12,7 @@ from gelwarp.cli import (
     merge_config,
     model_config_from,
     read_truth_labels,
+    stage_cluster,
 )
 from gelwarp.core import read_manifest, read_traces_csv
 from gelwarp.peakdetect import PeakTable
@@ -200,6 +201,21 @@ class TestStages:
         assert rows[0] == "n,ari_mean,ari_lo,ari_hi,silhouette"
         # six sample lanes -> cuts at n = 2..6
         assert len(rows) == 6
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"n_values": [1, 2]}, r"n_values: 1 is not an integer in 2\.\.6"),
+        ({"n_values": [2, 99]}, r"n_values: 99 is not an integer in 2\.\.6"),
+        ({"n_values": [2.5]}, r"n_values: 2\.5 is not an integer in 2\.\.6"),
+        ({"draw_thin": 0}, r"draw_thin must be an integer >= 1, got 0"),
+    ])
+    def test_cluster_settings_rejected_before_any_output(self, workdir, settings, message):
+        run_dir = workdir / "run"
+        out = workdir / "clusters_rejected"
+        with pytest.raises(ValueError, match=message):
+            stage_cluster(run_dir / "exact.csv", workdir / "sim" / "manifest.json", out,
+                          nboot=5, seed=7, zmap_path=run_dir / "posterior" / "zmap.json",
+                          aligned_path=run_dir / "aligned.csv", **settings)
+        assert not out.exists()
 
     def test_cluster_recovers_truth(self, workdir):
         rows = (workdir / "run" / "clusters" / "metrics.csv").read_text().splitlines()

@@ -543,6 +543,9 @@ class TestRunMCMC:
         cpath = tmp_path / "chain.log"
         write_chain_log(res, cpath)
         assert len(cpath.read_text().strip().splitlines()) == 1 + cfg.n_saved
+        back = np.loadtxt(cpath)
+        assert np.array_equal(back[:, 0], np.arange(cfg.n_saved))
+        assert np.array_equal(back[:, 1], res.log_joint_trace)
 
     def test_warns_when_underdetermined(self):
         peaks = make_table({1: [0.3, 0.7]}, B=200)
