@@ -23,6 +23,7 @@ from .cluster import (
     adjusted_rand,
     average_silhouette,
     bootstrap_confidence,
+    check_n_values,
     cut,
     distance_matrix,
     hclust_complete,
@@ -303,15 +304,7 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     lane_keys = grid.lane_keys(include_reference=False)
     if len(lane_keys) < 2:
         raise ValueError("need at least two sample lanes to cluster")
-    N = len(lane_keys)
-    if n_values is None:
-        n_values = list(range(2, N + 1))
-    for n in n_values:
-        if not (isinstance(n, (int, np.integer)) and 2 <= n <= N):
-            raise ValueError(
-                f"cluster.n_values: {n!r} is not an integer in 2..{N} "
-                f"({N} sample lanes)"
-            )
+    n_values = check_n_values(n_values, len(lane_keys))
     if not (isinstance(draw_thin, (int, np.integer)) and draw_thin >= 1):
         raise ValueError(f"cluster.draw_thin must be an integer >= 1, got {draw_thin!r}")
 

@@ -241,6 +241,21 @@ def bootstrap_confidence(
     return out
 
 
+def check_n_values(n_values, N: int) -> list:
+    """The cluster counts to cut N leaves at: 2..N when n_values is None,
+    else n_values, each of which must be an integer in 2..N."""
+    if n_values is None:
+        return list(range(2, N + 1))
+    n_values = list(n_values)
+    for n in n_values:
+        if not (isinstance(n, (int, np.integer)) and 2 <= n <= N):
+            raise ValueError(
+                f"cluster.n_values: {n!r} is not an integer in 2..{N} "
+                f"({N} sample lanes)"
+            )
+    return n_values
+
+
 def posterior_clustering_summary(
     grid: IntensityGrid,
     peaks: PeakTable,
@@ -261,11 +276,7 @@ def posterior_clustering_summary(
         raise ValueError("no assignment draws given")
     K = len(z_draws[keys[0]])
     draw_idx = range(0, K, max(1, thin))
-    lane_keys0 = tuple(grid.lane_keys(include_reference=False))
-    N = len(lane_keys0)
-    if n_values is None:
-        n_values = range(2, N + 1)
-    n_values = list(n_values)
+    n_values = check_n_values(n_values, len(grid.lane_keys(include_reference=False)))
     ari = {n: [] for n in n_values}
     sil = {n: [] for n in n_values}
     for k in draw_idx:
@@ -276,8 +287,7 @@ def posterior_clustering_summary(
             labels = cut(dend, n)
             if truth is not None:
                 ari[n].append(adjusted_rand(labels, truth))
-            if n >= 2:
-                sil[n].append(average_silhouette(Dk, labels))
+            sil[n].append(average_silhouette(Dk, labels))
     rows = []
     for n in n_values:
         row = {"n": n, "silhouette": float(np.mean(sil[n]))}

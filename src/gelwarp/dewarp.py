@@ -6,12 +6,12 @@ strictly increasing in nu with pinned endpoints, under random-walk
 shrinkage priors on the coefficients and a shared landmark frequency
 vector lambda that shrinks assignments toward recurrent bands.
 
-The sampler is a systematic-scan Gibbs sweep: single-site categorical
-updates for the assignments Z (bounded by each peak's current neighbors,
-so the stationary distribution is the exact joint), univariate
-truncated-normal full conditionals for the free spline coefficients,
-conjugate inverse-gamma updates for the variances, and a per-coordinate
-random-walk Metropolis step on log lambda.
+The sampler is a systematic-scan Gibbs sweep: a blocked draw of each
+lane's whole assignment vector Z from its full conditional by forward
+filtering, backward sampling (Carter & Kohn 1994), with all lanes of all
+gels in one vectorized pass, univariate truncated-normal full conditionals
+for the free spline coefficients, conjugate inverse-gamma updates for the
+variances, and a per-coordinate random-walk Metropolis step on log lambda.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class _GelData:
     __slots__ = (
         "gel_id", "lanes", "u_std", "lane_std", "basis_u", "Bu",
         "T_flat", "lane_idx", "lane_slices", "n_peaks", "log_jfact",
-        "wlo", "whi", "BuP",
+        "wlo", "whi", "BuP", "slot",
     )
 
     def __init__(self, gel_id, lanes, u_std, lane_std, basis_u, Bu,
@@ -204,6 +204,7 @@ class _GelData:
         self.BuP = Bu[lane_idx, :]
         self.wlo = None
         self.whi = None
+        self.slot = None
 
 
 class _ChainState:
@@ -300,6 +301,48 @@ class DewarpModel:
         self.lane_key_list = [
             (g.gel_id, lane) for g in self.gels for lane in g.lanes
         ]
+        self._init_lane_grid()
+
+    def _init_lane_grid(self) -> None:
+        """Padded (Jmax, N) grid for the blocked Z draw and the flattened
+        per-peak arrays for the violation counter.
+
+        Lanes are columns in lane_key_list order, and each lane's peaks are
+        left-aligned in its column; gel.slot maps the gel's T_flat order
+        onto the flattened grid.  The additive log mask over the L
+        landmarks is 0 inside a peak's window and -inf elsewhere, on every
+        padded slot, and below landmark j+1 for the (j+1)-th peak: the
+        forward pass gives landmark 1 no predecessor."""
+        L = self.cfg.L
+        J = np.array([end - start for g in self.gels for start, end in g.lane_slices])
+        N, Jmax = J.size, int(J.max())
+        T_pad = np.zeros((Jmax, N))
+        lo_pad = np.full((Jmax, N), L + 1)
+        hi_pad = np.zeros((Jmax, N), dtype=np.intp)
+        lane_of, offset = [], 0
+        for gel in self.gels:
+            lane = offset + gel.lane_idx
+            lane_of.append(lane)
+            starts = np.array([start for start, _ in gel.lane_slices])
+            j = np.arange(gel.n_peaks) - starts[gel.lane_idx]
+            gel.slot = j * N + lane
+            T_pad.flat[gel.slot] = gel.T_flat
+            lo_pad.flat[gel.slot] = np.maximum(gel.wlo, j + 1)
+            hi_pad.flat[gel.slot] = gel.whi
+            offset += len(gel.lanes)
+        ell = np.arange(1, L + 1)
+        inside = (ell >= lo_pad[:, :, None]) & (ell <= hi_pad[:, :, None])
+        self._T_pad = T_pad[:, :, None]
+        self._log_window = np.where(inside, 0.0, -np.inf)
+        self._lane_rows = np.arange(N)
+        self._last_flat = ((J - 1) * N + self._lane_rows) * L + (L - 1)
+        # violation counter: the peaks of all gels end to end
+        lane_of = np.concatenate(lane_of)
+        self._pair_lane = lane_of[1:]
+        self._same_lane = lane_of[1:] == lane_of[:-1]
+        self._gel_of = np.repeat(np.arange(len(self.gels)), [g.n_peaks for g in self.gels])
+        self._wlo_all = np.concatenate([g.wlo for g in self.gels])
+        self._whi_all = np.concatenate([g.whi for g in self.gels])
 
     # -- state construction -------------------------------------------------
 
@@ -408,49 +451,58 @@ class DewarpModel:
     # -- Gibbs sweeps --------------------------------------------------------
 
     def sweep_Z(self, cs: _ChainState, rng) -> None:
-        """Single-site categorical update of every assignment, in lane order.
+        """Blocked draw of every lane's assignment vector from its full
+        conditional, by forward filtering, backward sampling (FFBS).
 
-        Each peak's admissible range is the open interval between its
-        neighbors' current assignments intersected with its window, so the
-        order and window constraints hold by construction and the move is a
-        proper Gibbs draw from the full conditional.
+        Given the warps, lambda and sigma, one lane's assignments form an
+        ordered chain Z_1 < ... < Z_J, each inside its window, with weights
+        w_j(l) = lambda_l N(T_j; W[l], sigma^2).  The forward pass keeps
+        A_j(l) = log sum_{m <= l} alpha_j(m) with alpha_1 = w_1 and
+        alpha_j(l) = w_j(l) sum_{m < l} alpha_{j-1}(m), all in the log
+        domain; the backward pass draws Z_J from alpha_J and then each Z_j
+        from alpha_j restricted to landmarks below Z_{j+1}, by inverting
+        the log prefix sums.  Lanes are conditionally independent, so all
+        lanes of all gels go through one numpy pass over the padded grid.
+        The order and window constraints hold by construction.
         """
-        L = self.cfg.L
-        nu_std = self.nu_std
-        inv_2se2 = 0.5 / cs.sigma_eps2
-        log_lam = np.log(cs.lam)
+        W = cs.W[0] if len(cs.W) == 1 else np.concatenate(cs.W, axis=1)
+        # log weights over landmarks 1..L (W has rows 0..L+1), then the
+        # forward prefix sums in place
+        A = self._T_pad - W[1:-1].T
+        A *= A
+        A *= -0.5 / cs.sigma_eps2
+        A += np.log(cs.lam)
+        A += self._log_window
+        np.logaddexp.accumulate(A[0], axis=1, out=A[0])
+        for j in range(1, A.shape[0]):
+            A[j, :, 1:] += A[j - 1, :, :-1]
+            np.logaddexp.accumulate(A[j], axis=1, out=A[j])
+        last = A.take(self._last_flat)
+        if last.min() == -np.inf:
+            gel_id, lane = self.lane_key_list[int(np.argmin(last))]
+            raise ValueError(
+                f"infeasible window: gel {gel_id} lane {lane} has no ordered "
+                f"in-window assignment; increase A_0"
+            )
+        # backward: each peak takes the first landmark whose prefix sum
+        # reaches log(u) + (the sum up to its bound), with u uniform on
+        # (0, 1].  top is the bound's index, and -1 indexes landmark L.  A
+        # padded slot's row is all -inf, so it draws index 0 and leaves
+        # top at -1 for the lane's last real peak.
+        log_u = np.log1p(-rng.random(A.shape[:2]))
+        Z = np.empty(A.shape[:2], dtype=np.intp)
+        top = -1
+        rows = self._lane_rows
+        for j in range(A.shape[0] - 1, -1, -1):
+            Aj = A[j]
+            v = Aj[rows, top] + log_u[j]
+            Z[j] = (Aj >= v[:, None]).argmax(axis=1)
+            top = Z[j] - 1
+        Z += 1
         for gi, gel in enumerate(self.gels):
-            W = cs.W[gi]
-            Z = cs.Z[gi]
-            T = gel.T_flat
-            wlo, whi = gel.wlo, gel.whi
-            for k in range(len(gel.lanes)):
-                start, end = gel.lane_slices[k]
-                col = W[:, k]
-                J = end - start
-                for j in range(J):
-                    p = start + j
-                    lo = int(Z[p - 1]) + 1 if j > 0 else 1
-                    hi = int(Z[p + 1]) - 1 if j < J - 1 else L
-                    lo = max(lo, int(wlo[p]))
-                    hi = min(hi, int(whi[p]))
-                    if lo > hi:
-                        lane = gel.lanes[k]
-                        raise ValueError(
-                            f"infeasible window: gel {gel.gel_id} lane {lane} "
-                            f"peak {j + 1}; increase A_0"
-                        )
-                    if lo == hi:
-                        Z[p] = lo
-                        continue
-                    d = T[p] - col[lo : hi + 1]
-                    logw = log_lam[lo - 1 : hi] - d * d * inv_2se2
-                    w = np.exp(logw - logw.max())
-                    cum = np.cumsum(w)
-                    Z[p] = lo + int(
-                        np.searchsorted(cum, rng.random() * cum[-1], side="right")
-                    )
-            cs.mu[gi] = W[Z, gel.lane_idx]
+            Zg = Z.take(gel.slot)
+            cs.Z[gi] = Zg
+            cs.mu[gi] = cs.W[gi][Zg, gel.lane_idx]
 
     def sweep_beta(self, cs: _ChainState, rng) -> None:
         """Element-wise truncated-normal full conditionals for the free
@@ -593,24 +645,23 @@ class DewarpModel:
     # -- constraint checks and log joint -------------------------------------
 
     def count_violations(self, cs: _ChainState) -> int:
-        """Number of broken constraints in the current state: column
-        monotonicity, pinned boundary rows, Z order, and windows."""
-        bad = 0
+        """Number of broken constraints in the current state: one per gel
+        with a non-monotone column, one per gel with an unpinned boundary
+        row, one per lane whose assignments are not strictly increasing,
+        one per gel with an assignment outside its window, and one for a
+        non-positive lambda."""
         lo, hi = self.bounds
-        for gi, gel in enumerate(self.gels):
-            beta = cs.beta[gi]
-            if not np.all(np.diff(beta, axis=0) > 0):
-                bad += 1
-            if np.any(np.abs(beta[0, :] - lo) > 1e-9) or np.any(
-                np.abs(beta[-1, :] - hi) > 1e-9
-            ):
-                bad += 1
-            Z = cs.Z[gi]
-            for start, end in gel.lane_slices:
-                if end - start > 1 and np.any(np.diff(Z[start:end]) <= 0):
-                    bad += 1
-            if np.any(Z < gel.wlo) or np.any(Z > gel.whi):
-                bad += 1
+        beta = np.asarray(cs.beta)
+        bad = int(np.count_nonzero(~np.all(np.diff(beta, axis=1) > 0, axis=(1, 2))))
+        unpinned = (np.abs(beta[:, 0, :] - lo) > 1e-9) | (np.abs(beta[:, -1, :] - hi) > 1e-9)
+        bad += int(np.count_nonzero(unpinned.any(axis=1)))
+        Z = np.concatenate(cs.Z)
+        broken = (np.diff(Z) <= 0) & self._same_lane
+        if broken.any():
+            bad += np.unique(self._pair_lane[broken]).size
+        outside = (Z < self._wlo_all) | (Z > self._whi_all)
+        if outside.any():
+            bad += np.unique(self._gel_of[outside]).size
         if np.any(cs.lam <= 0):
             bad += 1
         return bad

@@ -62,9 +62,14 @@ class PeakTable:
         self._by_lane: dict[tuple[str, int], list[Peak]] = {}
         for p in self.entries:
             key = (p.gel_id, p.lane)
-            self._by_lane.setdefault(key, []).append(p)
             if key != prev_key:
+                if key in self._by_lane:
+                    raise ValueError(
+                        f"gel {p.gel_id} lane {p.lane}: peaks split into two "
+                        f"runs; each lane's peaks must be contiguous"
+                    )
                 prev_key, prev_loc, expected_j = key, None, 1
+            self._by_lane.setdefault(key, []).append(p)
             if p.j != expected_j:
                 raise ValueError(
                     f"gel {p.gel_id} lane {p.lane}: peak index {p.j}, expected {expected_j}"

@@ -11,9 +11,11 @@ from gelwarp.cluster import (
     cut,
     distance_matrix,
     hclust_complete,
+    posterior_clustering_summary,
     to_newick,
 )
 from gelwarp.core import GelTrace, IntensityGrid, Lane
+from gelwarp.peakdetect import PeakTable
 from gelwarp.simulate import SimSpec, simulate_gels
 
 
@@ -352,3 +354,13 @@ class TestBootstrap:
         assert set(conf1) == set(conf2_named)
         for k in conf1:
             assert conf1[k] == pytest.approx(conf2_named[k], abs=0.15)
+
+
+class TestPosteriorSummarySettings:
+    @pytest.mark.parametrize("n_values, bad", [([1, 2], "1"), ([2, 9], "9"), ([2.5], r"2\.5")])
+    def test_n_values_outside_range_rejected(self, n_values, bad):
+        grid = block_grid(strong=True)
+        z_draws = {("G1", 1): np.ones((2, 1), dtype=int)}
+        with pytest.raises(ValueError, match=rf"n_values: {bad} is not an integer in 2\.\.8"):
+            posterior_clustering_summary(grid, PeakTable((), grid.B), z_draws, 5,
+                                         n_values=n_values)

@@ -1,5 +1,8 @@
+import dataclasses
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,7 +117,7 @@ class TestTruncNormal:
 
 
 class TestZGibbsExact:
-    """Single-site assignment Gibbs against exhaustive enumeration on a
+    """Blocked FFBS assignment draw against exhaustive enumeration on a
     two-peak lane (small analogue of the full million-draw check)."""
 
     def setup_instance(self):
@@ -175,6 +178,105 @@ class TestZGibbsExact:
             state = sample_Z(state, peaks, cfg, rng)
             z = tuple(int(v) for v in state.Z[("G1", 2)])
             assert z in exact
+
+
+class TestZBlockedDraw:
+    """The blocked FFBS sweep on one gel whose lanes hold 1, 2 and 3 peaks,
+    so the padded lane grid has empty slots, under a non-identity warp and
+    tight windows: each lane's draws against exhaustive enumeration."""
+
+    LANES = {1: [0.47], 2: [0.30, 0.62], 3: [0.22, 0.41, 0.70]}
+
+    def exact_posterior(self, model, state, lam, sigma):
+        # spacing units: landmark ell sits at ell - (L+1)/2, and the window
+        # is |T - nu| < A_0, strict
+        L = model.cfg.L
+        a0 = model.cfg.a0_value * (L + 1)
+        field = state.warp_fields["G1"]
+        u_by_lane = dict(zip(model.gels[0].lanes, model.gels[0].u_std))
+        exact = {}
+        for lane, locs in self.LANES.items():
+            T = (np.array(locs) - 0.5) * (L + 1)
+            probs = {}
+            for z in itertools.combinations(range(1, L + 1), len(locs)):
+                nu = np.array(z) - (L + 1) / 2.0
+                if np.any(np.abs(T - nu) >= a0):
+                    continue
+                mu = np.array([eval_warp(field, float(v), float(u_by_lane[lane]))
+                               for v in nu])
+                probs[z] = float(np.prod(lam[np.array(z) - 1])
+                                 * np.exp(-0.5 * np.sum(((T - mu) / sigma) ** 2)))
+            tot = sum(probs.values())
+            exact[("G1", lane)] = {k: v / tot for k, v in probs.items()}
+        return exact
+
+    def test_each_lane_matches_enumeration(self):
+        peaks = make_table(self.LANES, B=400)
+        cfg = ModelConfig(L=8, T_nu=4, T_u=4, a0=2.2 / 9, iterations=10,
+                          burnin=0, seed=0)
+        model = DewarpModel(peaks, cfg)
+        s0 = model.to_public(model.init_chain_state())
+        beta = s0.warp_fields["G1"].beta.copy()
+        beta[1, :] += [0.3, -0.2, 0.1, 0.25]
+        beta[2, :] += [-0.25, 0.15, 0.3, -0.1]
+        field = dataclasses.replace(s0.warp_fields["G1"], beta=beta)
+        field.validate()
+        lam = np.array([0.30, 0.05, 0.25, 0.10, 0.30, 0.20, 0.15, 0.40])
+        sigma = 0.7  # landmark spacings
+        state = AlignmentState(
+            Z=s0.Z, lam=lam, tau=s0.tau, sigma_eps=sigma,
+            warp_fields={"G1": field}, sigma_g1=s0.sigma_g1, sigma_gs=s0.sigma_gs,
+        )
+        exact = self.exact_posterior(model, state, lam, sigma)
+        assert [len(p) for p in exact.values()] == [4, 15, 36]
+
+        cs = model.from_public(state)
+        rng = np.random.default_rng(3)
+        n = 40_000
+        counts = {key: {} for key in exact}
+        for _ in range(n):
+            model.sweep_Z(cs, rng)
+            Z = cs.Z[0]
+            for k, (start, end) in enumerate(model.gels[0].lane_slices):
+                z = tuple(int(v) for v in Z[start:end])
+                c = counts[("G1", k + 1)]
+                c[z] = c.get(z, 0) + 1
+        assert model.count_violations(cs) == 0
+        for key, probs in exact.items():
+            assert set(counts[key]) <= set(probs), key
+            tv = 0.5 * sum(abs(counts[key].get(z, 0) / n - p) for z, p in probs.items())
+            assert tv < 0.02, (key, tv)
+
+    def test_small_sigma_draw_is_ordered_without_warnings(self):
+        # both peaks sit nearest landmark 11 of L=20; at sigma = 0.01
+        # spacings every weight but the best underflows in linear scale
+        peaks = make_table({1: [0.5238, 0.5262]}, B=10_000)
+        cfg = ModelConfig(L=20, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
+        model = DewarpModel(peaks, cfg)
+        cs = model.init_chain_state()
+        cs.sigma_eps2 = 0.01**2
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                model.sweep_Z(cs, rng)
+                assert cs.Z[0].tolist() == [11, 12]
+                assert np.all(np.isfinite(cs.mu[0]))
+        assert model.count_violations(cs) == 0
+
+    def test_infeasible_lane_named(self):
+        # a state built under a wide window, swept under one that bars
+        # landmark 1: five ordered peaks no longer fit
+        peaks = make_table({4: [0.60, 0.62, 0.64, 0.66, 0.68]}, B=400)
+        wide = ModelConfig(L=5, T_nu=4, T_u=4, a0=0.6, iterations=10, burnin=0, seed=0)
+        narrow = ModelConfig(L=5, T_nu=4, T_u=4, a0=2.0 / 6, iterations=10,
+                             burnin=0, seed=0)
+        model = DewarpModel(peaks, narrow)
+        cs = model.from_public(initial_state(peaks, wide))
+        before = cs.Z[0].copy()
+        with pytest.raises(ValueError, match="gel G1 lane 4"):
+            model.sweep_Z(cs, np.random.default_rng(0))
+        assert np.array_equal(cs.Z[0], before)
 
 
 class TestBetaConditional:
@@ -311,27 +413,45 @@ class TestHyperConditionals:
 
 class TestConstraints:
     def test_violation_counter_flags_bad_states(self):
-        peaks = make_table({1: [0.2, 0.5, 0.8]}, B=200)
+        # lanes 1 and 2 can swap their first two landmarks without leaving
+        # a window; lane 3's single peak cannot reach landmark 1
+        peaks = make_table({1: [0.40, 0.45, 0.8], 2: [0.40, 0.45, 0.8], 3: [0.8]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         cs = model.init_chain_state()
         assert model.count_violations(cs) == 0
 
-        bad = model.init_chain_state()
-        bad.beta[0][1, 0], bad.beta[0][2, 0] = bad.beta[0][2, 0], bad.beta[0][1, 0]
-        assert model.count_violations(bad) >= 1
+        def broken(*edits):
+            bad = model.init_chain_state()
+            for edit in edits:
+                edit(bad)
+            return model.count_violations(bad)
 
-        bad = model.init_chain_state()
-        bad.beta[0][0, 0] += 0.5
-        assert model.count_violations(bad) >= 1
+        def swap_beta(s):
+            s.beta[0][1, 0], s.beta[0][2, 0] = s.beta[0][2, 0], s.beta[0][1, 0]
 
-        bad = model.init_chain_state()
-        bad.Z[0][:] = bad.Z[0][::-1]
-        assert model.count_violations(bad) >= 1
+        def unpin(s):
+            s.beta[0][0, 0] += 0.5
 
-        bad = model.init_chain_state()
-        bad.lam[2] = -1.0
-        assert model.count_violations(bad) >= 1
+        def lane(k):
+            def edit(s):
+                start, _ = model.gels[0].lane_slices[k]
+                s.Z[0][start + 1] = s.Z[0][start]
+            return edit
+
+        def outside(s):
+            s.Z[0][-1] = 1
+
+        def negative_lambda(s):
+            s.lam[2] = -1.0
+
+        assert broken(swap_beta) == 1
+        assert broken(unpin) == 1
+        assert broken(lane(0)) == 1
+        assert broken(lane(0), lane(1)) == 2
+        assert broken(outside) == 1
+        assert broken(negative_lambda) == 1
+        assert broken(swap_beta, unpin, lane(0), lane(1), outside, negative_lambda) == 6
 
     def test_init_state_admissible(self):
         peaks, _ = two_gel_peaks(seed=1)

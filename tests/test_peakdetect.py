@@ -171,6 +171,15 @@ class TestPeakTable:
         with pytest.raises(ValueError, match="peak index"):
             PeakTable(entries, 100)
 
+    def test_lane_split_into_two_runs_rejected(self):
+        entries = [
+            Peak("g1", 1, 1, 10, 0.10, 1.0),
+            Peak("g1", 2, 1, 20, 0.20, 1.0),
+            Peak("g1", 1, 1, 5, 0.05, 1.0),
+        ]
+        with pytest.raises(ValueError, match="gel g1 lane 1: peaks split into two runs"):
+            PeakTable(entries, 100)
+
     def test_filter_renumbers(self):
         entries = [
             Peak("G1", 1, 1, 10, 0.10, 1.0),
