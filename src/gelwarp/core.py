@@ -8,9 +8,11 @@ consume the types defined here.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -271,77 +273,149 @@ def read_manifest(path) -> dict:
     return manifest
 
 
+# One traces CSV row; loadtxt maps each gel id to its first-seen rank.
+_TRACE_ROW = np.dtype(
+    [("gel", np.int64), ("lane", np.int64), ("bin", np.int64), ("intensity", float)]
+)
+
+
 def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:
     """Load a traces CSV (columns gel_id,lane,bin,intensity, bins 1..B).
 
     Bins must be present and contiguous for every lane; every lane within a
-    gel must have the same bin count.  Reference lanes are flagged from the
-    manifest when given.
+    gel must have the same bin count.  Gels keep the order in which they
+    first appear; lanes are sorted by index.  Reference lanes are flagged
+    from the manifest when given.
     """
-    per_lane: dict[tuple[str, int], dict[int, float]] = {}
-    gel_order: list[str] = []
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
+        first = f.readline()
+        header = next(csv.reader([first]), None) if first else None
         if header is None or tuple(h.strip() for h in header) != TRACE_COLUMNS:
             raise ValueError(
                 f"{path}: expected header {','.join(TRACE_COLUMNS)}, got {header}"
             )
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{row_num}: expected 4 columns, got {len(row)}")
-            gel_id, lane_s, bin_s, val_s = row
-            try:
-                lane_i, bin_i, val = int(lane_s), int(bin_s), float(val_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row_num}: {exc}") from None
-            key = (gel_id, lane_i)
-            if key not in per_lane:
-                per_lane[key] = {}
-            if bin_i in per_lane[key]:
-                raise ValueError(f"gel {gel_id} lane {lane_i}: duplicate bin {bin_i}")
-            per_lane[key][bin_i] = val
-            if gel_id not in gel_order:
-                gel_order.append(gel_id)
-    if not per_lane:
+        # a C-level lookup per row; only a new gel id runs Python code
+        gel_rank: defaultdict[str, int] = defaultdict(lambda: len(gel_rank))
+        try:
+            with warnings.catch_warnings():
+                # blank lines are skipped with a warning; the line count
+                # below turns them into an error naming the line
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    f, dtype=_TRACE_ROW, delimiter=",", comments=None,
+                    quotechar='"', ndmin=1,
+                    converters={0: gel_rank.__getitem__},
+                )
+        except ValueError as exc:
+            _raise_row_error(path)
+            raise ValueError(f"{path}: {exc}") from None
+    n_lines = _count_lines(path) - 1
+    if rows.size != n_lines:
+        _raise_row_error(path)
+        raise ValueError(
+            f"{path}: {rows.size} data rows on {n_lines} lines; rows must end "
+            "in \\n or \\r\\n, with no line break inside a field"
+        )
+    if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
 
-    B = None
+    # one sort groups every lane's bins, gels in first-seen order
+    gel_ids = list(gel_rank)
+    g, lane, bins = rows["gel"], rows["lane"], rows["bin"]
+    idx = np.lexsort((bins, lane, g))
+    g, lane, bins = g[idx], lane[idx], bins[idx]
+
+    same_lane = (g[1:] == g[:-1]) & (lane[1:] == lane[:-1])
+    dup = same_lane & (bins[1:] == bins[:-1])
+    if dup.any():
+        # the sort is stable, so the earliest row that repeats a bin is the
+        # smallest file index among second-and-later copies
+        r = int(idx[1:][dup].min())
+        raise ValueError(
+            f"gel {gel_ids[rows['gel'][r]]} lane {rows['lane'][r]}: "
+            f"duplicate bin {rows['bin'][r]}"
+        )
+    starts = np.flatnonzero(np.concatenate(([True], ~same_lane)))
+    counts = np.diff(np.append(starts, idx.size))
+    pos = np.arange(idx.size) - np.repeat(starts, counts) + 1
+    complete = np.logical_and.reduceat(bins == pos, starts)
+    # B is the bin count of the lane holding the file's first data row
+    B = int(counts[np.searchsorted(starts, np.argmin(idx), "right") - 1])
+    bad = ~complete | (counts != B)
+    if bad.any():
+        k = int(np.argmax(bad))
+        gel_id, lane_i, nb = gel_ids[g[starts[k]]], lane[starts[k]], int(counts[k])
+        if not complete[k]:
+            present = set(bins[starts[k] : starts[k] + nb].tolist())
+            b = next(b for b in range(1, nb + 1) if b not in present)
+            raise ValueError(f"gel {gel_id} lane {lane_i}: missing bin {b}")
+        raise ValueError(f"gel {gel_id} lane {lane_i}: {nb} bins, expected {B}")
+
+    intensity = rows["intensity"][idx].reshape(-1, B)
+    lane_no = lane[starts].tolist()
+    gel_bounds = np.searchsorted(g[starts], np.arange(len(gel_ids) + 1)).tolist()
     gels = []
-    for gel_id in gel_order:
-        entry = (manifest or {}).get(gel_id, {})
-        ref_lane = entry.get("reference_lane")
-        lanes = []
-        for (g, lane_i), bins in per_lane.items():
-            if g != gel_id:
-                continue
-            nb = len(bins)
-            for b in range(1, nb + 1):
-                if b not in bins:
-                    raise ValueError(f"gel {gel_id} lane {lane_i}: missing bin {b}")
-            if B is None:
-                B = nb
-            elif nb != B:
-                raise ValueError(
-                    f"gel {gel_id} lane {lane_i}: {nb} bins, expected {B}"
-                )
-            intensity = np.array([bins[b] for b in range(1, nb + 1)])
-            lanes.append(Lane(lane_i, intensity, is_reference=(lane_i == ref_lane)))
-        lanes.sort(key=lambda ln: ln.index)
-        gels.append(GelTrace(gel_id, tuple(lanes)))
+    for r, gel_id in enumerate(gel_ids):
+        ref_lane = (manifest or {}).get(gel_id, {}).get("reference_lane")
+        lanes = tuple(
+            Lane(lane_no[k], intensity[k], is_reference=(lane_no[k] == ref_lane))
+            for k in range(gel_bounds[r], gel_bounds[r + 1])
+        )
+        gels.append(GelTrace(gel_id, lanes))
     return IntensityGrid(tuple(gels), B)
 
 
+def _count_lines(path) -> int:
+    """Physical lines in a file, counting a last line without a line break."""
+    n, last = 0, b"\n"
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            n += chunk.count(b"\n")
+            last = chunk[-1:]
+    return n + (last != b"\n")
+
+
+def _raise_row_error(path) -> None:
+    """Name the first malformed data row of a traces CSV.
+
+    Runs only after the column-wise parse has failed or skipped a line; it
+    re-reads the file row by row so the error names the file's line.
+    """
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader, None)
+        for row_num, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ValueError(f"{path}:{row_num}: expected 4 columns, got {len(row)}")
+            try:
+                int(row[1]), int(row[2]), float(row[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{row_num}: {exc}") from None
+
+
 def write_traces_csv(grid: IntensityGrid, path) -> None:
+    """Write a traces CSV, byte for byte what ``csv.writer`` writes row by row.
+
+    Rows end in csv's CRLF and intensities are written with repr().
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRACE_COLUMNS)
+        csv.writer(f).writerow(TRACE_COLUMNS)
         for gel in grid.gels:
             for lane in gel.lanes:
-                for b, val in enumerate(lane.intensity, start=1):
-                    writer.writerow([gel.gel_id, lane.index, b, repr(float(val))])
+                prefix = _csv_prefix(gel.gel_id, lane.index)
+                f.write("".join(
+                    [f"{prefix}{b},{v!r}\r\n"
+                     for b, v in enumerate(lane.intensity.tolist(), start=1)]
+                ))
+
+
+def _csv_prefix(*fields) -> str:
+    """The fields as csv.writer writes them (quoted where needed), then a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*fields, ""])
+    return buf.getvalue()[:-2]
 
 
 def write_manifest(manifest: dict, path) -> None:

@@ -23,15 +23,17 @@ import warnings
 from dataclasses import dataclass
 from math import lgamma, log
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import GelwarpWarning, LandmarkGrid, Standardizer, fit_standardizer
 from .peakdetect import PeakTable
 from .spline import WarpField, eval_warp, identity_coefficients, make_basis, write_warp_fields
 
 LOG_2PI = math.log(2.0 * math.pi)
+SQRT_HALF = math.sqrt(0.5)
+_STD_NORMAL = NormalDist()
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +153,17 @@ def _trunc_normal(mean: float, sd: float, lo: float, hi: float, rng) -> float:
     """Draw from N(mean, sd) restricted to the open interval (lo, hi)."""
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    fa = ndtr(a)
-    fb = ndtr(b)
+    fa = 0.5 * math.erfc(-a * SQRT_HALF)
+    fb = 0.5 * math.erfc(-b * SQRT_HALF)
     if fb - fa > 1e-12:
-        x = mean + sd * ndtri(rng.uniform(fa, fb))
+        p = rng.uniform(fa, fb)
+        # inv_cdf raises at 0 and 1; the infinite quantile is clamped below
+        if p <= 0.0:
+            x = -math.inf
+        elif p >= 1.0:
+            x = math.inf
+        else:
+            x = mean + sd * _STD_NORMAL.inv_cdf(p)
     else:
         # far-tail interval: exponential rejection (Robert 1995), mirrored
         # onto the left tail when needed
@@ -583,11 +592,10 @@ class DewarpModel:
             )
             inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
             ssq = np.sum(inc * inc, axis=1)
-            shape = cfg.sigma_shape + 0.5 * (cfg.T_u - 1)
-            for s in range(self.n_free_rows):
-                cs.sigma_gs_2[gi][s] = _draw_invgamma(
-                    shape, cfg.sigma_rate + 0.5 * float(ssq[s]), rng
-                )
+            # one gamma draw per free row, from the same stream as row-by-row calls
+            cs.sigma_gs_2[gi][:] = (cfg.sigma_rate + 0.5 * ssq) / rng.gamma(
+                cfg.sigma_shape + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
+            )
         if fix_lambda:
             return 0.0
 
@@ -596,30 +604,30 @@ class DewarpModel:
         counts = np.zeros(L, dtype=np.intp)
         for gi in range(len(self.gels)):
             counts += np.bincount(cs.Z[gi] - 1, minlength=L)
+        # Each proposal moves one coordinate, so every term but the sum's
+        # is fixed up front; only lam_sum carries from one step to the next.
         P_tot = self.n_peaks_total
         lam = cs.lam
-        lam_sum = cs.lam_sum
-        inv_2tau = 0.5 / cs.tau
+        x = np.log(lam)
         step = cfg.lambda_step
-        accepted = 0
-        noise = rng.standard_normal(L) * step
-        uls = rng.random(L)
-        for ell in range(L):
-            cur = lam[ell]
-            x = log(cur)
-            xp = x + noise[ell]
-            lp = math.exp(xp)
-            new_sum = lam_sum - cur + lp
-            logr = (
-                (counts[ell] + 1.0) * (xp - x)
-                - P_tot * (log(new_sum) - log(lam_sum))
-                - (lp * lp - cur * cur) * inv_2tau
-            )
+        xp = x + rng.standard_normal(L) * step
+        lp = np.exp(xp)
+        jacobian = ((counts + 1.0) * (xp - x)).tolist()
+        prior = ((lp * lp - lam * lam) * (0.5 / cs.tau)).tolist()
+        uls = rng.random(L).tolist()
+        lam_sum = cs.lam_sum
+        log_sum = log(lam_sum)
+        accept = [False] * L
+        for ell, (cur, prop) in enumerate(zip(lam.tolist(), lp.tolist())):
+            new_sum = lam_sum - cur + prop
+            log_new = log(new_sum)
+            logr = jacobian[ell] - P_tot * (log_new - log_sum) - prior[ell]
             if logr >= 0.0 or uls[ell] < math.exp(logr):
-                lam[ell] = lp
-                lam_sum = new_sum
-                accepted += 1
+                accept[ell] = True
+                lam_sum, log_sum = new_sum, log_new
+        lam[accept] = lp[accept]
         cs.lam_sum = lam_sum
+        accepted = sum(accept)
 
         # joint rescaling of (lambda, tau): the normalized weights are
         # scale-free, so the common scale mixes only through this move;

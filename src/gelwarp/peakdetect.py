@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from .core import IntensityGrid
 
@@ -193,10 +192,25 @@ def local_scores(intensity: np.ndarray, cfg: PeakConfig) -> np.ndarray:
     b = np.arange(B)
     left = m[np.maximum(b - cfg.h, 0)]
     right = m[np.minimum(b + cfg.h, B - 1)]
-    # mode="nearest" pads with edge values, which equals truncating the window
-    win_min = minimum_filter1d(m, size=2 * cfg.h + 1, mode="nearest")
+    win_min = _window_min(m, cfg.h)
     score = np.sign(m - left) + np.sign(m - right) + np.sign(m - win_min - cfg.c0)
     return score.astype(int)
+
+
+def _window_min(m: np.ndarray, h: int) -> np.ndarray:
+    """min of m over [b-h, b+h] truncated to the lane, for every b.
+
+    van Herk/Gil-Werman: edge padding equals truncating the window; pad to
+    whole blocks of w = 2h+1, then each window is the suffix minimum of one
+    block joined with the prefix minimum of the next.
+    """
+    w = 2 * h + 1
+    B = m.size
+    n = -(-(B + 2 * h) // w) * w
+    blocks = np.pad(m, (h, n - B - h), mode="edge").reshape(-1, w)
+    prefix = np.minimum.accumulate(blocks, axis=1).ravel()
+    suffix = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.minimum(suffix[:B], prefix[2 * h : 2 * h + B])
 
 
 def local_score(intensity: np.ndarray, b: int, cfg: PeakConfig) -> int:

@@ -1,11 +1,15 @@
 """End-to-end checks of the command-line stages and the pipeline driver."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gelwarp
 from gelwarp.cli import (
     DEFAULT_CONFIG,
     main,
@@ -73,6 +77,23 @@ def workdir(tmp_path_factory):
     cfg_path.write_text(json.dumps(cfg))
     run(["pipeline", "--config", str(cfg_path)])
     return root
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only dependency; every command starts without it."""
+    src = str(Path(gelwarp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys, gelwarp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:

@@ -1,6 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gelwarp.core import (
     GelTrace,
@@ -177,6 +180,122 @@ class TestTraceIO:
         )
         with pytest.raises(ValueError, match="duplicate bin"):
             read_traces_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("G1,1,1,0.0\nG1,1,2\n", ":3: expected 4 columns, got 3"),
+            ("G1,1,1,0.0\nG1,1,2,0.5,9\n", ":3: expected 4 columns, got 5"),
+            ("G1,1,1,0.0\n  \nG1,1,2,0.5\n", ":3: expected 4 columns, got 1"),
+            ("G1,1,1,0.0\n\nG1,1,2,0.5\n", ":3: expected 4 columns, got 0"),
+            ("G1,1,1,0.0\nG1,1,2,0.5\n\n", ":4: expected 4 columns, got 0"),
+            ("G1,1,1,0.0\nG1,1.5,2,0.5\n",
+             ":3: invalid literal for int() with base 10: '1.5'"),
+            ("G1,1,x,0.0\n", ":2: invalid literal for int() with base 10: 'x'"),
+            ("G1,1,1,0.0\nG1,1,2,abc\n", ":3: could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_malformed_row_named_by_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("gel_id,lane,bin,intensity\n" + body)
+        with pytest.raises(ValueError) as err:
+            read_traces_csv(path)
+        assert str(err.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize(
+        "body", ['"G\n1",1,1,0.0\n', "G1,1,1,0.0\rG1,1,2,0.5\r"]
+    )
+    def test_rows_must_be_lines(self, tmp_path, body):
+        path = tmp_path / "lines.csv"
+        path.write_bytes(b"gel_id,lane,bin,intensity\n" + body.encode())
+        with pytest.raises(ValueError, match="no line break inside a field"):
+            read_traces_csv(path)
+
+    def test_bin_count_mismatch(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "gel_id,lane,bin,intensity\nG1,1,1,0.0\nG1,1,2,0.1\nG1,1,3,0.2\n"
+            "G1,2,1,0.0\nG1,2,2,0.1\n"
+        )
+        with pytest.raises(ValueError, match="^gel G1 lane 2: 2 bins, expected 3$"):
+            read_traces_csv(path)
+
+    def test_duplicate_bin_names_lane(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "gel_id,lane,bin,intensity\nG1,1,1,0.0\nG1,1,2,0.5\n"
+            "G1,2,2,0.0\nG1,2,1,0.5\nG1,2,2,0.7\n"
+        )
+        with pytest.raises(ValueError, match="^gel G1 lane 2: duplicate bin 2$"):
+            read_traces_csv(path)
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("gel_id,lane,bin,intensity\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_traces_csv(path)
+
+    def test_bad_header_named(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("gel,lane,bin,intensity\nG1,1,1,0.0\n")
+        with pytest.raises(ValueError, match="expected header gel_id,lane,bin,intensity"):
+            read_traces_csv(path)
+
+    def test_hash_gel_id_is_data(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("gel_id,lane,bin,intensity\n#7,1,1,0.25\n#7,1,2,0.5\n")
+        grid = read_traces_csv(path)
+        np.testing.assert_array_equal(grid.gel("#7").lane(1).intensity, [0.25, 0.5])
+
+    def test_quoted_gel_id_round_trips(self, tmp_path):
+        gel_id = 'gel "a", run 2'
+        grid = make_grid([[0.0, 0.5], [1.0, 0.25]], gel_id=gel_id)
+        path = tmp_path / "q.csv"
+        write_traces_csv(grid, path)
+        back = read_traces_csv(path)
+        assert [g.gel_id for g in back.gels] == [gel_id]
+        np.testing.assert_array_equal(back.gel(gel_id).lane(2).intensity, [1.0, 0.25])
+
+    def test_gel_first_seen_order_and_sorted_lanes(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_text(
+            "gel_id,lane,bin,intensity\n"
+            "Zeta,2,2,0.4\nZeta,2,1,0.3\nAlpha,1,1,0.5\nZeta,1,1,0.1\n"
+            "Alpha,1,2,0.6\nZeta,1,2,0.2\n"
+        )
+        grid = read_traces_csv(path, {"Zeta": {"reference_lane": 2}})
+        assert [g.gel_id for g in grid.gels] == ["Zeta", "Alpha"]
+        assert [ln.index for ln in grid.gel("Zeta").lanes] == [1, 2]
+        assert grid.gel("Zeta").reference_lane().index == 2
+        np.testing.assert_array_equal(
+            grid.matrix(), [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["G1", "a,b", 'q"t', " sp ", ""]))
+    @settings(max_examples=30, deadline=None)
+    def test_writer_matches_csv_writer(self, tmp_path_factory, seed, odd_id):
+        rng = np.random.default_rng(seed)
+        B = int(rng.integers(1, 12))
+        gels = []
+        for gel_id in ("G0", odd_id + "x"):
+            lanes = tuple(
+                Lane(i, rng.normal(size=B) * 10.0 ** rng.integers(-8, 8))
+                for i in range(1, int(rng.integers(1, 4)) + 1)
+            )
+            gels.append(GelTrace(gel_id, lanes))
+        grid = IntensityGrid(tuple(gels), B)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(("gel_id", "lane", "bin", "intensity"))
+        for gel in grid.gels:
+            for lane in gel.lanes:
+                for b, val in enumerate(lane.intensity, start=1):
+                    writer.writerow([gel.gel_id, lane.index, b, repr(float(val))])
+        path = tmp_path_factory.mktemp("w") / "t.csv"
+        write_traces_csv(grid, path)
+        assert path.read_bytes() == want.getvalue().encode()
+        back = read_traces_csv(path)
+        np.testing.assert_array_equal(back.matrix(), grid.matrix())
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "nh.csv"

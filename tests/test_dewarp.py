@@ -101,6 +101,29 @@ class TestTruncNormal:
         ks = np.max(np.abs(cdf - np.arange(1, draws.size + 1) / draws.size))
         assert ks < 0.02
 
+    class _EdgeRng:
+        """uniform() returns one end of its interval."""
+
+        def __init__(self, upper: bool):
+            self.upper = upper
+
+        def uniform(self, lo, hi):
+            return hi if self.upper else lo
+
+    def test_cdf_rounding_to_zero_or_one_stays_inside(self):
+        # Phi(-40) rounds to 0 and Phi(40) to 1, so the quantile of the
+        # interval's end is infinite and must be clamped inside
+        for lo, hi, upper in ((-40.0, 0.5, False), (-0.5, 40.0, True)):
+            x = _trunc_normal(0.0, 1.0, lo, hi, self._EdgeRng(upper))
+            assert lo < x < hi
+        rng = np.random.default_rng(4)
+        for lo, hi in ((-40.0, 0.5), (-0.5, 40.0)):
+            draws = np.sort([_trunc_normal(0.0, 1.0, lo, hi, rng) for _ in range(20_000)])
+            assert np.all((draws > lo) & (draws < hi))
+            cdf = truncnorm.cdf(draws, lo, hi)
+            ks = np.max(np.abs(cdf - np.arange(1, draws.size + 1) / draws.size))
+            assert ks < 0.02
+
     def test_far_tail_rejection_branch(self):
         rng = np.random.default_rng(2)
         draws = np.array([_trunc_normal(0.0, 1.0, 8.0, 9.0, rng) for _ in range(4000)])
@@ -401,6 +424,70 @@ class TestHyperConditionals:
         e1 = np.searchsorted(draws, grid, side="right") / n
         e2 = np.searchsorted(oracle, grid, side="right") / n
         assert np.max(np.abs(e1 - e2)) < 0.045
+
+    @staticmethod
+    def coordinate_loop_sweep(model, cs, rng):
+        """sweep_hyper as one scalar update at a time: the reference kernel."""
+        cfg, L = model.cfg, model.cfg.L
+        inv_gamma = lambda shape, rate: rate / rng.gamma(shape)  # noqa: E731
+        cs.tau = inv_gamma(cfg.tau_shape + 0.5 * L, cfg.tau_rate + 0.5 * float(cs.lam @ cs.lam))
+        ss = sum(float((gel.T_flat - cs.mu[gi]) @ (gel.T_flat - cs.mu[gi]))
+                 for gi, gel in enumerate(model.gels))
+        cs.sigma_eps2 = inv_gamma(cfg.sigma_shape + 0.5 * model.n_peaks_total,
+                                  cfg.sigma_rate + 0.5 * ss)
+        for gi in range(len(model.gels)):
+            beta = cs.beta[gi]
+            d = np.diff(beta[: cfg.T_nu - 1, 0]) - model.id_incr
+            cs.sigma_g1_2[gi] = inv_gamma(cfg.sigma_shape + 0.5 * (cfg.T_nu - 2),
+                                          cfg.sigma_rate + 0.5 * float(d @ d))
+            inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
+            ssq = np.sum(inc * inc, axis=1)
+            for s in range(model.n_free_rows):
+                cs.sigma_gs_2[gi][s] = inv_gamma(cfg.sigma_shape + 0.5 * (cfg.T_u - 1),
+                                                 cfg.sigma_rate + 0.5 * float(ssq[s]))
+        counts = sum(np.bincount(z - 1, minlength=L) for z in cs.Z)
+        noise = rng.standard_normal(L) * cfg.lambda_step
+        uls = rng.random(L)
+        accepted = 0
+        for ell in range(L):
+            cur = cs.lam[ell]
+            x = math.log(cur)
+            xp = x + noise[ell]
+            lp = math.exp(xp)
+            new_sum = cs.lam_sum - cur + lp
+            logr = ((counts[ell] + 1.0) * (xp - x)
+                    - model.n_peaks_total * (math.log(new_sum) - math.log(cs.lam_sum))
+                    - (lp * lp - cur * cur) * (0.5 / cs.tau))
+            if logr >= 0.0 or uls[ell] < math.exp(logr):
+                cs.lam[ell], cs.lam_sum = lp, new_sum
+                accepted += 1
+        logc = rng.standard_normal() * cfg.lambda_step
+        c2 = math.exp(2.0 * logc)
+        logr = -2.0 * cfg.tau_shape * logc - (cfg.tau_rate / cs.tau) * (1.0 / c2 - 1.0)
+        if logr >= 0.0 or rng.random() < math.exp(logr):
+            cs.lam = cs.lam * math.exp(logc)
+            cs.lam_sum = float(cs.lam.sum())
+            cs.tau = cs.tau * c2
+        return accepted / L
+
+    def test_sweep_matches_coordinate_loop_reference(self):
+        # same random stream and same decisions; lambda may differ only in
+        # the last bits, because numpy's log/exp round differently from math's
+        peaks, cfg, model, s0 = self.setup_state()
+        rng = np.random.default_rng(12)
+        cs = model.from_public(s0)
+        for k in range(60):
+            model.sweep(cs, rng)
+            a, b = model.from_public(model.to_public(cs)), model.from_public(model.to_public(cs))
+            rate_a = model.sweep_hyper(a, np.random.default_rng(k))
+            rate_b = self.coordinate_loop_sweep(model, b, np.random.default_rng(k))
+            assert rate_a == rate_b
+            assert (a.sigma_eps2, a.tau) == pytest.approx((b.sigma_eps2, b.tau), rel=1e-12)
+            np.testing.assert_array_equal(a.sigma_g1_2, b.sigma_g1_2)
+            for x, y in zip(a.sigma_gs_2, b.sigma_gs_2):
+                np.testing.assert_array_equal(x, y)
+            np.testing.assert_allclose(a.lam, b.lam, rtol=1e-12)
+            assert a.lam_sum == pytest.approx(b.lam_sum, rel=1e-12)
 
     def test_lambda_moves_accept_some(self):
         peaks, cfg, model, s0 = self.setup_state()

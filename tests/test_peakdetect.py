@@ -7,6 +7,7 @@ from gelwarp.peakdetect import (
     Peak,
     PeakConfig,
     PeakTable,
+    _window_min,
     detect_peaks,
     local_score,
     local_scores,
@@ -64,6 +65,18 @@ class TestLocalScore:
             b = int(rng.integers(1, B + 1))
             assert scores[b - 1] == brute_score(lane, b, h, c0)
             assert local_score(lane, b, cfg) == brute_score(lane, b, h, c0)
+
+    # quarter-grid values make ties common; h=0 is the one-bin window
+    @given(
+        st.lists(st.integers(0, 8), min_size=1, max_size=30),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=300)
+    def test_window_min_matches_truncated_window(self, values, h):
+        m = np.asarray(values, dtype=float) / 4
+        B = m.size
+        want = [m[max(b - h, 0) : min(b + h, B - 1) + 1].min() for b in range(B)]
+        np.testing.assert_array_equal(_window_min(m, h), want)
 
     # dyadic values keep the differences exact, so the invariance is not
     # blurred by floating-point rounding at the c0 threshold
