@@ -14,6 +14,7 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -296,26 +297,26 @@ def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:
             )
         # a C-level lookup per row; only a new gel id runs Python code
         gel_rank: defaultdict[str, int] = defaultdict(lambda: len(gel_rank))
+        shortest: list[int] = []
         try:
             with warnings.catch_warnings():
-                # blank lines are skipped with a warning; the line count
-                # below turns them into an error naming the line
+                # numpy 1.x reads an int field such as "1.5" via float, warning
+                warnings.simplefilter("error", DeprecationWarning)
+                # a file without data rows warns; it is an error below
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(
-                    f, dtype=_TRACE_ROW, delimiter=",", comments=None,
-                    quotechar='"', ndmin=1,
+                    chain.from_iterable(_line_blocks(f, shortest)),
+                    dtype=_TRACE_ROW, delimiter=",", comments=None,
+                    quotechar='"', ndmin=1, encoding=None,
                     converters={0: gel_rank.__getitem__},
                 )
-        except ValueError as exc:
+        except (ValueError, DeprecationWarning) as exc:
             _raise_row_error(path)
             raise ValueError(f"{path}: {exc}") from None
-    n_lines = _count_lines(path) - 1
-    if rows.size != n_lines:
+    # loadtxt skips blank lines, which are at most two characters ("\r\n");
+    # a line that short has the csv re-scan decide
+    if shortest and min(shortest) <= 2:
         _raise_row_error(path)
-        raise ValueError(
-            f"{path}: {rows.size} data rows on {n_lines} lines; rows must end "
-            "in \\n or \\r\\n, with no line break inside a field"
-        )
     if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
 
@@ -365,21 +366,19 @@ def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:
     return IntensityGrid(tuple(gels), B)
 
 
-def _count_lines(path) -> int:
-    """Physical lines in a file, counting a last line without a line break."""
-    n, last = 0, b"\n"
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            n += chunk.count(b"\n")
-            last = chunk[-1:]
-    return n + (last != b"\n")
+def _line_blocks(f, shortest: list[int]):
+    """The lines of ``f`` in blocks of about 1 MB, noting each block's shortest line."""
+    while block := f.readlines(1 << 20):
+        shortest.append(min(map(len, block)))
+        yield block
 
 
 def _raise_row_error(path) -> None:
     """Name the first malformed data row of a traces CSV.
 
-    Runs only after the column-wise parse has failed or skipped a line; it
-    re-reads the file row by row so the error names the file's line.
+    Runs only after the column-wise parse has failed or may have skipped a
+    blank line; it re-reads the file row by row so the error names the
+    file's line, and returns when every row is well formed.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,8 @@ class TestTraceIO:
             ("G1,1,1,0.0\n  \nG1,1,2,0.5\n", ":3: expected 4 columns, got 1"),
             ("G1,1,1,0.0\n\nG1,1,2,0.5\n", ":3: expected 4 columns, got 0"),
             ("G1,1,1,0.0\nG1,1,2,0.5\n\n", ":4: expected 4 columns, got 0"),
+            ("G1,1,1,0.0\r\n\r\nG1,1,2,0.5\r\n", ":3: expected 4 columns, got 0"),
+            ("G1,1,1,0.0\r\rG1,1,2,0.5\r", ":3: expected 4 columns, got 0"),
             ("G1,1,1,0.0\nG1,1.5,2,0.5\n",
              ":3: invalid literal for int() with base 10: '1.5'"),
             ("G1,1,x,0.0\n", ":2: invalid literal for int() with base 10: 'x'"),
@@ -202,14 +205,34 @@ class TestTraceIO:
             read_traces_csv(path)
         assert str(err.value) == f"{path}{message}"
 
+    def test_int_parsed_via_float_is_row_error(self, tmp_path, monkeypatch):
+        # numpy 1.x reads "1.5" into an int field as 1, with a DeprecationWarning
+        def loadtxt(*args, dtype, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated",
+                          DeprecationWarning, stacklevel=2)
+            return np.zeros(0, dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        path = tmp_path / "float_lane.csv"
+        path.write_text("gel_id,lane,bin,intensity\nG1,1.5,1,0.0\n")
+        with pytest.raises(ValueError) as err:
+            read_traces_csv(path)
+        assert str(err.value) == f"{path}:2: invalid literal for int() with base 10: '1.5'"
+
     @pytest.mark.parametrize(
-        "body", ['"G\n1",1,1,0.0\n', "G1,1,1,0.0\rG1,1,2,0.5\r"]
+        "body, gel_id",
+        [
+            ("G1,1,1,0.0\rG1,1,2,0.5\r", "G1"),
+            ('"G\n1",1,1,0.0\r\n"G\n1",1,2,0.5\r\n', "G\n1"),
+            ('"G\n\n1",1,1,0.0\n"G\n\n1",1,2,0.5', "G\n\n1"),
+        ],
     )
-    def test_rows_must_be_lines(self, tmp_path, body):
+    def test_line_breaks_read_as_csv_reads_them(self, tmp_path, body, gel_id):
         path = tmp_path / "lines.csv"
         path.write_bytes(b"gel_id,lane,bin,intensity\n" + body.encode())
-        with pytest.raises(ValueError, match="no line break inside a field"):
-            read_traces_csv(path)
+        grid = read_traces_csv(path)
+        assert [g.gel_id for g in grid.gels] == [gel_id]
+        np.testing.assert_array_equal(grid.gel(gel_id).lane(1).intensity, [0.0, 0.5])
 
     def test_bin_count_mismatch(self, tmp_path):
         path = tmp_path / "short.csv"
