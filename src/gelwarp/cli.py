@@ -227,7 +227,7 @@ def stage_dewarp(peaks_path, model_cfg: ModelConfig, out_dir,
                 "lambda_accept": float(result.lambda_accept),
                 "stationary": bool(result.stationary),
                 "stationary_detail": result.stationary_detail,
-                "saved_draws": len(result.states),
+                "saved_draws": len(result.log_joint_trace),
             },
             fh, sort_keys=True, default=float,
         )
@@ -518,7 +518,9 @@ def run_pipeline(config_path, resume: bool = False, threads: int | None = None) 
         aligned, manifest, posterior / "zmap.json", cfg["align"]["z_source"], exact,
     ))
 
-    d = _hash_parts(exact, manifest, cfg["cluster"], seed, truth)
+    # the quality bands read the posterior draws and the aligned traces
+    d = _hash_parts(exact, manifest, posterior / "zmap.json", aligned,
+                    cfg["cluster"], seed, truth)
     run_stage("cluster", d, [clusters / "metrics.csv"], lambda: stage_cluster(
         exact, manifest, clusters, cfg["cluster"]["nboot"], seed,
         truth_path=truth, n_values=cfg["cluster"]["n_values"],

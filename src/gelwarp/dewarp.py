@@ -149,14 +149,17 @@ def _log_invgamma(x: float, shape: float, rate: float) -> float:
     return shape * log(rate) - lgamma(shape) - (shape + 1.0) * log(x) - rate / x
 
 
-def _trunc_normal(mean: float, sd: float, lo: float, hi: float, rng) -> float:
-    """Draw from N(mean, sd) restricted to the open interval (lo, hi)."""
+def _trunc_normal(mean: float, sd: float, lo: float, hi: float, u: float, rng) -> float:
+    """Draw from N(mean, sd) restricted to the open interval (lo, hi).
+
+    u is a uniform on [0, 1) that sets the inverse-CDF draw; the far-tail
+    branch ignores it and draws from rng instead."""
     a = (lo - mean) / sd
     b = (hi - mean) / sd
     fa = 0.5 * math.erfc(-a * SQRT_HALF)
     fb = 0.5 * math.erfc(-b * SQRT_HALF)
     if fb - fa > 1e-12:
-        p = rng.uniform(fa, fb)
+        p = fa + (fb - fa) * u
         # inv_cdf raises at 0 and 1; the infinite quantile is clamped below
         if p <= 0.0:
             x = -math.inf
@@ -177,9 +180,9 @@ def _trunc_normal(mean: float, sd: float, lo: float, hi: float, rng) -> float:
                 break
         x = mean + sd * (-z if flip else z)
     if x <= lo:
-        x = np.nextafter(lo, hi)
+        x = math.nextafter(lo, hi)
     elif x >= hi:
-        x = np.nextafter(hi, lo)
+        x = math.nextafter(hi, lo)
     return float(x)
 
 
@@ -514,50 +517,67 @@ class DewarpModel:
             cs.mu[gi] = cs.W[gi][Zg, gel.lane_idx]
 
     def sweep_beta(self, cs: _ChainState, rng) -> None:
-        """Element-wise truncated-normal full conditionals for the free
-        coefficients; boundary rows stay pinned."""
+        """Coordinate-wise truncated-normal full conditionals for the free
+        coefficients, in Gram form (Geweke 1991); boundary rows stay pinned.
+
+        A gel's peak means are linear in its free coefficients: coefficient
+        k = (s, t) enters through the design column x_k = B_nu[Z, s] *
+        B_u[lane, t].  Its likelihood term needs only G = X'X and the
+        residual correlations c = X'(T - mu): precision G_kk / sigma^2 and
+        numerator c_k / sigma^2 plus that precision times the current
+        value.  A move by delta shifts the residual by -x_k delta, so
+        c -= G_k delta keeps c current without touching the peaks.  G, c,
+        beta and one block of uniforms are built once per gel per sweep,
+        and the scan (s = 1..T_nu-2, then t = 0..T_u-1) runs on Python
+        floats.  The random-walk priors add their neighbour terms to each
+        coefficient's precision and numerator."""
         cfg = self.cfg
         T_nu, T_u = cfg.T_nu, cfg.T_u
-        se2 = cs.sigma_eps2
-        g_inc = self.id_incr
+        K = self.n_free_rows * T_u
+        se2 = float(cs.sigma_eps2)
+        g_inc = self.id_incr.tolist()
         for gi, gel in enumerate(self.gels):
-            beta = cs.beta[gi]
-            BnZ = self.Bnu_land[cs.Z[gi], :]
-            BuP = gel.BuP
-            mu = cs.mu[gi]
-            T = gel.T_flat
-            v1 = cs.sigma_g1_2[gi]
-            vgs = cs.sigma_gs_2[gi]
+            X = (
+                self.Bnu_land[cs.Z[gi], 1 : T_nu - 1][:, :, None] * gel.BuP[:, None, :]
+            ).reshape(gel.n_peaks, K)
+            G = (X.T @ X).tolist()
+            c = (X.T @ (gel.T_flat - cs.mu[gi])).tolist()
+            beta = cs.beta[gi].tolist()
+            us = rng.random(K).tolist()
+            v1 = float(cs.sigma_g1_2[gi])
+            vgs = cs.sigma_gs_2[gi].tolist()
+            k = 0
             for s in range(1, T_nu - 1):
-                bn_s = BnZ[:, s]
+                row, below, above = beta[s], beta[s - 1], beta[s + 1]
                 vs = vgs[s - 1]
                 for t in range(T_u):
-                    a = bn_s * BuP[:, t]
-                    prec = (a @ a) / se2
-                    num = (a @ (T - mu)) / se2 + prec * beta[s, t]
+                    Gk = G[k]
+                    prec = Gk[k] / se2
+                    num = c[k] / se2 + prec * row[t]
                     # vertical random walk couples column neighbors
                     if t > 0:
                         prec += 1.0 / vs
-                        num += beta[s, t - 1] / vs
+                        num += row[t - 1] / vs
                     if t < T_u - 1:
                         prec += 1.0 / vs
-                        num += beta[s, t + 1] / vs
+                        num += row[t + 1] / vs
                     # horizontal random walk acts on the first column only
                     if t == 0:
                         prec += 1.0 / v1
-                        num += (beta[s - 1, 0] + g_inc[s - 1]) / v1
+                        num += (below[0] + g_inc[s - 1]) / v1
                         if s <= T_nu - 3:
                             prec += 1.0 / v1
-                            num += (beta[s + 1, 0] - g_inc[s]) / v1
+                            num += (above[0] - g_inc[s]) / v1
                     mean = num / prec
                     sd = 1.0 / math.sqrt(prec)
-                    new = _trunc_normal(mean, sd, beta[s - 1, t], beta[s + 1, t], rng)
-                    delta = new - beta[s, t]
+                    new = _trunc_normal(mean, sd, below[t], above[t], us[k], rng)
+                    delta = new - row[t]
                     if delta != 0.0:
-                        beta[s, t] = new
-                        mu = mu + a * delta
-            cs.mu[gi] = mu
-            cs.W[gi] = self.Bnu_land @ beta @ gel.Bu.T
+                        row[t] = new
+                        c = [ci - gki * delta for ci, gki in zip(c, Gk)]
+                    k += 1
+            cs.beta[gi][:] = beta
+            cs.W[gi] = self.Bnu_land @ cs.beta[gi] @ gel.Bu.T
             cs.mu[gi] = cs.W[gi][cs.Z[gi], gel.lane_idx]
 
     def sweep_hyper(self, cs: _ChainState, rng, fix_lambda: bool = False) -> float:
@@ -814,7 +834,6 @@ class MCMCResult:
     lane_keys: list
     peak_locations: dict
     peak_bins: dict
-    states: list
     log_joint_trace: np.ndarray
     beta_mean: dict
     z_map: dict
@@ -883,33 +902,11 @@ def _summarize(model: DewarpModel, peaks: PeakTable, snapshots: list,
             "u_std": gel.u_std.tolist(),
         }
 
-    states = []
-    for snap in snapshots:
-        Z = {}
-        warp_fields = {}
-        sigma_g1 = {}
-        sigma_gs = {}
-        for gi, gel in enumerate(model.gels):
-            for k, lane in enumerate(gel.lanes):
-                start, end = gel.lane_slices[k]
-                Z[(gel.gel_id, lane)] = snap["Z"][gi][start:end]
-            warp_fields[gel.gel_id] = WarpField(
-                beta=snap["beta"][gi], basis_nu=model.basis_nu,
-                basis_u=gel.basis_u, bounds=model.bounds,
-            )
-            sigma_g1[gel.gel_id] = snap["sigma_g1"][gi]
-            sigma_gs[gel.gel_id] = snap["sigma_gs"][gi]
-        states.append(AlignmentState(
-            Z=Z, lam=snap["lam"], tau=snap["tau"],
-            sigma_eps=snap["sigma_eps"], warp_fields=warp_fields,
-            sigma_g1=sigma_g1, sigma_gs=sigma_gs,
-        ))
-
     trace = np.asarray(lj)
     ok, detail = stationarity_check(trace)
     return MCMCResult(
         cfg=cfg, lane_keys=lane_keys, peak_locations=peak_locations,
-        peak_bins=peak_bins, states=states, log_joint_trace=trace,
+        peak_bins=peak_bins, log_joint_trace=trace,
         beta_mean=beta_mean, z_map=z_map, z_draws=z_draws,
         z_marginals=z_marginals, landmark_probs=landmark_probs,
         presence=presence, lambda_draws=lambda_draws, violations=violations,
@@ -918,15 +915,11 @@ def _summarize(model: DewarpModel, peaks: PeakTable, snapshots: list,
     )
 
 
-def _snapshot(model: DewarpModel, cs: _ChainState) -> dict:
+def _snapshot(cs: _ChainState) -> dict:
     return {
         "Z": [z.copy() for z in cs.Z],
         "beta": [b.copy() for b in cs.beta],
         "lam": cs.lam.copy(),
-        "tau": cs.tau,
-        "sigma_eps": math.sqrt(cs.sigma_eps2),
-        "sigma_g1": [math.sqrt(v) for v in cs.sigma_g1_2],
-        "sigma_gs": [np.sqrt(v) for v in cs.sigma_gs_2],
     }
 
 
@@ -1006,7 +999,7 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig, check_every: int = 1) -> MCMCRe
         if check_every and it % check_every == 0:
             violations += model.count_violations(cs)
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            snapshots.append(_snapshot(model, cs))
+            snapshots.append(_snapshot(cs))
             lj.append(model.log_joint(cs))
     result = _summarize(model, peaks, snapshots, lj, violations,
                         accept_sum / cfg.iterations)
@@ -1042,7 +1035,7 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
             model.sweep(cs, rng, fix_lambda=True)
             violations += model.count_violations(cs)
             if it >= cfg.new_gel_burnin:
-                snapshots.append(_snapshot(model, cs))
+                snapshots.append(_snapshot(cs))
                 lj.append(model.log_joint(cs))
     return _summarize(model, new_peaks, snapshots, lj, violations, 0.0)
 
@@ -1084,9 +1077,8 @@ def write_zmap(result: MCMCResult, path) -> None:
         }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    # json.dumps takes the C encoder; json.dump to a file does not
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_zmap(path) -> dict:
@@ -1117,9 +1109,8 @@ def write_landmarks(result: MCMCResult, path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    # json.dumps takes the C encoder; json.dump to a file does not
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def write_signatures_csv(result: MCMCResult, path) -> None:

@@ -26,6 +26,9 @@ class PeakConfig:
     c0: float = 0.05
 
     def __post_init__(self):
+        # h indexes bins; a float such as 8.0 (say from JSON) would fail later
+        if isinstance(self.h, bool) or not isinstance(self.h, (int, np.integer)):
+            raise ValueError(f"neighbor offset h must be an integer, got {self.h!r}")
         if self.h < 1:
             raise ValueError(f"neighbor offset h must be >= 1, got {self.h}")
         if self.c0 < 0:

@@ -288,6 +288,27 @@ class TestPipeline:
         assert out.count("skipped") == 5
         assert "stage cluster: wrote" in out
 
+    def test_resume_reruns_cluster_when_draws_change(self, workdir, capsys):
+        # thinning the saved draws rewrites zmap.json but keeps the MAP
+        # assignments, so exact.csv keeps its bytes; the cluster stage reads
+        # the draws for its quality bands and must run again
+        cfg = json.loads((workdir / "pipe.json").read_text())
+        cfg["out"] = str(workdir / "run_thin")
+        path = workdir / "pipe_thin.json"
+        path.write_text(json.dumps(cfg))
+        run(["pipeline", "--config", str(path)])
+        run_dir = Path(cfg["out"])
+        zmap = (run_dir / "posterior" / "zmap.json").read_bytes()
+        exact = (run_dir / "exact.csv").read_bytes()
+        cfg["dewarp"] = dict(cfg["dewarp"], thin=2 * cfg["dewarp"]["thin"])
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        run(["pipeline", "--config", str(path), "--resume"])
+        out = capsys.readouterr().out
+        assert (run_dir / "posterior" / "zmap.json").read_bytes() != zmap
+        assert (run_dir / "exact.csv").read_bytes() == exact
+        assert "stage cluster: wrote" in out
+
     def test_rerun_bytes_identical(self, workdir):
         cfg = json.loads((workdir / "pipe.json").read_text())
         outs = []

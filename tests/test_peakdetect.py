@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,15 @@ class TestLocalScore:
             PeakConfig(h=0)
         with pytest.raises(ValueError):
             PeakConfig(h=5, c0=-0.1)
+
+    @pytest.mark.parametrize("h", [8.0, 2.5, True, "8"])
+    def test_non_integer_h_named(self, h):
+        # h indexes bins, so a JSON 8.0 must fail here, not as an IndexError
+        with pytest.raises(ValueError, match=re.escape(f"h must be an integer, got {h!r}")):
+            PeakConfig(h=h)
+
+    def test_numpy_integer_h_accepted(self):
+        assert PeakConfig(h=np.int64(3)).h == 3
 
 
 class TestDetectPeaks:
