@@ -38,11 +38,7 @@ from .dewarp import (
     ModelConfig,
     align_new_gel,
     initial_state,
-    log_joint,
     run_mcmc,
-    sample_Z,
-    sample_beta,
-    sample_hyper,
     signatures,
 )
 from .exactalign import exact_align, invert_warp, lane_map, repair_assignment
@@ -90,7 +86,6 @@ __all__ = [
     "lane_map",
     "local_score",
     "local_scores",
-    "log_joint",
     "make_basis",
     "posterior_clustering_summary",
     "random_signatures",
@@ -99,9 +94,6 @@ __all__ = [
     "reference_align",
     "repair_assignment",
     "run_mcmc",
-    "sample_Z",
-    "sample_beta",
-    "sample_hyper",
     "signatures",
     "simulate_gels",
     "standardize_intensities",

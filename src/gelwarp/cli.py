@@ -324,8 +324,7 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
 
     if zmap_path and aligned_path:
         # quality bands across the stored assignment draws
-        amanifest = read_manifest(manifest_path) if manifest_path else None
-        agrid = read_traces_csv(aligned_path, amanifest)
+        agrid = read_traces_csv(aligned_path, manifest)
         payload = read_zmap(zmap_path)
         peaks = peaks_from_zmap(payload, agrid.B)
         rows = posterior_clustering_summary(
@@ -352,21 +351,14 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
 
 def _write_merge_table(dend, conf: dict, path) -> None:
     """Merge-by-merge dendrogram series with subtree confidences."""
-    leaf_names = {
-        i: f"{k[0]}:{k[1]}" if isinstance(k, tuple) else str(k)
-        for i, k in enumerate(dend.labels)
-    }
-    members = {i: frozenset([i]) for i in range(dend.n_leaves)}
+    leaf_names = dend.leaf_names()
     conf_by_leafset = {frozenset(k): c for k, c in conf.items()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["merge", "left", "right", "height", "confidence", "leaves"])
-        for k, (a, b, h) in enumerate(dend.merges):
-            node = dend.n_leaves + k
-            members[node] = members[a] | members[b]
-            keys = frozenset(dend.labels[i] for i in members[node])
-            c = conf_by_leafset.get(keys, "")
-            names = "|".join(sorted(leaf_names[i] for i in members[node]))
+        for k, ((a, b, h), members) in enumerate(zip(dend.merges, dend.leaf_sets())):
+            c = conf_by_leafset.get(frozenset(dend.labels[i] for i in members), "")
+            names = "|".join(sorted(leaf_names[i] for i in members))
             writer.writerow([k, a, b, f"{h:.10g}",
                              "" if c == "" else f"{c:.10g}", names])
 

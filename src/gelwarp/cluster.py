@@ -78,6 +78,10 @@ class Dendrogram:
             out.append(s)
         return out
 
+    def leaf_names(self) -> list[str]:
+        """Leaf names: "gel:lane" for a lane-key label, str() of any other."""
+        return [f"{k[0]}:{k[1]}" if isinstance(k, tuple) else str(k) for k in self.labels]
+
 
 def distance_matrix(grid: IntensityGrid, include_reference: bool = False) -> DistanceMatrix:
     """1 - Pearson correlation between lane traces."""
@@ -305,10 +309,7 @@ def posterior_clustering_summary(
 def to_newick(dend: Dendrogram, names=None) -> str:
     """Newick string with branch lengths from merge heights."""
     if names is None:
-        names = [
-            f"{k[0]}:{k[1]}" if isinstance(k, tuple) else str(k)
-            for k in dend.labels
-        ]
+        names = dend.leaf_names()
     names = [str(s).replace(",", "_").replace("(", "_").replace(")", "_")
              for s in names]
     heights = {i: 0.0 for i in range(dend.n_leaves)}

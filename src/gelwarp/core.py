@@ -136,10 +136,6 @@ class IntensityGrid:
     def t(self) -> np.ndarray:
         return np.arange(1, self.B + 1) / self.B
 
-    @property
-    def n_lanes_total(self) -> int:
-        return sum(gel.n_lanes for gel in self.gels)
-
     def gel(self, gel_id: str) -> GelTrace:
         for g in self.gels:
             if g.gel_id == gel_id:

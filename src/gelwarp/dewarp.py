@@ -12,6 +12,13 @@ filtering, backward sampling (Carter & Kohn 1994), with all lanes of all
 gels in one vectorized pass, univariate truncated-normal full conditionals
 for the free spline coefficients, conjugate inverse-gamma updates for the
 variances, and a per-coordinate random-walk Metropolis step on log lambda.
+
+The hyperpriors and sampler tuning are fixed module constants, not
+settings: TAU_SHAPE and TAU_RATE for the inverse-gamma prior on the
+half-normal scale tau of lambda, SIGMA_SHAPE and SIGMA_RATE for the
+inverse-gamma priors on every variance, LAMBDA_STEP for the log-scale
+proposal sd of lambda and the (lambda, tau) rescaling move, and ANNEAL_HI
+and ANNEAL_LO for the restart annealing schedule, in landmark spacings.
 """
 
 from __future__ import annotations
@@ -29,11 +36,20 @@ import numpy as np
 
 from .core import GelwarpWarning, LandmarkGrid, Standardizer, fit_standardizer
 from .peakdetect import PeakTable
-from .spline import WarpField, eval_warp, identity_coefficients, make_basis, write_warp_fields
+from .spline import WarpField, identity_coefficients, make_basis, write_warp_fields
 
 LOG_2PI = math.log(2.0 * math.pi)
 SQRT_HALF = math.sqrt(0.5)
 _STD_NORMAL = NormalDist()
+
+# fixed hyperpriors and sampler tuning, named in the module docstring
+TAU_SHAPE = 1e-4
+TAU_RATE = 1e-4
+SIGMA_SHAPE = 0.01
+SIGMA_RATE = 0.01
+LAMBDA_STEP = 0.5
+ANNEAL_HI = 1.2
+ANNEAL_LO = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +70,8 @@ class ModelConfig:
     burnin: int = 500
     thin: int = 1
     seed: int = 0
-    tau_shape: float = 1e-4
-    tau_rate: float = 1e-4
-    sigma_shape: float = 0.01
-    sigma_rate: float = 0.01
-    lambda_step: float = 0.5
     restarts: int = 4
     restart_sweeps: int = 600
-    anneal_hi: float = 1.2
-    anneal_lo: float = 0.15
     new_gel_lambda_budget: int = 20
     new_gel_iterations: int = 400
     new_gel_burnin: int = 150
@@ -80,15 +89,10 @@ class ModelConfig:
             )
         if not (0 <= self.burnin < self.iterations):
             raise ValueError("need 0 <= burnin < iterations")
-        if self.thin < 1 or self.lambda_step <= 0:
-            raise ValueError("thin >= 1 and lambda_step > 0 required")
-        for name in ("tau_shape", "tau_rate", "sigma_shape", "sigma_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.thin < 1:
+            raise ValueError("thin >= 1 required")
         if self.restarts < 1 or self.restart_sweeps < 1:
             raise ValueError("restarts >= 1 and restart_sweeps >= 1 required")
-        if not (0 < self.anneal_lo <= self.anneal_hi):
-            raise ValueError("need 0 < anneal_lo <= anneal_hi")
         if self.new_gel_lambda_budget < 1:
             raise ValueError("new_gel_lambda_budget >= 1 required")
 
@@ -114,10 +118,6 @@ class AlignmentState:
     warp_fields: dict
     sigma_g1: dict
     sigma_gs: dict
-
-    @property
-    def lambda_star(self) -> np.ndarray:
-        return self.lam / self.lam.sum()
 
 
 def signatures(Z: dict, L: int) -> tuple[list, np.ndarray]:
@@ -589,8 +589,8 @@ class DewarpModel:
         L = cfg.L
         if not fix_lambda:
             cs.tau = _draw_invgamma(
-                cfg.tau_shape + 0.5 * L,
-                cfg.tau_rate + 0.5 * float(cs.lam @ cs.lam),
+                TAU_SHAPE + 0.5 * L,
+                TAU_RATE + 0.5 * float(cs.lam @ cs.lam),
                 rng,
             )
         ss = 0.0
@@ -598,23 +598,23 @@ class DewarpModel:
             r = gel.T_flat - cs.mu[gi]
             ss += float(r @ r)
         cs.sigma_eps2 = _draw_invgamma(
-            cfg.sigma_shape + 0.5 * self.n_peaks_total,
-            cfg.sigma_rate + 0.5 * ss,
+            SIGMA_SHAPE + 0.5 * self.n_peaks_total,
+            SIGMA_RATE + 0.5 * ss,
             rng,
         )
         for gi in range(len(self.gels)):
             beta = cs.beta[gi]
             d = np.diff(beta[: cfg.T_nu - 1, 0]) - self.id_incr
             cs.sigma_g1_2[gi] = _draw_invgamma(
-                cfg.sigma_shape + 0.5 * (cfg.T_nu - 2),
-                cfg.sigma_rate + 0.5 * float(d @ d),
+                SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
+                SIGMA_RATE + 0.5 * float(d @ d),
                 rng,
             )
             inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
             ssq = np.sum(inc * inc, axis=1)
             # one gamma draw per free row, from the same stream as row-by-row calls
-            cs.sigma_gs_2[gi][:] = (cfg.sigma_rate + 0.5 * ssq) / rng.gamma(
-                cfg.sigma_shape + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
+            cs.sigma_gs_2[gi][:] = (SIGMA_RATE + 0.5 * ssq) / rng.gamma(
+                SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
             )
         if fix_lambda:
             return 0.0
@@ -629,8 +629,7 @@ class DewarpModel:
         P_tot = self.n_peaks_total
         lam = cs.lam
         x = np.log(lam)
-        step = cfg.lambda_step
-        xp = x + rng.standard_normal(L) * step
+        xp = x + rng.standard_normal(L) * LAMBDA_STEP
         lp = np.exp(xp)
         jacobian = ((counts + 1.0) * (xp - x)).tolist()
         prior = ((lp * lp - lam * lam) * (0.5 / cs.tau)).tolist()
@@ -652,12 +651,9 @@ class DewarpModel:
         # joint rescaling of (lambda, tau): the normalized weights are
         # scale-free, so the common scale mixes only through this move;
         # acceptance ratio reduces to the tau prior plus the Jacobian
-        logc = rng.standard_normal() * step
+        logc = rng.standard_normal() * LAMBDA_STEP
         c2 = math.exp(2.0 * logc)
-        logr = (
-            -2.0 * cfg.tau_shape * logc
-            - (cfg.tau_rate / cs.tau) * (1.0 / c2 - 1.0)
-        )
+        logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / cs.tau) * (1.0 / c2 - 1.0)
         if logr >= 0.0 or rng.random() < math.exp(logr):
             scale = math.exp(logc)
             cs.lam = cs.lam * scale
@@ -728,17 +724,17 @@ class DewarpModel:
                 np.sum(-0.5 * np.sum(inc * inc, axis=1) / vgs)
             ) - 0.5 * (cfg.T_u - 1) * float(np.sum(LOG_2PI + np.log(vgs)))
 
-        hyper = _log_invgamma(cs.tau, cfg.tau_shape, cfg.tau_rate)
-        hyper += _log_invgamma(se2, cfg.sigma_shape, cfg.sigma_rate)
+        hyper = _log_invgamma(cs.tau, TAU_SHAPE, TAU_RATE)
+        hyper += _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
         # half-normal over lambda
         hyper += float(
             np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(cs.tau)
                    - cs.lam**2 / (2.0 * cs.tau))
         )
         for gi in range(len(self.gels)):
-            hyper += _log_invgamma(cs.sigma_g1_2[gi], cfg.sigma_shape, cfg.sigma_rate)
+            hyper += _log_invgamma(cs.sigma_g1_2[gi], SIGMA_SHAPE, SIGMA_RATE)
             for v in cs.sigma_gs_2[gi]:
-                hyper += _log_invgamma(float(v), cfg.sigma_shape, cfg.sigma_rate)
+                hyper += _log_invgamma(float(v), SIGMA_SHAPE, SIGMA_RATE)
         total = lik + z_prior + beta_prior + hyper
         return {
             "likelihood": lik, "z_prior": z_prior,
@@ -749,61 +745,9 @@ class DewarpModel:
         return self.log_joint_components(cs)["total"]
 
 
-# ---------------------------------------------------------------------------
-# Spec-level operations
-# ---------------------------------------------------------------------------
-
-
-def log_likelihood_peak(T, Z, field: WarpField, u, sigma_eps, prev_T, A_0, L) -> float:
-    """Log density of one standardized peak location given its assignment.
-
-    Returns -inf outside the support: |T - nu_Z| >= A_0 or T <= prev_T.
-    The landmark grid is reconstructed from the field bounds (standardizing
-    an equispaced grid keeps it equispaced)."""
-    lo, hi = field.bounds
-    nu_z = lo + (hi - lo) * Z / (L + 1)
-    if abs(T - nu_z) >= A_0 or T <= prev_T:
-        return -np.inf
-    mean = eval_warp(field, float(nu_z), float(u))
-    return -0.5 * ((T - mean) / sigma_eps) ** 2 - math.log(
-        sigma_eps * math.sqrt(2.0 * math.pi)
-    )
-
-
 def initial_state(peaks: PeakTable, cfg: ModelConfig) -> AlignmentState:
     model = DewarpModel(peaks, cfg)
     return model.to_public(model.init_chain_state())
-
-
-def log_joint(state: AlignmentState, peaks: PeakTable, cfg: ModelConfig) -> float:
-    model = DewarpModel(peaks, cfg)
-    return model.log_joint(model.from_public(state))
-
-
-def log_joint_components(state: AlignmentState, peaks: PeakTable, cfg: ModelConfig) -> dict:
-    model = DewarpModel(peaks, cfg)
-    return model.log_joint_components(model.from_public(state))
-
-
-def sample_Z(state: AlignmentState, peaks: PeakTable, cfg: ModelConfig, rng) -> AlignmentState:
-    model = DewarpModel(peaks, cfg)
-    cs = model.from_public(state)
-    model.sweep_Z(cs, rng)
-    return model.to_public(cs)
-
-
-def sample_beta(state: AlignmentState, peaks: PeakTable, cfg: ModelConfig, rng) -> AlignmentState:
-    model = DewarpModel(peaks, cfg)
-    cs = model.from_public(state)
-    model.sweep_beta(cs, rng)
-    return model.to_public(cs)
-
-
-def sample_hyper(state: AlignmentState, peaks: PeakTable, cfg: ModelConfig, rng) -> AlignmentState:
-    model = DewarpModel(peaks, cfg)
-    cs = model.from_public(state)
-    model.sweep_hyper(cs, rng)
-    return model.to_public(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +871,8 @@ def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
     """Short annealed chains from independent streams; keeps the state with
     the best settled log joint.
 
-    The residual scale is clamped to a geometric schedule (anneal_hi down to
-    anneal_lo landmark spacings) so every restart is forced through a soft
+    The residual scale is clamped to a geometric schedule (ANNEAL_HI down to
+    ANNEAL_LO landmark spacings) so every restart is forced through a soft
     phase, where warps absorb coarse structure, into a crystallized one.
     Scoring happens only after a stretch of unclamped sweeps: at the clamp
     floor an over-fitted labeling can outscore the right one, whereas once
@@ -939,8 +883,8 @@ def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
     best_score = -np.inf
     viol = 0
     n = cfg.restart_sweeps
-    hi = cfg.anneal_hi * model.spacing_std
-    lo = cfg.anneal_lo * model.spacing_std
+    hi = ANNEAL_HI * model.spacing_std
+    lo = ANNEAL_LO * model.spacing_std
     release = max(30, n // 4)
     tail_n = min(25, release)
     for i in range(cfg.restarts):

@@ -110,12 +110,6 @@ class PeakTable:
             out[key] = out.get(key, 0) + 1
         return out
 
-    def gel_totals(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for p in self.entries:
-            out[p.gel_id] = out.get(p.gel_id, 0) + 1
-        return out
-
     @property
     def total(self) -> int:
         return len(self.entries)

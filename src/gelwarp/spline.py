@@ -128,32 +128,12 @@ def identity_coefficients(basis: BSplineBasis) -> np.ndarray:
     return coef
 
 
-def difference_matrix(m: int) -> np.ndarray:
-    """(m-1) x m first-difference matrix: row k has -1 at k, +1 at k+1."""
-    if m < 2:
-        raise ValueError(f"need dimension >= 2, got {m}")
-    delta = np.zeros((m - 1, m))
-    idx = np.arange(m - 1)
-    delta[idx, idx] = -1.0
-    delta[idx, idx + 1] = 1.0
-    return delta
-
-
 def eval_tensor(basis_nu: BSplineBasis, basis_u: BSplineBasis, beta: np.ndarray, nu, u):
     """Sum_s sum_t beta[s,t] B1s(nu) B2t(u) for paired points (no constraints applied)."""
     rows_nu = basis_nu.design_matrix(nu)
     rows_u = basis_u.design_matrix(u)
     out = np.einsum("ns,st,nt->n", rows_nu, beta, rows_u)
     return float(out[0]) if np.isscalar(nu) and np.isscalar(u) else out
-
-
-def column_monotone(beta: np.ndarray, lo: float, hi: float, atol: float = 1e-9) -> bool:
-    """Pinned-endpoint, strictly increasing columns: lo = b_1t < ... < b_Tt = hi."""
-    return (
-        bool(np.all(np.abs(beta[0, :] - lo) <= atol))
-        and bool(np.all(np.abs(beta[-1, :] - hi) <= atol))
-        and bool(np.all(np.diff(beta, axis=0) > 0))
-    )
 
 
 @dataclass(frozen=True)
@@ -186,10 +166,6 @@ class WarpField:
             raise ValueError("last coefficient row not pinned at upper bound")
         if not np.all(np.diff(self.beta, axis=0) > 0):
             raise ValueError("coefficient columns not strictly increasing")
-
-    def is_valid(self) -> bool:
-        lo, hi = self.bounds
-        return column_monotone(self.beta, lo, hi)
 
 
 def eval_warp(field: WarpField, nu, u):

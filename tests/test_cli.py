@@ -96,6 +96,11 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_public_names_resolve():
+    for name in gelwarp.__all__:
+        assert hasattr(gelwarp, name), name
+
+
 class TestConfig:
     def test_defaults_survive_partial_override(self):
         cfg = merge_config({"detect": {"h": 4}})
@@ -118,6 +123,12 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="detect.hh"):
             merge_config({"detect": {"hh": 3}})
+
+    @pytest.mark.parametrize("key", ["anneal_lo", "sigma_shape"])
+    def test_fixed_sampler_constant_rejected(self, key):
+        # hyperpriors and sampler tuning are module constants, not settings
+        with pytest.raises(ValueError, match=f"unknown config key dewarp.{key}"):
+            merge_config({"dewarp": {key: 0.1}})
 
     def test_unknown_model_setting_rejected(self):
         with pytest.raises(ValueError, match="unknown dewarp settings"):
@@ -341,16 +352,21 @@ class TestPipeline:
         assert "g1" in err and "lane 2" in err
 
 
+@pytest.fixture(scope="module")
+def plotdir(workdir):
+    """The figure series of the shared run, exported once."""
+    run(["plotdata", "--run", str(workdir / "run")])
+    return workdir / "run" / "plotdata"
+
+
 class TestPlotdata:
-    def test_export(self, workdir):
-        run(["plotdata", "--run", str(workdir / "run")])
-        plot = workdir / "run" / "plotdata"
+    def test_export(self, plotdir):
         for name in ("fig_quality.csv", "fig_dendrogram.csv", "fig_warps.csv",
                      "fig_connections.csv", "fig_landmarks.csv"):
-            assert (plot / name).is_file()
+            assert (plotdir / name).is_file()
 
-    def test_warp_series_shape(self, workdir):
-        rows = (workdir / "run" / "plotdata" / "fig_warps.csv").read_text().splitlines()
+    def test_warp_series_shape(self, plotdir):
+        rows = (plotdir / "fig_warps.csv").read_text().splitlines()
         # header + (L + 2) grid points x 6 sample lanes
         assert len(rows) == 1 + 32 * 6
         header = rows[0].split(",")
@@ -358,15 +374,15 @@ class TestPlotdata:
         s = [float(r.split(",")[4]) for r in rows[1:]]
         assert all(0.0 <= v <= 1.0 for v in s)
 
-    def test_connection_probabilities(self, workdir):
-        rows = (workdir / "run" / "plotdata" / "fig_connections.csv").read_text().splitlines()
+    def test_connection_probabilities(self, plotdir):
+        rows = (plotdir / "fig_connections.csv").read_text().splitlines()
         assert rows[0].split(",")[:3] == ["gel", "lane", "peak"]
         for r in rows[1:]:
             parts = r.split(",")
             assert 1 <= int(parts[4]) <= 30
             assert 0.0 <= float(parts[6]) <= 1.0
 
-    def test_quality_matches_metrics(self, workdir):
-        a = (workdir / "run" / "plotdata" / "fig_quality.csv").read_bytes()
+    def test_quality_matches_metrics(self, workdir, plotdir):
+        a = (plotdir / "fig_quality.csv").read_bytes()
         b = (workdir / "run" / "clusters" / "metrics.csv").read_bytes()
         assert a == b

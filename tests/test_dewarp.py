@@ -10,18 +10,19 @@ from scipy.stats import invgamma, truncnorm
 
 from gelwarp.core import GelwarpWarning, Standardizer, standardize_intensities
 from gelwarp.dewarp import (
+    LAMBDA_STEP,
+    SIGMA_RATE,
+    SIGMA_SHAPE,
+    TAU_RATE,
+    TAU_SHAPE,
     AlignmentState,
     DewarpModel,
     ModelConfig,
     _trunc_normal,
     align_new_gel,
     initial_state,
-    log_joint,
-    log_joint_components,
-    log_likelihood_peak,
     read_zmap,
     run_mcmc,
-    sample_Z,
     signatures,
     stationarity_check,
     write_chain_log,
@@ -77,8 +78,6 @@ class TestModelConfig:
             ModelConfig(L=10, a0=0.05)
         with pytest.raises(ValueError, match="burnin"):
             ModelConfig(iterations=100, burnin=100)
-        with pytest.raises(ValueError, match="anneal"):
-            ModelConfig(anneal_lo=0.0)
 
 
 class TestTruncNormal:
@@ -188,15 +187,6 @@ class TestZGibbsExact:
             abs(counts.get(k, 0) / n - p) for k, p in exact.items()
         )
         assert tv < 0.02
-
-    def test_public_wrapper_respects_support(self):
-        peaks, cfg, state, lam, sigma = self.setup_instance()
-        exact = self.exact_posterior(cfg, lam, sigma)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            state = sample_Z(state, peaks, cfg, rng)
-            z = tuple(int(v) for v in state.Z[("G1", 2)])
-            assert z in exact
 
 
 class TestZBlockedDraw:
@@ -332,7 +322,7 @@ class TestBetaConditional:
                 )},
                 sigma_g1=s0.sigma_g1, sigma_gs=s0.sigma_gs,
             )
-            logp[i] = log_joint(trial, peaks, cfg)
+            logp[i] = model.log_joint(model.from_public(trial))
         dens = np.exp(logp - logp.max())
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
         cdf /= cdf[-1]
@@ -431,8 +421,8 @@ class TestHyperConditionals:
                 mu = eval_warp(field, nu_z, float(u_by_lane[lane]))
                 ss += (float(T) - mu) ** 2
                 n += 1
-        shape = cfg.sigma_shape + 0.5 * n
-        rate = cfg.sigma_rate + 0.5 * ss
+        shape = SIGMA_SHAPE + 0.5 * n
+        rate = SIGMA_RATE + 0.5 * ss
 
         rng = np.random.default_rng(9)
         draws = []
@@ -451,8 +441,8 @@ class TestHyperConditionals:
         # accepted against the tau prior plus Jacobian; simulate that kernel
         # from its definition and compare samples
         peaks, cfg, model, s0 = self.setup_state()
-        shape = cfg.tau_shape + 0.5 * cfg.L
-        rate = cfg.tau_rate + 0.5 * float(np.dot(s0.lam, s0.lam))
+        shape = TAU_SHAPE + 0.5 * cfg.L
+        rate = TAU_RATE + 0.5 * float(np.dot(s0.lam, s0.lam))
         rng = np.random.default_rng(10)
         n = 4000
         draws = []
@@ -466,9 +456,9 @@ class TestHyperConditionals:
         oracle = []
         for _ in range(n):
             tau = rate / orng.gamma(shape)
-            logc = orng.standard_normal() * cfg.lambda_step
+            logc = orng.standard_normal() * LAMBDA_STEP
             c2 = math.exp(2.0 * logc)
-            logr = -2.0 * cfg.tau_shape * logc - (cfg.tau_rate / tau) * (1.0 / c2 - 1.0)
+            logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / tau) * (1.0 / c2 - 1.0)
             if logr >= 0 or orng.random() < math.exp(logr):
                 tau *= c2
             oracle.append(tau)
@@ -484,23 +474,23 @@ class TestHyperConditionals:
         """sweep_hyper as one scalar update at a time: the reference kernel."""
         cfg, L = model.cfg, model.cfg.L
         inv_gamma = lambda shape, rate: rate / rng.gamma(shape)  # noqa: E731
-        cs.tau = inv_gamma(cfg.tau_shape + 0.5 * L, cfg.tau_rate + 0.5 * float(cs.lam @ cs.lam))
+        cs.tau = inv_gamma(TAU_SHAPE + 0.5 * L, TAU_RATE + 0.5 * float(cs.lam @ cs.lam))
         ss = sum(float((gel.T_flat - cs.mu[gi]) @ (gel.T_flat - cs.mu[gi]))
                  for gi, gel in enumerate(model.gels))
-        cs.sigma_eps2 = inv_gamma(cfg.sigma_shape + 0.5 * model.n_peaks_total,
-                                  cfg.sigma_rate + 0.5 * ss)
+        cs.sigma_eps2 = inv_gamma(SIGMA_SHAPE + 0.5 * model.n_peaks_total,
+                                  SIGMA_RATE + 0.5 * ss)
         for gi in range(len(model.gels)):
             beta = cs.beta[gi]
             d = np.diff(beta[: cfg.T_nu - 1, 0]) - model.id_incr
-            cs.sigma_g1_2[gi] = inv_gamma(cfg.sigma_shape + 0.5 * (cfg.T_nu - 2),
-                                          cfg.sigma_rate + 0.5 * float(d @ d))
+            cs.sigma_g1_2[gi] = inv_gamma(SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
+                                          SIGMA_RATE + 0.5 * float(d @ d))
             inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
             ssq = np.sum(inc * inc, axis=1)
             for s in range(model.n_free_rows):
-                cs.sigma_gs_2[gi][s] = inv_gamma(cfg.sigma_shape + 0.5 * (cfg.T_u - 1),
-                                                 cfg.sigma_rate + 0.5 * float(ssq[s]))
+                cs.sigma_gs_2[gi][s] = inv_gamma(SIGMA_SHAPE + 0.5 * (cfg.T_u - 1),
+                                                 SIGMA_RATE + 0.5 * float(ssq[s]))
         counts = sum(np.bincount(z - 1, minlength=L) for z in cs.Z)
-        noise = rng.standard_normal(L) * cfg.lambda_step
+        noise = rng.standard_normal(L) * LAMBDA_STEP
         uls = rng.random(L)
         accepted = 0
         for ell in range(L):
@@ -515,9 +505,9 @@ class TestHyperConditionals:
             if logr >= 0.0 or uls[ell] < math.exp(logr):
                 cs.lam[ell], cs.lam_sum = lp, new_sum
                 accepted += 1
-        logc = rng.standard_normal() * cfg.lambda_step
+        logc = rng.standard_normal() * LAMBDA_STEP
         c2 = math.exp(2.0 * logc)
-        logr = -2.0 * cfg.tau_shape * logc - (cfg.tau_rate / cs.tau) * (1.0 / c2 - 1.0)
+        logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / cs.tau) * (1.0 / c2 - 1.0)
         if logr >= 0.0 or rng.random() < math.exp(logr):
             cs.lam = cs.lam * math.exp(logc)
             cs.lam_sum = float(cs.lam.sum())
@@ -628,19 +618,20 @@ class TestLogJoint:
     def test_components_sum_to_total(self):
         peaks, _ = two_gel_peaks(seed=3)
         cfg = ModelConfig(L=20, T_nu=5, T_u=4, iterations=10, burnin=0, seed=0)
-        state = initial_state(peaks, cfg)
-        comp = log_joint_components(state, peaks, cfg)
+        model = DewarpModel(peaks, cfg)
+        cs = model.init_chain_state()
+        comp = model.log_joint_components(cs)
         assert np.isfinite(comp["total"])
         parts = comp["likelihood"] + comp["z_prior"] + comp["beta_prior"] + comp["hyper"]
         assert comp["total"] == pytest.approx(parts)
-        assert log_joint(state, peaks, cfg) == pytest.approx(comp["total"])
+        assert model.log_joint(cs) == pytest.approx(comp["total"])
 
     def test_likelihood_component_independent_route(self):
         peaks = make_table({1: [0.2, 0.5, 0.8], 2: [0.3, 0.6]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         s0 = model.to_public(model.init_chain_state())
-        comp = log_joint_components(s0, peaks, cfg)
+        comp = model.log_joint_components(model.from_public(s0))
 
         spacing = 1.0 / (cfg.L + 1)
         ax = Standardizer(center=0.5, scale=spacing)
@@ -658,50 +649,27 @@ class TestLogJoint:
                 )
         assert comp["likelihood"] == pytest.approx(lik, rel=1e-10)
 
-    def test_broken_state_is_minus_inf(self):
+    def state_with_lane(self, z):
         peaks = make_table({1: [0.2, 0.5, 0.8]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
+        model = DewarpModel(peaks, cfg)
         state = initial_state(peaks, cfg)
-        z = dict(state.Z)
-        z[("G1", 1)] = np.array([5, 3, 1])
         bad = AlignmentState(
-            Z=z, lam=state.lam, tau=state.tau, sigma_eps=state.sigma_eps,
-            warp_fields=state.warp_fields, sigma_g1=state.sigma_g1,
-            sigma_gs=state.sigma_gs,
+            Z={("G1", 1): np.array(z)}, lam=state.lam, tau=state.tau,
+            sigma_eps=state.sigma_eps, warp_fields=state.warp_fields,
+            sigma_g1=state.sigma_g1, sigma_gs=state.sigma_gs,
         )
-        assert log_joint(bad, peaks, cfg) == -np.inf
+        return model, model.from_public(bad)
 
-
-class TestPeakLogLikelihood:
-    def field(self):
-        peaks = make_table({1: [0.2, 0.5, 0.8]}, B=200)
-        cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
-        state = initial_state(peaks, cfg)
-        return state.warp_fields["G1"], cfg
-
-    def test_gaussian_inside_support(self):
-        field, cfg = self.field()
-        # identity warp: landmark 4 of L=8 sits at -0.5 in spacing units
-        val = log_likelihood_peak(
-            T=-0.2, Z=4, field=field, u=0.0, sigma_eps=0.5,
-            prev_T=-np.inf, A_0=3.0, L=cfg.L,
-        )
-        want = -0.5 * ((-0.2 + 0.5) / 0.5) ** 2 - math.log(0.5 * math.sqrt(2 * math.pi))
-        assert val == pytest.approx(want)
+    def test_broken_state_is_minus_inf(self):
+        model, cs = self.state_with_lane([5, 3, 1])
+        assert model.log_joint(cs) == -np.inf
 
     def test_outside_window_minus_inf(self):
-        field, cfg = self.field()
-        assert log_likelihood_peak(
-            T=3.0, Z=4, field=field, u=0.0, sigma_eps=0.5,
-            prev_T=-np.inf, A_0=3.0, L=cfg.L,
-        ) == -np.inf
-
-    def test_order_support(self):
-        field, cfg = self.field()
-        assert log_likelihood_peak(
-            T=-0.2, Z=4, field=field, u=0.0, sigma_eps=0.5,
-            prev_T=-0.2, A_0=3.0, L=cfg.L,
-        ) == -np.inf
+        # ordered, but the peak at 0.8 (landmark 7.2 of L=8) cannot take
+        # landmark 4, more than three spacings away
+        model, cs = self.state_with_lane([2, 3, 4])
+        assert model.log_joint_components(cs)["likelihood"] == -np.inf
 
 
 class TestStationarity:

@@ -222,7 +222,6 @@ class TestPeakTable:
         ]
         table = PeakTable(entries, 100)
         assert table.counts() == {("G1", 1): 1, ("G1", 2): 2}
-        assert table.gel_totals() == {"G1": 3}
         assert table.total == 3
 
     def test_drop_masked(self):

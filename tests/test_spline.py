@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from gelwarp.spline import (
     BSplineBasis,
     WarpField,
-    column_monotone,
-    difference_matrix,
     eval_warp,
     eval_warp_grid,
     identity_coefficients,
@@ -86,23 +84,10 @@ class TestIdentityCoefficients:
     def test_constant_increments_on_equispaced_knots(self):
         basis = make_basis(np.linspace(0, 1, 500), 9)
         beta = identity_coefficients(basis)
-        inc = difference_matrix(basis.T) @ beta
+        inc = np.diff(beta)
         # interior increments equal the knot spacing; boundary ones are
         # shorter because the end knots are repeated
         np.testing.assert_allclose(inc[2:-2], inc[2], atol=1e-8)
-
-
-class TestDifferenceMatrix:
-    def test_shape_and_rows(self):
-        D = difference_matrix(5)
-        assert D.shape == (4, 5)
-        np.testing.assert_array_equal(D.sum(axis=1), np.zeros(4))
-        for row in D:
-            assert sorted(row.tolist()) == [-1.0, 0.0, 0.0, 0.0, 1.0]
-
-    def test_applies_first_differences(self):
-        v = np.array([1.0, 4.0, 9.0, 16.0])
-        np.testing.assert_array_equal(difference_matrix(4) @ v, [3.0, 5.0, 7.0])
 
 
 class TestWarpField:
@@ -147,10 +132,11 @@ class TestWarpField:
 
     def test_constraint_checker(self):
         beta = random_monotone_beta(self.rng, self.basis_nu, self.basis_u)
-        assert column_monotone(beta, 0.0, 1.0)
+        self.field(beta).validate()
         bad = beta.copy()
         bad[2, 0], bad[3, 0] = bad[3, 0], bad[2, 0]
-        assert not column_monotone(bad, 0.0, 1.0)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            self.field(bad).validate()
 
     def test_invalid_field_rejected(self):
         beta = random_monotone_beta(self.rng, self.basis_nu, self.basis_u)
