@@ -11,9 +11,11 @@ from .cluster import (
     Dendrogram,
     DistanceMatrix,
     adjusted_rand,
+    adjusted_rand_rows,
     average_silhouette,
     bootstrap_confidence,
     cut,
+    cut_rows,
     distance_matrix,
     hclust_complete,
     posterior_clustering_summary,
@@ -68,12 +70,14 @@ __all__ = [
     "Standardizer",
     "WarpField",
     "adjusted_rand",
+    "adjusted_rand_rows",
     "align_new_gel",
     "apply_map",
     "average_silhouette",
     "bootstrap_confidence",
     "build_map",
     "cut",
+    "cut_rows",
     "detect_peaks",
     "distance_matrix",
     "eval_warp",

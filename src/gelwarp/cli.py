@@ -20,13 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import (
-    adjusted_rand,
-    average_silhouette,
     bootstrap_confidence,
+    check_draw_thin,
     check_n_values,
-    cut,
     distance_matrix,
     hclust_complete,
+    partition_scores,
     posterior_clustering_summary,
     to_newick,
     write_confidence,
@@ -305,8 +304,7 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     if len(lane_keys) < 2:
         raise ValueError("need at least two sample lanes to cluster")
     n_values = check_n_values(n_values, len(lane_keys))
-    if not (isinstance(draw_thin, (int, np.integer)) and draw_thin >= 1):
-        raise ValueError(f"cluster.draw_thin must be an integer >= 1, got {draw_thin!r}")
+    check_draw_thin(draw_thin)
 
     D = distance_matrix(grid)
     dend = hclust_complete(D)
@@ -332,14 +330,11 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
             truth=truth, n_values=n_values, thin=draw_thin,
         )
     else:
-        rows = []
-        for n in n_values:
-            labels = cut(dend, n)
-            row = {"n": n, "silhouette": average_silhouette(D, labels)}
-            if truth is not None:
-                a = adjusted_rand(labels, truth)
+        sil, ari = partition_scores(D, dend, n_values, truth)
+        rows = [{"n": n, "silhouette": s} for n, s in zip(n_values, sil)]
+        if ari is not None:
+            for row, a in zip(rows, ari):
                 row.update(ari_mean=a, ari_lo=a, ari_hi=a)
-            rows.append(row)
     write_metrics(rows, out / "metrics.csv")
 
     plot = out / "plotdata"
@@ -499,7 +494,9 @@ def run_pipeline(config_path, resume: bool = False, threads: int | None = None) 
         threads=cfg["threads"], standardize=cfg["detect"]["standardize"],
     ))
 
-    d = _hash_parts(peaks_aligned, manifest, cfg["dewarp"], seed)
+    # the new_gel_* settings are read only by the library's align_new_gel
+    sampler = {k: v for k, v in cfg["dewarp"].items() if not k.startswith("new_gel_")}
+    d = _hash_parts(peaks_aligned, manifest, sampler, seed)
     run_stage("dewarp", d, [posterior / "zmap.json"], lambda: stage_dewarp(
         peaks_aligned, model_config_from(cfg["dewarp"], seed), posterior,
         manifest_path=manifest,
@@ -576,8 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nboot", type=int, default=1000)
     p.add_argument("--truth")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zmap", help="posterior draws for quality bands")
+    p.add_argument("--zmap", help="posterior draws for quality bands; needs --aligned")
     p.add_argument("--aligned", help="reference-aligned traces matching --zmap")
+    p.add_argument("--n-values", type=int, nargs="+",
+                   help="cluster counts to cut at (default: all of 2..N)")
+    p.add_argument("--draw-thin", type=int, default=1,
+                   help="use every k-th posterior draw for the quality bands")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("pipeline", help="run every stage from one config")
@@ -610,9 +611,14 @@ def main(argv=None) -> int:
         elif ns.command == "align":
             stage_align(ns.input, ns.manifest, ns.zmap, ns.z_source, ns.out)
         elif ns.command == "cluster":
+            # the quality bands need both; one alone would be silently ignored
+            for given, missing in (("zmap", "aligned"), ("aligned", "zmap")):
+                if getattr(ns, given) and not getattr(ns, missing):
+                    raise ValueError(f"--{given} needs --{missing}")
             stage_cluster(ns.input, ns.manifest, ns.out, ns.nboot, ns.seed,
-                          truth_path=ns.truth, zmap_path=ns.zmap,
-                          aligned_path=ns.aligned)
+                          truth_path=ns.truth, n_values=ns.n_values,
+                          zmap_path=ns.zmap, aligned_path=ns.aligned,
+                          draw_thin=ns.draw_thin)
         elif ns.command == "pipeline":
             run_pipeline(ns.config, resume=ns.resume, threads=ns.threads)
         elif ns.command == "plotdata":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityGrid
+from .core import GelTrace, IntensityGrid
 from .exactalign import exact_align
 from .peakdetect import PeakTable
 
@@ -132,31 +132,33 @@ def cut(dend: Dendrogram, n: int) -> np.ndarray:
     Complete linkage is monotone, so those are the last n - 1 merges.
     Clusters are numbered by their smallest member index.
     """
+    return cut_rows(dend, [n])[0]
+
+
+def cut_rows(dend: Dendrogram, n_values) -> np.ndarray:
+    """``cut(dend, n)`` for every n in ``n_values``, one row each, from one
+    replay of the merge list."""
     N = dend.n_leaves
-    if not (1 <= n <= N):
-        raise ValueError(f"cannot cut {N} leaves into {n} clusters")
-    parent = list(range(2 * N - 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in range(N - n):
-        a, b, _h = dend.merges[k]
-        root = N + k
-        parent[find(a)] = root
-        parent[find(b)] = root
-    groups: dict[int, list[int]] = {}
-    for i in range(N):
-        groups.setdefault(find(i), []).append(i)
-    labels = np.zeros(N, dtype=int)
-    for num, members in enumerate(
-        sorted(groups.values(), key=lambda m: min(m)), start=1
-    ):
-        labels[members] = num
-    return labels
+    n_values = list(n_values)
+    for n in n_values:
+        if not (1 <= n <= N):
+            raise ValueError(f"cannot cut {N} leaves into {n} clusters")
+    # rows_at[s]: the rows that want the partition left after s merges
+    rows_at: dict[int, list[int]] = {}
+    for r, n in enumerate(n_values):
+        rows_at.setdefault(N - n, []).append(r)
+    # head[i]: the smallest leaf in leaf i's cluster, which names the cluster
+    head = np.arange(N)
+    node_head = list(range(N))
+    out = np.empty((len(n_values), N), dtype=int)
+    out[rows_at.get(0, [])] = head
+    for s, (a, b, _h) in enumerate(dend.merges[:max(rows_at, default=0)], start=1):
+        lo, hi = sorted((node_head[a], node_head[b]))
+        node_head.append(lo)
+        head[head == hi] = lo
+        out[rows_at.get(s, [])] = head
+    # a cluster's label is the number of heads up to and including its own
+    return np.take_along_axis(np.cumsum(out == np.arange(N), axis=1), out, axis=1)
 
 
 def adjusted_rand(a, b) -> float:
@@ -165,20 +167,52 @@ def adjusted_rand(a, b) -> float:
     b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("partitions must be equal-length label vectors")
-    N = a.size
-    _, ai = np.unique(a, return_inverse=True)
+    return adjusted_rand_rows(a[None, :], b)[0]
+
+
+def adjusted_rand_rows(A, b) -> list[float]:
+    """``adjusted_rand(row, b)`` for every row of ``A``.
+
+    The contingency cells of all rows are counted in one pass over
+    (row, label, truth) keys, and only occupied cells are kept, so memory
+    stays linear in ``A.size``.  Pair counts are exact integers; the float
+    arithmetic is done per row, as for a single pair of partitions.
+    """
+    A = np.asarray(A)
+    b = np.asarray(b)
+    if A.ndim != 2 or b.ndim != 1 or A.shape[1] != b.size:
+        raise ValueError("partitions must be equal-length label vectors")
+    m, N = A.shape
+    if m == 0:
+        return []
+    _, ai = np.unique(A, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    kb = int(bi.max()) + 1
-    table = np.bincount(ai * kb + bi, minlength=(int(ai.max()) + 1) * kb).reshape(-1, kb)
-    # exact integer pair counts; float arithmetic starts only below
-    idx, ra, cb = (int((v * (v - 1) // 2).sum())
-                   for v in (table, table.sum(axis=1), table.sum(axis=0)))
+    ka, kb = int(ai.max()) + 1, int(bi.max()) + 1
+    # reshape: the shape of return_inverse differs across numpy versions
+    row_label = np.arange(m)[:, None] * ka + ai.reshape(m, N)
+
+    def row_pairs(keys, per_row):
+        # per row, the sum over its distinct keys of C(count, 2)
+        cells, count = np.unique(keys, return_counts=True)
+        out = np.zeros(m, dtype=np.int64)
+        np.add.at(out, cells // per_row, count * (count - 1) // 2)
+        return out.tolist()
+
+    idx = row_pairs(row_label * kb + bi, ka * kb)
+    ra = row_pairs(row_label, ka)
+    nb = np.bincount(bi)
+    cb = int((nb * (nb - 1) // 2).sum())
     pairs = math.comb(N, 2)
-    expected = ra * cb / pairs
-    maximum = 0.5 * (ra + cb)
-    if abs(maximum - expected) < 1e-12:
-        return 1.0
-    return float((idx - expected) / (maximum - expected))
+    out = []
+    # exact integer pair counts; float arithmetic starts only below
+    for i, r in zip(idx, ra):
+        expected = r * cb / pairs
+        maximum = 0.5 * (r + cb)
+        if abs(maximum - expected) < 1e-12:
+            out.append(1.0)
+        else:
+            out.append(float((i - expected) / (maximum - expected)))
+    return out
 
 
 def average_silhouette(D: DistanceMatrix, labels) -> float:
@@ -260,6 +294,22 @@ def check_n_values(n_values, N: int) -> list:
     return n_values
 
 
+def check_draw_thin(thin) -> int:
+    """The posterior draw stride, which must be an integer >= 1."""
+    if not (isinstance(thin, (int, np.integer)) and thin >= 1):
+        raise ValueError(f"cluster.draw_thin must be an integer >= 1, got {thin!r}")
+    return thin
+
+
+def partition_scores(D: DistanceMatrix, dend: Dendrogram, n_values, truth=None):
+    """Silhouettes and, given a true partition, adjusted Rand indices of
+    ``dend`` cut at each n in ``n_values``; the ARI list is None without
+    truth."""
+    labels = cut_rows(dend, n_values)
+    sil = [average_silhouette(D, row) for row in labels]
+    return sil, None if truth is None else adjusted_rand_rows(labels, truth)
+
+
 def posterior_clustering_summary(
     grid: IntensityGrid,
     peaks: PeakTable,
@@ -274,24 +324,47 @@ def posterior_clustering_summary(
     Each draw's exact alignment is clustered and cut at every n; with a
     true partition the adjusted Rand index is summarized by its mean and
     2.5/97.5 percentiles, otherwise only mean silhouettes are reported.
+
+    A slowly mixing chain repeats most of its draws, so identical draws
+    are scored once and a lane is resampled once per distinct assignment.
+    Every draw still enters the means and percentiles, in draw order, so
+    the results equal those of scoring each draw afresh.
     """
     keys = list(z_draws.keys())
     if not keys:
         raise ValueError("no assignment draws given")
-    K = len(z_draws[keys[0]])
-    draw_idx = range(0, K, max(1, thin))
+    thin = check_draw_thin(thin)
+    draws = [np.asarray(z_draws[key], dtype=int) for key in keys]
+    K = len(draws[0])
     n_values = check_n_values(n_values, len(grid.lane_keys(include_reference=False)))
+    distinct = list(dict.fromkeys(n_values))
+    col = {n: j for j, n in enumerate(distinct)}
+    lanes: dict = {}  # (lane key, assignment bytes) -> resampled lane
+    scores: dict = {}  # every lane's assignment bytes -> (silhouettes, ARIs)
     ari = {n: [] for n in n_values}
     sil = {n: [] for n in n_values}
-    for k in draw_idx:
-        zk = {key: z_draws[key][k] for key in keys}
-        Dk = distance_matrix(exact_align(grid, peaks, zk, L))
-        dend = hclust_complete(Dk)
+    for k in range(0, K, thin):
+        zk = [d[k] for d in draws]
+        draw = tuple(z.tobytes() for z in zk)
+        if draw not in scores:
+            zbytes = dict(zip(keys, draw))
+            todo = {key: z for key, z in zip(keys, zk) if (key, zbytes[key]) not in lanes}
+            gels = []
+            for gel in exact_align(grid, peaks, todo, L).gels:
+                row = []
+                for lane in gel.lanes:
+                    key = (gel.gel_id, lane.index)
+                    if key in todo:
+                        lanes[key, zbytes[key]] = lane
+                    row.append(lanes.get((key, zbytes.get(key)), lane))
+                gels.append(GelTrace(gel.gel_id, tuple(row)))
+            Dk = distance_matrix(IntensityGrid(tuple(gels), grid.B))
+            scores[draw] = partition_scores(Dk, hclust_complete(Dk), distinct, truth)
+        sil_k, ari_k = scores[draw]
         for n in n_values:
-            labels = cut(dend, n)
             if truth is not None:
-                ari[n].append(adjusted_rand(labels, truth))
-            sil[n].append(average_silhouette(Dk, labels))
+                ari[n].append(ari_k[col[n]])
+            sil[n].append(sil_k[col[n]])
     rows = []
     for n in n_values:
         row = {"n": n, "silhouette": float(np.mean(sil[n]))}

@@ -249,6 +249,33 @@ class TestStages:
                           aligned_path=run_dir / "aligned.csv", **settings)
         assert not out.exists()
 
+    def test_cluster_subcommand_n_values_and_thin(self, workdir):
+        run_dir, sim = workdir / "run", workdir / "sim"
+        out = workdir / "clusters_cmd"
+        run(["cluster", "--input", str(run_dir / "exact.csv"),
+             "--manifest", str(sim / "manifest.json"), "--truth", str(sim / "truth.json"),
+             "--nboot", "5", "--zmap", str(run_dir / "posterior" / "zmap.json"),
+             "--aligned", str(run_dir / "aligned.csv"),
+             "--n-values", "3", "2", "--draw-thin", "5", "--out", str(out)])
+        rows = (out / "metrics.csv").read_text().splitlines()
+        # the pipeline's cluster section also keeps every 5th draw
+        by_n = {r.split(",")[0]: r for r in
+                (run_dir / "clusters" / "metrics.csv").read_text().splitlines()}
+        assert rows == [by_n["n"], by_n["3"], by_n["2"]]
+
+    @pytest.mark.parametrize("given, missing", [("zmap", "aligned"), ("aligned", "zmap")])
+    def test_cluster_bands_need_zmap_and_aligned(self, workdir, capsys, given, missing):
+        run_dir = workdir / "run"
+        paths = {"zmap": run_dir / "posterior" / "zmap.json",
+                 "aligned": run_dir / "aligned.csv"}
+        out = workdir / f"clusters_{given}_only"
+        rc = main(["cluster", "--input", str(run_dir / "exact.csv"),
+                   "--manifest", str(workdir / "sim" / "manifest.json"), "--nboot", "5",
+                   f"--{given}", str(paths[given]), "--out", str(out)])
+        assert rc == 1
+        assert f"--{given} needs --{missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cluster_recovers_truth(self, workdir):
         rows = (workdir / "run" / "clusters" / "metrics.csv").read_text().splitlines()
         by_n = {int(r.split(",")[0]): r.split(",") for r in rows[1:]}
@@ -298,6 +325,15 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert out.count("skipped") == 5
         assert "stage cluster: wrote" in out
+
+    def test_resume_ignores_new_gel_settings(self, workdir, capsys):
+        # only the library's align_new_gel reads them; no stage does
+        cfg = json.loads((workdir / "pipe.json").read_text())
+        cfg["dewarp"] = dict(cfg["dewarp"], new_gel_iterations=401)
+        path = workdir / "pipe_new_gel.json"
+        path.write_text(json.dumps(cfg))
+        run(["pipeline", "--config", str(path), "--resume"])
+        assert "stage dewarp: up to date, skipped" in capsys.readouterr().out
 
     def test_resume_reruns_cluster_when_draws_change(self, workdir, capsys):
         # thinning the saved draws rewrites zmap.json but keeps the MAP

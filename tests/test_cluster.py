@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
+import gelwarp.cluster
 from gelwarp.cluster import (
     DistanceMatrix,
     adjusted_rand,
+    adjusted_rand_rows,
     average_silhouette,
     bootstrap_confidence,
     cut,
+    cut_rows,
     distance_matrix,
     hclust_complete,
     posterior_clustering_summary,
     to_newick,
 )
 from gelwarp.core import GelTrace, IntensityGrid, Lane
-from gelwarp.peakdetect import PeakTable
+from gelwarp.exactalign import exact_align
+from gelwarp.peakdetect import Peak, PeakTable
 from gelwarp.simulate import SimSpec, simulate_gels
 
 
@@ -80,6 +84,42 @@ def oracle_adjusted_rand(a, b):
     if maximum == expected:
         return 1.0
     return (same_both - expected) / (maximum - expected)
+
+
+def oracle_cut(dend, n):
+    """Union-find over the first N - n merges; clusters numbered by their
+    smallest member."""
+    N = dend.n_leaves
+    parent = list(range(2 * N - 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for k, (a, b, _h) in enumerate(dend.merges[:N - n]):
+        parent[find(a)] = parent[find(b)] = N + k
+    roots = [find(i) for i in range(N)]
+    order = sorted(set(roots), key=roots.index)
+    return np.array([order.index(r) + 1 for r in roots])
+
+
+def contingency_adjusted_rand(a, b):
+    """One partition pair at a time: np.unique codes, a dense contingency
+    table and exact integer pair counts."""
+    _, ai = np.unique(np.asarray(a), return_inverse=True)
+    _, bi = np.unique(np.asarray(b), return_inverse=True)
+    ai, bi = ai.reshape(-1), bi.reshape(-1)
+    kb = int(bi.max()) + 1
+    table = np.bincount(ai * kb + bi, minlength=(int(ai.max()) + 1) * kb).reshape(-1, kb)
+    idx, ra, cb = (int((v * (v - 1) // 2).sum())
+                   for v in (table, table.sum(axis=1), table.sum(axis=0)))
+    pairs = math.comb(ai.size, 2)
+    expected = ra * cb / pairs
+    maximum = 0.5 * (ra + cb)
+    if abs(maximum - expected) < 1e-12:
+        return 1.0
+    return float((idx - expected) / (maximum - expected))
 
 
 def random_distance(rng, n):
@@ -191,6 +231,31 @@ class TestCompleteLinkage:
         with pytest.raises(ValueError):
             cut(dend, 5)
 
+    def test_cut_rows_match_oracle_at_every_n(self):
+        rng = np.random.default_rng(11)
+        cases = [random_distance(rng, int(rng.integers(2, 61))) for _ in range(20)]
+        cases += [np.round(random_distance(rng, int(rng.integers(2, 61))) * 4) / 4
+                  for _ in range(20)]
+        for D in cases:
+            dend = hclust_complete(dm(D))
+            N = dend.n_leaves
+            rows = cut_rows(dend, range(1, N + 1))
+            assert rows.shape == (N, N)
+            for n, row in zip(range(1, N + 1), rows):
+                want = oracle_cut(dend, n)
+                assert np.array_equal(row, want)
+                assert np.array_equal(cut(dend, n), want)
+
+    def test_cut_rows_any_order_and_repeats(self):
+        dend = hclust_complete(dm(random_distance(np.random.default_rng(4), 12)))
+        n_values = [7, 2, 12, 7, 1]
+        rows = cut_rows(dend, n_values)
+        for n, row in zip(n_values, rows):
+            assert np.array_equal(row, oracle_cut(dend, n))
+        assert cut_rows(dend, []).shape == (0, 12)
+        with pytest.raises(ValueError, match="cannot cut 12 leaves into 13"):
+            cut_rows(dend, [3, 13])
+
     def test_newick_contains_all_leaves(self):
         D = random_distance(np.random.default_rng(5), 5)
         dend = hclust_complete(dm(D))
@@ -232,6 +297,32 @@ class TestAdjustedRand:
             b = rng.integers(1, 5, size=n)
             # the pair counts are exact integers, so the two routes agree exactly
             assert adjusted_rand(a, b) == oracle_adjusted_rand(a.tolist(), b.tolist())
+
+    def test_rows_equal_single_pair_route(self):
+        rng = np.random.default_rng(21)
+        for k in range(60):
+            N = int(rng.integers(2, 61))
+            truth = rng.integers(1, int(rng.integers(2, 8)), size=N)
+            if k < 30:
+                D = random_distance(rng, N)
+                if k % 2:
+                    D = np.round(D * 4) / 4
+                A = cut_rows(hclust_complete(dm(D)), range(1, N + 1))
+            else:
+                A = rng.integers(0, int(rng.integers(1, 9)), size=(int(rng.integers(1, 9)), N))
+            got = adjusted_rand_rows(A, truth)
+            assert len(got) == len(A)
+            for row, value in zip(A, got):
+                # the same exact pair counts and the same float steps: ==
+                assert value == contingency_adjusted_rand(row, truth)
+                assert adjusted_rand(row, truth) == value
+
+    def test_rows_any_label_values(self):
+        A = np.array([["x", "x", "y", "y"], ["p", "q", "p", "q"]])
+        assert adjusted_rand_rows(A, np.array([5, 5, 9, 9])) == pytest.approx([1.0, -0.5])
+        assert adjusted_rand_rows(np.zeros((0, 4), dtype=int), np.arange(4)) == []
+        with pytest.raises(ValueError):
+            adjusted_rand_rows(A, np.arange(3))
 
     def test_random_partitions_mean_zero(self):
         rng = np.random.default_rng(123)
@@ -364,3 +455,114 @@ class TestPosteriorSummarySettings:
         with pytest.raises(ValueError, match=rf"n_values: {bad} is not an integer in 2\.\.8"):
             posterior_clustering_summary(grid, PeakTable((), grid.B), z_draws, 5,
                                          n_values=n_values)
+
+
+# -- posterior summary: identical draws scored once ------------------------
+
+L_TEST = 10
+# each lane's peaks sit near its block's two band centers
+PEAK_BINS = {"low": (60, 120), "high": (180, 240)}
+Z_LOW = [(2, 4), (2, 5), (3, 4)]
+Z_HIGH = [(7, 9), (6, 9), (7, 8)]
+
+
+def draw_setup(seed=0):
+    grid = block_grid(seed=seed, strong=True)
+    entries = []
+    for lane in grid.gels[0].lanes:
+        bins = PEAK_BINS["low" if lane.index <= 4 else "high"]
+        for j, b in enumerate(bins, start=1):
+            entries.append(Peak("G1", lane.index, j, b, b / grid.B, 1.0))
+    return grid, PeakTable(tuple(entries), grid.B)
+
+
+def repeated_draws(rng, K, distinct):
+    """K draws cycling through `distinct` random full assignments, in
+    runs, as a slowly mixing chain repeats itself."""
+    states = [
+        {("G1", i): (Z_LOW if i <= 4 else Z_HIGH)[int(rng.integers(3))]
+         for i in range(1, 9)}
+        for _ in range(distinct)
+    ]
+    seq = np.repeat(rng.integers(0, distinct, size=K // 3 + 1), 3)[:K]
+    return {key: np.array([states[s][key] for s in seq]) for key in states[0]}
+
+
+def reference_summary(grid, peaks, z_draws, L, truth=None, n_values=None, thin=1):
+    """Every draw aligned and scored from scratch, one n at a time."""
+    keys = list(z_draws)
+    K = len(z_draws[keys[0]])
+    N = len(grid.lane_keys(include_reference=False))
+    n_values = list(range(2, N + 1)) if n_values is None else list(n_values)
+    ari = {n: [] for n in n_values}
+    sil = {n: [] for n in n_values}
+    for k in range(0, K, thin):
+        Dk = distance_matrix(exact_align(grid, peaks, {key: z_draws[key][k] for key in keys}, L))
+        dend = hclust_complete(Dk)
+        for n in n_values:
+            labels = oracle_cut(dend, n)
+            if truth is not None:
+                ari[n].append(contingency_adjusted_rand(labels, truth))
+            sil[n].append(average_silhouette(Dk, labels))
+    rows = []
+    for n in n_values:
+        row = {"n": n, "silhouette": float(np.mean(sil[n]))}
+        if truth is not None:
+            vals = np.asarray(ari[n])
+            row.update(ari_mean=float(vals.mean()),
+                       ari_lo=float(np.percentile(vals, 2.5)),
+                       ari_hi=float(np.percentile(vals, 97.5)))
+        rows.append(row)
+    return rows
+
+
+class TestPosteriorDrawCache:
+    TRUTH = np.array([1, 1, 2, 2, 3, 3, 3, 3])
+
+    @pytest.mark.parametrize("truth, n_values, thin", [
+        (None, None, 1),
+        (TRUTH, None, 1),
+        (TRUTH, None, 4),
+        (TRUTH, [5, 3, 5, 8], 3),
+        (None, [2, 2, 7], 2),
+    ])
+    def test_equals_scoring_every_draw(self, truth, n_values, thin):
+        grid, peaks = draw_setup()
+        z_draws = repeated_draws(np.random.default_rng(3), 40, 5)
+        got = posterior_clustering_summary(grid, peaks, z_draws, L_TEST, truth=truth,
+                                           n_values=n_values, thin=thin)
+        want = reference_summary(grid, peaks, z_draws, L_TEST, truth=truth,
+                                 n_values=n_values, thin=thin)
+        assert got == want
+
+    def test_lanes_missing_from_draws_pass_through(self):
+        grid, peaks = draw_setup()
+        z_draws = repeated_draws(np.random.default_rng(8), 12, 3)
+        del z_draws[("G1", 2)], z_draws[("G1", 7)]
+        assert (posterior_clustering_summary(grid, peaks, z_draws, L_TEST, truth=self.TRUTH)
+                == reference_summary(grid, peaks, z_draws, L_TEST, truth=self.TRUTH))
+
+    def test_align_once_per_distinct_draw_and_changed_lane(self, monkeypatch):
+        grid, peaks = draw_setup()
+        calls = []
+
+        def counting(grid, peaks, z, L):
+            calls.append(sorted(z))
+            return exact_align(grid, peaks, z, L)
+
+        monkeypatch.setattr(gelwarp.cluster, "exact_align", counting)
+        base = {("G1", i): (Z_LOW if i <= 4 else Z_HIGH)[0] for i in range(1, 9)}
+        moved = {**base, ("G1", 6): Z_HIGH[1]}
+        # draws: base, base, moved, base, moved, moved
+        seq = [base, base, moved, base, moved, moved]
+        z_draws = {key: np.array([d[key] for d in seq]) for key in base}
+        posterior_clustering_summary(grid, peaks, z_draws, L_TEST, truth=self.TRUTH)
+        # two distinct draws: every lane once, then only the lane that moved
+        assert calls == [sorted(base), [("G1", 6)]]
+
+    @pytest.mark.parametrize("thin", [0, -2, 1.5, "2"])
+    def test_bad_thin_rejected(self, thin):
+        grid, peaks = draw_setup()
+        z_draws = repeated_draws(np.random.default_rng(1), 4, 2)
+        with pytest.raises(ValueError, match=r"draw_thin must be an integer >= 1, got "):
+            posterior_clustering_summary(grid, peaks, z_draws, L_TEST, thin=thin)
