@@ -60,7 +60,6 @@ from .spline import eval_warp_grid, read_warp_fields
 # (5500 - 500 keeps 5000 posterior draws).
 DEFAULT_CONFIG = {
     "seed": 7,
-    "threads": 1,
     "out": "run",
     "inputs": {"traces": "traces.csv", "manifest": "manifest.json", "truth": None},
     "detect": {"h": 10, "c0": 0.05, "standardize": "minmax"},
@@ -153,17 +152,8 @@ def _hash_parts(*parts) -> str:
 def stage_simulate(spec_path, seed: int, out_dir) -> list[Path]:
     with open(spec_path) as fh:
         raw = json.load(fh)
-    fields = {f.name for f in dataclasses.fields(SimSpec)}
-    unknown = set(raw) - fields
-    if unknown:
-        raise ValueError(f"unknown simulator settings: {', '.join(sorted(unknown))}")
-    if "signatures" in raw:
-        raw["signatures"] = tuple(tuple(int(b) for b in s) for s in raw["signatures"])
-    for key in ("exposure_scales", "reference_kda"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    spec = SimSpec(**raw)
-    grid, manifest, truth = simulate_gels(spec, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    grid, manifest, truth = simulate_gels(SimSpec.from_dict(raw, rng), rng)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "traces.csv", out / "manifest.json", out / "truth.json"]
@@ -174,11 +164,11 @@ def stage_simulate(spec_path, seed: int, out_dir) -> list[Path]:
 
 
 def stage_detect(traces_path, manifest_path, h: int, c0: float, out_path,
-                 threads: int = 1, standardize: str = "minmax") -> Path:
+                 standardize: str = "minmax") -> Path:
     manifest = read_manifest(manifest_path) if manifest_path else None
     grid = read_traces_csv(traces_path, manifest)
     grid = standardize_intensities(grid, method=standardize)
-    peaks = detect_peaks(grid, PeakConfig(h=h, c0=c0), threads=threads)
+    peaks = detect_peaks(grid, PeakConfig(h=h, c0=c0))
     if manifest:
         peaks = peaks.drop_masked(manifest)
     out_path = Path(out_path)
@@ -426,10 +416,8 @@ def stage_plotdata(run_dir, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def run_pipeline(config_path, resume: bool = False, threads: int | None = None) -> Path:
+def run_pipeline(config_path, resume: bool = False) -> Path:
     cfg = load_config(config_path)
-    if threads is not None:
-        cfg["threads"] = threads
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     hash_file = out / "hashes.json"
@@ -478,7 +466,7 @@ def run_pipeline(config_path, resume: bool = False, threads: int | None = None) 
     d = _hash_parts(traces, manifest, cfg["detect"])
     run_stage("detect", d, [peaks_raw], lambda: stage_detect(
         traces, manifest, cfg["detect"]["h"], cfg["detect"]["c0"], peaks_raw,
-        threads=cfg["threads"], standardize=cfg["detect"]["standardize"],
+        standardize=cfg["detect"]["standardize"],
     ))
 
     d = _hash_parts(traces, manifest, peaks_raw, cfg["refalign"])
@@ -491,12 +479,10 @@ def run_pipeline(config_path, resume: bool = False, threads: int | None = None) 
     d = _hash_parts(aligned, manifest, cfg["detect"])
     run_stage("redetect", d, [peaks_aligned], lambda: stage_detect(
         aligned, manifest, cfg["detect"]["h"], cfg["detect"]["c0"], peaks_aligned,
-        threads=cfg["threads"], standardize=cfg["detect"]["standardize"],
+        standardize=cfg["detect"]["standardize"],
     ))
 
-    # the new_gel_* settings are read only by the library's align_new_gel
-    sampler = {k: v for k, v in cfg["dewarp"].items() if not k.startswith("new_gel_")}
-    d = _hash_parts(peaks_aligned, manifest, sampler, seed)
+    d = _hash_parts(peaks_aligned, manifest, cfg["dewarp"], seed)
     run_stage("dewarp", d, [posterior / "zmap.json"], lambda: stage_dewarp(
         peaks_aligned, model_config_from(cfg["dewarp"], seed), posterior,
         manifest_path=manifest,
@@ -542,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=10)
     p.add_argument("--c0", type=float, default=0.05)
     p.add_argument("--standardize", default="minmax", choices=["minmax", "quantile"])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("refalign", help="align gels through their reference lanes")
@@ -584,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage from one config")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--threads", type=int)
 
     p = sub.add_parser("plotdata", help="export figure-ready CSV series")
     p.add_argument("--run", required=True, help="pipeline output directory")
@@ -599,7 +583,7 @@ def main(argv=None) -> int:
             stage_simulate(ns.spec, ns.seed, ns.out)
         elif ns.command == "detect":
             stage_detect(ns.input, ns.manifest, ns.h, ns.c0, ns.out,
-                         threads=ns.threads, standardize=ns.standardize)
+                         standardize=ns.standardize)
         elif ns.command == "refalign":
             stage_refalign(ns.input, ns.manifest, ns.peaks, ns.template,
                            ns.out, ns.map_out)
@@ -620,7 +604,7 @@ def main(argv=None) -> int:
                           zmap_path=ns.zmap, aligned_path=ns.aligned,
                           draw_thin=ns.draw_thin)
         elif ns.command == "pipeline":
-            run_pipeline(ns.config, resume=ns.resume, threads=ns.threads)
+            run_pipeline(ns.config, resume=ns.resume)
         elif ns.command == "plotdata":
             out = ns.out if ns.out else Path(ns.run) / "plotdata"
             stage_plotdata(ns.run, out)

@@ -83,21 +83,25 @@ class Dendrogram:
         return [f"{k[0]}:{k[1]}" if isinstance(k, tuple) else str(k) for k in self.labels]
 
 
-def distance_matrix(grid: IntensityGrid, include_reference: bool = False) -> DistanceMatrix:
-    """1 - Pearson correlation between lane traces."""
-    keys = tuple(grid.lane_keys(include_reference=include_reference))
+def _correlation_distance(keys: tuple, M: np.ndarray) -> DistanceMatrix:
+    """1 - Pearson correlation between the rows of M, symmetric with a zero
+    diagonal and clipped to [0, 2]."""
+    D = 1.0 - np.corrcoef(M)
+    np.fill_diagonal(D, 0.0)
+    return DistanceMatrix(keys, np.clip(0.5 * (D + D.T), 0.0, 2.0))
+
+
+def distance_matrix(grid: IntensityGrid) -> DistanceMatrix:
+    """1 - Pearson correlation between sample-lane traces."""
+    keys = tuple(grid.lane_keys(include_reference=False))
     if len(keys) < 2:
         raise ValueError("need at least 2 lanes to compute distances")
-    M = grid.matrix(include_reference=include_reference)
+    M = grid.matrix(include_reference=False)
     sd = M.std(axis=1)
     for key, s in zip(keys, sd):
         if s == 0.0:
             raise ValueError(f"gel {key[0]} lane {key[1]}: constant trace, correlation undefined")
-    C = np.corrcoef(M)
-    D = 1.0 - C
-    np.fill_diagonal(D, 0.0)
-    D = np.clip(0.5 * (D + D.T), 0.0, 2.0)
-    return DistanceMatrix(keys, D)
+    return _correlation_distance(keys, M)
 
 
 def hclust_complete(D: DistanceMatrix) -> Dendrogram:
@@ -243,9 +247,7 @@ def average_silhouette(D: DistanceMatrix, labels) -> float:
     return float(np.cumsum(s)[-1]) / D.n
 
 
-def bootstrap_confidence(
-    grid: IntensityGrid, n_boot: int, rng, include_reference: bool = False
-) -> dict:
+def bootstrap_confidence(grid: IntensityGrid, n_boot: int, rng) -> dict:
     """Subtree recurrence frequency under column resampling.
 
     Columns of the full lane-by-bin matrix are resampled with replacement,
@@ -255,19 +257,16 @@ def bootstrap_confidence(
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
-    D0 = distance_matrix(grid, include_reference=include_reference)
+    D0 = distance_matrix(grid)
     dend0 = hclust_complete(D0)
     targets = [s for s in dend0.leaf_sets() if 1 < len(s) < dend0.n_leaves]
     counts = {s: 0 for s in targets}
-    M = grid.matrix(include_reference=include_reference)
-    keys = tuple(grid.lane_keys(include_reference=include_reference))
+    M = grid.matrix(include_reference=False)
+    keys = D0.keys
     B = M.shape[1]
     for _ in range(n_boot):
         cols = rng.integers(0, B, size=B)
-        C = np.corrcoef(M[:, cols])
-        Dv = 1.0 - C
-        np.fill_diagonal(Dv, 0.0)
-        Db = DistanceMatrix(keys, np.clip(0.5 * (Dv + Dv.T), 0.0, 2.0))
+        Db = _correlation_distance(keys, M[:, cols])
         present = set(hclust_complete(Db).leaf_sets())
         for s in targets:
             if s in present:

@@ -19,8 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_REFERENCE_KDA = (200.0, 116.0, 97.0, 66.0, 45.0, 31.0, 21.5)
-
 
 class GelwarpWarning(UserWarning):
     """Non-fatal data issue (degenerate lane, weakly identified gel, ...)."""

@@ -72,9 +72,6 @@ class ModelConfig:
     seed: int = 0
     restarts: int = 4
     restart_sweeps: int = 600
-    new_gel_lambda_budget: int = 20
-    new_gel_iterations: int = 400
-    new_gel_burnin: int = 150
 
     def __post_init__(self):
         if self.L < 2:
@@ -93,8 +90,6 @@ class ModelConfig:
             raise ValueError("thin >= 1 required")
         if self.restarts < 1 or self.restart_sweeps < 1:
             raise ValueError("restarts >= 1 and restart_sweeps >= 1 required")
-        if self.new_gel_lambda_budget < 1:
-            raise ValueError("new_gel_lambda_budget >= 1 required")
 
     @property
     def a0_value(self) -> float:
@@ -951,11 +946,21 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig, check_every: int = 1) -> MCMCRe
 
 
 def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
-                  cfg: ModelConfig) -> MCMCResult:
+                  cfg: ModelConfig, lambda_budget: int = 20, iterations: int = 400,
+                  burnin: int = 150) -> MCMCResult:
     """Posterior for a held-out gel given the training landmark frequencies.
 
-    Averages one-gel conditional chains over a subsample of the stored
-    lambda draws; tau and lambda stay fixed within each chain."""
+    Averages one-gel conditional chains over up to ``lambda_budget`` evenly
+    spaced stored lambda draws; tau and lambda stay fixed within each chain.
+    Each chain runs ``iterations`` sweeps and keeps those after the first
+    ``burnin``.  ``cfg`` supplies the model (L, bases, window, seed); its
+    iteration, burn-in, thinning and restart settings are not used."""
+    if lambda_budget < 1:
+        raise ValueError(f"lambda_budget >= 1 required, got {lambda_budget}")
+    if not 0 <= burnin < iterations:
+        raise ValueError(
+            f"need 0 <= burnin < iterations, got burnin={burnin}, iterations={iterations}"
+        )
     stored = np.atleast_2d(np.asarray(stored_lambda_samples, dtype=float))
     if stored.size == 0:
         raise ValueError("no stored lambda samples")
@@ -963,7 +968,7 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
         raise ValueError(
             f"stored lambda draws have {stored.shape[1]} columns, expected {cfg.L}"
         )
-    n_use = min(cfg.new_gel_lambda_budget, stored.shape[0])
+    n_use = min(lambda_budget, stored.shape[0])
     idx = np.unique(np.linspace(0, stored.shape[0] - 1, n_use).astype(int))
 
     model = DewarpModel(new_peaks, cfg)
@@ -975,10 +980,10 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
         cs = model.init_chain_state()
         cs.lam = stored[k].copy()
         cs.lam_sum = float(cs.lam.sum())
-        for it in range(cfg.new_gel_iterations):
+        for it in range(iterations):
             model.sweep(cs, rng, fix_lambda=True)
             violations += model.count_violations(cs)
-            if it >= cfg.new_gel_burnin:
+            if it >= burnin:
                 snapshots.append(_snapshot(cs))
                 lj.append(model.log_joint(cs))
     return _summarize(model, new_peaks, snapshots, lj, violations, 0.0)

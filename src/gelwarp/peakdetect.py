@@ -9,7 +9,6 @@ at its intensity argmax.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,26 +235,14 @@ def _call_lane(intensity: np.ndarray, cfg: PeakConfig) -> list[tuple[int, float]
     return out
 
 
-def detect_peaks(grid: IntensityGrid, cfg: PeakConfig, threads: int = 1) -> PeakTable:
-    """Call peaks on every lane of a standardized grid.
-
-    Lanes are independent; with threads > 1 they are scored concurrently and
-    merged back in lane order, so results match the sequential run exactly.
-    """
+def detect_peaks(grid: IntensityGrid, cfg: PeakConfig) -> PeakTable:
+    """Call peaks on every lane of a standardized grid, lane by lane in grid
+    order; peaks within a lane are numbered from 1 in bin order."""
     if not cfg.h < grid.B / 2:
         raise ValueError(f"neighbor offset h={cfg.h} must be < B/2 = {grid.B / 2}")
-    jobs = [
-        (gel.gel_id, lane.index, lane.intensity)
-        for gel in grid.gels
-        for lane in gel.lanes
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            called = list(pool.map(lambda job: _call_lane(job[2], cfg), jobs))
-    else:
-        called = [_call_lane(job[2], cfg) for job in jobs]
     entries = []
-    for (gel_id, lane_idx, _), peaks in zip(jobs, called):
-        for j, (bin_i, apex) in enumerate(peaks, start=1):
-            entries.append(Peak(gel_id, lane_idx, j, bin_i, bin_i / grid.B, apex))
+    for gel in grid.gels:
+        for lane in gel.lanes:
+            for j, (bin_i, apex) in enumerate(_call_lane(lane.intensity, cfg), start=1):
+                entries.append(Peak(gel.gel_id, lane.index, j, bin_i, bin_i / grid.B, apex))
     return PeakTable(entries, grid.B)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -153,42 +153,33 @@ class SimSpec:
     def n_samples(self) -> int:
         return self.n_clusters * self.n_replicates
 
-    def to_dict(self) -> dict:
-        return {
-            "n_gels": self.n_gels,
-            "lanes_per_gel": self.lanes_per_gel,
-            "B": self.B,
-            "L": self.L,
-            "signatures": [list(s) for s in self.signatures],
-            "n_replicates": self.n_replicates,
-            "warp_amplitude": self.warp_amplitude,
-            "refwarp_amplitude": self.refwarp_amplitude,
-            "sigma_eps": self.sigma_eps,
-            "peak_width": self.peak_width,
-            "noise_sd": self.noise_sd,
-            "exposure_scales": list(self.exposure_scales),
-            "actin": self.actin,
-            "reference_kda": list(self.reference_kda),
-        }
-
     @classmethod
     def from_dict(cls, d: dict, rng=None) -> "SimSpec":
         """Build from a plain dict; "signatures" may instead be a
-        {"random": {"n_bands": ..., "min_sep": ...}} recipe drawn with rng."""
+        {"random": {"n_clusters": ..., "n_bands": ..., "min_sep": ...}} recipe
+        drawn with rng.  Unknown keys are rejected by name."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown simulator settings: {', '.join(sorted(unknown))}")
         d = dict(d)
         sigs = d.get("signatures")
         if isinstance(sigs, dict):
-            recipe = sigs["random"]
-            L = d["L"]
+            try:
+                recipe = sigs["random"]
+                n_clusters, n_bands, L = recipe["n_clusters"], recipe["n_bands"], d["L"]
+            except KeyError as exc:
+                raise ValueError(f"random signatures need the key {exc}") from None
             exclude = (actin_landmark(L),) if d.get("actin", True) else ()
             d["signatures"] = random_signatures(
-                recipe["n_clusters"],
-                recipe["n_bands"],
+                n_clusters,
+                n_bands,
                 L,
                 np.random.default_rng(rng),
                 min_sep=recipe.get("min_sep", 3),
                 exclude=exclude,
             )
+        if "signatures" in d:
+            d["signatures"] = tuple(tuple(int(b) for b in s) for s in d["signatures"])
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 

@@ -119,16 +119,27 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown config section"):
             merge_config({"dewarping": {}})
+        # every stage runs serially; there is no thread count to set
+        with pytest.raises(ValueError, match="unknown config section 'threads'"):
+            merge_config({"threads": 2})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="detect.hh"):
             merge_config({"detect": {"hh": 3}})
 
-    @pytest.mark.parametrize("key", ["anneal_lo", "sigma_shape"])
+    @pytest.mark.parametrize("key", ["anneal_lo", "sigma_shape", "new_gel_iterations"])
     def test_fixed_sampler_constant_rejected(self, key):
-        # hyperpriors and sampler tuning are module constants, not settings
+        # hyperpriors and sampler tuning are module constants, not settings;
+        # new_gel_* are align_new_gel arguments, which no stage calls
         with pytest.raises(ValueError, match=f"unknown config key dewarp.{key}"):
             merge_config({"dewarp": {key: 0.1}})
+
+    def test_readme_default_config_matches(self):
+        # README shows the defaults as a JSON block; it must stay in step
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Pipeline", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULT_CONFIG
 
     def test_unknown_model_setting_rejected(self):
         with pytest.raises(ValueError, match="unknown dewarp settings"):
@@ -177,6 +188,15 @@ class TestStages:
         run(["detect", "--input", traces, "--manifest", manifest,
              "--h", "16", "--c0", "0.30", "--out", str(strict)])
         assert PeakTable.from_json(strict).total <= PeakTable.from_json(loose).total
+
+    def test_detect_rejects_threads_flag(self, workdir, capsys):
+        out = workdir / "threads.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--input", str(workdir / "sim" / "traces.csv"),
+                  "--out", str(out), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refalign_outputs(self, workdir):
         maps = read_maps(workdir / "run" / "refmaps.json")
@@ -326,14 +346,20 @@ class TestPipeline:
         assert out.count("skipped") == 5
         assert "stage cluster: wrote" in out
 
-    def test_resume_ignores_new_gel_settings(self, workdir, capsys):
-        # only the library's align_new_gel reads them; no stage does
+    @pytest.mark.parametrize("section,key,msg", [
+        ("threads", None, "unknown config section 'threads'"),
+        ("dewarp", "new_gel_burnin", "unknown config key dewarp.new_gel_burnin"),
+    ])
+    def test_removed_setting_fails_before_writing(self, workdir, capsys,
+                                                  section, key, msg):
         cfg = json.loads((workdir / "pipe.json").read_text())
-        cfg["dewarp"] = dict(cfg["dewarp"], new_gel_iterations=401)
-        path = workdir / "pipe_new_gel.json"
+        cfg["out"] = str(workdir / f"run_{section}")
+        cfg[section] = 2 if key is None else dict(cfg[section], **{key: 10})
+        path = workdir / f"pipe_{section}.json"
         path.write_text(json.dumps(cfg))
-        run(["pipeline", "--config", str(path), "--resume"])
-        assert "stage dewarp: up to date, skipped" in capsys.readouterr().out
+        assert main(["pipeline", "--config", str(path)]) == 1
+        assert msg in capsys.readouterr().err
+        assert not Path(cfg["out"]).exists()
 
     def test_resume_reruns_cluster_when_draws_change(self, workdir, capsys):
         # thinning the saved draws rewrites zmap.json but keeps the MAP

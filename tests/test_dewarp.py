@@ -805,17 +805,28 @@ class TestAlignNewGel:
             align_new_gel(peaks, np.empty((0, 8)), cfg)
         with pytest.raises(ValueError, match="columns"):
             align_new_gel(peaks, np.ones((3, 5)), cfg)
+        with pytest.raises(ValueError, match="lambda_budget >= 1"):
+            align_new_gel(peaks, np.ones((3, 8)), cfg, lambda_budget=0)
+
+    @pytest.mark.parametrize("iterations,burnin", [(10, 10), (10, 12), (10, -1)])
+    def test_burnin_must_leave_draws(self, iterations, burnin):
+        # burnin >= iterations would keep no draw to summarize
+        peaks = make_table({1: [0.3, 0.7]}, B=200)
+        cfg = ModelConfig(L=8, T_nu=4, T_u=4)
+        msg = f"burnin={burnin}, iterations={iterations}"
+        with pytest.raises(ValueError, match=msg):
+            align_new_gel(peaks, np.ones((3, 8)), cfg,
+                          iterations=iterations, burnin=burnin)
 
     def test_new_gel_uses_training_frequencies(self):
         peaks, truth = two_gel_peaks(seed=5)
         cfg = ModelConfig(L=20, T_nu=5, T_u=4, iterations=300, burnin=150,
-                          seed=2, restarts=2, restart_sweeps=60,
-                          new_gel_lambda_budget=3, new_gel_iterations=120,
-                          new_gel_burnin=60)
+                          seed=2, restarts=2, restart_sweeps=60)
         train = peaks.filter(lambda p: p.gel_id == "g1")
         held = peaks.filter(lambda p: p.gel_id == "g2")
         res = run_mcmc(train, cfg)
-        out = align_new_gel(held, res.lambda_draws, cfg)
+        out = align_new_gel(held, res.lambda_draws, cfg,
+                            lambda_budget=3, iterations=120, burnin=60)
         assert set(k[0] for k in out.lane_keys) == {"g2"}
         assert out.violations == 0
         for key in out.lane_keys:

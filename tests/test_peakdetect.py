@@ -165,21 +165,6 @@ class TestDetectPeaks:
         with pytest.raises(ValueError, match="h"):
             detect_peaks(grid, PeakConfig(h=2, c0=0.0))
 
-    def test_parallel_matches_sequential(self):
-        rng = np.random.default_rng(3)
-        t = np.arange(1, 301) / 300
-        lanes = []
-        for i in range(1, 7):
-            lane = np.zeros(300)
-            for c in rng.uniform(0.1, 0.9, size=4):
-                lane += rng.uniform(0.5, 1) * np.exp(-0.5 * ((t - c) / 0.008) ** 2)
-            lanes.append(Lane(i, lane))
-        grid = IntensityGrid((GelTrace("G1", tuple(lanes)),), 300)
-        cfg = PeakConfig(h=10, c0=0.05)
-        seq = detect_peaks(grid, cfg, threads=1)
-        par = detect_peaks(grid, cfg, threads=4)
-        assert seq.entries == par.entries
-
 
 class TestPeakTable:
     def test_strictly_increasing_required(self):

@@ -66,6 +66,30 @@ def small_spec(**kw):
     return SimSpec(**defaults)
 
 
+class TestSpecFromDict:
+    BASE = {"n_gels": 2, "lanes_per_gel": 2, "B": 200, "L": 20}
+
+    def test_lists_become_tuples_of_ints(self):
+        spec = SimSpec.from_dict(dict(self.BASE, signatures=[[3.0, 9], [5, 14]],
+                                      exposure_scales=[1.0, 0.5]))
+        assert spec.signatures == ((3, 9), (5, 14))
+        assert all(type(b) is int for s in spec.signatures for b in s)
+        assert spec.exposure_scales == (1.0, 0.5)
+
+    def test_random_recipe_missing_key_named(self):
+        recipe = {"random": {"n_bands": 3}}
+        with pytest.raises(ValueError, match="random signatures need the key 'n_clusters'"):
+            SimSpec.from_dict(dict(self.BASE, signatures=recipe), np.random.default_rng(0))
+        recipe = {"random": {"n_clusters": 2, "n_bands": 3}}
+        no_L = {k: v for k, v in self.BASE.items() if k != "L"}
+        with pytest.raises(ValueError, match="random signatures need the key 'L'"):
+            SimSpec.from_dict(dict(no_L, signatures=recipe), np.random.default_rng(0))
+
+    def test_unknown_keys_named(self):
+        with pytest.raises(ValueError, match="unknown simulator settings: bands, lanes"):
+            SimSpec.from_dict(dict(self.BASE, bands=3, lanes=2))
+
+
 class TestSimulateGels:
     def test_zero_warp_zero_noise_peaks_on_grid(self):
         spec = small_spec(sigma_eps=0.0, warp_amplitude=0.0, noise_sd=0.0)
