@@ -21,7 +21,7 @@ import numpy as np
 
 from .cluster import (
     bootstrap_confidence,
-    check_draw_thin,
+    check_count,
     check_n_values,
     distance_matrix,
     hclust_complete,
@@ -32,11 +32,14 @@ from .cluster import (
     write_metrics,
 )
 from .core import (
+    STANDARDIZE_METHODS,
     LandmarkGrid,
     Standardizer,
+    lane_name,
     read_manifest,
     read_traces_csv,
     standardize_intensities,
+    write_json,
     write_manifest,
     write_traces_csv,
 )
@@ -56,24 +59,16 @@ from .refalign import reference_align, write_maps
 from .simulate import SimSpec, read_truth, simulate_gels, write_truth
 from .spline import eval_warp_grid, read_warp_fields
 
-# All stage settings live in one config; these are the pre-filled defaults
-# (5500 - 500 keeps 5000 posterior draws).
+# All stage settings live in one config; these are the pre-filled defaults.
+# The detect and dewarp sections take theirs from PeakConfig and ModelConfig
+# (seed excluded: it is the top-level key).
 DEFAULT_CONFIG = {
     "seed": 7,
     "out": "run",
     "inputs": {"traces": "traces.csv", "manifest": "manifest.json", "truth": None},
-    "detect": {"h": 10, "c0": 0.05, "standardize": "minmax"},
+    "detect": {"h": PeakConfig.h, "c0": PeakConfig.c0, "standardize": "minmax"},
     "refalign": {"template": None},
-    "dewarp": {
-        "L": 100,
-        "T_nu": 10,
-        "T_u": 6,
-        "a0": None,
-        "iterations": 5500,
-        "burnin": 500,
-        "thin": 1,
-        "restarts": 4,
-    },
+    "dewarp": {f.name: f.default for f in dataclasses.fields(ModelConfig) if f.name != "seed"},
     "align": {"z_source": "map"},
     "cluster": {"nboot": 1000, "n_values": None, "draw_thin": 1},
 }
@@ -95,13 +90,8 @@ class StageError(Exception):
 
 
 def merge_config(user: dict) -> dict:
-    """User settings over the defaults; unknown sections or keys are errors.
-
-    The dewarp section additionally admits any model setting (seed excluded,
-    it comes from the top level) so sampler details stay overridable.
-    """
+    """User settings over the defaults; unknown sections or keys are errors."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    model_keys = {f.name for f in dataclasses.fields(ModelConfig)} - {"seed"}
     for section, value in user.items():
         if section not in cfg:
             raise ValueError(f"unknown config section {section!r}")
@@ -109,9 +99,7 @@ def merge_config(user: dict) -> dict:
             if not isinstance(value, dict):
                 raise ValueError(f"config section {section!r} must be an object")
             for key, v in value.items():
-                if key not in cfg[section] and not (
-                    section == "dewarp" and key in model_keys
-                ):
+                if key not in cfg[section]:
                     raise ValueError(f"unknown config key {section}.{key}")
                 cfg[section][key] = v
         else:
@@ -133,11 +121,42 @@ def model_config_from(section: dict, seed: int) -> ModelConfig:
     return ModelConfig(seed=seed, **section)
 
 
-def _hash_parts(*parts) -> str:
+def check_config(cfg: dict) -> None:
+    """Reject every setting that is wrong whatever the data holds, so that it
+    fails before the first stage writes anything.  The bounds that need the
+    data (n_values <= N, a sample:k index) stay with their stages."""
+    for key, path in cfg["inputs"].items():
+        if path is None and key != "traces":
+            continue
+        if not (isinstance(path, str) and Path(path).is_file()):
+            raise ValueError(f"inputs.{key}: no file {path!r}")
+    detect = cfg["detect"]
+    if detect["standardize"] not in STANDARDIZE_METHODS:
+        raise ValueError(f"detect.standardize must be one of {', '.join(STANDARDIZE_METHODS)}, "
+                         f"got {detect['standardize']!r}")
+    try:
+        PeakConfig(h=detect["h"], c0=detect["c0"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"detect: {exc}") from None
+    try:
+        model_config_from(cfg["dewarp"], cfg["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"dewarp: {exc}") from None
+    parse_z_source(cfg["align"]["z_source"], "align.z_source")
+    check_count(cfg["cluster"]["nboot"], "cluster.nboot")
+    check_count(cfg["cluster"]["draw_thin"], "cluster.draw_thin")
+    check_n_values(cfg["cluster"]["n_values"])
+
+
+def _hash_parts(stage: str, *parts) -> str:
+    """Digest of a stage's inputs: a Path by its file's bytes, any other part
+    (a str included) as JSON text."""
     h = hashlib.sha256()
     for part in parts:
-        if isinstance(part, (str, Path)) and Path(part).is_file():
-            h.update(Path(part).read_bytes())
+        if isinstance(part, Path):
+            if not part.is_file():
+                raise StageError(stage, f"missing input file {part}")
+            h.update(part.read_bytes())
         else:
             h.update(json.dumps(part, sort_keys=True, default=str).encode())
         h.update(b"\x00")
@@ -155,7 +174,6 @@ def stage_simulate(spec_path, seed: int, out_dir) -> list[Path]:
     rng = np.random.default_rng(seed)
     grid, manifest, truth = simulate_gels(SimSpec.from_dict(raw, rng), rng)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / "traces.csv", out / "manifest.json", out / "truth.json"]
     write_traces_csv(grid, paths[0])
     write_manifest(manifest, paths[1])
@@ -171,10 +189,8 @@ def stage_detect(traces_path, manifest_path, h: int, c0: float, out_path,
     peaks = detect_peaks(grid, PeakConfig(h=h, c0=c0))
     if manifest:
         peaks = peaks.drop_masked(manifest)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     peaks.to_json(out_path)
-    return out_path
+    return Path(out_path)
 
 
 def stage_refalign(traces_path, manifest_path, peaks_path, template,
@@ -188,11 +204,9 @@ def stage_refalign(traces_path, manifest_path, peaks_path, template,
     if manifest and template in manifest:
         expected = len(manifest[template].get("reference_kda", [])) or 7
     aligned, maps = reference_align(grid, peaks, template, expected_count=expected)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_traces_csv(aligned, out_path)
     write_maps(maps, map_out_path)
-    return out_path, Path(map_out_path)
+    return Path(out_path), Path(map_out_path)
 
 
 def stage_dewarp(peaks_path, model_cfg: ModelConfig, out_dir,
@@ -203,24 +217,18 @@ def stage_dewarp(peaks_path, model_cfg: ModelConfig, out_dir,
         peaks = peaks.drop_reference_lanes(manifest).drop_masked(manifest)
     result = run_mcmc(peaks, model_cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_warp_json(result, out / "warp.json")
     write_zmap(result, out / "zmap.json")
     write_landmarks(result, out / "landmarks.json")
     write_chain_log(result, out / "chain.log")
     write_signatures_csv(result, out / "signatures.csv")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(
-            {
-                "violations": int(result.violations),
-                "lambda_accept": float(result.lambda_accept),
-                "stationary": bool(result.stationary),
-                "stationary_detail": result.stationary_detail,
-                "saved_draws": len(result.log_joint_trace),
-            },
-            fh, sort_keys=True, default=float,
-        )
-        fh.write("\n")
+    write_json({
+        "violations": int(result.violations),
+        "lambda_accept": float(result.lambda_accept),
+        "stationary": bool(result.stationary),
+        "stationary_detail": result.stationary_detail,
+        "saved_draws": len(result.log_joint_trace),
+    }, out / "summary.json")
     return out
 
 
@@ -236,16 +244,26 @@ def peaks_from_zmap(payload: dict, B: int) -> PeakTable:
     return PeakTable(tuple(entries), B)
 
 
-def select_assignments(payload: dict, z_source: str) -> dict:
+def parse_z_source(z_source, name: str = "z-source") -> int | None:
+    """None for "map", k for "sample:k" with an integer k >= 0."""
+    kind, _, k = str(z_source).partition(":")
     if z_source == "map":
+        return None
+    if kind == "sample" and k.isdecimal():
+        return int(k)
+    raise ValueError(
+        f"{name} must be 'map' or 'sample:k' with an integer k >= 0, got {z_source!r}"
+    )
+
+
+def select_assignments(payload: dict, z_source: str) -> dict:
+    k = parse_z_source(z_source)
+    if k is None:
         return payload["z_map"]
-    if z_source.startswith("sample:"):
-        k = int(z_source.split(":", 1)[1])
-        n_draws = min(len(v) for v in payload["z_draws"].values())
-        if not 0 <= k < n_draws:
-            raise ValueError(f"draw index {k} outside 0..{n_draws - 1}")
-        return {key: draws[k] for key, draws in payload["z_draws"].items()}
-    raise ValueError(f"z-source must be 'map' or 'sample:k', got {z_source!r}")
+    n_draws = min(len(v) for v in payload["z_draws"].values())
+    if k >= n_draws:
+        raise ValueError(f"draw index {k} outside 0..{n_draws - 1}")
+    return {key: draws[k] for key, draws in payload["z_draws"].items()}
 
 
 def stage_align(traces_path, manifest_path, zmap_path, z_source, out_path) -> Path:
@@ -255,10 +273,8 @@ def stage_align(traces_path, manifest_path, zmap_path, z_source, out_path) -> Pa
     peaks = peaks_from_zmap(payload, grid.B)
     z = select_assignments(payload, z_source)
     aligned = exact_align(grid, peaks, z, payload["L"])
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_traces_csv(aligned, out_path)
-    return out_path
+    return Path(out_path)
 
 
 def read_truth_labels(path, lane_keys) -> np.ndarray:
@@ -277,11 +293,10 @@ def read_truth_labels(path, lane_keys) -> np.ndarray:
             for row in reader:
                 by_key[row["lane"]] = int(row["label"])
     labels = []
-    for gel_id, lane in lane_keys:
-        key = f"{gel_id}:{lane}"
-        if key not in by_key:
-            raise ValueError(f"truth file has no label for lane {key}")
-        labels.append(int(by_key[key]))
+    for name in map(lane_name, lane_keys):
+        if name not in by_key:
+            raise ValueError(f"truth file has no label for lane {name}")
+        labels.append(int(by_key[name]))
     return np.asarray(labels, dtype=int)
 
 
@@ -294,7 +309,8 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     if len(lane_keys) < 2:
         raise ValueError("need at least two sample lanes to cluster")
     n_values = check_n_values(n_values, len(lane_keys))
-    check_draw_thin(draw_thin)
+    check_count(draw_thin, "cluster.draw_thin")
+    check_count(nboot, "cluster.nboot")
 
     D = distance_matrix(grid)
     dend = hclust_complete(D)
@@ -418,6 +434,7 @@ def stage_plotdata(run_dir, out_dir) -> Path:
 
 def run_pipeline(config_path, resume: bool = False) -> Path:
     cfg = load_config(config_path)
+    check_config(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     hash_file = out / "hashes.json"
@@ -426,33 +443,24 @@ def run_pipeline(config_path, resume: bool = False) -> Path:
         with open(hash_file) as fh:
             hashes = json.load(fh)
 
-    traces = cfg["inputs"]["traces"]
-    manifest = cfg["inputs"]["manifest"]
-    truth = cfg["inputs"]["truth"]
+    traces, manifest, truth = (
+        None if p is None else Path(p)
+        for p in (cfg["inputs"]["traces"], cfg["inputs"]["manifest"], cfg["inputs"]["truth"])
+    )
     seed = cfg["seed"]
 
-    def done(stage: str, digest: str, outputs: list[Path]) -> bool:
-        return (
-            resume
-            and hashes.get(stage) == digest
-            and all(Path(p).exists() for p in outputs)
-        )
-
-    def record(stage: str, digest: str) -> None:
-        hashes[stage] = digest
-        with open(hash_file, "w") as fh:
-            json.dump(hashes, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    def run_stage(stage, digest, outputs, fn):
-        if done(stage, digest, outputs):
+    def run_stage(stage, parts, outputs, fn):
+        digest = _hash_parts(stage, *parts)
+        if (resume and hashes.get(stage) == digest
+                and all(Path(p).exists() for p in outputs)):
             print(f"stage {stage}: up to date, skipped")
             return
         try:
             fn()
         except Exception as exc:
             raise StageError(stage, str(exc)) from exc
-        record(stage, digest)
+        hashes[stage] = digest
+        write_json(hashes, hash_file, indent=1)
         print(f"stage {stage}: wrote {', '.join(str(p) for p in outputs)}")
 
     peaks_raw = out / "peaks_raw.json"
@@ -460,48 +468,34 @@ def run_pipeline(config_path, resume: bool = False) -> Path:
     refmaps = out / "refmaps.json"
     peaks_aligned = out / "peaks.json"
     posterior = out / "posterior"
+    zmap = posterior / "zmap.json"
     exact = out / "exact.csv"
     clusters = out / "clusters"
 
-    d = _hash_parts(traces, manifest, cfg["detect"])
-    run_stage("detect", d, [peaks_raw], lambda: stage_detect(
-        traces, manifest, cfg["detect"]["h"], cfg["detect"]["c0"], peaks_raw,
-        standardize=cfg["detect"]["standardize"],
-    ))
+    run_stage("detect", (traces, manifest, cfg["detect"]), [peaks_raw],
+              lambda: stage_detect(traces, manifest, out_path=peaks_raw, **cfg["detect"]))
 
-    d = _hash_parts(traces, manifest, peaks_raw, cfg["refalign"])
-    run_stage("refalign", d, [aligned, refmaps], lambda: stage_refalign(
-        traces, manifest, peaks_raw, cfg["refalign"]["template"], aligned, refmaps,
-    ))
+    run_stage("refalign", (traces, manifest, peaks_raw, cfg["refalign"]), [aligned, refmaps],
+              lambda: stage_refalign(traces, manifest, peaks_raw, out_path=aligned,
+                                     map_out_path=refmaps, **cfg["refalign"]))
 
     # peaks are re-called on the reference-aligned traces so the sampler sees
     # locations on the template's coordinate system
-    d = _hash_parts(aligned, manifest, cfg["detect"])
-    run_stage("redetect", d, [peaks_aligned], lambda: stage_detect(
-        aligned, manifest, cfg["detect"]["h"], cfg["detect"]["c0"], peaks_aligned,
-        standardize=cfg["detect"]["standardize"],
-    ))
+    run_stage("redetect", (aligned, manifest, cfg["detect"]), [peaks_aligned],
+              lambda: stage_detect(aligned, manifest, out_path=peaks_aligned, **cfg["detect"]))
 
-    d = _hash_parts(peaks_aligned, manifest, cfg["dewarp"], seed)
-    run_stage("dewarp", d, [posterior / "zmap.json"], lambda: stage_dewarp(
-        peaks_aligned, model_config_from(cfg["dewarp"], seed), posterior,
-        manifest_path=manifest,
-    ))
+    run_stage("dewarp", (peaks_aligned, manifest, cfg["dewarp"], seed), [zmap],
+              lambda: stage_dewarp(peaks_aligned, model_config_from(cfg["dewarp"], seed),
+                                   posterior, manifest_path=manifest))
 
-    d = _hash_parts(aligned, manifest, posterior / "zmap.json", cfg["align"])
-    run_stage("align", d, [exact], lambda: stage_align(
-        aligned, manifest, posterior / "zmap.json", cfg["align"]["z_source"], exact,
-    ))
+    run_stage("align", (aligned, manifest, zmap, cfg["align"]), [exact],
+              lambda: stage_align(aligned, manifest, zmap, out_path=exact, **cfg["align"]))
 
     # the quality bands read the posterior draws and the aligned traces
-    d = _hash_parts(exact, manifest, posterior / "zmap.json", aligned,
-                    cfg["cluster"], seed, truth)
-    run_stage("cluster", d, [clusters / "metrics.csv"], lambda: stage_cluster(
-        exact, manifest, clusters, cfg["cluster"]["nboot"], seed,
-        truth_path=truth, n_values=cfg["cluster"]["n_values"],
-        zmap_path=posterior / "zmap.json", aligned_path=aligned,
-        draw_thin=cfg["cluster"]["draw_thin"],
-    ))
+    run_stage("cluster", (exact, manifest, zmap, aligned, cfg["cluster"], seed, truth),
+              [clusters / "metrics.csv"],
+              lambda: stage_cluster(exact, manifest, clusters, seed=seed, truth_path=truth,
+                                    zmap_path=zmap, aligned_path=aligned, **cfg["cluster"]))
     return out
 
 
@@ -516,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch alignment pipeline for banded 1-D intensity traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    detect, cluster = DEFAULT_CONFIG["detect"], DEFAULT_CONFIG["cluster"]
 
     p = sub.add_parser("simulate", help="generate a synthetic batch with truth")
     p.add_argument("--spec", required=True)
@@ -525,9 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="call peaks on every lane")
     p.add_argument("--input", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--h", type=int, default=10)
-    p.add_argument("--c0", type=float, default=0.05)
-    p.add_argument("--standardize", default="minmax", choices=["minmax", "quantile"])
+    p.add_argument("--h", type=int, default=detect["h"])
+    p.add_argument("--c0", type=float, default=detect["c0"])
+    p.add_argument("--standardize", default=detect["standardize"],
+                   choices=STANDARDIZE_METHODS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("refalign", help="align gels through their reference lanes")
@@ -549,20 +545,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--manifest")
     p.add_argument("--zmap", required=True)
-    p.add_argument("--z-source", default="map")
+    p.add_argument("--z-source", default=DEFAULT_CONFIG["align"]["z_source"])
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cluster", help="hierarchical clustering with quality measures")
     p.add_argument("--input", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--nboot", type=int, default=1000)
+    p.add_argument("--nboot", type=int, default=cluster["nboot"])
     p.add_argument("--truth")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zmap", help="posterior draws for quality bands; needs --aligned")
     p.add_argument("--aligned", help="reference-aligned traces matching --zmap")
     p.add_argument("--n-values", type=int, nargs="+",
                    help="cluster counts to cut at (default: all of 2..N)")
-    p.add_argument("--draw-thin", type=int, default=1,
+    p.add_argument("--draw-thin", type=int, default=cluster["draw_thin"],
                    help="use every k-th posterior draw for the quality bands")
     p.add_argument("--out", required=True)
 

@@ -8,13 +8,12 @@ available, and bootstrap subtree confidence over column resamples.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid
+from .core import GelTrace, IntensityGrid, lane_name, write_json
 from .exactalign import exact_align
 from .peakdetect import PeakTable
 
@@ -80,7 +79,7 @@ class Dendrogram:
 
     def leaf_names(self) -> list[str]:
         """Leaf names: "gel:lane" for a lane-key label, str() of any other."""
-        return [f"{k[0]}:{k[1]}" if isinstance(k, tuple) else str(k) for k in self.labels]
+        return [lane_name(k) if isinstance(k, tuple) else str(k) for k in self.labels]
 
 
 def _correlation_distance(keys: tuple, M: np.ndarray) -> DistanceMatrix:
@@ -255,8 +254,7 @@ def bootstrap_confidence(grid: IntensityGrid, n_boot: int, rng) -> dict:
     reproduce each original subtree's exact leaf set is reported, keyed by
     the sorted tuple of lane keys.
     """
-    if n_boot < 1:
-        raise ValueError("n_boot must be >= 1")
+    check_count(n_boot, "cluster.nboot")
     D0 = distance_matrix(grid)
     dend0 = hclust_complete(D0)
     targets = [s for s in dend0.leaf_sets() if 1 < len(s) < dend0.n_leaves]
@@ -278,26 +276,26 @@ def bootstrap_confidence(grid: IntensityGrid, n_boot: int, rng) -> dict:
     return out
 
 
-def check_n_values(n_values, N: int) -> list:
+def check_n_values(n_values, N: int | None = None):
     """The cluster counts to cut N leaves at: 2..N when n_values is None,
-    else n_values, each of which must be an integer in 2..N."""
+    else n_values, each of which must be an integer in 2..N.  Without N,
+    only the list and the lower bound are checked, and None stays None."""
     if n_values is None:
-        return list(range(2, N + 1))
-    n_values = list(n_values)
+        return None if N is None else list(range(2, N + 1))
+    if not isinstance(n_values, (list, tuple)):
+        raise ValueError(f"cluster.n_values must be a list or null, got {n_values!r}")
+    span = "an integer >= 2" if N is None else f"an integer in 2..{N} ({N} sample lanes)"
     for n in n_values:
-        if not (isinstance(n, (int, np.integer)) and 2 <= n <= N):
-            raise ValueError(
-                f"cluster.n_values: {n!r} is not an integer in 2..{N} "
-                f"({N} sample lanes)"
-            )
-    return n_values
+        if not (isinstance(n, (int, np.integer)) and 2 <= n and (N is None or n <= N)):
+            raise ValueError(f"cluster.n_values: {n!r} is not {span}")
+    return list(n_values)
 
 
-def check_draw_thin(thin) -> int:
-    """The posterior draw stride, which must be an integer >= 1."""
-    if not (isinstance(thin, (int, np.integer)) and thin >= 1):
-        raise ValueError(f"cluster.draw_thin must be an integer >= 1, got {thin!r}")
-    return thin
+def check_count(value, name: str) -> int:
+    """``value`` if it is an integer >= 1; otherwise an error naming ``name``."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def partition_scores(D: DistanceMatrix, dend: Dendrogram, n_values, truth=None):
@@ -332,7 +330,7 @@ def posterior_clustering_summary(
     keys = list(z_draws.keys())
     if not keys:
         raise ValueError("no assignment draws given")
-    thin = check_draw_thin(thin)
+    thin = check_count(thin, "cluster.draw_thin")
     draws = [np.asarray(z_draws[key], dtype=int) for key in keys]
     K = len(draws[0])
     n_values = check_n_values(n_values, len(grid.lane_keys(include_reference=False)))
@@ -378,12 +376,11 @@ def posterior_clustering_summary(
     return rows
 
 
-def to_newick(dend: Dendrogram, names=None) -> str:
-    """Newick string with branch lengths from merge heights."""
-    if names is None:
-        names = dend.leaf_names()
-    names = [str(s).replace(",", "_").replace("(", "_").replace(")", "_")
-             for s in names]
+def to_newick(dend: Dendrogram) -> str:
+    """Newick string of the leaf names, with branch lengths from merge
+    heights; commas and parentheses in a name become underscores."""
+    names = [s.replace(",", "_").replace("(", "_").replace(")", "_")
+             for s in dend.leaf_names()]
     heights = {i: 0.0 for i in range(dend.n_leaves)}
     text = {i: names[i] for i in range(dend.n_leaves)}
     for k, (a, b, h) in enumerate(dend.merges):
@@ -397,12 +394,11 @@ def to_newick(dend: Dendrogram, names=None) -> str:
 
 def write_confidence(conf: dict, path) -> None:
     ser = {
-        "|".join(f"{g}:{l}" for g, l in leaf_keys): c
+        "|".join(map(lane_name, leaf_keys)): c
         for leaf_keys, c in sorted(conf.items())
     }
     flagged = [k for k, c in ser.items() if c > 0.95]
-    with open(path, "w") as fh:
-        json.dump({"confidence": ser, "strong": flagged}, fh, indent=1, sort_keys=True)
+    write_json({"confidence": ser, "strong": flagged}, path, indent=1)
 
 
 def write_metrics(rows: list[dict], path) -> None:

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -215,6 +215,9 @@ def _scale_lane_quantile(x: np.ndarray, label: str) -> np.ndarray:
     return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
 
 
+STANDARDIZE_METHODS = ("minmax", "quantile")
+
+
 def standardize_intensities(raw: IntensityGrid, method: str = "minmax") -> IntensityGrid:
     """Map every lane's intensities into [0, 1].
 
@@ -223,7 +226,7 @@ def standardize_intensities(raw: IntensityGrid, method: str = "minmax") -> Inten
     Both are monotone per lane, so within-lane ordering is preserved.
     A constant lane maps to all zeros and emits a GelwarpWarning.
     """
-    if method not in ("minmax", "quantile"):
+    if method not in STANDARDIZE_METHODS:
         raise ValueError(f"unknown standardization method {method!r}")
     scale = _scale_lane_minmax if method == "minmax" else _scale_lane_quantile
     gels = []
@@ -239,8 +242,30 @@ def standardize_intensities(raw: IntensityGrid, method: str = "minmax") -> Inten
 
 
 # ---------------------------------------------------------------------------
-# File formats: traces CSV + sidecar manifest JSON
+# File formats: traces CSV, sidecar manifest JSON, lane names
 # ---------------------------------------------------------------------------
+
+
+def lane_name(key) -> str:
+    """The "gel:lane" name of a (gel_id, lane) key, as every artifact spells it."""
+    gel_id, lane = key
+    return f"{gel_id}:{lane}"
+
+
+def parse_lane_name(name: str) -> tuple[str, int]:
+    """The (gel_id, lane) key of a "gel:lane" name; the gel id may hold ':'."""
+    gel_id, lane = name.rsplit(":", 1)
+    return gel_id, int(lane)
+
+
+def write_json(payload, path, indent=None) -> None:
+    """Write ``payload`` as JSON with sorted keys and one trailing newline,
+    making the parent directories.  Without an indent, json.dumps takes the
+    C encoder; json.dump to a file never does."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+
 
 TRACE_COLUMNS = ("gel_id", "lane", "bin", "intensity")
 
@@ -412,8 +437,4 @@ def _csv_prefix(*fields) -> str:
 
 
 def write_manifest(manifest: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(manifest, path, indent=2)

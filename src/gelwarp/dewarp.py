@@ -27,14 +27,22 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lgamma, log
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from .core import GelwarpWarning, LandmarkGrid, Standardizer, fit_standardizer
+from .core import (
+    GelwarpWarning,
+    LandmarkGrid,
+    Standardizer,
+    fit_standardizer,
+    lane_name,
+    parse_lane_name,
+    write_json,
+)
 from .peakdetect import PeakTable
 from .spline import WarpField, identity_coefficients, make_basis, write_warp_fields
 
@@ -186,51 +194,47 @@ def _trunc_normal(mean: float, sd: float, lo: float, hi: float, u: float, rng) -
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
 class _GelData:
-    """Flattened per-gel peak arrays and design matrices."""
+    """Flattened per-gel peak arrays and design matrices.  wlo..whi is each
+    peak's admissible landmark range; slot is set with the lane grid."""
 
-    __slots__ = (
-        "gel_id", "lanes", "u_std", "lane_std", "basis_u", "Bu",
-        "T_flat", "lane_idx", "lane_slices", "n_peaks", "log_jfact",
-        "wlo", "whi", "BuP", "slot",
-    )
+    gel_id: str
+    lanes: list
+    u_std: np.ndarray
+    lane_std: Standardizer
+    basis_u: object
+    Bu: np.ndarray
+    T_flat: np.ndarray
+    lane_idx: np.ndarray
+    lane_slices: list
+    log_jfact: float
+    wlo: np.ndarray
+    whi: np.ndarray
+    n_peaks: int = field(init=False)
+    BuP: np.ndarray = field(init=False)
+    slot: np.ndarray | None = None
 
-    def __init__(self, gel_id, lanes, u_std, lane_std, basis_u, Bu,
-                 T_flat, lane_idx, lane_slices, log_jfact):
-        self.gel_id = gel_id
-        self.lanes = lanes
-        self.u_std = u_std
-        self.lane_std = lane_std
-        self.basis_u = basis_u
-        self.Bu = Bu
-        self.T_flat = T_flat
-        self.lane_idx = lane_idx
-        self.lane_slices = lane_slices
-        self.n_peaks = T_flat.size
-        self.log_jfact = log_jfact
-        self.BuP = Bu[lane_idx, :]
-        self.wlo = None
-        self.whi = None
-        self.slot = None
+    def __post_init__(self):
+        self.n_peaks = self.T_flat.size
+        self.BuP = self.Bu[self.lane_idx, :]
 
 
+@dataclass(slots=True, eq=False)
 class _ChainState:
-    """Mutable sampler state: one beta/Z block per gel plus shared scalars."""
+    """Mutable sampler state: one beta/Z block per gel plus shared scalars.
+    W (warped landmarks) and mu (peak means) follow from beta and Z."""
 
-    __slots__ = ("beta", "Z", "W", "mu", "lam", "lam_sum", "tau",
-                 "sigma_eps2", "sigma_g1_2", "sigma_gs_2")
-
-    def __init__(self):
-        self.beta = []
-        self.Z = []
-        self.W = []
-        self.mu = []
-        self.lam = None
-        self.lam_sum = 0.0
-        self.tau = 1.0
-        self.sigma_eps2 = 1e-4
-        self.sigma_g1_2 = []
-        self.sigma_gs_2 = []
+    lam: np.ndarray
+    lam_sum: float
+    tau: float
+    sigma_eps2: float
+    beta: list = field(default_factory=list)
+    Z: list = field(default_factory=list)
+    sigma_g1_2: list = field(default_factory=list)
+    sigma_gs_2: list = field(default_factory=list)
+    W: list = field(default_factory=list)
+    mu: list = field(default_factory=list)
 
 
 class DewarpModel:
@@ -292,17 +296,15 @@ class DewarpModel:
                 slices.append((start, start + locs.size))
                 start += locs.size
                 log_jfact += lgamma(locs.size + 1.0)
-            gel = _GelData(
-                gel_id, lanes, u_std, lane_std, basis_u, Bu,
-                np.concatenate(T_parts), np.concatenate(lane_idx_parts),
-                slices, log_jfact,
-            )
+            T_flat = np.concatenate(T_parts)
             # per-peak admissible landmark range from the window |T - nu| < A_0
-            lo = np.searchsorted(self.nu_std, gel.T_flat - self.a0_std, side="right")
-            hi = np.searchsorted(self.nu_std, gel.T_flat + self.a0_std, side="left") - 1
-            gel.wlo = np.maximum(lo, 1)
-            gel.whi = np.minimum(hi, cfg.L)
-            self.gels.append(gel)
+            lo = np.searchsorted(self.nu_std, T_flat - self.a0_std, side="right")
+            hi = np.searchsorted(self.nu_std, T_flat + self.a0_std, side="left") - 1
+            self.gels.append(_GelData(
+                gel_id, lanes, u_std, lane_std, basis_u, Bu, T_flat,
+                np.concatenate(lane_idx_parts), slices, log_jfact,
+                wlo=np.maximum(lo, 1), whi=np.minimum(hi, cfg.L),
+            ))
         self.n_peaks_total = sum(g.n_peaks for g in self.gels)
         self.n_free_rows = cfg.T_nu - 2
         self.lane_key_list = [
@@ -356,11 +358,8 @@ class DewarpModel:
     def init_chain_state(self) -> _ChainState:
         """Identity warps, greedy nearest admissible Z, flat lambda."""
         cfg = self.cfg
-        cs = _ChainState()
-        cs.lam = np.full(cfg.L, 1.0 / cfg.L)
-        cs.lam_sum = float(cs.lam.sum())
-        cs.tau = 1.0
-        cs.sigma_eps2 = 0.01**2
+        lam = np.full(cfg.L, 1.0 / cfg.L)
+        cs = _ChainState(lam=lam, lam_sum=float(lam.sum()), tau=1.0, sigma_eps2=0.01**2)
         for gel in self.gels:
             beta = np.tile(self.beta_id[:, None], (1, cfg.T_u))
             cs.beta.append(beta)
@@ -392,12 +391,16 @@ class DewarpModel:
         return cs
 
     def _refresh(self, cs: _ChainState) -> None:
-        cs.W = []
-        cs.mu = []
-        for gi, gel in enumerate(self.gels):
-            W = self.Bnu_land @ cs.beta[gi] @ gel.Bu.T
-            cs.W.append(W)
-            cs.mu.append(W[cs.Z[gi], gel.lane_idx])
+        cs.W = [None] * len(self.gels)
+        cs.mu = [None] * len(self.gels)
+        for gi in range(len(self.gels)):
+            self._refresh_gel(cs, gi)
+
+    def _refresh_gel(self, cs: _ChainState, gi: int) -> None:
+        """Gel gi's warped landmarks W and peak means mu from its beta and Z."""
+        gel = self.gels[gi]
+        cs.W[gi] = self.Bnu_land @ cs.beta[gi] @ gel.Bu.T
+        cs.mu[gi] = cs.W[gi][cs.Z[gi], gel.lane_idx]
 
     # -- public/private state conversion ------------------------------------
 
@@ -423,13 +426,11 @@ class DewarpModel:
         )
 
     def from_public(self, state: AlignmentState) -> _ChainState:
-        cs = _ChainState()
-        cs.lam = np.asarray(state.lam, dtype=float).copy()
-        if cs.lam.size != self.cfg.L or np.any(cs.lam <= 0):
+        lam = np.asarray(state.lam, dtype=float).copy()
+        if lam.size != self.cfg.L or np.any(lam <= 0):
             raise ValueError("lambda must be positive with one entry per landmark")
-        cs.lam_sum = float(cs.lam.sum())
-        cs.tau = float(state.tau)
-        cs.sigma_eps2 = float(state.sigma_eps) ** 2
+        cs = _ChainState(lam=lam, lam_sum=float(lam.sum()), tau=float(state.tau),
+                         sigma_eps2=float(state.sigma_eps) ** 2)
         for gel in self.gels:
             fieldg = state.warp_fields[gel.gel_id]
             beta = np.asarray(fieldg.beta, dtype=float).copy()
@@ -572,8 +573,7 @@ class DewarpModel:
                         c = [ci - gki * delta for ci, gki in zip(c, Gk)]
                     k += 1
             cs.beta[gi][:] = beta
-            cs.W[gi] = self.Bnu_land @ cs.beta[gi] @ gel.Bu.T
-            cs.mu[gi] = cs.W[gi][cs.Z[gi], gel.lane_idx]
+            self._refresh_gel(cs, gi)
 
     def sweep_hyper(self, cs: _ChainState, rng, fix_lambda: bool = False) -> float:
         """Conjugate variance updates plus Metropolis on log lambda.
@@ -994,15 +994,6 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _key_str(key) -> str:
-    return f"{key[0]}:{key[1]}"
-
-
-def _key_parse(s: str) -> tuple:
-    gel_id, lane = s.rsplit(":", 1)
-    return gel_id, int(lane)
-
-
 def write_warp_json(result: MCMCResult, path) -> None:
     write_warp_fields(result.beta_mean, result.standardizers["lane"], path)
 
@@ -1015,7 +1006,7 @@ def write_zmap(result: MCMCResult, path) -> None:
         "lanes": {},
     }
     for key in result.lane_keys:
-        payload["lanes"][_key_str(key)] = {
+        payload["lanes"][lane_name(key)] = {
             "gel_id": key[0],
             "lane": key[1],
             "bins": result.peak_bins[key].tolist(),
@@ -1024,10 +1015,7 @@ def write_zmap(result: MCMCResult, path) -> None:
             "marginals": result.z_marginals[key].tolist(),
             "draws": result.z_draws[key].tolist(),
         }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # json.dumps takes the C encoder; json.dump to a file does not
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_json(payload, path)
 
 
 def read_zmap(path) -> dict:
@@ -1037,7 +1025,7 @@ def read_zmap(path) -> dict:
         payload = json.load(f)
     out = {"L": payload["L"], "z_map": {}, "z_draws": {}, "locations": {}, "bins": {}}
     for s, entry in payload["lanes"].items():
-        key = _key_parse(s)
+        key = parse_lane_name(s)
         out["z_map"][key] = np.array(entry["z_map"], dtype=int)
         out["z_draws"][key] = np.array(entry["draws"], dtype=int)
         out["locations"][key] = np.array(entry["locations"], dtype=float)
@@ -1052,14 +1040,11 @@ def write_landmarks(result: MCMCResult, path) -> None:
         "L": result.cfg.L,
         "presence": result.presence.tolist(),
         "lanes": {
-            _key_str(key): result.landmark_probs[key].tolist()
+            lane_name(key): result.landmark_probs[key].tolist()
             for key in result.lane_keys
         },
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # json.dumps takes the C encoder; json.dump to a file does not
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_json(payload, path)
 
 
 def write_signatures_csv(result: MCMCResult, path) -> None:
@@ -1073,7 +1058,7 @@ def write_signatures_csv(result: MCMCResult, path) -> None:
         writer = csv.writer(f)
         writer.writerow(["lane"] + [f"l{ell}" for ell in range(1, L + 1)])
         for key, row in zip(keys, Y):
-            writer.writerow([_key_str(key)] + row.tolist())
+            writer.writerow([lane_name(key)] + row.tolist())
 
 
 def write_chain_log(result: MCMCResult, path) -> None:

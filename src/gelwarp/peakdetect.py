@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import IntensityGrid
+from .core import IntensityGrid, write_json
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,6 @@ class PeakTable:
         return self.filter(lambda p: (p.gel_id, p.lane) not in refs)
 
     def to_json(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         rows = [
             {
                 "gel_id": p.gel_id,
@@ -161,9 +158,7 @@ class PeakTable:
             }
             for p in self.entries
         ]
-        with open(path, "w") as f:
-            json.dump({"B": self.B, "peaks": rows}, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json({"B": self.B, "peaks": rows}, path, indent=2)
 
     @classmethod
     def from_json(cls, path) -> "PeakTable":

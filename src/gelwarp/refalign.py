@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid, Lane
-from .peakdetect import Peak, PeakTable
+from .core import GelTrace, IntensityGrid, Lane, write_json
+from .peakdetect import PeakTable
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,6 @@ def reference_align(
 
 
 def write_maps(maps: dict[str, PiecewiseLinearMap], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         gel_id: {
             "query_knots": m.query_knots.tolist(),
@@ -135,9 +132,7 @@ def write_maps(maps: dict[str, PiecewiseLinearMap], path) -> None:
         }
         for gel_id, m in sorted(maps.items())
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(payload, path, indent=2)
 
 
 def read_maps(path) -> dict[str, PiecewiseLinearMap]:

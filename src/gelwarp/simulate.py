@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid, Lane, LandmarkGrid
+from .core import GelTrace, IntensityGrid, Lane, LandmarkGrid, lane_name, write_json
 from .refalign import PiecewiseLinearMap, apply_map
 
 REFERENCE_KDA = (200.0, 116.0, 97.0, 66.0, 45.0, 31.0, 21.5)
@@ -42,14 +41,11 @@ def random_signatures(
     rng,
     min_sep: int = 3,
     exclude: tuple[int, ...] = (),
-    cross_sep: int = 0,
 ) -> tuple[tuple[int, ...], ...]:
     """Draw distinct landmark subsets with pairwise separation >= min_sep.
 
     Separation is also enforced against the excluded landmarks (the universal
-    band) so bands never merge on the grid.  cross_sep > 0 additionally keeps
-    bands of different clusters at least that far apart, which removes
-    across-cluster label ambiguity when warps move peaks by a spacing or two.
+    band) so bands never merge on the grid.
     """
     rng = np.random.default_rng(rng)
     pool = [
@@ -60,29 +56,17 @@ def random_signatures(
     if len(pool) < n_bands:
         raise ValueError(f"landmark pool too small for {n_bands} bands")
     out: list[tuple[int, ...]] = []
-    taken: list[int] = []
-    for c in range(n_clusters):
-        avail = [
-            ell
-            for ell in pool
-            if all(abs(ell - t) >= cross_sep for t in taken)
-        ]
-        cand = None
-        if len(avail) >= n_bands:
-            for _ in range(10000):
-                trial = tuple(
-                    sorted(rng.choice(avail, size=n_bands, replace=False).tolist())
-                )
-                if all(b - a >= min_sep for a, b in zip(trial, trial[1:])) and trial not in out:
-                    cand = trial
-                    break
-        if cand is None:
+    for _ in range(n_clusters):
+        for _ in range(10000):
+            trial = tuple(sorted(rng.choice(pool, size=n_bands, replace=False).tolist()))
+            if all(b - a >= min_sep for a, b in zip(trial, trial[1:])) and trial not in out:
+                out.append(trial)
+                break
+        else:
             raise ValueError(
                 f"could not draw {n_clusters} distinct signatures "
-                f"(L={L}, bands={n_bands}, min_sep={min_sep}, cross_sep={cross_sep})"
+                f"(L={L}, bands={n_bands}, min_sep={min_sep})"
             )
-        out.append(cand)
-        taken.extend(cand)
     return tuple(out)
 
 
@@ -289,7 +273,7 @@ def simulate_gels(spec: SimSpec, rng) -> tuple[IntensityGrid, dict, dict]:
                 trace = trace + rng.normal(0.0, spec.noise_sd, spec.B)
             lanes[lane_idx - 1] = Lane(lane_idx, exposure * trace, is_reference=False)
 
-            key = f"{gel_id}:{lane_idx}"
+            key = lane_name((gel_id, lane_idx))
             lane_order.append(key)
             partition_labels.append(cluster + 1)
             samples[key] = {
@@ -369,11 +353,7 @@ def true_warp_values(truth: dict, gel_id: str) -> np.ndarray:
 
 
 def write_truth(truth: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(truth, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(truth, path, indent=2)
 
 
 def read_truth(path) -> dict:

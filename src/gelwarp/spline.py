@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .core import write_json
 
 ORDER = 4  # cubic with intercept
 
@@ -219,15 +220,11 @@ def warp_from_dict(d: dict) -> tuple[str, WarpField, dict]:
 
 
 def write_warp_fields(fields: dict, standardizers: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = [
         warp_to_dict(gel_id, field, standardizers[gel_id])
         for gel_id, field in sorted(fields.items())
     ]
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(payload, path, indent=2)
 
 
 def read_warp_fields(path) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line stages and the pipeline driver."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 import gelwarp
 from gelwarp.cli import (
     DEFAULT_CONFIG,
+    StageError,
+    _hash_parts,
     main,
     merge_config,
     model_config_from,
@@ -259,14 +262,16 @@ class TestStages:
         ({"n_values": [2, 99]}, r"n_values: 99 is not an integer in 2\.\.6"),
         ({"n_values": [2.5]}, r"n_values: 2\.5 is not an integer in 2\.\.6"),
         ({"draw_thin": 0}, r"draw_thin must be an integer >= 1, got 0"),
+        ({"nboot": 0}, r"nboot must be an integer >= 1, got 0"),
     ])
     def test_cluster_settings_rejected_before_any_output(self, workdir, settings, message):
         run_dir = workdir / "run"
         out = workdir / "clusters_rejected"
         with pytest.raises(ValueError, match=message):
             stage_cluster(run_dir / "exact.csv", workdir / "sim" / "manifest.json", out,
-                          nboot=5, seed=7, zmap_path=run_dir / "posterior" / "zmap.json",
-                          aligned_path=run_dir / "aligned.csv", **settings)
+                          **{"nboot": 5, **settings}, seed=7,
+                          zmap_path=run_dir / "posterior" / "zmap.json",
+                          aligned_path=run_dir / "aligned.csv")
         assert not out.exists()
 
     def test_cluster_subcommand_n_values_and_thin(self, workdir):
@@ -361,6 +366,33 @@ class TestPipeline:
         assert msg in capsys.readouterr().err
         assert not Path(cfg["out"]).exists()
 
+    @pytest.mark.parametrize("section,key,value,msg", [
+        ("inputs", "traces", "missing.csv", "inputs.traces: no file"),
+        ("inputs", "manifest", "missing.json", "inputs.manifest: no file"),
+        ("inputs", "truth", "missing.json", "inputs.truth: no file"),
+        ("detect", "h", 8.5, "detect: neighbor offset h must be an integer"),
+        ("detect", "standardize", "zscore", "detect.standardize must be one of"),
+        ("dewarp", "burnin", 300, "dewarp: need 0 <= burnin < iterations"),
+        ("align", "z_source", "best", "align.z_source must be 'map' or 'sample:k'"),
+        ("align", "z_source", "sample:-1", "align.z_source must be 'map' or 'sample:k'"),
+        ("cluster", "nboot", 0, "cluster.nboot must be an integer >= 1"),
+        ("cluster", "draw_thin", 0.5, "cluster.draw_thin must be an integer >= 1"),
+        ("cluster", "n_values", [1, 3], "cluster.n_values: 1 is not an integer >= 2"),
+        ("cluster", "n_values", 4, "cluster.n_values must be a list or null"),
+    ])
+    def test_bad_setting_fails_before_first_stage(self, workdir, capsys,
+                                                  section, key, value, msg):
+        cfg = json.loads((workdir / "pipe.json").read_text())
+        cfg["out"] = str(workdir / f"run_bad_{key}")
+        if section == "inputs":
+            value = str(workdir / value)
+        cfg[section] = dict(cfg.get(section, {}), **{key: value})
+        path = workdir / f"pipe_bad_{key}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 1
+        assert msg in capsys.readouterr().err
+        assert not Path(cfg["out"]).exists()
+
     def test_resume_reruns_cluster_when_draws_change(self, workdir, capsys):
         # thinning the saved draws rewrites zmap.json but keeps the MAP
         # assignments, so exact.csv keeps its bytes; the cluster stage reads
@@ -448,3 +480,33 @@ class TestPlotdata:
         a = (plotdir / "fig_quality.csv").read_bytes()
         b = (workdir / "run" / "clusters" / "metrics.csv").read_bytes()
         assert a == b
+
+
+def test_hash_parts_reads_only_paths(tmp_path):
+    f = tmp_path / "traces.csv"
+    f.write_bytes(b"gel_id,lane,bin,intensity\n")
+    def digest(data):
+        return hashlib.sha256(data + b"\x00").hexdigest()
+
+    assert _hash_parts("detect", f) == digest(f.read_bytes())
+    # a str naming an existing file is still a setting, hashed as JSON text
+    assert _hash_parts("detect", str(f)) == digest(json.dumps(str(f)).encode())
+    with pytest.raises(StageError, match=r"stage detect: missing input file .*nope\.csv"):
+        _hash_parts("detect", tmp_path / "nope.csv")
+
+
+def test_json_artifacts_sorted_with_one_newline(workdir):
+    def sorted_pairs(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    paths = sorted((workdir / "sim").rglob("*.json")) + sorted((workdir / "run").rglob("*.json"))
+    names = {p.name for p in paths}
+    assert {"manifest.json", "truth.json", "peaks_raw.json", "refmaps.json", "warp.json",
+            "zmap.json", "landmarks.json", "summary.json", "confidence.json",
+            "hashes.json"} <= names
+    for path in paths:
+        text = path.read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n"), path
+        json.loads(text, object_pairs_hook=sorted_pairs)

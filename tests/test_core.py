@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import warnings
 
 import numpy as np
@@ -14,9 +15,12 @@ from gelwarp.core import (
     LandmarkGrid,
     Standardizer,
     fit_standardizer,
+    lane_name,
+    parse_lane_name,
     read_manifest,
     read_traces_csv,
     standardize_intensities,
+    write_json,
     write_manifest,
     write_traces_csv,
 )
@@ -331,3 +335,19 @@ class TestTraceIO:
         path.write_text('{"G1": {"masked_intervals": [[0.9, 0.2]]}}')
         with pytest.raises(ValueError, match="masked interval"):
             read_manifest(path)
+
+
+class TestNamesAndJson:
+    @pytest.mark.parametrize("key", [("g1", 2), ("run:2024:a", 11), (":", 1)])
+    def test_lane_name_round_trip(self, key):
+        assert lane_name(key) == f"{key[0]}:{key[1]}"
+        assert parse_lane_name(lane_name(key)) == key
+
+    @pytest.mark.parametrize("indent", [None, 1, 2])
+    def test_write_json(self, tmp_path, indent):
+        payload = {"b": [1.5, {"z": None, "a": "x"}], "a": 1}
+        path = tmp_path / "new" / "dir" / "out.json"
+        write_json(payload, path, indent=indent)
+        text = path.read_text()
+        assert text == json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+        assert json.loads(text) == payload

@@ -41,16 +41,11 @@ class TestHelpers:
             assert all(b - a >= 3 for a, b in zip(sig, sig[1:]))
             assert all(abs(ell - 22) >= 3 for ell in sig)
 
-    def test_random_signatures_cross_separation(self):
-        rng = np.random.default_rng(1)
-        sigs = random_signatures(4, 3, 50, rng, min_sep=3, cross_sep=3)
-        flat = sorted(ell for sig in sigs for ell in sig)
-        assert all(b - a >= 3 for a, b in zip(flat, flat[1:]))
-
     def test_random_signatures_infeasible(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError, match="could not draw"):
-            random_signatures(10, 4, 20, rng, min_sep=3, cross_sep=3)
+        # (1, 4, 7) is the only 3-band signature on 7 landmarks at min_sep 3
+        with pytest.raises(ValueError, match="could not draw 2 distinct"):
+            random_signatures(2, 3, 7, rng, min_sep=3)
 
 
 def small_spec(**kw):
