@@ -21,7 +21,6 @@ import numpy as np
 
 from .cluster import (
     bootstrap_confidence,
-    check_count,
     check_n_values,
     distance_matrix,
     hclust_complete,
@@ -35,6 +34,7 @@ from .core import (
     STANDARDIZE_METHODS,
     LandmarkGrid,
     Standardizer,
+    check_int,
     lane_name,
     read_manifest,
     read_traces_csv,
@@ -143,8 +143,8 @@ def check_config(cfg: dict) -> None:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"dewarp: {exc}") from None
     parse_z_source(cfg["align"]["z_source"], "align.z_source")
-    check_count(cfg["cluster"]["nboot"], "cluster.nboot")
-    check_count(cfg["cluster"]["draw_thin"], "cluster.draw_thin")
+    check_int(cfg["cluster"]["nboot"], "cluster.nboot", 1)
+    check_int(cfg["cluster"]["draw_thin"], "cluster.draw_thin", 1)
     check_n_values(cfg["cluster"]["n_values"])
 
 
@@ -309,8 +309,8 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     if len(lane_keys) < 2:
         raise ValueError("need at least two sample lanes to cluster")
     n_values = check_n_values(n_values, len(lane_keys))
-    check_count(draw_thin, "cluster.draw_thin")
-    check_count(nboot, "cluster.nboot")
+    check_int(draw_thin, "cluster.draw_thin", 1)
+    check_int(nboot, "cluster.nboot", 1)
 
     D = distance_matrix(grid)
     dend = hclust_complete(D)
@@ -366,17 +366,21 @@ def _write_merge_table(dend, conf: dict, path) -> None:
 
 def stage_plotdata(run_dir, out_dir) -> Path:
     run = Path(run_dir)
+    metrics = run / "clusters" / "metrics.csv"
+    zmap_path = run / "posterior" / "zmap.json"
+    landmarks_path = run / "posterior" / "landmarks.json"
+    if not any(p.is_file() for p in (metrics, zmap_path, landmarks_path)):
+        raise ValueError(f"{run}: no run artifacts (clusters/metrics.csv, "
+                         f"posterior/zmap.json or posterior/landmarks.json)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    metrics = run / "clusters" / "metrics.csv"
     if metrics.is_file():
         (out / "fig_quality.csv").write_bytes(metrics.read_bytes())
     merge_table = run / "clusters" / "plotdata" / "fig_dendrogram.csv"
     if merge_table.is_file():
         (out / "fig_dendrogram.csv").write_bytes(merge_table.read_bytes())
 
-    zmap_path = run / "posterior" / "zmap.json"
     warp_path = run / "posterior" / "warp.json"
     if zmap_path.is_file() and warp_path.is_file():
         with open(zmap_path) as fh:
@@ -414,7 +418,6 @@ def stage_plotdata(run_dir, out_dir) -> Path:
                         ell, f"{nu[ell]:.10g}", f"{prob:.10g}",
                     ])
 
-    landmarks_path = run / "posterior" / "landmarks.json"
     if landmarks_path.is_file():
         with open(landmarks_path) as fh:
             lpayload = json.load(fh)

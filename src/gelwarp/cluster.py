@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid, lane_name, write_json
+from .core import GelTrace, IntensityGrid, check_int, lane_name, write_json
 from .exactalign import exact_align
 from .peakdetect import PeakTable
 
@@ -254,7 +254,7 @@ def bootstrap_confidence(grid: IntensityGrid, n_boot: int, rng) -> dict:
     reproduce each original subtree's exact leaf set is reported, keyed by
     the sorted tuple of lane keys.
     """
-    check_count(n_boot, "cluster.nboot")
+    check_int(n_boot, "cluster.nboot", 1)
     D0 = distance_matrix(grid)
     dend0 = hclust_complete(D0)
     targets = [s for s in dend0.leaf_sets() if 1 < len(s) < dend0.n_leaves]
@@ -291,13 +291,6 @@ def check_n_values(n_values, N: int | None = None):
     return list(n_values)
 
 
-def check_count(value, name: str) -> int:
-    """``value`` if it is an integer >= 1; otherwise an error naming ``name``."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def partition_scores(D: DistanceMatrix, dend: Dendrogram, n_values, truth=None):
     """Silhouettes and, given a true partition, adjusted Rand indices of
     ``dend`` cut at each n in ``n_values``; the ARI list is None without
@@ -330,7 +323,7 @@ def posterior_clustering_summary(
     keys = list(z_draws.keys())
     if not keys:
         raise ValueError("no assignment draws given")
-    thin = check_count(thin, "cluster.draw_thin")
+    thin = check_int(thin, "cluster.draw_thin", 1)
     draws = [np.asarray(z_draws[key], dtype=int) for key in keys]
     K = len(draws[0])
     n_values = check_n_values(n_values, len(grid.lane_keys(include_reference=False)))

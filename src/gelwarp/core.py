@@ -24,6 +24,16 @@ class GelwarpWarning(UserWarning):
     """Non-fatal data issue (degenerate lane, weakly identified gel, ...)."""
 
 
+def check_int(value, name: str, lo: int | None = None):
+    """``value`` if it is an integer (a numpy integer counts, a bool does not)
+    and, given ``lo``, at least ``lo``; otherwise an error naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (lo is not None and value < lo)):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LandmarkGrid:
     """Equi-spaced candidate band positions nu_0 < ... < nu_{L+1} on [0, 1].

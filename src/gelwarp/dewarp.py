@@ -38,6 +38,7 @@ from .core import (
     GelwarpWarning,
     LandmarkGrid,
     Standardizer,
+    check_int,
     fit_standardizer,
     lane_name,
     parse_lane_name,
@@ -82,6 +83,11 @@ class ModelConfig:
     restart_sweeps: int = 600
 
     def __post_init__(self):
+        # a float such as 300.0 (say from JSON) would fail mid-run
+        for name, lo in (("L", None), ("T_nu", None), ("T_u", None), ("iterations", 1),
+                         ("burnin", 0), ("thin", 1), ("seed", 0), ("restarts", 1),
+                         ("restart_sweeps", 1)):
+            check_int(getattr(self, name), name, lo)
         if self.L < 2:
             raise ValueError("need L >= 2 landmarks")
         if self.T_nu < 4 or self.T_u < 4:
@@ -92,12 +98,8 @@ class ModelConfig:
                 f"A_0 = {self.a0_value} narrower than two landmark spacings "
                 f"{2.0 / (self.L + 1)}"
             )
-        if not (0 <= self.burnin < self.iterations):
+        if self.burnin >= self.iterations:
             raise ValueError("need 0 <= burnin < iterations")
-        if self.thin < 1:
-            raise ValueError("thin >= 1 required")
-        if self.restarts < 1 or self.restart_sweeps < 1:
-            raise ValueError("restarts >= 1 and restart_sweeps >= 1 required")
 
     @property
     def a0_value(self) -> float:
@@ -473,7 +475,7 @@ class DewarpModel:
         lanes of all gels go through one numpy pass over the padded grid.
         The order and window constraints hold by construction.
         """
-        W = cs.W[0] if len(cs.W) == 1 else np.concatenate(cs.W, axis=1)
+        W = np.concatenate(cs.W, axis=1)
         # log weights over landmarks 1..L (W has rows 0..L+1), then the
         # forward prefix sums in place
         A = self._T_pad - W[1:-1].T
@@ -598,15 +600,12 @@ class DewarpModel:
             rng,
         )
         for gi in range(len(self.gels)):
-            beta = cs.beta[gi]
-            d = np.diff(beta[: cfg.T_nu - 1, 0]) - self.id_incr
+            dd, ssq = self._rw_sums(cs.beta[gi])
             cs.sigma_g1_2[gi] = _draw_invgamma(
                 SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
-                SIGMA_RATE + 0.5 * float(d @ d),
+                SIGMA_RATE + 0.5 * dd,
                 rng,
             )
-            inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
-            ssq = np.sum(inc * inc, axis=1)
             # one gamma draw per free row, from the same stream as row-by-row calls
             cs.sigma_gs_2[gi][:] = (SIGMA_RATE + 0.5 * ssq) / rng.gamma(
                 SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
@@ -685,6 +684,14 @@ class DewarpModel:
             bad += 1
         return bad
 
+    def _rw_sums(self, beta: np.ndarray) -> tuple[float, np.ndarray]:
+        """A gel's random-walk prior sums: d.d for the first column's
+        increments about the identity's, and each free row's sum of squared
+        increments across lanes."""
+        d = np.diff(beta[: self.cfg.T_nu - 1, 0]) - self.id_incr
+        inc = np.diff(beta[1 : self.cfg.T_nu - 1, :], axis=1)
+        return float(d @ d), np.sum(inc * inc, axis=1)
+
     def log_joint_components(self, cs: _ChainState) -> dict:
         cfg = self.cfg
         if self.count_violations(cs) > 0:
@@ -695,6 +702,14 @@ class DewarpModel:
         se2 = cs.sigma_eps2
         lik = 0.0
         z_prior = 0.0
+        beta_prior = 0.0
+        hyper = _log_invgamma(cs.tau, TAU_SHAPE, TAU_RATE)
+        hyper += _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
+        # half-normal over lambda
+        hyper += float(
+            np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(cs.tau)
+                   - cs.lam**2 / (2.0 * cs.tau))
+        )
         log_lam_sum = log(cs.lam_sum)
         for gi, gel in enumerate(self.gels):
             r = gel.T_flat - cs.mu[gi]
@@ -705,30 +720,16 @@ class DewarpModel:
             z_prior += float(np.sum(np.log(cs.lam[cs.Z[gi] - 1])))
             z_prior -= gel.n_peaks * log_lam_sum
 
-        beta_prior = 0.0
-        for gi in range(len(self.gels)):
-            beta = cs.beta[gi]
             v1 = cs.sigma_g1_2[gi]
-            d = np.diff(beta[: cfg.T_nu - 1, 0]) - self.id_incr
-            beta_prior += -0.5 * float(d @ d) / v1 - 0.5 * (cfg.T_nu - 2) * (
-                LOG_2PI + log(v1)
-            )
-            inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
             vgs = cs.sigma_gs_2[gi]
-            beta_prior += float(
-                np.sum(-0.5 * np.sum(inc * inc, axis=1) / vgs)
-            ) - 0.5 * (cfg.T_u - 1) * float(np.sum(LOG_2PI + np.log(vgs)))
+            dd, ssq = self._rw_sums(cs.beta[gi])
+            beta_prior += -0.5 * dd / v1 - 0.5 * (cfg.T_nu - 2) * (LOG_2PI + log(v1))
+            beta_prior += float(np.sum(-0.5 * ssq / vgs)) - 0.5 * (cfg.T_u - 1) * float(
+                np.sum(LOG_2PI + np.log(vgs))
+            )
 
-        hyper = _log_invgamma(cs.tau, TAU_SHAPE, TAU_RATE)
-        hyper += _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
-        # half-normal over lambda
-        hyper += float(
-            np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(cs.tau)
-                   - cs.lam**2 / (2.0 * cs.tau))
-        )
-        for gi in range(len(self.gels)):
-            hyper += _log_invgamma(cs.sigma_g1_2[gi], SIGMA_SHAPE, SIGMA_RATE)
-            for v in cs.sigma_gs_2[gi]:
+            hyper += _log_invgamma(v1, SIGMA_SHAPE, SIGMA_RATE)
+            for v in vgs:
                 hyper += _log_invgamma(float(v), SIGMA_SHAPE, SIGMA_RATE)
         total = lik + z_prior + beta_prior + hyper
         return {
@@ -767,7 +768,12 @@ def stationarity_check(trace: np.ndarray) -> tuple[bool, dict]:
 
 @dataclass
 class MCMCResult:
-    """Thinned chain plus posterior summaries and serialization context."""
+    """Thinned chain plus posterior summaries and serialization context.
+
+    The saved assignments are one (K, P) array over every peak in lane_keys
+    order; z_draws[key] is the lane's column view of it.  One count table
+    over (peak, landmark) gives z_marginals (counts / K), z_map (their
+    argmax) and landmark_probs (the lane's rows summed, / K)."""
 
     cfg: ModelConfig
     lane_keys: list
@@ -788,51 +794,48 @@ class MCMCResult:
     standardizers: dict
 
 
-def _summarize(model: DewarpModel, peaks: PeakTable, snapshots: list,
-               lj: list, violations: int, accept: float) -> MCMCResult:
+def _summarize(model: DewarpModel, peaks: PeakTable, draws: list,
+               violations: int, accept: float) -> MCMCResult:
+    """Posterior summaries from the saved draws, one (Z, beta, lambda, log
+    joint) tuple per kept sweep, with Z over every peak in lane_key_list
+    order."""
     cfg = model.cfg
-    K = len(snapshots)
-    L = cfg.L
+    K = len(draws)
+    L2 = cfg.L + 2
+    Z, betas, lambda_draws, trace = map(np.array, zip(*draws))
+    P = Z.shape[1]
+    # one count table over (peak, landmark); a lane's assignments strictly
+    # increase, so summing its rows counts each landmark at most once a draw
+    counts = np.bincount((Z + np.arange(P) * L2).ravel(), minlength=P * L2).reshape(P, L2)
+    marginals = counts / K
+    z_map_all = np.argmax(marginals, axis=1)
 
     lane_keys = list(model.lane_key_list)
     peak_locations = {}
     peak_bins = {}
-    for gel_id, lane in lane_keys:
-        lane_pk = peaks.lane_peaks(gel_id, lane)
-        peak_locations[(gel_id, lane)] = np.array([p.location for p in lane_pk])
-        peak_bins[(gel_id, lane)] = np.array([p.bin for p in lane_pk], dtype=int)
-
     z_draws = {}
     z_marginals = {}
     z_map = {}
     landmark_probs = {}
-    for gi, gel in enumerate(model.gels):
-        for k, lane in enumerate(gel.lanes):
-            start, end = gel.lane_slices[k]
-            draws = np.stack([snap["Z"][gi][start:end] for snap in snapshots])
-            key = (gel.gel_id, lane)
-            z_draws[key] = draws
-            J = end - start
-            marg = np.zeros((J, L + 2))
-            for j in range(J):
-                marg[j, :] = np.bincount(draws[:, j], minlength=L + 2) / K
-            z_marginals[key] = marg
-            z_map[key] = np.argmax(marg, axis=1).astype(int)
-            hit = np.any(
-                draws[:, :, None] == np.arange(1, L + 1)[None, None, :], axis=1
-            )
-            landmark_probs[key] = hit.mean(axis=0)
+    end = 0
+    for key in lane_keys:
+        lane_pk = peaks.lane_peaks(*key)
+        peak_locations[key] = np.array([p.location for p in lane_pk])
+        peak_bins[key] = np.array([p.bin for p in lane_pk], dtype=int)
+        start, end = end, end + len(lane_pk)
+        z_draws[key] = Z[:, start:end]
+        z_marginals[key] = marginals[start:end]
+        z_map[key] = z_map_all[start:end]
+        landmark_probs[key] = counts[start:end, 1:-1].sum(axis=0) / K
 
-    lambda_draws = np.stack([snap["lam"] for snap in snapshots])
     lam_star = lambda_draws / lambda_draws.sum(axis=1, keepdims=True)
     presence = np.mean(1.0 - np.exp(-lam_star), axis=0)
 
     beta_mean = {}
     standardizers = {"axis": model.axis.to_dict(), "lane": {}}
     for gi, gel in enumerate(model.gels):
-        mean_beta = np.mean(np.stack([snap["beta"][gi] for snap in snapshots]), axis=0)
         beta_mean[gel.gel_id] = WarpField(
-            beta=mean_beta, basis_nu=model.basis_nu,
+            beta=betas[:, gi].mean(axis=0), basis_nu=model.basis_nu,
             basis_u=gel.basis_u, bounds=model.bounds,
         )
         standardizers["lane"][gel.gel_id] = {
@@ -841,7 +844,6 @@ def _summarize(model: DewarpModel, peaks: PeakTable, snapshots: list,
             "u_std": gel.u_std.tolist(),
         }
 
-    trace = np.asarray(lj)
     ok, detail = stationarity_check(trace)
     return MCMCResult(
         cfg=cfg, lane_keys=lane_keys, peak_locations=peak_locations,
@@ -852,14 +854,6 @@ def _summarize(model: DewarpModel, peaks: PeakTable, snapshots: list,
         lambda_accept=accept, stationary=ok, stationary_detail=detail,
         standardizers=standardizers,
     )
-
-
-def _snapshot(cs: _ChainState) -> dict:
-    return {
-        "Z": [z.copy() for z in cs.Z],
-        "beta": [b.copy() for b in cs.beta],
-        "lam": cs.lam.copy(),
-    }
 
 
 def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
@@ -931,18 +925,15 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig, check_every: int = 1) -> MCMCRe
         cs, v0 = _explore_restarts(model, cfg)
         violations += v0
     accept_sum = 0.0
-    snapshots = []
-    lj = []
+    draws = []
     for it in range(cfg.iterations):
         accept_sum += model.sweep(cs, rng)
         if check_every and it % check_every == 0:
             violations += model.count_violations(cs)
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            snapshots.append(_snapshot(cs))
-            lj.append(model.log_joint(cs))
-    result = _summarize(model, peaks, snapshots, lj, violations,
-                        accept_sum / cfg.iterations)
-    return result
+            draws.append((np.concatenate(cs.Z), np.array(cs.beta), cs.lam.copy(),
+                          model.log_joint(cs)))
+    return _summarize(model, peaks, draws, violations, accept_sum / cfg.iterations)
 
 
 def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
@@ -972,8 +963,7 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     idx = np.unique(np.linspace(0, stored.shape[0] - 1, n_use).astype(int))
 
     model = DewarpModel(new_peaks, cfg)
-    snapshots = []
-    lj = []
+    draws = []
     violations = 0
     for chain_i, k in enumerate(idx):
         rng = np.random.default_rng(cfg.seed + 1000 + chain_i)
@@ -984,9 +974,9 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
             model.sweep(cs, rng, fix_lambda=True)
             violations += model.count_violations(cs)
             if it >= burnin:
-                snapshots.append(_snapshot(cs))
-                lj.append(model.log_joint(cs))
-    return _summarize(model, new_peaks, snapshots, lj, violations, 0.0)
+                draws.append((np.concatenate(cs.Z), np.array(cs.beta), cs.lam.copy(),
+                              model.log_joint(cs)))
+    return _summarize(model, new_peaks, draws, violations, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityGrid, write_json
+from .core import IntensityGrid, check_int, write_json
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class PeakConfig:
 
     def __post_init__(self):
         # h indexes bins; a float such as 8.0 (say from JSON) would fail later
-        if isinstance(self.h, bool) or not isinstance(self.h, (int, np.integer)):
-            raise ValueError(f"neighbor offset h must be an integer, got {self.h!r}")
+        check_int(self.h, "neighbor offset h")
         if self.h < 1:
             raise ValueError(f"neighbor offset h must be >= 1, got {self.h}")
         if self.c0 < 0:

@@ -379,6 +379,8 @@ class TestPipeline:
         ("cluster", "draw_thin", 0.5, "cluster.draw_thin must be an integer >= 1"),
         ("cluster", "n_values", [1, 3], "cluster.n_values: 1 is not an integer >= 2"),
         ("cluster", "n_values", 4, "cluster.n_values must be a list or null"),
+        ("dewarp", "iterations", 300.0, "dewarp: iterations must be an integer >= 1, got 300.0"),
+        ("cluster", "nboot", True, "cluster.nboot must be an integer >= 1, got True"),
     ])
     def test_bad_setting_fails_before_first_stage(self, workdir, capsys,
                                                   section, key, value, msg):
@@ -475,6 +477,15 @@ class TestPlotdata:
             parts = r.split(",")
             assert 1 <= int(parts[4]) <= 30
             assert 0.0 <= float(parts[6]) <= 1.0
+
+    def test_no_run_artifacts_fails_and_writes_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty_run"
+        empty.mkdir()
+        for run_dir in (empty, tmp_path / "typo_dir"):
+            assert main(["plotdata", "--run", str(run_dir)]) == 1
+            assert f"{run_dir}: no run artifacts" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [empty]
+        assert list(empty.iterdir()) == []
 
     def test_quality_matches_metrics(self, workdir, plotdir):
         a = (plotdir / "fig_quality.csv").read_bytes()

@@ -78,6 +78,15 @@ class TestModelConfig:
             ModelConfig(L=10, a0=0.05)
         with pytest.raises(ValueError, match="burnin"):
             ModelConfig(iterations=100, burnin=100)
+        # integer settings: a JSON float or bool names the setting up front
+        with pytest.raises(ValueError, match=r"iterations must be an integer >= 1, got 300\.0"):
+            ModelConfig(iterations=300.0)
+        with pytest.raises(ValueError, match=r"L must be an integer, got 20\.0"):
+            ModelConfig(L=20.0)
+        with pytest.raises(ValueError, match="restarts must be an integer >= 1, got True"):
+            ModelConfig(restarts=True)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+            ModelConfig(seed=-1)
 
 
 class TestTruncNormal:
@@ -701,6 +710,24 @@ class TestSignatures:
             signatures({("G1", 1): [0, 2]}, 4)
 
 
+def assert_summaries_match_draws(res):
+    """Recompute each lane's summaries from its own draws: one bincount per
+    peak for the marginals, their argmax for the MAP, and every draw
+    broadcast against every landmark for the hit probabilities."""
+    L = res.cfg.L
+    K = len(res.lambda_draws)
+    for key in res.lane_keys:
+        draws = res.z_draws[key]
+        assert draws.shape[0] == K
+        marg = np.stack([np.bincount(col, minlength=L + 2) for col in draws.T]) / K
+        assert np.array_equal(res.z_marginals[key], marg)
+        assert np.array_equal(res.z_map[key], marg.argmax(axis=1))
+        hit = np.any(draws[:, :, None] == np.arange(1, L + 1)[None, None, :], axis=1)
+        assert np.array_equal(res.landmark_probs[key], hit.mean(axis=0))
+    lam_star = res.lambda_draws / res.lambda_draws.sum(axis=1, keepdims=True)
+    assert np.array_equal(res.presence, np.mean(1.0 - np.exp(-lam_star), axis=0))
+
+
 @pytest.fixture(scope="module")
 def small_run():
     peaks, truth = two_gel_peaks(seed=4)
@@ -723,6 +750,16 @@ class TestRunMCMC:
             assert res.z_map[key].shape == (J,)
             assert res.z_marginals[key].shape == (J, cfg.L + 2)
             assert np.all(np.diff(res.z_map[key]) > 0)
+
+    def test_summaries_match_per_lane_oracle(self, small_run):
+        peaks, cfg, res, _ = small_run
+        assert_summaries_match_draws(res)
+        # the draws of several conditional chains, summarized together
+        held = peaks.filter(lambda p: p.gel_id == "g2")
+        out = align_new_gel(held, res.lambda_draws, cfg,
+                            lambda_budget=3, iterations=40, burnin=20)
+        assert len(out.log_joint_trace) == 3 * 20
+        assert_summaries_match_draws(out)
 
     def test_beta_mean_is_valid_field(self, small_run):
         _, _, res, _ = small_run
