@@ -9,9 +9,11 @@ vector lambda that shrinks assignments toward recurrent bands.
 The sampler is a systematic-scan Gibbs sweep: a blocked draw of each
 lane's whole assignment vector Z from its full conditional by forward
 filtering, backward sampling (Carter & Kohn 1994), with all lanes of all
-gels in one vectorized pass, univariate truncated-normal full conditionals
-for the free spline coefficients, conjugate inverse-gamma updates for the
-variances, and a per-coordinate random-walk Metropolis step on log lambda.
+gels in one vectorized pass over each peak's band of admissible landmarks
+(its window |T - nu| < A_0, not all L), univariate truncated-normal full
+conditionals for the free spline coefficients, conjugate inverse-gamma
+updates for the variances, and a per-coordinate random-walk Metropolis step
+on log lambda.
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: TAU_SHAPE and TAU_RATE for the inverse-gamma prior on the
@@ -92,6 +94,12 @@ class ModelConfig:
             raise ValueError("need L >= 2 landmarks")
         if self.T_nu < 4 or self.T_u < 4:
             raise ValueError("cubic bases need T_nu >= 4 and T_u >= 4")
+        # a JSON true would read as 1.0, a window over the whole gel
+        if self.a0 is not None and (
+                isinstance(self.a0, bool)
+                or not isinstance(self.a0, (int, float, np.integer, np.floating))
+                or not math.isfinite(self.a0)):
+            raise ValueError(f"a0 must be a finite number, got {self.a0!r}")
         # window must span at least two landmarks or assignments degenerate
         if self.a0_value < 2.0 / (self.L + 1) - 1e-12:
             raise ValueError(
@@ -315,15 +323,27 @@ class DewarpModel:
         self._init_lane_grid()
 
     def _init_lane_grid(self) -> None:
-        """Padded (Jmax, N) grid for the blocked Z draw and the flattened
-        per-peak arrays for the violation counter.
+        """Padded (Jmax, N) grid and landmark bands for the blocked Z draw,
+        and the flattened per-peak arrays for the violation counter.
 
         Lanes are columns in lane_key_list order, and each lane's peaks are
         left-aligned in its column; gel.slot maps the gel's T_flat order
-        onto the flattened grid.  The additive log mask over the L
-        landmarks is 0 inside a peak's window and -inf elsewhere, on every
-        padded slot, and below landmark j+1 for the (j+1)-th peak: the
-        forward pass gives landmark 1 no predecessor."""
+        onto the flattened grid.  Slot (j, n) covers a band of Wb landmarks,
+        Wb the widest window, after band0: the landmark just below the
+        window, clamped to L - Wb so the band ends by landmark L.  Band
+        column 0 is a -inf sentinel and column c holds landmark band0 + c.
+        The additive log mask is 0 inside the window and -inf elsewhere, on
+        the sentinel, on every padded slot, and below landmark j+1 for the
+        (j+1)-th peak, which leaves landmark 1 no predecessor.
+
+        _shift[j - 1] maps every column of slot j onto the flat (N, Wb + 1)
+        index of slot j-1's column for the landmark just below: the
+        sentinel when that lies left of j-1's band, the last column (whose
+        prefix sum holds through landmark L) when it lies right of it.  On a
+        padded slot every entry is the last column.  The forward pass adds
+        the prefix sums it picks out, and the backward pass reads peak j-1's
+        bound from it at peak j's drawn column.  No array spans all L
+        landmarks per slot."""
         L = self.cfg.L
         J = np.array([end - start for g in self.gels for start, end in g.lane_slices])
         N, Jmax = J.size, int(J.max())
@@ -341,12 +361,21 @@ class DewarpModel:
             lo_pad.flat[gel.slot] = np.maximum(gel.wlo, j + 1)
             hi_pad.flat[gel.slot] = gel.whi
             offset += len(gel.lanes)
-        ell = np.arange(1, L + 1)
+        Wb = max(int((hi_pad - lo_pad).max()) + 1, 1)
+        band0 = np.minimum(lo_pad - 1, L - Wb)
+        ell = band0[:, :, None] + np.arange(Wb + 1)  # landmark of each column
         inside = (ell >= lo_pad[:, :, None]) & (ell <= hi_pad[:, :, None])
+        below = np.clip(ell[1:] - 1 - band0[:-1, :, None], 0, Wb)
+        below[np.arange(1, Jmax)[:, None] >= J] = Wb
         self._T_pad = T_pad[:, :, None]
-        self._log_window = np.where(inside, 0.0, -np.inf)
-        self._lane_rows = np.arange(N)
-        self._last_flat = ((J - 1) * N + self._lane_rows) * L + (L - 1)
+        self._w_flat = ell * N + np.arange(N)[:, None]  # into the (L + 2, N) warped landmarks
+        self._lam_idx = np.maximum(ell - 1, 0)  # a sentinel at landmark 0 is masked
+        self._window_mask = np.where(inside, 0.0, -np.inf)
+        self._band0 = band0
+        self._band_rows = np.arange(N) * (Wb + 1)
+        self._shift = self._band_rows[:, None] + below
+        self._top = self._band_rows + Wb
+        self._last_prefix = (J - 1) * N * (Wb + 1) + self._top
         # violation counter: the peaks of all gels end to end
         lane_of = np.concatenate(lane_of)
         self._pair_lane = lane_of[1:]
@@ -474,41 +503,48 @@ class DewarpModel:
         the log prefix sums.  Lanes are conditionally independent, so all
         lanes of all gels go through one numpy pass over the padded grid.
         The order and window constraints hold by construction.
+
+        Each slot works on its band of Wb landmarks (see _init_lane_grid),
+        so a pass costs O(Jmax N Wb), not O(Jmax N L).  A_j is -inf below
+        the window and constant above it, and logaddexp(-inf, x) and
+        logaddexp(x, -inf) are exactly x, so the band's prefix sums and
+        draws equal those over all L landmarks bit for bit.
         """
         W = np.concatenate(cs.W, axis=1)
-        # log weights over landmarks 1..L (W has rows 0..L+1), then the
-        # forward prefix sums in place
-        A = self._T_pad - W[1:-1].T
+        # log weights over each slot's band, then the forward prefix sums
+        # in place
+        A = self._T_pad - W.take(self._w_flat)
         A *= A
         A *= -0.5 / cs.sigma_eps2
-        A += np.log(cs.lam)
-        A += self._log_window
+        A += np.log(cs.lam).take(self._lam_idx)
+        A += self._window_mask
         np.logaddexp.accumulate(A[0], axis=1, out=A[0])
         for j in range(1, A.shape[0]):
-            A[j, :, 1:] += A[j - 1, :, :-1]
+            A[j] += A[j - 1].take(self._shift[j - 1])
             np.logaddexp.accumulate(A[j], axis=1, out=A[j])
-        last = A.take(self._last_flat)
+        last = A.take(self._last_prefix)
         if last.min() == -np.inf:
             gel_id, lane = self.lane_key_list[int(np.argmin(last))]
             raise ValueError(
                 f"infeasible window: gel {gel_id} lane {lane} has no ordered "
                 f"in-window assignment; increase A_0"
             )
-        # backward: each peak takes the first landmark whose prefix sum
+        # backward: each peak takes the first column whose prefix sum
         # reaches log(u) + (the sum up to its bound), with u uniform on
-        # (0, 1].  top is the bound's index, and -1 indexes landmark L.  A
-        # padded slot's row is all -inf, so it draws index 0 and leaves
-        # top at -1 for the lane's last real peak.
+        # (0, 1].  top is the bound's flat index in A[j], first the last
+        # column (landmark L).  A padded slot's row is all -inf, so it draws
+        # the sentinel, and its shift row leaves the bound at the last
+        # column for the lane's last real peak.
         log_u = np.log1p(-rng.random(A.shape[:2]))
         Z = np.empty(A.shape[:2], dtype=np.intp)
-        top = -1
-        rows = self._lane_rows
+        top = self._top
         for j in range(A.shape[0] - 1, -1, -1):
             Aj = A[j]
-            v = Aj[rows, top] + log_u[j]
+            v = Aj.take(top) + log_u[j]
             Z[j] = (Aj >= v[:, None]).argmax(axis=1)
-            top = Z[j] - 1
-        Z += 1
+            if j:
+                top = self._shift[j - 1].take(self._band_rows + Z[j])
+        Z += self._band0
         for gi, gel in enumerate(self.gels):
             Zg = Z.take(gel.slot)
             cs.Z[gi] = Zg
@@ -946,6 +982,9 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     Each chain runs ``iterations`` sweeps and keeps those after the first
     ``burnin``.  ``cfg`` supplies the model (L, bases, window, seed); its
     iteration, burn-in, thinning and restart settings are not used."""
+    for name, value in (("lambda_budget", lambda_budget), ("iterations", iterations),
+                        ("burnin", burnin)):
+        check_int(value, name)
     if lambda_budget < 1:
         raise ValueError(f"lambda_budget >= 1 required, got {lambda_budget}")
     if not 0 <= burnin < iterations:

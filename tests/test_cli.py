@@ -381,6 +381,9 @@ class TestPipeline:
         ("cluster", "n_values", 4, "cluster.n_values must be a list or null"),
         ("dewarp", "iterations", 300.0, "dewarp: iterations must be an integer >= 1, got 300.0"),
         ("cluster", "nboot", True, "cluster.nboot must be an integer >= 1, got True"),
+        ("dewarp", "a0", True, "dewarp: a0 must be a finite number, got True"),
+        ("dewarp", "a0", float("nan"), "dewarp: a0 must be a finite number, got nan"),
+        ("dewarp", "a0", "wide", "dewarp: a0 must be a finite number, got 'wide'"),
     ])
     def test_bad_setting_fails_before_first_stage(self, workdir, capsys,
                                                   section, key, value, msg):

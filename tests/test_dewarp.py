@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -87,6 +88,12 @@ class TestModelConfig:
             ModelConfig(restarts=True)
         with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
             ModelConfig(seed=-1)
+        # a0: true is not 1.0 (a whole-gel window), and NaN or text fails up front
+        for a0, shown in ((True, "True"), (float("nan"), "nan"), (float("inf"), "inf"),
+                          ("0.1", "'0.1'")):
+            with pytest.raises(ValueError, match=f"a0 must be a finite number, got {shown}"):
+                ModelConfig(a0=a0)
+        assert ModelConfig(L=10, a0=1).a0_value == 1
 
 
 class TestTruncNormal:
@@ -295,6 +302,138 @@ class TestZBlockedDraw:
         with pytest.raises(ValueError, match="gel G1 lane 4"):
             model.sweep_Z(cs, np.random.default_rng(0))
         assert np.array_equal(cs.Z[0], before)
+
+
+def full_grid_sweep_Z(model, cs, rng):
+    """Reference for DewarpModel.sweep_Z: the same FFBS draw run over all L
+    landmarks of every padded (Jmax, N) slot, with a -inf mask outside each
+    peak's window."""
+    L = model.cfg.L
+    J = np.array([end - start for g in model.gels for start, end in g.lane_slices])
+    N, Jmax = J.size, int(J.max())
+    T_pad = np.zeros((Jmax, N))
+    lo_pad = np.full((Jmax, N), L + 1)
+    hi_pad = np.zeros((Jmax, N), dtype=np.intp)
+    for gel in model.gels:
+        T_pad.flat[gel.slot] = gel.T_flat
+        lo_pad.flat[gel.slot] = np.maximum(gel.wlo, gel.slot // N + 1)
+        hi_pad.flat[gel.slot] = gel.whi
+    ell = np.arange(1, L + 1)
+    inside = (ell >= lo_pad[:, :, None]) & (ell <= hi_pad[:, :, None])
+    rows = np.arange(N)
+    W = np.concatenate(cs.W, axis=1)
+    A = T_pad[:, :, None] - W[1:-1].T
+    A *= A
+    A *= -0.5 / cs.sigma_eps2
+    A += np.log(cs.lam)
+    A += np.where(inside, 0.0, -np.inf)
+    np.logaddexp.accumulate(A[0], axis=1, out=A[0])
+    for j in range(1, Jmax):
+        A[j, :, 1:] += A[j - 1, :, :-1]
+        np.logaddexp.accumulate(A[j], axis=1, out=A[j])
+    assert A[J - 1, rows, L - 1].min() > -np.inf
+    log_u = np.log1p(-rng.random((Jmax, N)))
+    Z = np.empty((Jmax, N), dtype=np.intp)
+    top = -1
+    for j in range(Jmax - 1, -1, -1):
+        v = A[j, rows, top] + log_u[j]
+        Z[j] = (A[j] >= v[:, None]).argmax(axis=1)
+        top = Z[j] - 1
+    Z += 1
+    for gi, gel in enumerate(model.gels):
+        cs.Z[gi] = Z.take(gel.slot)
+        cs.mu[gi] = cs.W[gi][cs.Z[gi], gel.lane_idx]
+
+
+def chain_shaped_peaks(seed, L=50):
+    """Sample-lane peaks of the benchmark's chain shape: 2 gels x 20 lanes,
+    B = 500, three bands per signature."""
+    rng = np.random.default_rng(seed)
+    spec = SimSpec.from_dict({
+        "n_gels": 2, "lanes_per_gel": 20, "B": 500, "L": L,
+        "signatures": {"random": {"n_clusters": 20, "n_bands": 3, "min_sep": 3}},
+        "n_replicates": 2, "warp_amplitude": 1.2 / (L + 1),
+        "refwarp_amplitude": 0.01, "sigma_eps": 0.1 / (L + 1),
+    }, rng)
+    grid, _, _ = simulate_gels(spec, rng)
+    peaks = detect_peaks(standardize_intensities(grid), PeakConfig(h=8, c0=0.05))
+    ref = {(g.gel_id, ln.index) for g in grid.gels for ln in g.lanes if ln.is_reference}
+    return peaks.filter(lambda p: (p.gel_id, p.lane) not in ref)
+
+
+class TestZBandedKernel:
+    """sweep_Z works on each peak's band of admissible landmarks; its draws,
+    peak means and generator stream must equal the full-grid reference's
+    bit for bit, sweep after sweep of a running chain."""
+
+    @staticmethod
+    def widest_window(model):
+        """Most admissible landmarks of any peak: its window, and for the
+        (j+1)-th peak of a lane, landmarks above j."""
+        widths = []
+        for gel in model.gels:
+            starts = np.array([start for start, _ in gel.lane_slices])
+            j = np.arange(gel.n_peaks) - starts[gel.lane_idx]
+            widths.append(gel.whi - np.maximum(gel.wlo, j + 1) + 1)
+        return int(np.concatenate(widths).max())
+
+    def check_against_reference(self, peaks, cfg, sweeps=200, seed=0):
+        model = DewarpModel(peaks, cfg)
+        Wb = self.widest_window(model)
+        N = len(model.lane_key_list)
+        Jmax = max(end - start for g in model.gels for start, end in g.lane_slices)
+        # no (Jmax, N, L) grid: a per-slot axis spans at most the band
+        grids = {name: value.shape for name, value in vars(model).items()
+                 if isinstance(value, np.ndarray) and value.ndim == 3
+                 and value.shape[:2] in ((Jmax, N), (Jmax - 1, N))}
+        assert grids
+        for name, shape in grids.items():
+            assert shape[-1] <= Wb + 1, (name, shape)
+        cs = model.init_chain_state()
+        rng = np.random.default_rng(seed)
+        moved = 0
+        for _ in range(sweeps):
+            ref_cs, ref_rng = copy.deepcopy(cs), copy.deepcopy(rng)
+            before = np.concatenate(cs.Z)
+            full_grid_sweep_Z(model, ref_cs, ref_rng)
+            model.sweep_Z(cs, rng)
+            for got, want in zip(cs.Z, ref_cs.Z):
+                assert np.array_equal(got, want)
+            for got, want in zip(cs.mu, ref_cs.mu):
+                assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            moved += int(np.any(np.concatenate(cs.Z) != before))
+            model.sweep_beta(cs, rng)
+            model.sweep_hyper(cs, rng)
+        assert model.count_violations(cs) == 0
+        assert moved > 0
+        return model, Wb
+
+    def test_chain_shaped_two_gels(self):
+        peaks = chain_shaped_peaks(seed=1)
+        cfg = ModelConfig(L=50, T_nu=6, T_u=4, iterations=10, burnin=0)
+        model, Wb = self.check_against_reference(peaks, cfg, seed=1)
+        assert len(model.gels) == 2 and Wb < cfg.L // 4
+
+    def test_padded_lanes(self):
+        peaks = make_table(TestZBlockedDraw.LANES, B=400)
+        cfg = ModelConfig(L=8, T_nu=4, T_u=4, a0=2.2 / 9, iterations=10, burnin=0)
+        self.check_against_reference(peaks, cfg, seed=3)
+
+    def test_windows_clipped_at_both_ends(self):
+        # peaks near 0 and 1 have windows cut off at landmark 1 and at L
+        peaks = make_table({1: [0.03, 0.5, 0.96], 2: [0.05, 0.08, 0.93, 0.97]}, B=400)
+        cfg = ModelConfig(L=12, T_nu=4, T_u=4, iterations=10, burnin=0)
+        model, _ = self.check_against_reference(peaks, cfg, seed=5)
+        wlo = np.concatenate([g.wlo for g in model.gels])
+        whi = np.concatenate([g.whi for g in model.gels])
+        assert wlo.min() == 1 and whi.max() == cfg.L
+
+    def test_band_spans_all_landmarks(self):
+        peaks = make_table({1: [0.2, 0.6], 2: [0.3, 0.5, 0.8]}, B=400)
+        cfg = ModelConfig(L=6, T_nu=4, T_u=4, a0=0.9, iterations=10, burnin=0)
+        _, Wb = self.check_against_reference(peaks, cfg, seed=7)
+        assert Wb == cfg.L
 
 
 class TestBetaConditional:
@@ -844,6 +983,12 @@ class TestAlignNewGel:
             align_new_gel(peaks, np.ones((3, 5)), cfg)
         with pytest.raises(ValueError, match="lambda_budget >= 1"):
             align_new_gel(peaks, np.ones((3, 8)), cfg, lambda_budget=0)
+        for kwargs, msg in (({"lambda_budget": 2.5}, "lambda_budget must be an integer, got 2.5"),
+                            ({"iterations": 40.0}, "iterations must be an integer, got 40.0"),
+                            ({"burnin": 1.0}, "burnin must be an integer, got 1.0"),
+                            ({"burnin": True}, "burnin must be an integer, got True")):
+            with pytest.raises(ValueError, match=msg):
+                align_new_gel(peaks, np.ones((3, 8)), cfg, **kwargs)
 
     @pytest.mark.parametrize("iterations,burnin", [(10, 10), (10, 12), (10, -1)])
     def test_burnin_must_leave_draws(self, iterations, burnin):
