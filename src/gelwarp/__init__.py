@@ -35,11 +35,9 @@ from .core import (
     write_traces_csv,
 )
 from .dewarp import (
-    AlignmentState,
     MCMCResult,
     ModelConfig,
     align_new_gel,
-    initial_state,
     run_mcmc,
     signatures,
 )
@@ -52,7 +50,6 @@ from .spline import WarpField, eval_warp, eval_warp_grid, identity_warp, make_ba
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentState",
     "Dendrogram",
     "DistanceMatrix",
     "GelTrace",
@@ -85,7 +82,6 @@ __all__ = [
     "exact_align",
     "hclust_complete",
     "identity_warp",
-    "initial_state",
     "invert_warp",
     "lane_map",
     "local_score",

@@ -283,8 +283,10 @@ TRACE_COLUMNS = ("gel_id", "lane", "bin", "intensity")
 def read_manifest(path) -> dict:
     """Sidecar manifest: per-gel reference lane, reference weights, masks.
 
-    Schema: {"gel_id": {"reference_lane": int, "reference_kda": [floats],
-    "masked_intervals": [[lo, hi], ...]}}.  All fields per gel optional.
+    Schema: {"gel_id": {"reference_lane": int >= 1, "reference_kda":
+    [positive numbers], "masked_intervals": [[lo, hi], ...] with
+    0 <= lo < hi <= 1}}.  All fields per gel optional; a malformed one fails
+    with the file and the gel named.
     """
     with open(path) as f:
         manifest = json.load(f)
@@ -293,14 +295,34 @@ def read_manifest(path) -> dict:
     for gel_id, entry in manifest.items():
         if not isinstance(entry, dict):
             raise ValueError(f"manifest {path}: entry for gel {gel_id} must be an object")
-        if "reference_lane" in entry and not isinstance(entry["reference_lane"], int):
-            raise ValueError(f"manifest {path}: gel {gel_id}: reference_lane must be an integer")
-        for lo, hi in entry.get("masked_intervals", []):
+        where = f"manifest {path}: gel {gel_id}"
+        # a JSON true would flag lane 1
+        if "reference_lane" in entry:
+            check_int(entry["reference_lane"], f"{where}: reference_lane", 1)
+        # the ladder's length sets how many reference peaks refalign expects
+        kda = entry.get("reference_kda", [])
+        if not isinstance(kda, list) or not all(_is_number(w) and w > 0 for w in kda):
+            raise ValueError(f"{where}: reference_kda must be a list of positive numbers, "
+                             f"got {kda!r}")
+        intervals = entry.get("masked_intervals", [])
+        if not isinstance(intervals, list):
+            raise ValueError(f"{where}: masked_intervals must be a list of [lo, hi] pairs, "
+                             f"got {intervals!r}")
+        for interval in intervals:
+            if not (isinstance(interval, list) and len(interval) == 2
+                    and all(map(_is_number, interval))):
+                raise ValueError(f"{where}: bad masked interval {interval!r}, "
+                                 f"expected a [lo, hi] pair of numbers")
+            lo, hi = interval
             if not (0.0 <= lo < hi <= 1.0):
-                raise ValueError(
-                    f"manifest {path}: gel {gel_id}: bad masked interval [{lo}, {hi}]"
-                )
+                raise ValueError(f"{where}: bad masked interval [{lo}, {hi}]")
     return manifest
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; a bool is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 # One traces CSV row; loadtxt maps each gel id to its first-seen rank.

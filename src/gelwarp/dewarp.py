@@ -15,6 +15,13 @@ conditionals for the free spline coefficients, conjugate inverse-gamma
 updates for the variances, and a per-coordinate random-walk Metropolis step
 on log lambda.
 
+The sampler state is internal, with no public form: arrays with peaks and
+lanes in lane_key_list order, the order the draws are saved in.  Z and the
+peak means mu are (P,) over the peaks of all gels, the warped landmarks W
+are one (L + 2, N) matrix with a column per lane, beta is (G, T_nu, T_u),
+sigma_g1^2 is (G,) and sigma_gs^2 is (G, T_nu - 2); each gel holds its
+slice of the peak axis and of W's columns.
+
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: TAU_SHAPE and TAU_RATE for the inverse-gamma prior on the
 half-normal scale tau of lambda, SIGMA_SHAPE and SIGMA_RATE for the
@@ -118,21 +125,6 @@ class ModelConfig:
         return len(range(self.burnin, self.iterations, self.thin))
 
 
-@dataclass
-class AlignmentState:
-    """One draw of all unknowns.  Z maps each sample lane (gel_id, lane) to
-    its per-peak landmark indices; lam is the unnormalized landmark
-    frequency vector."""
-
-    Z: dict
-    lam: np.ndarray
-    tau: float
-    sigma_eps: float
-    warp_fields: dict
-    sigma_g1: dict
-    sigma_gs: dict
-
-
 def signatures(Z: dict, L: int) -> tuple[list, np.ndarray]:
     """Binary N x L matrix: row per lane (sorted keys), 1 where a landmark
     is hit by some peak."""
@@ -207,7 +199,8 @@ def _trunc_normal(mean: float, sd: float, lo: float, hi: float, u: float, rng) -
 @dataclass(slots=True, eq=False)
 class _GelData:
     """Flattened per-gel peak arrays and design matrices.  wlo..whi is each
-    peak's admissible landmark range; slot is set with the lane grid."""
+    peak's admissible landmark range; peaks and cols are the gel's slices of
+    the chain state's peak axis and of W's lane columns."""
 
     gel_id: str
     lanes: list
@@ -221,9 +214,10 @@ class _GelData:
     log_jfact: float
     wlo: np.ndarray
     whi: np.ndarray
+    peaks: slice
+    cols: slice
     n_peaks: int = field(init=False)
     BuP: np.ndarray = field(init=False)
-    slot: np.ndarray | None = None
 
     def __post_init__(self):
         self.n_peaks = self.T_flat.size
@@ -232,19 +226,20 @@ class _GelData:
 
 @dataclass(slots=True, eq=False)
 class _ChainState:
-    """Mutable sampler state: one beta/Z block per gel plus shared scalars.
-    W (warped landmarks) and mu (peak means) follow from beta and Z."""
+    """Mutable sampler state, in the array layout of the module docstring.
+    W (warped landmarks) and mu (peak means) follow from beta and Z; lam_sum
+    is lam's running sum."""
 
     lam: np.ndarray
     lam_sum: float
     tau: float
     sigma_eps2: float
-    beta: list = field(default_factory=list)
-    Z: list = field(default_factory=list)
-    sigma_g1_2: list = field(default_factory=list)
-    sigma_gs_2: list = field(default_factory=list)
-    W: list = field(default_factory=list)
-    mu: list = field(default_factory=list)
+    beta: np.ndarray
+    Z: np.ndarray
+    sigma_g1_2: np.ndarray
+    sigma_gs_2: np.ndarray
+    W: np.ndarray
+    mu: np.ndarray
 
 
 class DewarpModel:
@@ -282,6 +277,7 @@ class DewarpModel:
 
         self.gels: list[_GelData] = []
         gel_ids = sorted({p.gel_id for p in peaks})
+        P = N = 0
         for gel_id in gel_ids:
             lanes = sorted({p.lane for p in peaks.gel_peaks(gel_id)})
             u_raw = np.array(lanes, dtype=float)
@@ -314,8 +310,10 @@ class DewarpModel:
                 gel_id, lanes, u_std, lane_std, basis_u, Bu, T_flat,
                 np.concatenate(lane_idx_parts), slices, log_jfact,
                 wlo=np.maximum(lo, 1), whi=np.minimum(hi, cfg.L),
+                peaks=slice(P, P + start), cols=slice(N, N + len(lanes)),
             ))
-        self.n_peaks_total = sum(g.n_peaks for g in self.gels)
+            P, N = P + start, N + len(lanes)
+        self.n_peaks_total = P
         self.n_free_rows = cfg.T_nu - 2
         self.lane_key_list = [
             (g.gel_id, lane) for g in self.gels for lane in g.lanes
@@ -327,11 +325,12 @@ class DewarpModel:
         and the flattened per-peak arrays for the violation counter.
 
         Lanes are columns in lane_key_list order, and each lane's peaks are
-        left-aligned in its column; gel.slot maps the gel's T_flat order
-        onto the flattened grid.  Slot (j, n) covers a band of Wb landmarks,
-        Wb the widest window, after band0: the landmark just below the
-        window, clamped to L - Wb so the band ends by landmark L.  Band
-        column 0 is a -inf sentinel and column c holds landmark band0 + c.
+        left-aligned in its column; _slot maps the state's peak axis onto
+        the flattened grid, and _lane_of gives each peak's lane column.
+        Slot (j, n) covers a band of Wb landmarks, Wb the widest window,
+        after band0: the landmark just below the window, clamped to L - Wb
+        so the band ends by landmark L.  Band column 0 is a -inf sentinel
+        and column c holds landmark band0 + c.
         The additive log mask is 0 inside the window and -inf elsewhere, on
         the sentinel, on every padded slot, and below landmark j+1 for the
         (j+1)-th peak, which leaves landmark 1 no predecessor.
@@ -347,20 +346,19 @@ class DewarpModel:
         L = self.cfg.L
         J = np.array([end - start for g in self.gels for start, end in g.lane_slices])
         N, Jmax = J.size, int(J.max())
+        # the peaks of all gels end to end, lane after lane
+        lane_of = np.repeat(np.arange(N), J)
+        j = np.arange(lane_of.size) - (np.cumsum(J) - J)[lane_of]
+        self._slot = j * N + lane_of
+        self._lane_of = lane_of
+        self._wlo_all = np.concatenate([g.wlo for g in self.gels])
+        self._whi_all = np.concatenate([g.whi for g in self.gels])
         T_pad = np.zeros((Jmax, N))
         lo_pad = np.full((Jmax, N), L + 1)
         hi_pad = np.zeros((Jmax, N), dtype=np.intp)
-        lane_of, offset = [], 0
-        for gel in self.gels:
-            lane = offset + gel.lane_idx
-            lane_of.append(lane)
-            starts = np.array([start for start, _ in gel.lane_slices])
-            j = np.arange(gel.n_peaks) - starts[gel.lane_idx]
-            gel.slot = j * N + lane
-            T_pad.flat[gel.slot] = gel.T_flat
-            lo_pad.flat[gel.slot] = np.maximum(gel.wlo, j + 1)
-            hi_pad.flat[gel.slot] = gel.whi
-            offset += len(gel.lanes)
+        T_pad.flat[self._slot] = np.concatenate([g.T_flat for g in self.gels])
+        lo_pad.flat[self._slot] = np.maximum(self._wlo_all, j + 1)
+        hi_pad.flat[self._slot] = self._whi_all
         Wb = max(int((hi_pad - lo_pad).max()) + 1, 1)
         band0 = np.minimum(lo_pad - 1, L - Wb)
         ell = band0[:, :, None] + np.arange(Wb + 1)  # landmark of each column
@@ -376,27 +374,21 @@ class DewarpModel:
         self._shift = self._band_rows[:, None] + below
         self._top = self._band_rows + Wb
         self._last_prefix = (J - 1) * N * (Wb + 1) + self._top
-        # violation counter: the peaks of all gels end to end
-        lane_of = np.concatenate(lane_of)
+        # violation counter
         self._pair_lane = lane_of[1:]
         self._same_lane = lane_of[1:] == lane_of[:-1]
         self._gel_of = np.repeat(np.arange(len(self.gels)), [g.n_peaks for g in self.gels])
-        self._wlo_all = np.concatenate([g.wlo for g in self.gels])
-        self._whi_all = np.concatenate([g.whi for g in self.gels])
 
     # -- state construction -------------------------------------------------
 
     def init_chain_state(self) -> _ChainState:
         """Identity warps, greedy nearest admissible Z, flat lambda."""
         cfg = self.cfg
+        G = len(self.gels)
         lam = np.full(cfg.L, 1.0 / cfg.L)
-        cs = _ChainState(lam=lam, lam_sum=float(lam.sum()), tau=1.0, sigma_eps2=0.01**2)
+        Z = np.zeros(self.n_peaks_total, dtype=np.intp)
         for gel in self.gels:
-            beta = np.tile(self.beta_id[:, None], (1, cfg.T_u))
-            cs.beta.append(beta)
-            cs.sigma_g1_2.append(0.01**2)
-            cs.sigma_gs_2.append(np.full(self.n_free_rows, 0.01**2))
-            Z = np.zeros(gel.n_peaks, dtype=np.intp)
+            Zg = Z[gel.peaks]
             for start, end in gel.lane_slices:
                 prev = 0
                 J = end - start
@@ -415,77 +407,26 @@ class DewarpModel:
                     nearest = int(
                         np.argmin(np.abs(self.nu_std[lo : hi + 1] - gel.T_flat[p]))
                     )
-                    Z[p] = lo + nearest
-                    prev = Z[p]
-            cs.Z.append(Z)
-        self._refresh(cs)
-        return cs
-
-    def _refresh(self, cs: _ChainState) -> None:
-        cs.W = [None] * len(self.gels)
-        cs.mu = [None] * len(self.gels)
-        for gi in range(len(self.gels)):
+                    Zg[p] = lo + nearest
+                    prev = Zg[p]
+        cs = _ChainState(
+            lam=lam, lam_sum=float(lam.sum()), tau=1.0, sigma_eps2=0.01**2,
+            beta=np.tile(self.beta_id[:, None], (G, 1, cfg.T_u)), Z=Z,
+            sigma_g1_2=np.full(G, 0.01**2),
+            sigma_gs_2=np.full((G, self.n_free_rows), 0.01**2),
+            W=np.empty((cfg.L + 2, len(self.lane_key_list))),
+            mu=np.empty(self.n_peaks_total),
+        )
+        for gi in range(G):
             self._refresh_gel(cs, gi)
+        return cs
 
     def _refresh_gel(self, cs: _ChainState, gi: int) -> None:
         """Gel gi's warped landmarks W and peak means mu from its beta and Z."""
         gel = self.gels[gi]
-        cs.W[gi] = self.Bnu_land @ cs.beta[gi] @ gel.Bu.T
-        cs.mu[gi] = cs.W[gi][cs.Z[gi], gel.lane_idx]
-
-    # -- public/private state conversion ------------------------------------
-
-    def to_public(self, cs: _ChainState) -> AlignmentState:
-        Z = {}
-        warp_fields = {}
-        sigma_g1 = {}
-        sigma_gs = {}
-        for gi, gel in enumerate(self.gels):
-            for k, lane in enumerate(gel.lanes):
-                start, end = gel.lane_slices[k]
-                Z[(gel.gel_id, lane)] = cs.Z[gi][start:end].copy()
-            warp_fields[gel.gel_id] = WarpField(
-                beta=cs.beta[gi].copy(), basis_nu=self.basis_nu,
-                basis_u=gel.basis_u, bounds=self.bounds,
-            )
-            sigma_g1[gel.gel_id] = math.sqrt(cs.sigma_g1_2[gi])
-            sigma_gs[gel.gel_id] = np.sqrt(cs.sigma_gs_2[gi])
-        return AlignmentState(
-            Z=Z, lam=cs.lam.copy(), tau=cs.tau,
-            sigma_eps=math.sqrt(cs.sigma_eps2), warp_fields=warp_fields,
-            sigma_g1=sigma_g1, sigma_gs=sigma_gs,
-        )
-
-    def from_public(self, state: AlignmentState) -> _ChainState:
-        lam = np.asarray(state.lam, dtype=float).copy()
-        if lam.size != self.cfg.L or np.any(lam <= 0):
-            raise ValueError("lambda must be positive with one entry per landmark")
-        cs = _ChainState(lam=lam, lam_sum=float(lam.sum()), tau=float(state.tau),
-                         sigma_eps2=float(state.sigma_eps) ** 2)
-        for gel in self.gels:
-            fieldg = state.warp_fields[gel.gel_id]
-            beta = np.asarray(fieldg.beta, dtype=float).copy()
-            if beta.shape != (self.cfg.T_nu, self.cfg.T_u):
-                raise ValueError(
-                    f"gel {gel.gel_id}: beta shape {beta.shape} != "
-                    f"({self.cfg.T_nu}, {self.cfg.T_u})"
-                )
-            cs.beta.append(beta)
-            cs.sigma_g1_2.append(float(state.sigma_g1[gel.gel_id]) ** 2)
-            cs.sigma_gs_2.append(np.asarray(state.sigma_gs[gel.gel_id], dtype=float) ** 2)
-            Z = np.zeros(gel.n_peaks, dtype=np.intp)
-            for k, lane in enumerate(gel.lanes):
-                start, end = gel.lane_slices[k]
-                z = np.asarray(state.Z[(gel.gel_id, lane)], dtype=np.intp)
-                if z.size != end - start:
-                    raise ValueError(
-                        f"gel {gel.gel_id} lane {lane}: {z.size} assignments "
-                        f"for {end - start} peaks"
-                    )
-                Z[start:end] = z
-            cs.Z.append(Z)
-        self._refresh(cs)
-        return cs
+        W = cs.W[:, gel.cols]
+        W[:] = self.Bnu_land @ cs.beta[gi] @ gel.Bu.T
+        cs.mu[gel.peaks] = W[cs.Z[gel.peaks], gel.lane_idx]
 
     # -- Gibbs sweeps --------------------------------------------------------
 
@@ -510,10 +451,9 @@ class DewarpModel:
         logaddexp(x, -inf) are exactly x, so the band's prefix sums and
         draws equal those over all L landmarks bit for bit.
         """
-        W = np.concatenate(cs.W, axis=1)
         # log weights over each slot's band, then the forward prefix sums
         # in place
-        A = self._T_pad - W.take(self._w_flat)
+        A = self._T_pad - cs.W.take(self._w_flat)
         A *= A
         A *= -0.5 / cs.sigma_eps2
         A += np.log(cs.lam).take(self._lam_idx)
@@ -545,10 +485,8 @@ class DewarpModel:
             if j:
                 top = self._shift[j - 1].take(self._band_rows + Z[j])
         Z += self._band0
-        for gi, gel in enumerate(self.gels):
-            Zg = Z.take(gel.slot)
-            cs.Z[gi] = Zg
-            cs.mu[gi] = cs.W[gi][Zg, gel.lane_idx]
+        cs.Z = Z.take(self._slot)
+        cs.mu = cs.W[cs.Z, self._lane_of]
 
     def sweep_beta(self, cs: _ChainState, rng) -> None:
         """Coordinate-wise truncated-normal full conditionals for the free
@@ -572,10 +510,10 @@ class DewarpModel:
         g_inc = self.id_incr.tolist()
         for gi, gel in enumerate(self.gels):
             X = (
-                self.Bnu_land[cs.Z[gi], 1 : T_nu - 1][:, :, None] * gel.BuP[:, None, :]
+                self.Bnu_land[cs.Z[gel.peaks], 1 : T_nu - 1][:, :, None] * gel.BuP[:, None, :]
             ).reshape(gel.n_peaks, K)
             G = (X.T @ X).tolist()
-            c = (X.T @ (gel.T_flat - cs.mu[gi])).tolist()
+            c = (X.T @ (gel.T_flat - cs.mu[gel.peaks])).tolist()
             beta = cs.beta[gi].tolist()
             us = rng.random(K).tolist()
             v1 = float(cs.sigma_g1_2[gi])
@@ -610,7 +548,7 @@ class DewarpModel:
                         row[t] = new
                         c = [ci - gki * delta for ci, gki in zip(c, Gk)]
                     k += 1
-            cs.beta[gi][:] = beta
+            cs.beta[gi] = beta
             self._refresh_gel(cs, gi)
 
     def sweep_hyper(self, cs: _ChainState, rng, fix_lambda: bool = False) -> float:
@@ -627,8 +565,8 @@ class DewarpModel:
                 rng,
             )
         ss = 0.0
-        for gi, gel in enumerate(self.gels):
-            r = gel.T_flat - cs.mu[gi]
+        for gel in self.gels:
+            r = gel.T_flat - cs.mu[gel.peaks]
             ss += float(r @ r)
         cs.sigma_eps2 = _draw_invgamma(
             SIGMA_SHAPE + 0.5 * self.n_peaks_total,
@@ -643,7 +581,7 @@ class DewarpModel:
                 rng,
             )
             # one gamma draw per free row, from the same stream as row-by-row calls
-            cs.sigma_gs_2[gi][:] = (SIGMA_RATE + 0.5 * ssq) / rng.gamma(
+            cs.sigma_gs_2[gi] = (SIGMA_RATE + 0.5 * ssq) / rng.gamma(
                 SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
             )
         if fix_lambda:
@@ -651,9 +589,7 @@ class DewarpModel:
 
         # lambda: random-walk Metropolis on the log scale, coordinate by
         # coordinate; the log-normal Jacobian adds (x' - x)
-        counts = np.zeros(L, dtype=np.intp)
-        for gi in range(len(self.gels)):
-            counts += np.bincount(cs.Z[gi] - 1, minlength=L)
+        counts = np.bincount(cs.Z - 1, minlength=L)
         # Each proposal moves one coordinate, so every term but the sum's
         # is fixed up front; only lam_sum carries from one step to the next.
         P_tot = self.n_peaks_total
@@ -705,11 +641,10 @@ class DewarpModel:
         one per gel with an assignment outside its window, and one for a
         non-positive lambda."""
         lo, hi = self.bounds
-        beta = np.asarray(cs.beta)
+        beta, Z = cs.beta, cs.Z
         bad = int(np.count_nonzero(~np.all(np.diff(beta, axis=1) > 0, axis=(1, 2))))
         unpinned = (np.abs(beta[:, 0, :] - lo) > 1e-9) | (np.abs(beta[:, -1, :] - hi) > 1e-9)
         bad += int(np.count_nonzero(unpinned.any(axis=1)))
-        Z = np.concatenate(cs.Z)
         broken = (np.diff(Z) <= 0) & self._same_lane
         if broken.any():
             bad += np.unique(self._pair_lane[broken]).size
@@ -748,15 +683,15 @@ class DewarpModel:
         )
         log_lam_sum = log(cs.lam_sum)
         for gi, gel in enumerate(self.gels):
-            r = gel.T_flat - cs.mu[gi]
+            r = gel.T_flat - cs.mu[gel.peaks]
             lik += -0.5 * float(r @ r) / se2 - 0.5 * gel.n_peaks * (
                 LOG_2PI + log(se2)
             )
             z_prior += gel.log_jfact
-            z_prior += float(np.sum(np.log(cs.lam[cs.Z[gi] - 1])))
+            z_prior += float(np.sum(np.log(cs.lam[cs.Z[gel.peaks] - 1])))
             z_prior -= gel.n_peaks * log_lam_sum
 
-            v1 = cs.sigma_g1_2[gi]
+            v1 = float(cs.sigma_g1_2[gi])
             vgs = cs.sigma_gs_2[gi]
             dd, ssq = self._rw_sums(cs.beta[gi])
             beta_prior += -0.5 * dd / v1 - 0.5 * (cfg.T_nu - 2) * (LOG_2PI + log(v1))
@@ -775,11 +710,6 @@ class DewarpModel:
 
     def log_joint(self, cs: _ChainState) -> float:
         return self.log_joint_components(cs)["total"]
-
-
-def initial_state(peaks: PeakTable, cfg: ModelConfig) -> AlignmentState:
-    model = DewarpModel(peaks, cfg)
-    return model.to_public(model.init_chain_state())
 
 
 # ---------------------------------------------------------------------------
@@ -967,8 +897,7 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig, check_every: int = 1) -> MCMCRe
         if check_every and it % check_every == 0:
             violations += model.count_violations(cs)
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            draws.append((np.concatenate(cs.Z), np.array(cs.beta), cs.lam.copy(),
-                          model.log_joint(cs)))
+            draws.append((cs.Z.copy(), cs.beta.copy(), cs.lam.copy(), model.log_joint(cs)))
     return _summarize(model, peaks, draws, violations, accept_sum / cfg.iterations)
 
 
@@ -998,6 +927,14 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
         raise ValueError(
             f"stored lambda draws have {stored.shape[1]} columns, expected {cfg.L}"
         )
+    # a NaN or non-positive entry would run through as a silently broken chain
+    bad = ~(np.isfinite(stored) & (stored > 0))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(
+            f"stored lambda draw in row {row} has entry {float(stored[row, col])!r} at "
+            f"landmark {col + 1}; every entry must be finite and positive"
+        )
     n_use = min(lambda_budget, stored.shape[0])
     idx = np.unique(np.linspace(0, stored.shape[0] - 1, n_use).astype(int))
 
@@ -1013,7 +950,7 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
             model.sweep(cs, rng, fix_lambda=True)
             violations += model.count_violations(cs)
             if it >= burnin:
-                draws.append((np.concatenate(cs.Z), np.array(cs.beta), cs.lam.copy(),
+                draws.append((cs.Z.copy(), cs.beta.copy(), cs.lam.copy(),
                               model.log_joint(cs)))
     return _summarize(model, new_peaks, draws, violations, 0.0)
 

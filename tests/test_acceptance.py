@@ -30,10 +30,8 @@ from gelwarp.core import (
     standardize_intensities,
 )
 from gelwarp.dewarp import (
-    AlignmentState,
     DewarpModel,
     ModelConfig,
-    initial_state,
     run_mcmc,
 )
 from gelwarp.exactalign import exact_align, invert_warp
@@ -177,10 +175,6 @@ def test_criterion_04_z_sampler_exactness():
     cfg = ModelConfig(L=L, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
     lam = np.array([0.30, 0.05, 0.25, 0.10, 0.30])
     sigma = 0.8  # spacings
-    st0 = initial_state(peaks, cfg)
-    state = AlignmentState(Z=st0.Z, lam=lam, tau=st0.tau, sigma_eps=sigma,
-                           warp_fields=st0.warp_fields, sigma_g1=st0.sigma_g1,
-                           sigma_gs=st0.sigma_gs)
 
     # exhaustive posterior over ordered admissible pairs, identity warp
     T = (np.array(locs) - 0.5) * (L + 1)
@@ -198,13 +192,15 @@ def test_criterion_04_z_sampler_exactness():
     exact = {k: v / tot for k, v in exact.items()}
 
     model = DewarpModel(peaks, cfg)
-    cs = model.from_public(state)
+    cs = model.init_chain_state()
+    cs.lam, cs.lam_sum = lam, float(lam.sum())
+    cs.sigma_eps2 = sigma**2
     rng = np.random.default_rng(7)
     counts: dict = {}
     n = 1_000_000
     for _ in range(n):
         model.sweep_Z(cs, rng)
-        key = (int(cs.Z[0][0]), int(cs.Z[0][1]))
+        key = (int(cs.Z[0]), int(cs.Z[1]))
         counts[key] = counts.get(key, 0) + 1
     outside = sum(v for k, v in counts.items() if k not in exact)
     tv = 0.5 * sum(abs(counts.get(k, 0) / n - p) for k, p in exact.items())

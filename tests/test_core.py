@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -335,6 +336,33 @@ class TestTraceIO:
         path.write_text('{"G1": {"masked_intervals": [[0.9, 0.2]]}}')
         with pytest.raises(ValueError, match="masked interval"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("entry,msg", [
+        ({"reference_lane": True}, "reference_lane must be an integer >= 1, got True"),
+        ({"reference_lane": 0}, "reference_lane must be an integer >= 1, got 0"),
+        ({"reference_lane": 2.0}, "reference_lane must be an integer >= 1, got 2.0"),
+        ({"masked_intervals": [[0.1]]}, "bad masked interval [0.1], expected a [lo, hi]"),
+        ({"masked_intervals": [0.2, 0.3]}, "bad masked interval 0.2, expected a [lo, hi]"),
+        ({"masked_intervals": [["a", "b"]]},
+         "bad masked interval ['a', 'b'], expected a [lo, hi]"),
+        ({"masked_intervals": [[True, 0.5]]}, "bad masked interval [True, 0.5], expected"),
+        ({"masked_intervals": {"lo": 0.1}}, "masked_intervals must be a list of [lo, hi] pairs"),
+        ({"reference_kda": "abc"}, "reference_kda must be a list of positive numbers, got 'abc'"),
+        ({"reference_kda": [250, -5]}, "reference_kda must be a list of positive numbers"),
+        ({"reference_kda": [250, None]}, "reference_kda must be a list of positive numbers"),
+    ])
+    def test_manifest_malformed_entry_names_file_and_gel(self, tmp_path, entry, msg):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"G1": {"reference_lane": 1}, "G2": entry}))
+        with pytest.raises(ValueError, match=re.escape(f"manifest {path}: gel G2: {msg}")):
+            read_manifest(path)
+
+    def test_manifest_well_formed_entry_reads_back(self, tmp_path):
+        manifest = {"G1": {"reference_lane": 3, "reference_kda": [250, 37.5],
+                           "masked_intervals": [[0, 0.25], [0.5, 1.0]]}, "G2": {}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert read_manifest(path) == manifest
 
 
 class TestNamesAndJson:

@@ -1,8 +1,8 @@
 import copy
-import dataclasses
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,12 +16,10 @@ from gelwarp.dewarp import (
     SIGMA_SHAPE,
     TAU_RATE,
     TAU_SHAPE,
-    AlignmentState,
     DewarpModel,
     ModelConfig,
     _trunc_normal,
     align_new_gel,
-    initial_state,
     read_zmap,
     run_mcmc,
     signatures,
@@ -34,7 +32,7 @@ from gelwarp.dewarp import (
 )
 from gelwarp.peakdetect import Peak, PeakConfig, PeakTable, detect_peaks
 from gelwarp.simulate import SimSpec, simulate_gels
-from gelwarp.spline import eval_warp, read_warp_fields
+from gelwarp.spline import WarpField, eval_warp, read_warp_fields
 
 
 def make_table(lanes: dict, B: int = 200, gel_id: str = "G1") -> PeakTable:
@@ -62,6 +60,24 @@ def two_gel_peaks(seed=0, n_gels=2, lanes=5, amp=0.8, L=20):
     peaks = detect_peaks(sgrid, PeakConfig(h=9, c0=0.05))
     ref = {(g.gel_id, ln.index) for g in grid.gels for ln in g.lanes if ln.is_reference}
     return peaks.filter(lambda p: (p.gel_id, p.lane) not in ref), truth
+
+
+def refresh(model, cs):
+    """Recompute W and mu after a test sets beta or Z."""
+    for gi in range(len(model.gels)):
+        model._refresh_gel(cs, gi)
+
+
+def warp_field(model, cs, gi=0):
+    return WarpField(beta=cs.beta[gi].copy(), basis_nu=model.basis_nu,
+                     basis_u=model.gels[gi].basis_u, bounds=model.bounds)
+
+
+def lane_assignments(model, cs):
+    """{(gel_id, lane): that lane's slice of Z}"""
+    return {(gel.gel_id, lane): cs.Z[gel.peaks][start:end]
+            for gel in model.gels
+            for lane, (start, end) in zip(gel.lanes, gel.lane_slices)}
 
 
 class TestModelConfig:
@@ -158,15 +174,13 @@ class TestZGibbsExact:
         L, B = 5, 120
         peaks = make_table({2: [0.30, 0.70]}, B=B)
         cfg = ModelConfig(L=L, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
-        state = initial_state(peaks, cfg)
+        model = DewarpModel(peaks, cfg)
+        cs = model.init_chain_state()
         lam = np.array([0.30, 0.05, 0.25, 0.10, 0.30])
         sigma = 0.8  # landmark spacings
-        state = AlignmentState(
-            Z=state.Z, lam=lam, tau=state.tau, sigma_eps=sigma,
-            warp_fields=state.warp_fields, sigma_g1=state.sigma_g1,
-            sigma_gs=state.sigma_gs,
-        )
-        return peaks, cfg, state, lam, sigma
+        cs.lam, cs.lam_sum = lam, float(lam.sum())
+        cs.sigma_eps2 = sigma**2
+        return model, cs, lam, sigma
 
     def exact_posterior(self, cfg, lam, sigma):
         # identity warp: fitted value at landmark ell is ell - (L+1)/2 in
@@ -187,16 +201,14 @@ class TestZGibbsExact:
         return {k: v / tot for k, v in probs.items()}
 
     def test_empirical_matches_enumeration(self):
-        peaks, cfg, state, lam, sigma = self.setup_instance()
-        exact = self.exact_posterior(cfg, lam, sigma)
-        model = DewarpModel(peaks, cfg)
-        cs = model.from_public(state)
+        model, cs, lam, sigma = self.setup_instance()
+        exact = self.exact_posterior(model.cfg, lam, sigma)
         rng = np.random.default_rng(7)
         counts = {}
         n = 150_000
         for _ in range(n):
             model.sweep_Z(cs, rng)
-            key = (int(cs.Z[0][0]), int(cs.Z[0][1]))
+            key = (int(cs.Z[0]), int(cs.Z[1]))
             counts[key] = counts.get(key, 0) + 1
         assert set(counts) <= set(exact)
         tv = 0.5 * sum(
@@ -212,12 +224,11 @@ class TestZBlockedDraw:
 
     LANES = {1: [0.47], 2: [0.30, 0.62], 3: [0.22, 0.41, 0.70]}
 
-    def exact_posterior(self, model, state, lam, sigma):
+    def exact_posterior(self, model, field, lam, sigma):
         # spacing units: landmark ell sits at ell - (L+1)/2, and the window
         # is |T - nu| < A_0, strict
         L = model.cfg.L
         a0 = model.cfg.a0_value * (L + 1)
-        field = state.warp_fields["G1"]
         u_by_lane = dict(zip(model.gels[0].lanes, model.gels[0].u_std))
         exact = {}
         for lane, locs in self.LANES.items():
@@ -240,28 +251,25 @@ class TestZBlockedDraw:
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, a0=2.2 / 9, iterations=10,
                           burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
-        s0 = model.to_public(model.init_chain_state())
-        beta = s0.warp_fields["G1"].beta.copy()
-        beta[1, :] += [0.3, -0.2, 0.1, 0.25]
-        beta[2, :] += [-0.25, 0.15, 0.3, -0.1]
-        field = dataclasses.replace(s0.warp_fields["G1"], beta=beta)
+        cs = model.init_chain_state()
+        cs.beta[0, 1, :] += [0.3, -0.2, 0.1, 0.25]
+        cs.beta[0, 2, :] += [-0.25, 0.15, 0.3, -0.1]
+        refresh(model, cs)
+        field = warp_field(model, cs)
         field.validate()
         lam = np.array([0.30, 0.05, 0.25, 0.10, 0.30, 0.20, 0.15, 0.40])
         sigma = 0.7  # landmark spacings
-        state = AlignmentState(
-            Z=s0.Z, lam=lam, tau=s0.tau, sigma_eps=sigma,
-            warp_fields={"G1": field}, sigma_g1=s0.sigma_g1, sigma_gs=s0.sigma_gs,
-        )
-        exact = self.exact_posterior(model, state, lam, sigma)
+        cs.lam, cs.lam_sum = lam, float(lam.sum())
+        cs.sigma_eps2 = sigma**2
+        exact = self.exact_posterior(model, field, lam, sigma)
         assert [len(p) for p in exact.values()] == [4, 15, 36]
 
-        cs = model.from_public(state)
         rng = np.random.default_rng(3)
         n = 40_000
         counts = {key: {} for key in exact}
         for _ in range(n):
             model.sweep_Z(cs, rng)
-            Z = cs.Z[0]
+            Z = cs.Z
             for k, (start, end) in enumerate(model.gels[0].lane_slices):
                 z = tuple(int(v) for v in Z[start:end])
                 c = counts[("G1", k + 1)]
@@ -285,8 +293,8 @@ class TestZBlockedDraw:
             warnings.simplefilter("error")
             for _ in range(20):
                 model.sweep_Z(cs, rng)
-                assert cs.Z[0].tolist() == [11, 12]
-                assert np.all(np.isfinite(cs.mu[0]))
+                assert cs.Z.tolist() == [11, 12]
+                assert np.all(np.isfinite(cs.mu))
         assert model.count_violations(cs) == 0
 
     def test_infeasible_lane_named(self):
@@ -297,11 +305,11 @@ class TestZBlockedDraw:
         narrow = ModelConfig(L=5, T_nu=4, T_u=4, a0=2.0 / 6, iterations=10,
                              burnin=0, seed=0)
         model = DewarpModel(peaks, narrow)
-        cs = model.from_public(initial_state(peaks, wide))
-        before = cs.Z[0].copy()
+        cs = DewarpModel(peaks, wide).init_chain_state()
+        before = cs.Z.copy()
         with pytest.raises(ValueError, match="gel G1 lane 4"):
             model.sweep_Z(cs, np.random.default_rng(0))
-        assert np.array_equal(cs.Z[0], before)
+        assert np.array_equal(cs.Z, before)
 
 
 def full_grid_sweep_Z(model, cs, rng):
@@ -314,15 +322,14 @@ def full_grid_sweep_Z(model, cs, rng):
     T_pad = np.zeros((Jmax, N))
     lo_pad = np.full((Jmax, N), L + 1)
     hi_pad = np.zeros((Jmax, N), dtype=np.intp)
-    for gel in model.gels:
-        T_pad.flat[gel.slot] = gel.T_flat
-        lo_pad.flat[gel.slot] = np.maximum(gel.wlo, gel.slot // N + 1)
-        hi_pad.flat[gel.slot] = gel.whi
+    slot = model._slot
+    T_pad.flat[slot] = np.concatenate([gel.T_flat for gel in model.gels])
+    lo_pad.flat[slot] = np.maximum(model._wlo_all, slot // N + 1)
+    hi_pad.flat[slot] = model._whi_all
     ell = np.arange(1, L + 1)
     inside = (ell >= lo_pad[:, :, None]) & (ell <= hi_pad[:, :, None])
     rows = np.arange(N)
-    W = np.concatenate(cs.W, axis=1)
-    A = T_pad[:, :, None] - W[1:-1].T
+    A = T_pad[:, :, None] - cs.W[1:-1].T
     A *= A
     A *= -0.5 / cs.sigma_eps2
     A += np.log(cs.lam)
@@ -340,9 +347,8 @@ def full_grid_sweep_Z(model, cs, rng):
         Z[j] = (A[j] >= v[:, None]).argmax(axis=1)
         top = Z[j] - 1
     Z += 1
-    for gi, gel in enumerate(model.gels):
-        cs.Z[gi] = Z.take(gel.slot)
-        cs.mu[gi] = cs.W[gi][cs.Z[gi], gel.lane_idx]
+    cs.Z = Z.take(slot)
+    cs.mu = cs.W[cs.Z, model._lane_of]
 
 
 def chain_shaped_peaks(seed, L=50):
@@ -394,15 +400,13 @@ class TestZBandedKernel:
         moved = 0
         for _ in range(sweeps):
             ref_cs, ref_rng = copy.deepcopy(cs), copy.deepcopy(rng)
-            before = np.concatenate(cs.Z)
+            before = cs.Z.copy()
             full_grid_sweep_Z(model, ref_cs, ref_rng)
             model.sweep_Z(cs, rng)
-            for got, want in zip(cs.Z, ref_cs.Z):
-                assert np.array_equal(got, want)
-            for got, want in zip(cs.mu, ref_cs.mu):
-                assert np.array_equal(got, want)
+            assert np.array_equal(cs.Z, ref_cs.Z)
+            assert np.array_equal(cs.mu, ref_cs.mu)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            moved += int(np.any(np.concatenate(cs.Z) != before))
+            moved += int(np.any(cs.Z != before))
             model.sweep_beta(cs, rng)
             model.sweep_hyper(cs, rng)
         assert model.count_violations(cs) == 0
@@ -444,33 +448,20 @@ class TestBetaConditional:
         peaks = make_table({1: [0.2, 0.5, 0.8], 3: [0.25, 0.55, 0.85]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
-        s0 = model.to_public(model.init_chain_state())
-        for g in s0.sigma_g1:
-            s0.sigma_g1[g] = 0.4
-            s0.sigma_gs[g] = np.full(cfg.T_nu - 2, 0.4)
-        s0 = AlignmentState(
-            Z=s0.Z, lam=s0.lam, tau=s0.tau, sigma_eps=0.6,
-            warp_fields=s0.warp_fields, sigma_g1=s0.sigma_g1,
-            sigma_gs=s0.sigma_gs,
-        )
+        s0 = model.init_chain_state()
+        s0.sigma_g1_2[:] = 0.4**2
+        s0.sigma_gs_2[:] = 0.4**2
+        s0.sigma_eps2 = 0.6**2
 
-        beta0 = s0.warp_fields["G1"].beta
+        beta0 = s0.beta[0]
         lo, hi = beta0[0, 0], beta0[2, 0]
         grid = np.linspace(lo, hi, 801)[1:-1]
         logp = np.empty(grid.size)
         for i, b in enumerate(grid):
-            field = s0.warp_fields["G1"]
-            beta = beta0.copy()
-            beta[1, 0] = b
-            trial = AlignmentState(
-                Z=s0.Z, lam=s0.lam, tau=s0.tau, sigma_eps=s0.sigma_eps,
-                warp_fields={"G1": type(field)(
-                    beta=beta, basis_nu=field.basis_nu,
-                    basis_u=field.basis_u, bounds=field.bounds,
-                )},
-                sigma_g1=s0.sigma_g1, sigma_gs=s0.sigma_gs,
-            )
-            logp[i] = model.log_joint(model.from_public(trial))
+            trial = copy.deepcopy(s0)
+            trial.beta[0, 1, 0] = b
+            refresh(model, trial)
+            logp[i] = model.log_joint(trial)
         dens = np.exp(logp - logp.max())
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
         cdf /= cdf[-1]
@@ -478,9 +469,9 @@ class TestBetaConditional:
         rng = np.random.default_rng(5)
         draws = []
         for _ in range(6000):
-            cs = model.from_public(s0)
+            cs = copy.deepcopy(s0)
             model.sweep_beta(cs, rng)
-            draws.append(cs.beta[0][1, 0])
+            draws.append(cs.beta[0, 1, 0])
         draws = np.sort(draws)
         emp = np.arange(1, len(draws) + 1) / len(draws)
         oracle = np.interp(draws, grid, cdf)
@@ -495,8 +486,8 @@ class TestBetaConditional:
         g_inc = model.id_incr
         for gi, gel in enumerate(model.gels):
             beta = cs.beta[gi]
-            BnZ = model.Bnu_land[cs.Z[gi], :]
-            mu = cs.mu[gi]
+            BnZ = model.Bnu_land[cs.Z[gel.peaks], :]
+            mu = cs.mu[gel.peaks]
             v1 = cs.sigma_g1_2[gi]
             for s in range(1, cfg.T_nu - 1):
                 vs = cs.sigma_gs_2[gi][s - 1]
@@ -520,8 +511,8 @@ class TestBetaConditional:
                                         beta[s - 1, t], beta[s + 1, t], rng.random(), rng)
                     mu = mu + a * (new - beta[s, t])
                     beta[s, t] = new
-            cs.W[gi] = model.Bnu_land @ beta @ gel.Bu.T
-            cs.mu[gi] = cs.W[gi][cs.Z[gi], gel.lane_idx]
+            cs.W[:, gel.cols] = model.Bnu_land @ beta @ gel.Bu.T
+            cs.mu[gel.peaks] = cs.W[:, gel.cols][cs.Z[gel.peaks], gel.lane_idx]
 
     def test_sweep_matches_element_loop_reference(self):
         # same random stream and the same conditionals; the Gram sums round
@@ -533,15 +524,14 @@ class TestBetaConditional:
         cs = model.init_chain_state()
         for k in range(60):
             model.sweep(cs, rng)
-            a, b = model.from_public(model.to_public(cs)), model.from_public(model.to_public(cs))
+            a, b = copy.deepcopy(cs), copy.deepcopy(cs)
             ra, rb = np.random.default_rng(k), np.random.default_rng(k)
             model.sweep_beta(a, ra)
             self.element_loop_sweep(model, b, rb)
             assert ra.random() == rb.random()
-            for gi, gel in enumerate(model.gels):
-                np.testing.assert_allclose(a.beta[gi], b.beta[gi], rtol=0, atol=1e-12)
-                np.testing.assert_array_equal(a.mu[gi], a.W[gi][a.Z[gi], gel.lane_idx])
-                np.testing.assert_allclose(a.mu[gi], b.mu[gi], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.beta, b.beta, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(a.mu, a.W[a.Z, model._lane_of])
+            np.testing.assert_allclose(a.mu, b.mu, rtol=0, atol=1e-12)
             assert model.count_violations(a) == 0
 
 
@@ -550,7 +540,7 @@ class TestHyperConditionals:
         peaks = make_table({1: [0.2, 0.5, 0.8], 2: [0.3, 0.6]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
-        s0 = model.to_public(model.init_chain_state())
+        s0 = model.init_chain_state()
         return peaks, cfg, model, s0
 
     def test_sigma_eps_conjugate(self):
@@ -558,11 +548,11 @@ class TestHyperConditionals:
         # independent residual route: public warp evaluation per peak
         spacing = 1.0 / (cfg.L + 1)
         ax = Standardizer(center=0.5, scale=spacing)
-        field = s0.warp_fields["G1"]
+        field = warp_field(model, s0)
         u_by_lane = dict(zip([1, 2], model.gels[0].u_std))
         ss = 0.0
         n = 0
-        for (g, lane), zs in s0.Z.items():
+        for (g, lane), zs in lane_assignments(model, s0).items():
             locs = [p.location for p in peaks.lane_peaks(g, lane)]
             for T, z in zip(ax.apply(np.array(locs)), zs):
                 nu_z = -(cfg.L + 1) / 2.0 + float(z)
@@ -575,7 +565,7 @@ class TestHyperConditionals:
         rng = np.random.default_rng(9)
         draws = []
         for _ in range(4000):
-            cs = model.from_public(s0)
+            cs = copy.deepcopy(s0)
             model.sweep_hyper(cs, rng)
             draws.append(cs.sigma_eps2)
         draws = np.sort(draws)
@@ -595,7 +585,7 @@ class TestHyperConditionals:
         n = 4000
         draws = []
         for _ in range(n):
-            cs = model.from_public(s0)
+            cs = copy.deepcopy(s0)
             model.sweep_hyper(cs, rng)
             draws.append(cs.tau)
         draws = np.sort(draws)
@@ -623,8 +613,8 @@ class TestHyperConditionals:
         cfg, L = model.cfg, model.cfg.L
         inv_gamma = lambda shape, rate: rate / rng.gamma(shape)  # noqa: E731
         cs.tau = inv_gamma(TAU_SHAPE + 0.5 * L, TAU_RATE + 0.5 * float(cs.lam @ cs.lam))
-        ss = sum(float((gel.T_flat - cs.mu[gi]) @ (gel.T_flat - cs.mu[gi]))
-                 for gi, gel in enumerate(model.gels))
+        ss = sum(float((gel.T_flat - cs.mu[gel.peaks]) @ (gel.T_flat - cs.mu[gel.peaks]))
+                 for gel in model.gels)
         cs.sigma_eps2 = inv_gamma(SIGMA_SHAPE + 0.5 * model.n_peaks_total,
                                   SIGMA_RATE + 0.5 * ss)
         for gi in range(len(model.gels)):
@@ -637,7 +627,7 @@ class TestHyperConditionals:
             for s in range(model.n_free_rows):
                 cs.sigma_gs_2[gi][s] = inv_gamma(SIGMA_SHAPE + 0.5 * (cfg.T_u - 1),
                                                  SIGMA_RATE + 0.5 * float(ssq[s]))
-        counts = sum(np.bincount(z - 1, minlength=L) for z in cs.Z)
+        counts = sum(np.bincount(cs.Z[gel.peaks] - 1, minlength=L) for gel in model.gels)
         noise = rng.standard_normal(L) * LAMBDA_STEP
         uls = rng.random(L)
         accepted = 0
@@ -667,27 +657,66 @@ class TestHyperConditionals:
         # the last bits, because numpy's log/exp round differently from math's
         peaks, cfg, model, s0 = self.setup_state()
         rng = np.random.default_rng(12)
-        cs = model.from_public(s0)
+        cs = s0
         for k in range(60):
             model.sweep(cs, rng)
-            a, b = model.from_public(model.to_public(cs)), model.from_public(model.to_public(cs))
+            a, b = copy.deepcopy(cs), copy.deepcopy(cs)
             rate_a = model.sweep_hyper(a, np.random.default_rng(k))
             rate_b = self.coordinate_loop_sweep(model, b, np.random.default_rng(k))
             assert rate_a == rate_b
             assert (a.sigma_eps2, a.tau) == pytest.approx((b.sigma_eps2, b.tau), rel=1e-12)
             np.testing.assert_array_equal(a.sigma_g1_2, b.sigma_g1_2)
-            for x, y in zip(a.sigma_gs_2, b.sigma_gs_2):
-                np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(a.sigma_gs_2, b.sigma_gs_2)
             np.testing.assert_allclose(a.lam, b.lam, rtol=1e-12)
             assert a.lam_sum == pytest.approx(b.lam_sum, rel=1e-12)
 
     def test_lambda_moves_accept_some(self):
         peaks, cfg, model, s0 = self.setup_state()
         rng = np.random.default_rng(11)
-        cs = model.from_public(s0)
+        cs = s0
         rates = [model.sweep_hyper(cs, rng) for _ in range(50)]
         assert 0.05 < float(np.mean(rates)) <= 1.0
         assert np.all(cs.lam > 0)
+
+
+class TestStateLayout:
+    """The chain state as arrays on two gels of unequal size: after every
+    block, mu is W at (Z, lane) and each gel's W block is B_nu beta_g B_u',
+    bit for bit, with no broken constraint."""
+
+    def test_unequal_gels(self):
+        peaks, _ = two_gel_peaks(seed=6)
+        peaks = peaks.filter(lambda p: p.gel_id == "g1" or p.lane <= 3)
+        cfg = ModelConfig(L=20, T_nu=6, T_u=4, iterations=10, burnin=0, seed=0)
+        model = DewarpModel(peaks, cfg)
+        g1, g2 = model.gels
+        assert len(g1.lanes) != len(g2.lanes) and g1.n_peaks != g2.n_peaks
+        # the gels tile the peak axis and W's lane columns in lane_key_list order
+        P, N = model.n_peaks_total, len(model.lane_key_list)
+        assert (g1.peaks, g1.cols) == (slice(0, g1.n_peaks), slice(0, len(g1.lanes)))
+        assert (g2.peaks, g2.cols) == (slice(g1.n_peaks, P), slice(len(g1.lanes), N))
+        for gel in model.gels:
+            assert model.lane_key_list[gel.cols] == [(gel.gel_id, lane) for lane in gel.lanes]
+        lane_col = np.concatenate([gel.cols.start + gel.lane_idx for gel in model.gels])
+
+        cs = model.init_chain_state()
+        assert cs.Z.shape == cs.mu.shape == (P,)
+        assert cs.W.shape == (cfg.L + 2, N)
+        assert cs.beta.shape == (2, cfg.T_nu, cfg.T_u)
+        assert cs.sigma_g1_2.shape == (2,) and cs.sigma_gs_2.shape == (2, cfg.T_nu - 2)
+        rng = np.random.default_rng(2)
+        moved = 0
+        for _ in range(40):
+            before = cs.Z.copy()
+            for step in (model.sweep_Z, model.sweep_beta, model.sweep_hyper):
+                step(cs, rng)
+                assert np.array_equal(cs.mu, cs.W[cs.Z, lane_col]), step.__name__
+                for gi, gel in enumerate(model.gels):
+                    want = model.Bnu_land @ cs.beta[gi] @ gel.Bu.T
+                    assert np.array_equal(cs.W[:, gel.cols], want), (step.__name__, gi)
+                assert model.count_violations(cs) == 0, step.__name__
+            moved += int(np.any(cs.Z != before))
+        assert moved > 0
 
 
 class TestConstraints:
@@ -715,11 +744,11 @@ class TestConstraints:
         def lane(k):
             def edit(s):
                 start, _ = model.gels[0].lane_slices[k]
-                s.Z[0][start + 1] = s.Z[0][start]
+                s.Z[start + 1] = s.Z[start]
             return edit
 
         def outside(s):
-            s.Z[0][-1] = 1
+            s.Z[-1] = 1
 
         def negative_lambda(s):
             s.lam[2] = -1.0
@@ -740,7 +769,7 @@ class TestConstraints:
         assert model.count_violations(cs) == 0
         for gi, gel in enumerate(model.gels):
             for start, end in gel.lane_slices:
-                z = cs.Z[gi][start:end]
+                z = cs.Z[gel.peaks][start:end]
                 assert np.all(np.diff(z) > 0)
 
     def test_infeasible_window_named(self):
@@ -778,22 +807,23 @@ class TestLogJoint:
         peaks = make_table({1: [0.2, 0.5, 0.8], 2: [0.3, 0.6]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
-        s0 = model.to_public(model.init_chain_state())
-        comp = model.log_joint_components(model.from_public(s0))
+        s0 = model.init_chain_state()
+        comp = model.log_joint_components(s0)
+        sigma_eps = math.sqrt(s0.sigma_eps2)
 
         spacing = 1.0 / (cfg.L + 1)
         ax = Standardizer(center=0.5, scale=spacing)
-        field = s0.warp_fields["G1"]
+        field = warp_field(model, s0)
         u_by_lane = dict(zip([1, 2], model.gels[0].u_std))
         lik = 0.0
-        for (g, lane), zs in s0.Z.items():
+        for (g, lane), zs in lane_assignments(model, s0).items():
             locs = [p.location for p in peaks.lane_peaks(g, lane)]
             for T, z in zip(ax.apply(np.array(locs)), zs):
                 nu_z = -(cfg.L + 1) / 2.0 + float(z)
                 mu = eval_warp(field, nu_z, float(u_by_lane[lane]))
                 lik += (
-                    -0.5 * ((float(T) - mu) / s0.sigma_eps) ** 2
-                    - math.log(s0.sigma_eps * math.sqrt(2 * math.pi))
+                    -0.5 * ((float(T) - mu) / sigma_eps) ** 2
+                    - math.log(sigma_eps * math.sqrt(2 * math.pi))
                 )
         assert comp["likelihood"] == pytest.approx(lik, rel=1e-10)
 
@@ -801,13 +831,10 @@ class TestLogJoint:
         peaks = make_table({1: [0.2, 0.5, 0.8]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
-        state = initial_state(peaks, cfg)
-        bad = AlignmentState(
-            Z={("G1", 1): np.array(z)}, lam=state.lam, tau=state.tau,
-            sigma_eps=state.sigma_eps, warp_fields=state.warp_fields,
-            sigma_g1=state.sigma_g1, sigma_gs=state.sigma_gs,
-        )
-        return model, model.from_public(bad)
+        cs = model.init_chain_state()
+        cs.Z[:] = z
+        refresh(model, cs)
+        return model, cs
 
     def test_broken_state_is_minus_inf(self):
         model, cs = self.state_with_lane([5, 3, 1])
@@ -989,6 +1016,18 @@ class TestAlignNewGel:
                             ({"burnin": True}, "burnin must be an integer, got True")):
             with pytest.raises(ValueError, match=msg):
                 align_new_gel(peaks, np.ones((3, 8)), cfg, **kwargs)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_bad_lambda_draw(self, value):
+        # one bad entry used to run through: landmarks outside 1..L in z_map,
+        # a negative or NaN presence, and only a violation count to show it
+        peaks = make_table({1: [0.3, 0.7]}, B=200)
+        cfg = ModelConfig(L=8, T_nu=4, T_u=4)
+        stored = np.ones((3, 8))
+        stored[2, 4] = value
+        msg = f"stored lambda draw in row 2 has entry {value!r} at landmark 5"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            align_new_gel(peaks, stored, cfg, lambda_budget=3, iterations=20, burnin=10)
 
     @pytest.mark.parametrize("iterations,burnin", [(10, 10), (10, 12), (10, -1)])
     def test_burnin_must_leave_draws(self, iterations, burnin):
