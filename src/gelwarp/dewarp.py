@@ -15,12 +15,20 @@ conditionals for the free spline coefficients, conjugate inverse-gamma
 updates for the variances, and a per-coordinate random-walk Metropolis step
 on log lambda.
 
-The sampler state is internal, with no public form: arrays with peaks and
-lanes in lane_key_list order, the order the draws are saved in.  Z and the
-peak means mu are (P,) over the peaks of all gels, the warped landmarks W
-are one (L + 2, N) matrix with a column per lane, beta is (G, T_nu, T_u),
-sigma_g1^2 is (G,) and sigma_gs^2 is (G, T_nu - 2); each gel holds its
-slice of the peak axis and of W's columns.
+The sampler state is internal, with no public form: arrays for R chains
+swept in lockstep, with a leading chain axis and peaks and lanes in
+lane_key_list order, the order the draws are saved in.  lambda is (R, L);
+its running sum lam_sum, tau and sigma_eps^2 are (R,); Z and the peak means
+mu are (R, P) over the peaks of all gels; the warped landmarks W are
+(R, L + 2, N) with a column per lane; beta is (R, G, T_nu, T_u),
+sigma_g1^2 is (R, G) and sigma_gs^2 is (R, G, T_nu - 2).  Each gel holds
+its slice of the peak axis and of W's columns.  Every sweep takes one
+generator per chain, and each chain draws from its own generator in the
+same order and sizes as when swept alone, so chain r of a lockstep run
+equals that chain run by itself, bit for bit.  Only elementwise work is
+shared between chains; each float reduction (the Gram sums, residual sums
+and prior sums) is taken per chain and gel.  The restart phase runs its
+chains in one state, and the main chain is a one-chain state (R = 1).
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: TAU_SHAPE and TAU_RATE for the inverse-gamma prior on the
@@ -36,7 +44,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import lgamma, log
 from pathlib import Path
 from statistics import NormalDist
@@ -226,20 +234,45 @@ class _GelData:
 
 @dataclass(slots=True, eq=False)
 class _ChainState:
-    """Mutable sampler state, in the array layout of the module docstring.
-    W (warped landmarks) and mu (peak means) follow from beta and Z; lam_sum
-    is lam's running sum."""
+    """Mutable sampler state of R chains, in the array layout of the module
+    docstring: every field has a leading chain axis.  W (warped landmarks)
+    and mu (peak means) follow from beta and Z; lam_sum is lam's running
+    sum."""
 
     lam: np.ndarray
-    lam_sum: float
-    tau: float
-    sigma_eps2: float
+    lam_sum: np.ndarray
+    tau: np.ndarray
+    sigma_eps2: np.ndarray
     beta: np.ndarray
     Z: np.ndarray
     sigma_g1_2: np.ndarray
     sigma_gs_2: np.ndarray
     W: np.ndarray
     mu: np.ndarray
+
+    def chain(self, r: int) -> _ChainState:
+        """A copy of chain r as a one-chain state."""
+        return _ChainState(*(getattr(self, f.name)[r : r + 1].copy() for f in fields(self)))
+
+
+@dataclass(slots=True, eq=False)
+class _LaneGrid:
+    """The padded lane grid of the blocked Z draw for R chains, with slot
+    (j, r, n) for the (j+1)-th peak of lane n in chain r (see
+    DewarpModel._lane_grid); chains holds the chain index as an (R, 1)
+    column."""
+
+    T_band: np.ndarray
+    w_flat: np.ndarray
+    lam_idx: np.ndarray
+    band0: np.ndarray
+    band_rows: np.ndarray
+    shift: np.ndarray
+    top: np.ndarray
+    slot: np.ndarray
+    band_slot: np.ndarray
+    chains: np.ndarray
+    count_base: np.ndarray
 
 
 class DewarpModel:
@@ -318,73 +351,104 @@ class DewarpModel:
         self.lane_key_list = [
             (g.gel_id, lane) for g in self.gels for lane in g.lanes
         ]
-        self._init_lane_grid()
+        self._init_peak_arrays()
 
-    def _init_lane_grid(self) -> None:
-        """Padded (Jmax, N) grid and landmark bands for the blocked Z draw,
-        and the flattened per-peak arrays for the violation counter.
+    def _init_peak_arrays(self) -> None:
+        """The peaks of all gels end to end, lane after lane: each peak's
+        lane column (_lane_of, lanes in lane_key_list order) and place in
+        its lane (_peak_row), location and window, and the flattened
+        per-peak arrays for the violation counter.  Arrays that meet the
+        state's (R, P) arrays are (1, P) rows, which numpy broadcasts over
+        the chains faster than (P,) vectors."""
+        J = np.array([end - start for g in self.gels for start, end in g.lane_slices])
+        self._lane_J = J
+        self._lane_of = np.repeat(np.arange(J.size), J)
+        self._peak_row = np.arange(self._lane_of.size) - (np.cumsum(J) - J)[self._lane_of]
+        self._T_all = np.concatenate([g.T_flat for g in self.gels])[None]
+        self._wlo_all = np.concatenate([g.wlo for g in self.gels])[None]
+        self._whi_all = np.concatenate([g.whi for g in self.gels])[None]
+        self._grids: dict[int, _LaneGrid] = {}
+        # violation counter
+        self._pair_lane = self._lane_of[1:]
+        self._same_lane = (self._lane_of[1:] == self._lane_of[:-1])[None]
+        self._gel_of = np.repeat(np.arange(len(self.gels)), [g.n_peaks for g in self.gels])
 
-        Lanes are columns in lane_key_list order, and each lane's peaks are
-        left-aligned in its column; _slot maps the state's peak axis onto
-        the flattened grid, and _lane_of gives each peak's lane column.
-        Slot (j, n) covers a band of Wb landmarks, Wb the widest window,
-        after band0: the landmark just below the window, clamped to L - Wb
-        so the band ends by landmark L.  Band column 0 is a -inf sentinel
-        and column c holds landmark band0 + c.
-        The additive log mask is 0 inside the window and -inf elsewhere, on
-        the sentinel, on every padded slot, and below landmark j+1 for the
-        (j+1)-th peak, which leaves landmark 1 no predecessor.
+    def _lane_grid(self, R: int) -> _LaneGrid:
+        """Padded grid and landmark bands of the blocked Z draw for R
+        chains, built on first use.
 
-        _shift[j - 1] maps every column of slot j onto the flat (N, Wb + 1)
-        index of slot j-1's column for the landmark just below: the
+        Slot (j, r, n) holds the (j+1)-th peak of lane n in chain r: each
+        lane's peaks are left-aligned in its column, and slot maps the
+        state's (chain, peak) axes onto the flattened grid.  Slot (j, n)
+        covers a band of Wb landmarks, Wb the widest window, after band0:
+        the landmark just below the window, clamped to L - Wb so the band
+        ends by landmark L.  Band column 0 is a -inf sentinel and column c
+        holds landmark band0 + c.  T_band holds the slot's peak location on
+        the columns inside its window and +inf elsewhere: on the sentinel,
+        on every padded slot, and below landmark j+1 for the (j+1)-th peak,
+        which leaves landmark 1 no predecessor.  An inf location gives a
+        log weight of -inf.
+
+        shift[j - 1] maps every column of slot j onto the flat (R, N,
+        Wb + 1) index of slot j-1's column for the landmark just below: the
         sentinel when that lies left of j-1's band, the last column (whose
         prefix sum holds through landmark L) when it lies right of it.  On a
         padded slot every entry is the last column.  The forward pass adds
         the prefix sums it picks out, and the backward pass reads peak j-1's
         bound from it at peak j's drawn column.  No array spans all L
-        landmarks per slot."""
+        landmarks per slot.  The flat indices into W and lambda point at
+        each chain's block of the state arrays."""
+        grid = self._grids.get(R)
+        if grid is not None:
+            return grid
         L = self.cfg.L
-        J = np.array([end - start for g in self.gels for start, end in g.lane_slices])
+        J, lane_of, j = self._lane_J, self._lane_of, self._peak_row
         N, Jmax = J.size, int(J.max())
-        # the peaks of all gels end to end, lane after lane
-        lane_of = np.repeat(np.arange(N), J)
-        j = np.arange(lane_of.size) - (np.cumsum(J) - J)[lane_of]
-        self._slot = j * N + lane_of
-        self._lane_of = lane_of
-        self._wlo_all = np.concatenate([g.wlo for g in self.gels])
-        self._whi_all = np.concatenate([g.whi for g in self.gels])
+        one_chain = j * N + lane_of
         T_pad = np.zeros((Jmax, N))
         lo_pad = np.full((Jmax, N), L + 1)
         hi_pad = np.zeros((Jmax, N), dtype=np.intp)
-        T_pad.flat[self._slot] = np.concatenate([g.T_flat for g in self.gels])
-        lo_pad.flat[self._slot] = np.maximum(self._wlo_all, j + 1)
-        hi_pad.flat[self._slot] = self._whi_all
+        T_pad.flat[one_chain] = self._T_all[0]
+        lo_pad.flat[one_chain] = np.maximum(self._wlo_all[0], j + 1)
+        hi_pad.flat[one_chain] = self._whi_all[0]
         Wb = max(int((hi_pad - lo_pad).max()) + 1, 1)
         band0 = np.minimum(lo_pad - 1, L - Wb)
         ell = band0[:, :, None] + np.arange(Wb + 1)  # landmark of each column
         inside = (ell >= lo_pad[:, :, None]) & (ell <= hi_pad[:, :, None])
         below = np.clip(ell[1:] - 1 - band0[:-1, :, None], 0, Wb)
         below[np.arange(1, Jmax)[:, None] >= J] = Wb
-        self._T_pad = T_pad[:, :, None]
-        self._w_flat = ell * N + np.arange(N)[:, None]  # into the (L + 2, N) warped landmarks
-        self._lam_idx = np.maximum(ell - 1, 0)  # a sentinel at landmark 0 is masked
-        self._window_mask = np.where(inside, 0.0, -np.inf)
-        self._band0 = band0
-        self._band_rows = np.arange(N) * (Wb + 1)
-        self._shift = self._band_rows[:, None] + below
-        self._top = self._band_rows + Wb
-        self._last_prefix = (J - 1) * N * (Wb + 1) + self._top
-        # violation counter
-        self._pair_lane = lane_of[1:]
-        self._same_lane = lane_of[1:] == lane_of[:-1]
-        self._gel_of = np.repeat(np.arange(len(self.gels)), [g.n_peaks for g in self.gels])
+
+        def chain_axis(a):
+            """A (Jmax, N, ...) array as (Jmax, R, N, ...)."""
+            return np.broadcast_to(a[:, None], a.shape[:1] + (R,) + a.shape[1:]).copy()
+
+        chains = np.arange(R)[:, None]
+        band_rows = np.arange(R * N).reshape(R, N) * (Wb + 1)
+        slot = j * (R * N) + chains * N + lane_of
+        grid = self._grids[R] = _LaneGrid(
+            T_band=chain_axis(np.where(inside, T_pad[:, :, None], np.inf)),
+            # into the (R, L + 2, N) warped landmarks and the (R, L) lambda
+            w_flat=chain_axis(ell * N + np.arange(N)[:, None]) + chains[..., None] * ((L + 2) * N),
+            lam_idx=chain_axis(np.maximum(ell - 1, 0)) + chains[..., None] * L,  # a sentinel at landmark 0 is masked
+            band0=chain_axis(band0).take(slot),
+            band_rows=band_rows,
+            shift=band_rows[..., None] + chain_axis(below),
+            top=band_rows + Wb,
+            slot=slot,
+            band_slot=slot * (Wb + 1),  # a peak's band in the flat A
+            chains=chains,
+            count_base=chains * L - 1,
+        )
+        return grid
 
     # -- state construction -------------------------------------------------
 
-    def init_chain_state(self) -> _ChainState:
-        """Identity warps, greedy nearest admissible Z, flat lambda."""
+    def init_chain_state(self, chains: int = 1) -> _ChainState:
+        """Identity warps, greedy nearest admissible Z, flat lambda, the same
+        for each of the chains."""
         cfg = self.cfg
         G = len(self.gels)
+        R = chains
         lam = np.full(cfg.L, 1.0 / cfg.L)
         Z = np.zeros(self.n_peaks_total, dtype=np.intp)
         for gel in self.gels:
@@ -410,27 +474,46 @@ class DewarpModel:
                     Zg[p] = lo + nearest
                     prev = Zg[p]
         cs = _ChainState(
-            lam=lam, lam_sum=float(lam.sum()), tau=1.0, sigma_eps2=0.01**2,
-            beta=np.tile(self.beta_id[:, None], (G, 1, cfg.T_u)), Z=Z,
-            sigma_g1_2=np.full(G, 0.01**2),
-            sigma_gs_2=np.full((G, self.n_free_rows), 0.01**2),
-            W=np.empty((cfg.L + 2, len(self.lane_key_list))),
-            mu=np.empty(self.n_peaks_total),
+            lam=np.tile(lam, (R, 1)), lam_sum=np.full(R, float(lam.sum())),
+            tau=np.ones(R), sigma_eps2=np.full(R, 0.01**2),
+            beta=np.tile(self.beta_id[:, None], (R, G, 1, cfg.T_u)), Z=np.tile(Z, (R, 1)),
+            sigma_g1_2=np.full((R, G), 0.01**2),
+            sigma_gs_2=np.full((R, G, self.n_free_rows), 0.01**2),
+            W=np.empty((R, cfg.L + 2, len(self.lane_key_list))),
+            mu=np.empty((R, self.n_peaks_total)),
         )
-        for gi in range(G):
-            self._refresh_gel(cs, gi)
+        self._refresh(cs)
         return cs
 
-    def _refresh_gel(self, cs: _ChainState, gi: int) -> None:
-        """Gel gi's warped landmarks W and peak means mu from its beta and Z."""
+    def _warp_gel(self, cs: _ChainState, gi: int) -> None:
+        """Gel gi's block of the warped landmarks W from its beta, chain by
+        chain."""
         gel = self.gels[gi]
-        W = cs.W[:, gel.cols]
-        W[:] = self.Bnu_land @ cs.beta[gi] @ gel.Bu.T
-        cs.mu[gel.peaks] = W[cs.Z[gel.peaks], gel.lane_idx]
+        for W, beta in zip(cs.W, cs.beta[:, gi]):
+            W[:, gel.cols] = self.Bnu_land @ beta @ gel.Bu.T
+
+    def _gather_mu(self, cs: _ChainState) -> None:
+        """The peak means mu: W at each peak's (chain, Z, lane)."""
+        cs.mu = cs.W[self._lane_grid(len(cs.Z)).chains, cs.Z, self._lane_of]
+
+    def _refresh(self, cs: _ChainState) -> None:
+        """W and mu from beta and Z, after the state is built or edited."""
+        for gi in range(len(self.gels)):
+            self._warp_gel(cs, gi)
+        self._gather_mu(cs)
 
     # -- Gibbs sweeps --------------------------------------------------------
 
-    def sweep_Z(self, cs: _ChainState, rng) -> None:
+    @staticmethod
+    def _chain_count(cs: _ChainState, rngs) -> int:
+        """The state's number of chains, which must be the number of
+        generators."""
+        R = len(cs.lam)
+        if len(rngs) != R:
+            raise ValueError(f"{len(rngs)} generators for a state of {R} chains")
+        return R
+
+    def sweep_Z(self, cs: _ChainState, rngs) -> None:
         """Blocked draw of every lane's assignment vector from its full
         conditional, by forward filtering, backward sampling (FFBS).
 
@@ -442,53 +525,64 @@ class DewarpModel:
         domain; the backward pass draws Z_J from alpha_J and then each Z_j
         from alpha_j restricted to landmarks below Z_{j+1}, by inverting
         the log prefix sums.  Lanes are conditionally independent, so all
-        lanes of all gels go through one numpy pass over the padded grid.
-        The order and window constraints hold by construction.
+        lanes of all gels of all chains go through one numpy pass over the
+        padded (Jmax, R, N) grid, each chain's uniforms from its own
+        generator.  The order and window constraints hold by construction.
 
-        Each slot works on its band of Wb landmarks (see _init_lane_grid),
-        so a pass costs O(Jmax N Wb), not O(Jmax N L).  A_j is -inf below
-        the window and constant above it, and logaddexp(-inf, x) and
+        Each slot works on its band of Wb landmarks (see _lane_grid),
+        so a pass costs O(Jmax R N Wb), not O(Jmax R N L).  A_j is -inf
+        below the window and constant above it, and logaddexp(-inf, x) and
         logaddexp(x, -inf) are exactly x, so the band's prefix sums and
         draws equal those over all L landmarks bit for bit.
         """
+        R = self._chain_count(cs, rngs)
+        g = self._lane_grid(R)
         # log weights over each slot's band, then the forward prefix sums
-        # in place
-        A = self._T_pad - cs.W.take(self._w_flat)
+        # in place; A is (Jmax, R, N, Wb + 1)
+        W_band = cs.W.take(g.w_flat)
+        A = g.T_band - W_band
         A *= A
-        A *= -0.5 / cs.sigma_eps2
-        A += np.log(cs.lam).take(self._lam_idx)
-        A += self._window_mask
-        np.logaddexp.accumulate(A[0], axis=1, out=A[0])
-        for j in range(1, A.shape[0]):
-            A[j] += A[j - 1].take(self._shift[j - 1])
-            np.logaddexp.accumulate(A[j], axis=1, out=A[j])
-        last = A.take(self._last_prefix)
-        if last.min() == -np.inf:
-            gel_id, lane = self.lane_key_list[int(np.argmin(last))]
+        for r, se2 in enumerate(cs.sigma_eps2.tolist()):
+            A[:, r] *= -0.5 / se2
+        A += np.log(cs.lam).take(g.lam_idx)
+        np.logaddexp.accumulate(A[0], axis=-1, out=A[0])
+        for j in range(1, len(A)):
+            A[j] += A[j - 1].take(g.shift[j - 1])
+            np.logaddexp.accumulate(A[j], axis=-1, out=A[j])
+        # backward: each peak takes the first column whose prefix sum
+        # reaches log(u) + (the sum up to its bound), with u uniform on
+        # (0, 1] and (Jmax, N) of them from each chain's generator.  top is
+        # the bound's flat index in A[j], first the last column (landmark
+        # L).  A padded slot's row is all -inf, so it draws the sentinel, and
+        # its shift row leaves the bound at the last column for the lane's
+        # last real peak.
+        log_u = np.empty((R, len(A), A.shape[2]))
+        for r, rng in enumerate(rngs):
+            rng.random(out=log_u[r])
+        np.negative(log_u, out=log_u)
+        np.log1p(log_u, out=log_u)
+        Z = np.empty(A.shape[:3], dtype=np.intp)
+        top = g.top
+        for j in range(len(A) - 1, -1, -1):
+            Aj = A[j]
+            v = Aj.take(top) + log_u[:, j]
+            Z[j] = (Aj >= v[..., None]).argmax(axis=-1)
+            if j:
+                top = g.shift[j - 1].take(g.band_rows + Z[j])
+        # each peak's drawn band column.  A real peak draws the sentinel only
+        # when its bound's prefix sum is -inf, which happens exactly when its
+        # lane has no ordered in-window assignment.
+        Z = Z.take(g.slot)
+        if Z.min() == 0:
+            gel_id, lane = self.lane_key_list[self._lane_of[int(np.argmin(Z)) % Z.shape[1]]]
             raise ValueError(
                 f"infeasible window: gel {gel_id} lane {lane} has no ordered "
                 f"in-window assignment; increase A_0"
             )
-        # backward: each peak takes the first column whose prefix sum
-        # reaches log(u) + (the sum up to its bound), with u uniform on
-        # (0, 1].  top is the bound's flat index in A[j], first the last
-        # column (landmark L).  A padded slot's row is all -inf, so it draws
-        # the sentinel, and its shift row leaves the bound at the last
-        # column for the lane's last real peak.
-        log_u = np.log1p(-rng.random(A.shape[:2]))
-        Z = np.empty(A.shape[:2], dtype=np.intp)
-        top = self._top
-        for j in range(A.shape[0] - 1, -1, -1):
-            Aj = A[j]
-            v = Aj.take(top) + log_u[j]
-            Z[j] = (Aj >= v[:, None]).argmax(axis=1)
-            if j:
-                top = self._shift[j - 1].take(self._band_rows + Z[j])
-        Z += self._band0
-        cs.Z = Z.take(self._slot)
-        cs.mu = cs.W[cs.Z, self._lane_of]
+        cs.Z = Z + g.band0
+        cs.mu = W_band.take(Z + g.band_slot)
 
-    def sweep_beta(self, cs: _ChainState, rng) -> None:
+    def sweep_beta(self, cs: _ChainState, rngs) -> None:
         """Coordinate-wise truncated-normal full conditionals for the free
         coefficients, in Gram form (Geweke 1991); boundary rows stay pinned.
 
@@ -497,162 +591,189 @@ class DewarpModel:
         B_u[lane, t].  Its likelihood term needs only G = X'X and the
         residual correlations c = X'(T - mu): precision G_kk / sigma^2 and
         numerator c_k / sigma^2 plus that precision times the current
-        value.  A move by delta shifts the residual by -x_k delta, so
-        c -= G_k delta keeps c current without touching the peaks.  G, c,
-        beta and one block of uniforms are built once per gel per sweep,
-        and the scan (s = 1..T_nu-2, then t = 0..T_u-1) runs on Python
-        floats.  The random-walk priors add their neighbour terms to each
+        value.  A move by delta shifts the residual by -x_k delta, so c_k
+        at visit k is its start value minus G_mk delta_m over the earlier
+        moves m, in scan order; only the coefficients not yet visited are
+        read, so nothing else is updated.  G, c, beta and one block of
+        uniforms are built once per chain and gel per sweep, and the scan
+        (s = 1..T_nu-2, then t = 0..T_u-1) runs on Python floats, one chain
+        at a time.  The random-walk priors add their neighbour terms to each
         coefficient's precision and numerator."""
+        R = self._chain_count(cs, rngs)
         cfg = self.cfg
         T_nu, T_u = cfg.T_nu, cfg.T_u
         K = self.n_free_rows * T_u
-        se2 = float(cs.sigma_eps2)
         g_inc = self.id_incr.tolist()
+        se2s = cs.sigma_eps2.tolist()
         for gi, gel in enumerate(self.gels):
             X = (
-                self.Bnu_land[cs.Z[gel.peaks], 1 : T_nu - 1][:, :, None] * gel.BuP[:, None, :]
-            ).reshape(gel.n_peaks, K)
-            G = (X.T @ X).tolist()
-            c = (X.T @ (gel.T_flat - cs.mu[gel.peaks])).tolist()
-            beta = cs.beta[gi].tolist()
-            us = rng.random(K).tolist()
-            v1 = float(cs.sigma_g1_2[gi])
-            vgs = cs.sigma_gs_2[gi].tolist()
-            k = 0
-            for s in range(1, T_nu - 1):
-                row, below, above = beta[s], beta[s - 1], beta[s + 1]
-                vs = vgs[s - 1]
-                for t in range(T_u):
-                    Gk = G[k]
-                    prec = Gk[k] / se2
-                    num = c[k] / se2 + prec * row[t]
-                    # vertical random walk couples column neighbors
-                    if t > 0:
-                        prec += 1.0 / vs
-                        num += row[t - 1] / vs
-                    if t < T_u - 1:
-                        prec += 1.0 / vs
-                        num += row[t + 1] / vs
-                    # horizontal random walk acts on the first column only
-                    if t == 0:
-                        prec += 1.0 / v1
-                        num += (below[0] + g_inc[s - 1]) / v1
-                        if s <= T_nu - 3:
+                self.Bnu_land[cs.Z[:, gel.peaks], 1 : T_nu - 1][..., None] * gel.BuP[:, None, :]
+            ).reshape(R, gel.n_peaks, K)
+            resid = gel.T_flat - cs.mu[:, gel.peaks]
+            for r, rng in enumerate(rngs):
+                Xr = X[r]
+                G = (Xr.T @ Xr).tolist()
+                c = (Xr.T @ resid[r]).tolist()
+                beta = cs.beta[r, gi].tolist()
+                us = rng.random(K).tolist()
+                se2 = se2s[r]
+                v1 = float(cs.sigma_g1_2[r, gi])
+                vgs = cs.sigma_gs_2[r, gi].tolist()
+                moves = []  # (G row, delta) of each coefficient moved so far
+                k = 0
+                for s in range(1, T_nu - 1):
+                    row, below, above = beta[s], beta[s - 1], beta[s + 1]
+                    vs = vgs[s - 1]
+                    for t in range(T_u):
+                        ck = c[k]
+                        for Gm, dm in moves:
+                            ck -= Gm[k] * dm
+                        prec = G[k][k] / se2
+                        num = ck / se2 + prec * row[t]
+                        # vertical random walk couples column neighbors
+                        if t > 0:
+                            prec += 1.0 / vs
+                            num += row[t - 1] / vs
+                        if t < T_u - 1:
+                            prec += 1.0 / vs
+                            num += row[t + 1] / vs
+                        # horizontal random walk acts on the first column only
+                        if t == 0:
                             prec += 1.0 / v1
-                            num += (above[0] - g_inc[s]) / v1
-                    mean = num / prec
-                    sd = 1.0 / math.sqrt(prec)
-                    new = _trunc_normal(mean, sd, below[t], above[t], us[k], rng)
-                    delta = new - row[t]
-                    if delta != 0.0:
-                        row[t] = new
-                        c = [ci - gki * delta for ci, gki in zip(c, Gk)]
-                    k += 1
-            cs.beta[gi] = beta
-            self._refresh_gel(cs, gi)
+                            num += (below[0] + g_inc[s - 1]) / v1
+                            if s <= T_nu - 3:
+                                prec += 1.0 / v1
+                                num += (above[0] - g_inc[s]) / v1
+                        mean = num / prec
+                        sd = 1.0 / math.sqrt(prec)
+                        new = _trunc_normal(mean, sd, below[t], above[t], us[k], rng)
+                        delta = new - row[t]
+                        if delta != 0.0:
+                            row[t] = new
+                            moves.append((G[k], delta))
+                        k += 1
+                cs.beta[r, gi] = beta
+            self._warp_gel(cs, gi)
+        self._gather_mu(cs)
 
-    def sweep_hyper(self, cs: _ChainState, rng, fix_lambda: bool = False) -> float:
+    def sweep_hyper(self, cs: _ChainState, rngs, fix_lambda: bool = False) -> float:
         """Conjugate variance updates plus Metropolis on log lambda.
 
-        Returns the lambda acceptance fraction for this sweep (0 when
-        lambda is held fixed, as in new-gel alignment)."""
+        Returns the fraction of lambda proposals accepted in this sweep,
+        over all chains (0 when lambda is held fixed, as in new-gel
+        alignment)."""
+        R = self._chain_count(cs, rngs)
         cfg = self.cfg
         L = cfg.L
-        if not fix_lambda:
-            cs.tau = _draw_invgamma(
-                TAU_SHAPE + 0.5 * L,
-                TAU_RATE + 0.5 * float(cs.lam @ cs.lam),
+        resid = self._T_all - cs.mu
+        for r, rng in enumerate(rngs):
+            if not fix_lambda:
+                lam = cs.lam[r]
+                cs.tau[r] = _draw_invgamma(
+                    TAU_SHAPE + 0.5 * L,
+                    TAU_RATE + 0.5 * float(lam @ lam),
+                    rng,
+                )
+            ss = 0.0
+            for gel in self.gels:
+                rg = resid[r, gel.peaks]
+                ss += float(rg @ rg)
+            cs.sigma_eps2[r] = _draw_invgamma(
+                SIGMA_SHAPE + 0.5 * self.n_peaks_total,
+                SIGMA_RATE + 0.5 * ss,
                 rng,
             )
-        ss = 0.0
-        for gel in self.gels:
-            r = gel.T_flat - cs.mu[gel.peaks]
-            ss += float(r @ r)
-        cs.sigma_eps2 = _draw_invgamma(
-            SIGMA_SHAPE + 0.5 * self.n_peaks_total,
-            SIGMA_RATE + 0.5 * ss,
-            rng,
-        )
-        for gi in range(len(self.gels)):
-            dd, ssq = self._rw_sums(cs.beta[gi])
-            cs.sigma_g1_2[gi] = _draw_invgamma(
-                SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
-                SIGMA_RATE + 0.5 * dd,
-                rng,
-            )
-            # one gamma draw per free row, from the same stream as row-by-row calls
-            cs.sigma_gs_2[gi] = (SIGMA_RATE + 0.5 * ssq) / rng.gamma(
-                SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
-            )
+            for gi in range(len(self.gels)):
+                dd, ssq = self._rw_sums(cs.beta[r, gi])
+                cs.sigma_g1_2[r, gi] = _draw_invgamma(
+                    SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
+                    SIGMA_RATE + 0.5 * dd,
+                    rng,
+                )
+                # one gamma draw per free row, from the same stream as row-by-row calls
+                cs.sigma_gs_2[r, gi] = (SIGMA_RATE + 0.5 * ssq) / rng.gamma(
+                    SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
+                )
         if fix_lambda:
             return 0.0
 
         # lambda: random-walk Metropolis on the log scale, coordinate by
         # coordinate; the log-normal Jacobian adds (x' - x)
-        counts = np.bincount(cs.Z - 1, minlength=L)
+        counts = np.bincount(
+            (cs.Z + self._lane_grid(R).count_base).ravel(), minlength=R * L
+        ).reshape(R, L)
         # Each proposal moves one coordinate, so every term but the sum's
         # is fixed up front; only lam_sum carries from one step to the next.
         P_tot = self.n_peaks_total
         lam = cs.lam
         x = np.log(lam)
-        xp = x + rng.standard_normal(L) * LAMBDA_STEP
+        noise = np.empty((R, L))
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[r])
+        xp = x + noise * LAMBDA_STEP
         lp = np.exp(xp)
         jacobian = ((counts + 1.0) * (xp - x)).tolist()
-        prior = ((lp * lp - lam * lam) * (0.5 / cs.tau)).tolist()
-        uls = rng.random(L).tolist()
-        lam_sum = cs.lam_sum
-        log_sum = log(lam_sum)
-        accept = [False] * L
-        for ell, (cur, prop) in enumerate(zip(lam.tolist(), lp.tolist())):
-            new_sum = lam_sum - cur + prop
-            log_new = log(new_sum)
-            logr = jacobian[ell] - P_tot * (log_new - log_sum) - prior[ell]
-            if logr >= 0.0 or uls[ell] < math.exp(logr):
-                accept[ell] = True
-                lam_sum, log_sum = new_sum, log_new
-        lam[accept] = lp[accept]
-        cs.lam_sum = lam_sum
-        accepted = sum(accept)
+        prior = ((lp * lp - lam * lam) * (0.5 / cs.tau)[:, None]).tolist()
+        accepted = 0
+        for r, rng in enumerate(rngs):
+            lam_r, lp_r, jac_r, prior_r = lam[r], lp[r], jacobian[r], prior[r]
+            uls = rng.random(L).tolist()
+            lam_sum = float(cs.lam_sum[r])
+            log_sum = log(lam_sum)
+            accept = [False] * L
+            for ell, (cur, prop) in enumerate(zip(lam_r.tolist(), lp_r.tolist())):
+                new_sum = lam_sum - cur + prop
+                log_new = log(new_sum)
+                logr = jac_r[ell] - P_tot * (log_new - log_sum) - prior_r[ell]
+                if logr >= 0.0 or uls[ell] < math.exp(logr):
+                    accept[ell] = True
+                    lam_sum, log_sum = new_sum, log_new
+            np.putmask(lam_r, accept, lp_r)
+            cs.lam_sum[r] = lam_sum
+            accepted += sum(accept)
 
-        # joint rescaling of (lambda, tau): the normalized weights are
-        # scale-free, so the common scale mixes only through this move;
-        # acceptance ratio reduces to the tau prior plus the Jacobian
-        logc = rng.standard_normal() * LAMBDA_STEP
-        c2 = math.exp(2.0 * logc)
-        logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / cs.tau) * (1.0 / c2 - 1.0)
-        if logr >= 0.0 or rng.random() < math.exp(logr):
-            scale = math.exp(logc)
-            cs.lam = cs.lam * scale
-            cs.lam_sum = float(cs.lam.sum())
-            cs.tau = cs.tau * c2
-        return accepted / L
+            # joint rescaling of (lambda, tau): the normalized weights are
+            # scale-free, so the common scale mixes only through this move;
+            # acceptance ratio reduces to the tau prior plus the Jacobian
+            logc = rng.standard_normal() * LAMBDA_STEP
+            c2 = math.exp(2.0 * logc)
+            tau = float(cs.tau[r])
+            logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / tau) * (1.0 / c2 - 1.0)
+            if logr >= 0.0 or rng.random() < math.exp(logr):
+                lam_r *= math.exp(logc)
+                cs.lam_sum[r] = float(lam_r.sum())
+                cs.tau[r] = tau * c2
+        return accepted / (R * L)
 
-    def sweep(self, cs: _ChainState, rng, fix_lambda: bool = False) -> float:
-        self.sweep_Z(cs, rng)
-        self.sweep_beta(cs, rng)
-        return self.sweep_hyper(cs, rng, fix_lambda=fix_lambda)
+    def sweep(self, cs: _ChainState, rngs, fix_lambda: bool = False) -> float:
+        self.sweep_Z(cs, rngs)
+        self.sweep_beta(cs, rngs)
+        return self.sweep_hyper(cs, rngs, fix_lambda=fix_lambda)
 
     # -- constraint checks and log joint -------------------------------------
 
     def count_violations(self, cs: _ChainState) -> int:
-        """Number of broken constraints in the current state: one per gel
-        with a non-monotone column, one per gel with an unpinned boundary
-        row, one per lane whose assignments are not strictly increasing,
-        one per gel with an assignment outside its window, and one for a
-        non-positive lambda."""
+        """Number of broken constraints in the current state, summed over
+        the chains: in each chain, one per gel with a non-monotone column,
+        one per gel with an unpinned boundary row, one per lane whose
+        assignments are not strictly increasing, one per gel with an
+        assignment outside its window, and one for a non-positive lambda."""
         lo, hi = self.bounds
         beta, Z = cs.beta, cs.Z
-        bad = int(np.count_nonzero(~np.all(np.diff(beta, axis=1) > 0, axis=(1, 2))))
-        unpinned = (np.abs(beta[:, 0, :] - lo) > 1e-9) | (np.abs(beta[:, -1, :] - hi) > 1e-9)
-        bad += int(np.count_nonzero(unpinned.any(axis=1)))
+        bad = int(np.count_nonzero(~np.all(np.diff(beta, axis=2) > 0, axis=(2, 3))))
+        unpinned = (np.abs(beta[:, :, 0, :] - lo) > 1e-9) | (np.abs(beta[:, :, -1, :] - hi) > 1e-9)
+        bad += int(np.count_nonzero(unpinned.any(axis=2)))
         broken = (np.diff(Z) <= 0) & self._same_lane
         if broken.any():
-            bad += np.unique(self._pair_lane[broken]).size
+            chain, pair = np.nonzero(broken)
+            bad += np.unique(chain * len(self.lane_key_list) + self._pair_lane[pair]).size
         outside = (Z < self._wlo_all) | (Z > self._whi_all)
         if outside.any():
-            bad += np.unique(self._gel_of[outside]).size
-        if np.any(cs.lam <= 0):
-            bad += 1
+            chain, peak = np.nonzero(outside)
+            bad += np.unique(chain * len(self.gels) + self._gel_of[peak]).size
+        nonpositive = cs.lam <= 0
+        if nonpositive.any():
+            bad += int(np.count_nonzero(nonpositive.any(axis=1)))
         return bad
 
     def _rw_sums(self, beta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -664,36 +785,48 @@ class DewarpModel:
         return float(d @ d), np.sum(inc * inc, axis=1)
 
     def log_joint_components(self, cs: _ChainState) -> dict:
+        """The log joint's terms and total, each an (R,) array over the
+        chains; -inf throughout for a chain that breaks a constraint."""
+        R = len(cs.lam)
+        if self.count_violations(cs) == 0:
+            ok = [True] * R
+        else:
+            ok = [self.count_violations(cs.chain(r)) == 0 for r in range(R)]
+        resid = self._T_all - cs.mu
+        terms = np.array([self._chain_log_joint(cs, r, resid[r]) if ok[r] else (-np.inf,) * 5
+                          for r in range(R)])
+        return dict(zip(("likelihood", "z_prior", "beta_prior", "hyper", "total"), terms.T))
+
+    def _chain_log_joint(self, cs: _ChainState, r: int, resid: np.ndarray) -> tuple:
+        """Chain r's likelihood, z_prior, beta_prior, hyper and total; resid
+        is its T - mu over all peaks."""
         cfg = self.cfg
-        if self.count_violations(cs) > 0:
-            return {
-                "likelihood": -np.inf, "z_prior": -np.inf,
-                "beta_prior": -np.inf, "hyper": -np.inf, "total": -np.inf,
-            }
-        se2 = cs.sigma_eps2
+        se2 = float(cs.sigma_eps2[r])
+        tau = float(cs.tau[r])
+        lam = cs.lam[r]
         lik = 0.0
         z_prior = 0.0
         beta_prior = 0.0
-        hyper = _log_invgamma(cs.tau, TAU_SHAPE, TAU_RATE)
+        hyper = _log_invgamma(tau, TAU_SHAPE, TAU_RATE)
         hyper += _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
         # half-normal over lambda
         hyper += float(
-            np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(cs.tau)
-                   - cs.lam**2 / (2.0 * cs.tau))
+            np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(tau)
+                   - lam**2 / (2.0 * tau))
         )
-        log_lam_sum = log(cs.lam_sum)
+        log_lam_sum = log(cs.lam_sum[r])
         for gi, gel in enumerate(self.gels):
-            r = gel.T_flat - cs.mu[gel.peaks]
-            lik += -0.5 * float(r @ r) / se2 - 0.5 * gel.n_peaks * (
+            rg = resid[gel.peaks]
+            lik += -0.5 * float(rg @ rg) / se2 - 0.5 * gel.n_peaks * (
                 LOG_2PI + log(se2)
             )
             z_prior += gel.log_jfact
-            z_prior += float(np.sum(np.log(cs.lam[cs.Z[gel.peaks] - 1])))
+            z_prior += float(np.sum(np.log(lam[cs.Z[r, gel.peaks] - 1])))
             z_prior -= gel.n_peaks * log_lam_sum
 
-            v1 = float(cs.sigma_g1_2[gi])
-            vgs = cs.sigma_gs_2[gi]
-            dd, ssq = self._rw_sums(cs.beta[gi])
+            v1 = float(cs.sigma_g1_2[r, gi])
+            vgs = cs.sigma_gs_2[r, gi]
+            dd, ssq = self._rw_sums(cs.beta[r, gi])
             beta_prior += -0.5 * dd / v1 - 0.5 * (cfg.T_nu - 2) * (LOG_2PI + log(v1))
             beta_prior += float(np.sum(-0.5 * ssq / vgs)) - 0.5 * (cfg.T_u - 1) * float(
                 np.sum(LOG_2PI + np.log(vgs))
@@ -702,13 +835,10 @@ class DewarpModel:
             hyper += _log_invgamma(v1, SIGMA_SHAPE, SIGMA_RATE)
             for v in vgs:
                 hyper += _log_invgamma(float(v), SIGMA_SHAPE, SIGMA_RATE)
-        total = lik + z_prior + beta_prior + hyper
-        return {
-            "likelihood": lik, "z_prior": z_prior,
-            "beta_prior": beta_prior, "hyper": hyper, "total": total,
-        }
+        return lik, z_prior, beta_prior, hyper, lik + z_prior + beta_prior + hyper
 
-    def log_joint(self, cs: _ChainState) -> float:
+    def log_joint(self, cs: _ChainState) -> np.ndarray:
+        """The log joint of each chain, an (R,) array."""
         return self.log_joint_components(cs)["total"]
 
 
@@ -823,8 +953,8 @@ def _summarize(model: DewarpModel, peaks: PeakTable, draws: list,
 
 
 def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
-    """Short annealed chains from independent streams; keeps the state with
-    the best settled log joint.
+    """Short annealed chains from independent streams, swept in lockstep;
+    keeps the state with the best settled log joint.
 
     The residual scale is clamped to a geometric schedule (ANNEAL_HI down to
     ANNEAL_LO landmark spacings) so every restart is forced through a soft
@@ -832,43 +962,46 @@ def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
     Scoring happens only after a stretch of unclamped sweeps: at the clamp
     floor an over-fitted labeling can outscore the right one, whereas once
     the residual scale has re-equilibrated the settled log joint compares
-    basins at their own posterior scale.  Only the winner is carried
-    forward; samples are drawn later under the unclamped kernel."""
-    best = None
-    best_score = -np.inf
+    basins at their own posterior scale.  The winner is the first chain
+    whose score beats every earlier one, so a tie keeps the earlier chain
+    and a NaN never wins; it is carried forward as a one-chain state, and
+    samples are drawn later under the unclamped kernel."""
+    rngs = [np.random.default_rng((cfg.seed, 911, i)) for i in range(cfg.restarts)]
+    cs = model.init_chain_state(cfg.restarts)
     viol = 0
     n = cfg.restart_sweeps
     hi = ANNEAL_HI * model.spacing_std
     lo = ANNEAL_LO * model.spacing_std
     release = max(30, n // 4)
     tail_n = min(25, release)
-    for i in range(cfg.restarts):
-        r = np.random.default_rng((cfg.seed, 911, i))
-        cs = model.init_chain_state()
-        for it in range(n):
-            model.sweep(cs, r)
-            clamp = hi * (lo / hi) ** (it / max(n - 1, 1))
-            if cs.sigma_eps2 > clamp * clamp:
-                cs.sigma_eps2 = clamp * clamp
-            viol += model.count_violations(cs)
-        tail = []
-        for it in range(release):
-            model.sweep(cs, r)
-            viol += model.count_violations(cs)
-            if it >= release - tail_n:
-                tail.append(model.log_joint(cs))
-        score = float(np.mean(tail))
+    for it in range(n):
+        model.sweep(cs, rngs)
+        clamp = hi * (lo / hi) ** (it / max(n - 1, 1))
+        np.minimum(cs.sigma_eps2, clamp * clamp, out=cs.sigma_eps2)
+        viol += model.count_violations(cs)
+    tail = []
+    for it in range(release):
+        model.sweep(cs, rngs)
+        viol += model.count_violations(cs)
+        if it >= release - tail_n:
+            tail.append(model.log_joint(cs))
+    scores = [float(np.mean(chain_tail)) for chain_tail in np.array(tail).T.tolist()]
+    best = None
+    best_score = -np.inf
+    for i, score in enumerate(scores):
         if score > best_score:
-            best_score = score
-            best = cs
-    return best, viol
+            best, best_score = i, score
+    if best is None:
+        raise ValueError(
+            "no restart reached a finite settled log joint; scores by restart: "
+            + ", ".join(repr(score) for score in scores)
+        )
+    return cs.chain(best), viol
 
 
-def run_mcmc(peaks: PeakTable, cfg: ModelConfig, check_every: int = 1) -> MCMCResult:
+def run_mcmc(peaks: PeakTable, cfg: ModelConfig) -> MCMCResult:
     """Systematic-scan Gibbs chain; deterministic given cfg.seed.
-
-    check_every controls how often constraint violations are counted
-    (1 = every sweep)."""
+    Constraint violations are counted after every sweep."""
     model = DewarpModel(peaks, cfg)
     for gel in model.gels:
         if gel.n_peaks < cfg.T_nu:
@@ -878,12 +1011,11 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig, check_every: int = 1) -> MCMCRe
                 GelwarpWarning,
                 stacklevel=2,
             )
-    rng = np.random.default_rng(cfg.seed)
+    rngs = [np.random.default_rng(cfg.seed)]
     cs = model.init_chain_state()
-    lj0 = model.log_joint(cs)
-    if not np.isfinite(lj0):
-        comp = model.log_joint_components(cs)
-        bad = [k for k, v in comp.items() if k != "total" and not np.isfinite(v)]
+    comp = model.log_joint_components(cs)
+    if not np.isfinite(comp["total"][0]):
+        bad = [k for k, v in comp.items() if k != "total" and not np.isfinite(v[0])]
         raise ValueError(f"non-finite log joint at initialization: {', '.join(bad)}")
 
     violations = 0
@@ -893,11 +1025,11 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig, check_every: int = 1) -> MCMCRe
     accept_sum = 0.0
     draws = []
     for it in range(cfg.iterations):
-        accept_sum += model.sweep(cs, rng)
-        if check_every and it % check_every == 0:
-            violations += model.count_violations(cs)
+        accept_sum += model.sweep(cs, rngs)
+        violations += model.count_violations(cs)
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            draws.append((cs.Z.copy(), cs.beta.copy(), cs.lam.copy(), model.log_joint(cs)))
+            draws.append((cs.Z[0].copy(), cs.beta[0].copy(), cs.lam[0].copy(),
+                          model.log_joint(cs)[0]))
     return _summarize(model, peaks, draws, violations, accept_sum / cfg.iterations)
 
 
@@ -942,16 +1074,16 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     draws = []
     violations = 0
     for chain_i, k in enumerate(idx):
-        rng = np.random.default_rng(cfg.seed + 1000 + chain_i)
+        rngs = [np.random.default_rng(cfg.seed + 1000 + chain_i)]
         cs = model.init_chain_state()
-        cs.lam = stored[k].copy()
-        cs.lam_sum = float(cs.lam.sum())
+        cs.lam[0] = stored[k]
+        cs.lam_sum[0] = float(cs.lam[0].sum())
         for it in range(iterations):
-            model.sweep(cs, rng, fix_lambda=True)
+            model.sweep(cs, rngs, fix_lambda=True)
             violations += model.count_violations(cs)
             if it >= burnin:
-                draws.append((cs.Z.copy(), cs.beta.copy(), cs.lam.copy(),
-                              model.log_joint(cs)))
+                draws.append((cs.Z[0].copy(), cs.beta[0].copy(), cs.lam[0].copy(),
+                              model.log_joint(cs)[0]))
     return _summarize(model, new_peaks, draws, violations, 0.0)
 
 

@@ -151,7 +151,7 @@ def test_criterion_03_constraint_soundness():
     assert len(peaks.lane_keys()) == 10
     cfg = ModelConfig(L=20, T_nu=5, T_u=4, iterations=100_000, burnin=99_000,
                       thin=10, seed=1, restarts=2, restart_sweeps=500)
-    res = run_mcmc(peaks, cfg, check_every=1)
+    res = run_mcmc(peaks, cfg)
     sweeps = cfg.iterations + cfg.restarts * cfg.restart_sweeps
     dt = time.perf_counter() - t0
     ok = res.violations == 0 and sweeps >= 100_000 and dt < 300.0
@@ -193,14 +193,14 @@ def test_criterion_04_z_sampler_exactness():
 
     model = DewarpModel(peaks, cfg)
     cs = model.init_chain_state()
-    cs.lam, cs.lam_sum = lam, float(lam.sum())
-    cs.sigma_eps2 = sigma**2
-    rng = np.random.default_rng(7)
+    cs.lam[0], cs.lam_sum[0] = lam, float(lam.sum())
+    cs.sigma_eps2[0] = sigma**2
+    rngs = [np.random.default_rng(7)]
     counts: dict = {}
     n = 1_000_000
     for _ in range(n):
-        model.sweep_Z(cs, rng)
-        key = (int(cs.Z[0]), int(cs.Z[1]))
+        model.sweep_Z(cs, rngs)
+        key = (int(cs.Z[0, 0]), int(cs.Z[0, 1]))
         counts[key] = counts.get(key, 0) + 1
     outside = sum(v for k, v in counts.items() if k not in exact)
     tv = 0.5 * sum(abs(counts.get(k, 0) / n - p) for k, p in exact.items())

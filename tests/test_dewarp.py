@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -11,13 +12,18 @@ from scipy.stats import invgamma, truncnorm
 
 from gelwarp.core import GelwarpWarning, Standardizer, standardize_intensities
 from gelwarp.dewarp import (
+    ANNEAL_HI,
+    ANNEAL_LO,
     LAMBDA_STEP,
+    SQRT_HALF,
     SIGMA_RATE,
     SIGMA_SHAPE,
     TAU_RATE,
     TAU_SHAPE,
     DewarpModel,
     ModelConfig,
+    _ChainState,
+    _explore_restarts,
     _trunc_normal,
     align_new_gel,
     read_zmap,
@@ -64,18 +70,17 @@ def two_gel_peaks(seed=0, n_gels=2, lanes=5, amp=0.8, L=20):
 
 def refresh(model, cs):
     """Recompute W and mu after a test sets beta or Z."""
-    for gi in range(len(model.gels)):
-        model._refresh_gel(cs, gi)
+    model._refresh(cs)
 
 
 def warp_field(model, cs, gi=0):
-    return WarpField(beta=cs.beta[gi].copy(), basis_nu=model.basis_nu,
+    return WarpField(beta=cs.beta[0, gi].copy(), basis_nu=model.basis_nu,
                      basis_u=model.gels[gi].basis_u, bounds=model.bounds)
 
 
 def lane_assignments(model, cs):
-    """{(gel_id, lane): that lane's slice of Z}"""
-    return {(gel.gel_id, lane): cs.Z[gel.peaks][start:end]
+    """{(gel_id, lane): that lane's slice of chain 0's Z}"""
+    return {(gel.gel_id, lane): cs.Z[0, gel.peaks][start:end]
             for gel in model.gels
             for lane, (start, end) in zip(gel.lanes, gel.lane_slices)}
 
@@ -178,8 +183,8 @@ class TestZGibbsExact:
         cs = model.init_chain_state()
         lam = np.array([0.30, 0.05, 0.25, 0.10, 0.30])
         sigma = 0.8  # landmark spacings
-        cs.lam, cs.lam_sum = lam, float(lam.sum())
-        cs.sigma_eps2 = sigma**2
+        cs.lam[0], cs.lam_sum[0] = lam, float(lam.sum())
+        cs.sigma_eps2[0] = sigma**2
         return model, cs, lam, sigma
 
     def exact_posterior(self, cfg, lam, sigma):
@@ -203,12 +208,12 @@ class TestZGibbsExact:
     def test_empirical_matches_enumeration(self):
         model, cs, lam, sigma = self.setup_instance()
         exact = self.exact_posterior(model.cfg, lam, sigma)
-        rng = np.random.default_rng(7)
+        rngs = [np.random.default_rng(7)]
         counts = {}
         n = 150_000
         for _ in range(n):
-            model.sweep_Z(cs, rng)
-            key = (int(cs.Z[0]), int(cs.Z[1]))
+            model.sweep_Z(cs, rngs)
+            key = (int(cs.Z[0, 0]), int(cs.Z[0, 1]))
             counts[key] = counts.get(key, 0) + 1
         assert set(counts) <= set(exact)
         tv = 0.5 * sum(
@@ -252,24 +257,24 @@ class TestZBlockedDraw:
                           burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         cs = model.init_chain_state()
-        cs.beta[0, 1, :] += [0.3, -0.2, 0.1, 0.25]
-        cs.beta[0, 2, :] += [-0.25, 0.15, 0.3, -0.1]
+        cs.beta[0, 0, 1, :] += [0.3, -0.2, 0.1, 0.25]
+        cs.beta[0, 0, 2, :] += [-0.25, 0.15, 0.3, -0.1]
         refresh(model, cs)
         field = warp_field(model, cs)
         field.validate()
         lam = np.array([0.30, 0.05, 0.25, 0.10, 0.30, 0.20, 0.15, 0.40])
         sigma = 0.7  # landmark spacings
-        cs.lam, cs.lam_sum = lam, float(lam.sum())
-        cs.sigma_eps2 = sigma**2
+        cs.lam[0], cs.lam_sum[0] = lam, float(lam.sum())
+        cs.sigma_eps2[0] = sigma**2
         exact = self.exact_posterior(model, field, lam, sigma)
         assert [len(p) for p in exact.values()] == [4, 15, 36]
 
-        rng = np.random.default_rng(3)
+        rngs = [np.random.default_rng(3)]
         n = 40_000
         counts = {key: {} for key in exact}
         for _ in range(n):
-            model.sweep_Z(cs, rng)
-            Z = cs.Z
+            model.sweep_Z(cs, rngs)
+            Z = cs.Z[0]
             for k, (start, end) in enumerate(model.gels[0].lane_slices):
                 z = tuple(int(v) for v in Z[start:end])
                 c = counts[("G1", k + 1)]
@@ -287,13 +292,13 @@ class TestZBlockedDraw:
         cfg = ModelConfig(L=20, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         cs = model.init_chain_state()
-        cs.sigma_eps2 = 0.01**2
-        rng = np.random.default_rng(0)
+        cs.sigma_eps2[0] = 0.01**2
+        rngs = [np.random.default_rng(0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(20):
-                model.sweep_Z(cs, rng)
-                assert cs.Z.tolist() == [11, 12]
+                model.sweep_Z(cs, rngs)
+                assert cs.Z.tolist() == [[11, 12]]
                 assert np.all(np.isfinite(cs.mu))
         assert model.count_violations(cs) == 0
 
@@ -308,31 +313,32 @@ class TestZBlockedDraw:
         cs = DewarpModel(peaks, wide).init_chain_state()
         before = cs.Z.copy()
         with pytest.raises(ValueError, match="gel G1 lane 4"):
-            model.sweep_Z(cs, np.random.default_rng(0))
+            model.sweep_Z(cs, [np.random.default_rng(0)])
         assert np.array_equal(cs.Z, before)
 
 
 def full_grid_sweep_Z(model, cs, rng):
-    """Reference for DewarpModel.sweep_Z: the same FFBS draw run over all L
-    landmarks of every padded (Jmax, N) slot, with a -inf mask outside each
-    peak's window."""
+    """Reference for DewarpModel.sweep_Z on a one-chain state: the same FFBS
+    draw run over all L landmarks of every padded (Jmax, N) slot, with a
+    -inf mask outside each peak's window."""
     L = model.cfg.L
     J = np.array([end - start for g in model.gels for start, end in g.lane_slices])
     N, Jmax = J.size, int(J.max())
     T_pad = np.zeros((Jmax, N))
     lo_pad = np.full((Jmax, N), L + 1)
     hi_pad = np.zeros((Jmax, N), dtype=np.intp)
-    slot = model._slot
+    lane_of = np.repeat(np.arange(N), J)
+    slot = (np.arange(lane_of.size) - (np.cumsum(J) - J)[lane_of]) * N + lane_of
     T_pad.flat[slot] = np.concatenate([gel.T_flat for gel in model.gels])
-    lo_pad.flat[slot] = np.maximum(model._wlo_all, slot // N + 1)
-    hi_pad.flat[slot] = model._whi_all
+    lo_pad.flat[slot] = np.maximum(np.concatenate([gel.wlo for gel in model.gels]), slot // N + 1)
+    hi_pad.flat[slot] = np.concatenate([gel.whi for gel in model.gels])
     ell = np.arange(1, L + 1)
     inside = (ell >= lo_pad[:, :, None]) & (ell <= hi_pad[:, :, None])
     rows = np.arange(N)
-    A = T_pad[:, :, None] - cs.W[1:-1].T
+    A = T_pad[:, :, None] - cs.W[0, 1:-1].T
     A *= A
-    A *= -0.5 / cs.sigma_eps2
-    A += np.log(cs.lam)
+    A *= -0.5 / cs.sigma_eps2[0]
+    A += np.log(cs.lam[0])
     A += np.where(inside, 0.0, -np.inf)
     np.logaddexp.accumulate(A[0], axis=1, out=A[0])
     for j in range(1, Jmax):
@@ -347,8 +353,8 @@ def full_grid_sweep_Z(model, cs, rng):
         Z[j] = (A[j] >= v[:, None]).argmax(axis=1)
         top = Z[j] - 1
     Z += 1
-    cs.Z = Z.take(slot)
-    cs.mu = cs.W[cs.Z, model._lane_of]
+    cs.Z = Z.take(slot)[None]
+    cs.mu = cs.W[0][cs.Z[0], lane_of][None]
 
 
 def chain_shaped_peaks(seed, L=50):
@@ -388,10 +394,11 @@ class TestZBandedKernel:
         Wb = self.widest_window(model)
         N = len(model.lane_key_list)
         Jmax = max(end - start for g in model.gels for start, end in g.lane_slices)
-        # no (Jmax, N, L) grid: a per-slot axis spans at most the band
-        grids = {name: value.shape for name, value in vars(model).items()
-                 if isinstance(value, np.ndarray) and value.ndim == 3
-                 and value.shape[:2] in ((Jmax, N), (Jmax - 1, N))}
+        # no (Jmax, R, N, L) grid: a per-slot axis spans at most the band
+        lane_grid = model._lane_grid(1)
+        grids = {f.name: getattr(lane_grid, f.name).shape for f in dataclasses.fields(lane_grid)
+                 if getattr(lane_grid, f.name).ndim == 4
+                 and getattr(lane_grid, f.name).shape[:3] in ((Jmax, 1, N), (Jmax - 1, 1, N))}
         assert grids
         for name, shape in grids.items():
             assert shape[-1] <= Wb + 1, (name, shape)
@@ -402,13 +409,13 @@ class TestZBandedKernel:
             ref_cs, ref_rng = copy.deepcopy(cs), copy.deepcopy(rng)
             before = cs.Z.copy()
             full_grid_sweep_Z(model, ref_cs, ref_rng)
-            model.sweep_Z(cs, rng)
+            model.sweep_Z(cs, [rng])
             assert np.array_equal(cs.Z, ref_cs.Z)
             assert np.array_equal(cs.mu, ref_cs.mu)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             moved += int(np.any(cs.Z != before))
-            model.sweep_beta(cs, rng)
-            model.sweep_hyper(cs, rng)
+            model.sweep_beta(cs, [rng])
+            model.sweep_hyper(cs, [rng])
         assert model.count_violations(cs) == 0
         assert moved > 0
         return model, Wb
@@ -451,27 +458,27 @@ class TestBetaConditional:
         s0 = model.init_chain_state()
         s0.sigma_g1_2[:] = 0.4**2
         s0.sigma_gs_2[:] = 0.4**2
-        s0.sigma_eps2 = 0.6**2
+        s0.sigma_eps2[:] = 0.6**2
 
-        beta0 = s0.beta[0]
+        beta0 = s0.beta[0, 0]
         lo, hi = beta0[0, 0], beta0[2, 0]
         grid = np.linspace(lo, hi, 801)[1:-1]
         logp = np.empty(grid.size)
         for i, b in enumerate(grid):
             trial = copy.deepcopy(s0)
-            trial.beta[0, 1, 0] = b
+            trial.beta[0, 0, 1, 0] = b
             refresh(model, trial)
-            logp[i] = model.log_joint(trial)
+            logp[i] = model.log_joint(trial)[0]
         dens = np.exp(logp - logp.max())
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
         cdf /= cdf[-1]
 
-        rng = np.random.default_rng(5)
+        rngs = [np.random.default_rng(5)]
         draws = []
         for _ in range(6000):
             cs = copy.deepcopy(s0)
-            model.sweep_beta(cs, rng)
-            draws.append(cs.beta[0, 1, 0])
+            model.sweep_beta(cs, rngs)
+            draws.append(cs.beta[0, 0, 1, 0])
         draws = np.sort(draws)
         emp = np.arange(1, len(draws) + 1) / len(draws)
         oracle = np.interp(draws, grid, cdf)
@@ -480,17 +487,18 @@ class TestBetaConditional:
     @staticmethod
     def element_loop_sweep(model, cs, rng):
         """sweep_beta one coefficient at a time, with length-P dot products
-        and a residual update after every move: the reference kernel."""
+        and a residual update after every move: the reference kernel, on a
+        one-chain state."""
         cfg = model.cfg
-        se2 = cs.sigma_eps2
+        se2 = cs.sigma_eps2[0]
         g_inc = model.id_incr
         for gi, gel in enumerate(model.gels):
-            beta = cs.beta[gi]
-            BnZ = model.Bnu_land[cs.Z[gel.peaks], :]
-            mu = cs.mu[gel.peaks]
-            v1 = cs.sigma_g1_2[gi]
+            beta = cs.beta[0, gi]
+            BnZ = model.Bnu_land[cs.Z[0, gel.peaks], :]
+            mu = cs.mu[0, gel.peaks]
+            v1 = cs.sigma_g1_2[0, gi]
             for s in range(1, cfg.T_nu - 1):
-                vs = cs.sigma_gs_2[gi][s - 1]
+                vs = cs.sigma_gs_2[0, gi][s - 1]
                 for t in range(cfg.T_u):
                     a = BnZ[:, s] * gel.BuP[:, t]
                     prec = (a @ a) / se2
@@ -511,8 +519,8 @@ class TestBetaConditional:
                                         beta[s - 1, t], beta[s + 1, t], rng.random(), rng)
                     mu = mu + a * (new - beta[s, t])
                     beta[s, t] = new
-            cs.W[:, gel.cols] = model.Bnu_land @ beta @ gel.Bu.T
-            cs.mu[gel.peaks] = cs.W[:, gel.cols][cs.Z[gel.peaks], gel.lane_idx]
+            cs.W[0][:, gel.cols] = model.Bnu_land @ beta @ gel.Bu.T
+            cs.mu[0, gel.peaks] = cs.W[0][:, gel.cols][cs.Z[0, gel.peaks], gel.lane_idx]
 
     def test_sweep_matches_element_loop_reference(self):
         # same random stream and the same conditionals; the Gram sums round
@@ -520,17 +528,17 @@ class TestBetaConditional:
         peaks, _ = two_gel_peaks(seed=6)
         cfg = ModelConfig(L=20, T_nu=6, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
-        rng = np.random.default_rng(13)
+        rngs = [np.random.default_rng(13)]
         cs = model.init_chain_state()
         for k in range(60):
-            model.sweep(cs, rng)
+            model.sweep(cs, rngs)
             a, b = copy.deepcopy(cs), copy.deepcopy(cs)
             ra, rb = np.random.default_rng(k), np.random.default_rng(k)
-            model.sweep_beta(a, ra)
+            model.sweep_beta(a, [ra])
             self.element_loop_sweep(model, b, rb)
             assert ra.random() == rb.random()
             np.testing.assert_allclose(a.beta, b.beta, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(a.mu, a.W[a.Z, model._lane_of])
+            np.testing.assert_array_equal(a.mu[0], a.W[0][a.Z[0], model._lane_of])
             np.testing.assert_allclose(a.mu, b.mu, rtol=0, atol=1e-12)
             assert model.count_violations(a) == 0
 
@@ -562,12 +570,12 @@ class TestHyperConditionals:
         shape = SIGMA_SHAPE + 0.5 * n
         rate = SIGMA_RATE + 0.5 * ss
 
-        rng = np.random.default_rng(9)
+        rngs = [np.random.default_rng(9)]
         draws = []
         for _ in range(4000):
             cs = copy.deepcopy(s0)
-            model.sweep_hyper(cs, rng)
-            draws.append(cs.sigma_eps2)
+            model.sweep_hyper(cs, rngs)
+            draws.append(cs.sigma_eps2[0])
         draws = np.sort(draws)
         cdf = invgamma.cdf(draws, shape, scale=rate)
         emp = np.arange(1, len(draws) + 1) / len(draws)
@@ -580,14 +588,14 @@ class TestHyperConditionals:
         # from its definition and compare samples
         peaks, cfg, model, s0 = self.setup_state()
         shape = TAU_SHAPE + 0.5 * cfg.L
-        rate = TAU_RATE + 0.5 * float(np.dot(s0.lam, s0.lam))
-        rng = np.random.default_rng(10)
+        rate = TAU_RATE + 0.5 * float(np.dot(s0.lam[0], s0.lam[0]))
+        rngs = [np.random.default_rng(10)]
         n = 4000
         draws = []
         for _ in range(n):
             cs = copy.deepcopy(s0)
-            model.sweep_hyper(cs, rng)
-            draws.append(cs.tau)
+            model.sweep_hyper(cs, rngs)
+            draws.append(cs.tau[0])
         draws = np.sort(draws)
 
         orng = np.random.default_rng(77)
@@ -609,86 +617,118 @@ class TestHyperConditionals:
 
     @staticmethod
     def coordinate_loop_sweep(model, cs, rng):
-        """sweep_hyper as one scalar update at a time: the reference kernel."""
+        """sweep_hyper as one scalar update at a time: the reference kernel,
+        on a one-chain state."""
         cfg, L = model.cfg, model.cfg.L
         inv_gamma = lambda shape, rate: rate / rng.gamma(shape)  # noqa: E731
-        cs.tau = inv_gamma(TAU_SHAPE + 0.5 * L, TAU_RATE + 0.5 * float(cs.lam @ cs.lam))
-        ss = sum(float((gel.T_flat - cs.mu[gel.peaks]) @ (gel.T_flat - cs.mu[gel.peaks]))
+        lam = cs.lam[0]
+        cs.tau[0] = inv_gamma(TAU_SHAPE + 0.5 * L, TAU_RATE + 0.5 * float(lam @ lam))
+        mu = cs.mu[0]
+        ss = sum(float((gel.T_flat - mu[gel.peaks]) @ (gel.T_flat - mu[gel.peaks]))
                  for gel in model.gels)
-        cs.sigma_eps2 = inv_gamma(SIGMA_SHAPE + 0.5 * model.n_peaks_total,
-                                  SIGMA_RATE + 0.5 * ss)
+        cs.sigma_eps2[0] = inv_gamma(SIGMA_SHAPE + 0.5 * model.n_peaks_total,
+                                     SIGMA_RATE + 0.5 * ss)
         for gi in range(len(model.gels)):
-            beta = cs.beta[gi]
+            beta = cs.beta[0, gi]
             d = np.diff(beta[: cfg.T_nu - 1, 0]) - model.id_incr
-            cs.sigma_g1_2[gi] = inv_gamma(SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
-                                          SIGMA_RATE + 0.5 * float(d @ d))
+            cs.sigma_g1_2[0, gi] = inv_gamma(SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
+                                             SIGMA_RATE + 0.5 * float(d @ d))
             inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
             ssq = np.sum(inc * inc, axis=1)
             for s in range(model.n_free_rows):
-                cs.sigma_gs_2[gi][s] = inv_gamma(SIGMA_SHAPE + 0.5 * (cfg.T_u - 1),
-                                                 SIGMA_RATE + 0.5 * float(ssq[s]))
-        counts = sum(np.bincount(cs.Z[gel.peaks] - 1, minlength=L) for gel in model.gels)
+                cs.sigma_gs_2[0, gi][s] = inv_gamma(SIGMA_SHAPE + 0.5 * (cfg.T_u - 1),
+                                                    SIGMA_RATE + 0.5 * float(ssq[s]))
+        counts = sum(np.bincount(cs.Z[0, gel.peaks] - 1, minlength=L) for gel in model.gels)
         noise = rng.standard_normal(L) * LAMBDA_STEP
         uls = rng.random(L)
         accepted = 0
+        tau = float(cs.tau[0])
         for ell in range(L):
-            cur = cs.lam[ell]
+            cur = lam[ell]
             x = math.log(cur)
             xp = x + noise[ell]
             lp = math.exp(xp)
-            new_sum = cs.lam_sum - cur + lp
+            new_sum = cs.lam_sum[0] - cur + lp
             logr = ((counts[ell] + 1.0) * (xp - x)
-                    - model.n_peaks_total * (math.log(new_sum) - math.log(cs.lam_sum))
-                    - (lp * lp - cur * cur) * (0.5 / cs.tau))
+                    - model.n_peaks_total * (math.log(new_sum) - math.log(cs.lam_sum[0]))
+                    - (lp * lp - cur * cur) * (0.5 / tau))
             if logr >= 0.0 or uls[ell] < math.exp(logr):
-                cs.lam[ell], cs.lam_sum = lp, new_sum
+                lam[ell], cs.lam_sum[0] = lp, new_sum
                 accepted += 1
         logc = rng.standard_normal() * LAMBDA_STEP
         c2 = math.exp(2.0 * logc)
-        logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / cs.tau) * (1.0 / c2 - 1.0)
+        logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / tau) * (1.0 / c2 - 1.0)
         if logr >= 0.0 or rng.random() < math.exp(logr):
-            cs.lam = cs.lam * math.exp(logc)
-            cs.lam_sum = float(cs.lam.sum())
-            cs.tau = cs.tau * c2
+            cs.lam[0] = lam * math.exp(logc)
+            cs.lam_sum[0] = float(cs.lam[0].sum())
+            cs.tau[0] = tau * c2
         return accepted / L
 
     def test_sweep_matches_coordinate_loop_reference(self):
         # same random stream and same decisions; lambda may differ only in
         # the last bits, because numpy's log/exp round differently from math's
         peaks, cfg, model, s0 = self.setup_state()
-        rng = np.random.default_rng(12)
+        rngs = [np.random.default_rng(12)]
         cs = s0
         for k in range(60):
-            model.sweep(cs, rng)
+            model.sweep(cs, rngs)
             a, b = copy.deepcopy(cs), copy.deepcopy(cs)
-            rate_a = model.sweep_hyper(a, np.random.default_rng(k))
+            rate_a = model.sweep_hyper(a, [np.random.default_rng(k)])
             rate_b = self.coordinate_loop_sweep(model, b, np.random.default_rng(k))
             assert rate_a == rate_b
-            assert (a.sigma_eps2, a.tau) == pytest.approx((b.sigma_eps2, b.tau), rel=1e-12)
+            assert (a.sigma_eps2[0], a.tau[0]) == pytest.approx((b.sigma_eps2[0], b.tau[0]),
+                                                                rel=1e-12)
             np.testing.assert_array_equal(a.sigma_g1_2, b.sigma_g1_2)
             np.testing.assert_array_equal(a.sigma_gs_2, b.sigma_gs_2)
             np.testing.assert_allclose(a.lam, b.lam, rtol=1e-12)
-            assert a.lam_sum == pytest.approx(b.lam_sum, rel=1e-12)
+            assert a.lam_sum[0] == pytest.approx(b.lam_sum[0], rel=1e-12)
 
     def test_lambda_moves_accept_some(self):
         peaks, cfg, model, s0 = self.setup_state()
-        rng = np.random.default_rng(11)
+        rngs = [np.random.default_rng(11)]
         cs = s0
-        rates = [model.sweep_hyper(cs, rng) for _ in range(50)]
+        rates = [model.sweep_hyper(cs, rngs) for _ in range(50)]
         assert 0.05 < float(np.mean(rates)) <= 1.0
         assert np.all(cs.lam > 0)
 
 
+def unequal_two_gel_model(**settings):
+    """Two gels with 5 and 3 lanes and different peak counts."""
+    peaks, _ = two_gel_peaks(seed=6)
+    peaks = peaks.filter(lambda p: p.gel_id == "g1" or p.lane <= 3)
+    cfg = ModelConfig(**{"L": 20, "T_nu": 6, "T_u": 4, "iterations": 10, "burnin": 0,
+                         "seed": 0, **settings})
+    return DewarpModel(peaks, cfg)
+
+
+def chain_shaped_model(**settings):
+    cfg = ModelConfig(**{"L": 50, "T_nu": 6, "T_u": 4, "iterations": 10, "burnin": 0,
+                         **settings})
+    return DewarpModel(chain_shaped_peaks(seed=2), cfg)
+
+
+def assert_same_state(a, b):
+    """Every field of two chain states equal, bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+
 class TestStateLayout:
     """The chain state as arrays on two gels of unequal size: after every
-    block, mu is W at (Z, lane) and each gel's W block is B_nu beta_g B_u',
-    bit for bit, with no broken constraint."""
+    block, in every chain, mu is W at (Z, lane) and each gel's W block is
+    B_nu beta_g B_u', bit for bit, with no broken constraint."""
 
     def test_unequal_gels(self):
-        peaks, _ = two_gel_peaks(seed=6)
-        peaks = peaks.filter(lambda p: p.gel_id == "g1" or p.lane <= 3)
-        cfg = ModelConfig(L=20, T_nu=6, T_u=4, iterations=10, burnin=0, seed=0)
-        model = DewarpModel(peaks, cfg)
+        self.check_layout(chains=1)
+
+    def test_unequal_gels_three_chains(self):
+        self.check_layout(chains=3)
+
+    @staticmethod
+    def check_layout(chains):
+        model = unequal_two_gel_model()
+        cfg = model.cfg
         g1, g2 = model.gels
         assert len(g1.lanes) != len(g2.lanes) and g1.n_peaks != g2.n_peaks
         # the gels tile the peak axis and W's lane columns in lane_key_list order
@@ -699,24 +739,236 @@ class TestStateLayout:
             assert model.lane_key_list[gel.cols] == [(gel.gel_id, lane) for lane in gel.lanes]
         lane_col = np.concatenate([gel.cols.start + gel.lane_idx for gel in model.gels])
 
-        cs = model.init_chain_state()
-        assert cs.Z.shape == cs.mu.shape == (P,)
-        assert cs.W.shape == (cfg.L + 2, N)
-        assert cs.beta.shape == (2, cfg.T_nu, cfg.T_u)
-        assert cs.sigma_g1_2.shape == (2,) and cs.sigma_gs_2.shape == (2, cfg.T_nu - 2)
-        rng = np.random.default_rng(2)
+        R = chains
+        cs = model.init_chain_state(R)
+        assert cs.lam.shape == (R, cfg.L)
+        assert cs.lam_sum.shape == cs.tau.shape == cs.sigma_eps2.shape == (R,)
+        assert cs.Z.shape == cs.mu.shape == (R, P)
+        assert cs.W.shape == (R, cfg.L + 2, N)
+        assert cs.beta.shape == (R, 2, cfg.T_nu, cfg.T_u)
+        assert cs.sigma_g1_2.shape == (R, 2) and cs.sigma_gs_2.shape == (R, 2, cfg.T_nu - 2)
+        rngs = [np.random.default_rng((2, r)) for r in range(R)]
         moved = 0
         for _ in range(40):
             before = cs.Z.copy()
             for step in (model.sweep_Z, model.sweep_beta, model.sweep_hyper):
-                step(cs, rng)
-                assert np.array_equal(cs.mu, cs.W[cs.Z, lane_col]), step.__name__
-                for gi, gel in enumerate(model.gels):
-                    want = model.Bnu_land @ cs.beta[gi] @ gel.Bu.T
-                    assert np.array_equal(cs.W[:, gel.cols], want), (step.__name__, gi)
+                step(cs, rngs)
+                for r in range(R):
+                    assert np.array_equal(cs.mu[r], cs.W[r][cs.Z[r], lane_col]), step.__name__
+                    for gi, gel in enumerate(model.gels):
+                        want = model.Bnu_land @ cs.beta[r, gi] @ gel.Bu.T
+                        assert np.array_equal(cs.W[r][:, gel.cols], want), (step.__name__, gi)
                 assert model.count_violations(cs) == 0, step.__name__
             moved += int(np.any(cs.Z != before))
         assert moved > 0
+        if R > 1:
+            # independent streams: the chains have left their common start
+            assert not np.array_equal(cs.Z[0], cs.Z[1])
+
+    def test_generator_count_must_match_chains(self):
+        model = unequal_two_gel_model()
+        cs = model.init_chain_state(2)
+        for step in (model.sweep_Z, model.sweep_beta, model.sweep_hyper):
+            with pytest.raises(ValueError, match="1 generators for a state of 2 chains"):
+                step(cs, [np.random.default_rng(0)])
+
+
+class TestLockstep:
+    """R chains swept together, each with its own generator, equal the same
+    chains swept one at a time, bit for bit: every state field after every
+    sweep, and every generator's state."""
+
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    @pytest.mark.parametrize("make_model", [unequal_two_gel_model, chain_shaped_model])
+    def test_lockstep_equals_chains_alone(self, make_model, clamp):
+        model = make_model()
+        R, sweeps = 3, 200
+        hi, lo = ANNEAL_HI * model.spacing_std, ANNEAL_LO * model.spacing_std
+        together = model.init_chain_state(R)
+        rngs = [np.random.default_rng((4, 911, r)) for r in range(R)]
+        alone = [model.init_chain_state() for _ in range(R)]
+        alone_rngs = [np.random.default_rng((4, 911, r)) for r in range(R)]
+        for it in range(sweeps):
+            rate = model.sweep(together, rngs)
+            rates = [model.sweep(cs, [rng]) for cs, rng in zip(alone, alone_rngs)]
+            L = model.cfg.L
+            assert round(rate * R * L) == sum(round(x * L) for x in rates)
+            if clamp:
+                # the restart phase's annealing clamp, chain by chain
+                c2 = (hi * (lo / hi) ** (it / (sweeps - 1))) ** 2
+                np.minimum(together.sigma_eps2, c2, out=together.sigma_eps2)
+                for cs in alone:
+                    cs.sigma_eps2[0] = min(cs.sigma_eps2[0], c2)
+            for r in range(R):
+                assert_same_state(together.chain(r), alone[r])
+            assert ([g.bit_generator.state for g in rngs]
+                    == [g.bit_generator.state for g in alone_rngs])
+            assert model.count_violations(together) == 0
+        assert np.array_equal(model.log_joint(together),
+                              np.concatenate([model.log_joint(cs) for cs in alone]))
+        assert not np.array_equal(together.Z[0], together.Z[1])
+
+    @staticmethod
+    def serial_explore_restarts(model, cfg):
+        """The restart phase as it ran before lockstep sweeps: one chain
+        after another on its own state.  Returns the winner's index, every
+        chain's final state and the violation count."""
+        states = []
+        viol = 0
+        n = cfg.restart_sweeps
+        hi = ANNEAL_HI * model.spacing_std
+        lo = ANNEAL_LO * model.spacing_std
+        release = max(30, n // 4)
+        tail_n = min(25, release)
+        best, best_score = None, -np.inf
+        for i in range(cfg.restarts):
+            rngs = [np.random.default_rng((cfg.seed, 911, i))]
+            cs = model.init_chain_state()
+            for it in range(n):
+                model.sweep(cs, rngs)
+                clamp = hi * (lo / hi) ** (it / max(n - 1, 1))
+                if cs.sigma_eps2[0] > clamp * clamp:
+                    cs.sigma_eps2[0] = clamp * clamp
+                viol += model.count_violations(cs)
+            tail = []
+            for it in range(release):
+                model.sweep(cs, rngs)
+                viol += model.count_violations(cs)
+                if it >= release - tail_n:
+                    tail.append(float(model.log_joint(cs)[0]))
+            score = float(np.mean(tail))
+            states.append(cs)
+            if score > best_score:
+                best, best_score = i, score
+        return best, states, viol
+
+    @pytest.mark.parametrize("restarts", [2, 4])
+    @pytest.mark.parametrize("make_model", [unequal_two_gel_model, chain_shaped_model])
+    def test_restarts_match_serial_loop(self, make_model, restarts):
+        model = make_model(seed=3, restarts=restarts, restart_sweeps=60)
+        cs, viol = _explore_restarts(model, model.cfg)
+        best, states, serial_viol = self.serial_explore_restarts(model, model.cfg)
+        assert viol == serial_viol == 0
+        assert_same_state(cs, states[best])
+        same = []
+        for i, st in enumerate(states):
+            if all(np.array_equal(getattr(cs, f.name), getattr(st, f.name))
+                   for f in dataclasses.fields(cs)):
+                same.append(i)
+        assert same == [best]
+
+    def test_winner_is_first_strictly_best(self, monkeypatch):
+        # a tie keeps the earlier chain, and a NaN never wins
+        model = unequal_two_gel_model(restarts=4, restart_sweeps=30)
+        scores = np.array([np.nan, -5.0, -5.0, -7.0])
+        monkeypatch.setattr(DewarpModel, "log_joint", lambda self, cs: scores.copy())
+        picked = []
+        chain = _ChainState.chain
+        monkeypatch.setattr(_ChainState, "chain",
+                            lambda self, r: picked.append(r) or chain(self, r))
+        _explore_restarts(model, model.cfg)
+        assert picked == [1]
+
+    @pytest.mark.parametrize("score", [np.nan, -np.inf])
+    def test_no_finite_restart_score_fails_clearly(self, monkeypatch, score):
+        # before, the run died on `None.W` when no restart beat -inf
+        peaks, _ = two_gel_peaks(seed=6)
+        cfg = ModelConfig(L=20, T_nu=6, T_u=4, iterations=10, burnin=0, seed=0,
+                          restarts=2, restart_sweeps=30)
+        monkeypatch.setattr(DewarpModel, "log_joint",
+                            lambda self, cs: np.full(len(cs.lam), score))
+        msg = f"no restart reached a finite settled log joint; scores by restart: {score!r}, {score!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            run_mcmc(peaks, cfg)
+
+
+def eager_sweep_beta(model, cs, rng):
+    """sweep_beta on a one-chain state as it was before the lazy read: after
+    each move, every residual correlation is updated, c -= G_k delta.
+    Returns how many draws took _trunc_normal's far-tail branch."""
+    cfg = model.cfg
+    T_nu, T_u = cfg.T_nu, cfg.T_u
+    K = model.n_free_rows * T_u
+    se2 = float(cs.sigma_eps2[0])
+    g_inc = model.id_incr.tolist()
+    far = 0
+    for gi, gel in enumerate(model.gels):
+        X = (
+            model.Bnu_land[cs.Z[0, gel.peaks], 1 : T_nu - 1][:, :, None] * gel.BuP[:, None, :]
+        ).reshape(gel.n_peaks, K)
+        G = (X.T @ X).tolist()
+        c = (X.T @ (gel.T_flat - cs.mu[0, gel.peaks])).tolist()
+        beta = cs.beta[0, gi].tolist()
+        us = rng.random(K).tolist()
+        v1 = float(cs.sigma_g1_2[0, gi])
+        vgs = cs.sigma_gs_2[0, gi].tolist()
+        k = 0
+        for s in range(1, T_nu - 1):
+            row, below, above = beta[s], beta[s - 1], beta[s + 1]
+            vs = vgs[s - 1]
+            for t in range(T_u):
+                Gk = G[k]
+                prec = Gk[k] / se2
+                num = c[k] / se2 + prec * row[t]
+                if t > 0:
+                    prec += 1.0 / vs
+                    num += row[t - 1] / vs
+                if t < T_u - 1:
+                    prec += 1.0 / vs
+                    num += row[t + 1] / vs
+                if t == 0:
+                    prec += 1.0 / v1
+                    num += (below[0] + g_inc[s - 1]) / v1
+                    if s <= T_nu - 3:
+                        prec += 1.0 / v1
+                        num += (above[0] - g_inc[s]) / v1
+                mean = num / prec
+                sd = 1.0 / math.sqrt(prec)
+                fa = 0.5 * math.erfc(-(below[t] - mean) / sd * SQRT_HALF)
+                fb = 0.5 * math.erfc(-(above[t] - mean) / sd * SQRT_HALF)
+                far += not fb - fa > 1e-12
+                new = _trunc_normal(mean, sd, below[t], above[t], us[k], rng)
+                delta = new - row[t]
+                if delta != 0.0:
+                    row[t] = new
+                    c = [ci - gki * delta for ci, gki in zip(c, Gk)]
+                k += 1
+        cs.beta[0, gi] = beta
+        cs.W[0][:, gel.cols] = model.Bnu_land @ cs.beta[0, gi] @ gel.Bu.T
+        cs.mu[0, gel.peaks] = cs.W[0][:, gel.cols][cs.Z[0, gel.peaks], gel.lane_idx]
+    return far
+
+
+class TestLazyBetaScan:
+    """sweep_beta reads each residual correlation once, at its visit, from
+    its start value minus the earlier moves; its draws equal the eager
+    update's bit for bit, sweep after sweep of a running chain."""
+
+    @pytest.mark.parametrize("sigma_eps2", [None, 1e-8], ids=["running", "far_tail"])
+    def test_lazy_scan_matches_eager(self, sigma_eps2):
+        # at sigma_eps^2 = 1e-8 some conditionals sit far outside their
+        # monotone interval, so _trunc_normal takes its rejection branch
+        model = unequal_two_gel_model()
+        cs = model.init_chain_state()
+        rngs = [np.random.default_rng(21)]
+        far = 0
+        for k in range(500):
+            model.sweep_Z(cs, rngs)
+            if sigma_eps2 is not None:
+                cs.sigma_eps2[0] = sigma_eps2
+            lazy, eager = copy.deepcopy(cs), copy.deepcopy(cs)
+            r_lazy, r_eager = np.random.default_rng((21, k)), np.random.default_rng((21, k))
+            model.sweep_beta(lazy, [r_lazy])
+            far += eager_sweep_beta(model, eager, r_eager)
+            assert_same_state(lazy, eager)
+            assert r_lazy.bit_generator.state == r_eager.bit_generator.state
+            model.sweep_beta(cs, rngs)
+            model.sweep_hyper(cs, rngs)
+        if sigma_eps2 is None:
+            assert far == 0
+        else:
+            assert far > 0
+        assert model.count_violations(cs) == 0
 
 
 class TestConstraints:
@@ -736,22 +988,23 @@ class TestConstraints:
             return model.count_violations(bad)
 
         def swap_beta(s):
-            s.beta[0][1, 0], s.beta[0][2, 0] = s.beta[0][2, 0], s.beta[0][1, 0]
+            b = s.beta[0, 0]
+            b[1, 0], b[2, 0] = b[2, 0], b[1, 0]
 
         def unpin(s):
-            s.beta[0][0, 0] += 0.5
+            s.beta[0, 0, 0, 0] += 0.5
 
         def lane(k):
             def edit(s):
                 start, _ = model.gels[0].lane_slices[k]
-                s.Z[start + 1] = s.Z[start]
+                s.Z[0, start + 1] = s.Z[0, start]
             return edit
 
         def outside(s):
-            s.Z[-1] = 1
+            s.Z[0, -1] = 1
 
         def negative_lambda(s):
-            s.lam[2] = -1.0
+            s.lam[0, 2] = -1.0
 
         assert broken(swap_beta) == 1
         assert broken(unpin) == 1
@@ -761,6 +1014,19 @@ class TestConstraints:
         assert broken(negative_lambda) == 1
         assert broken(swap_beta, unpin, lane(0), lane(1), outside, negative_lambda) == 6
 
+        # chains are counted apart, and the log joint is -inf only in a
+        # broken chain
+        three = model.init_chain_state(3)
+        for r, edits in ((1, (swap_beta, lane(0))), (2, (lane(0), lane(1), negative_lambda))):
+            one = three.chain(r)
+            for edit in edits:
+                edit(one)
+            for f in dataclasses.fields(three):
+                getattr(three, f.name)[r] = getattr(one, f.name)[0]
+        assert model.count_violations(three) == 5
+        lj = model.log_joint(three)
+        assert np.isfinite(lj[0]) and lj[1] == lj[2] == -np.inf
+
     def test_init_state_admissible(self):
         peaks, _ = two_gel_peaks(seed=1)
         cfg = ModelConfig(L=20, T_nu=5, T_u=4, iterations=10, burnin=0, seed=0)
@@ -769,7 +1035,7 @@ class TestConstraints:
         assert model.count_violations(cs) == 0
         for gi, gel in enumerate(model.gels):
             for start, end in gel.lane_slices:
-                z = cs.Z[gel.peaks][start:end]
+                z = cs.Z[0, gel.peaks][start:end]
                 assert np.all(np.diff(z) > 0)
 
     def test_infeasible_window_named(self):
@@ -797,19 +1063,19 @@ class TestLogJoint:
         cfg = ModelConfig(L=20, T_nu=5, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         cs = model.init_chain_state()
-        comp = model.log_joint_components(cs)
+        comp = {k: v[0] for k, v in model.log_joint_components(cs).items()}
         assert np.isfinite(comp["total"])
         parts = comp["likelihood"] + comp["z_prior"] + comp["beta_prior"] + comp["hyper"]
         assert comp["total"] == pytest.approx(parts)
-        assert model.log_joint(cs) == pytest.approx(comp["total"])
+        assert model.log_joint(cs)[0] == pytest.approx(comp["total"])
 
     def test_likelihood_component_independent_route(self):
         peaks = make_table({1: [0.2, 0.5, 0.8], 2: [0.3, 0.6]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         s0 = model.init_chain_state()
-        comp = model.log_joint_components(s0)
-        sigma_eps = math.sqrt(s0.sigma_eps2)
+        comp = {k: v[0] for k, v in model.log_joint_components(s0).items()}
+        sigma_eps = math.sqrt(s0.sigma_eps2[0])
 
         spacing = 1.0 / (cfg.L + 1)
         ax = Standardizer(center=0.5, scale=spacing)
@@ -838,13 +1104,13 @@ class TestLogJoint:
 
     def test_broken_state_is_minus_inf(self):
         model, cs = self.state_with_lane([5, 3, 1])
-        assert model.log_joint(cs) == -np.inf
+        assert model.log_joint(cs)[0] == -np.inf
 
     def test_outside_window_minus_inf(self):
         # ordered, but the peak at 0.8 (landmark 7.2 of L=8) cannot take
         # landmark 4, more than three spacings away
         model, cs = self.state_with_lane([2, 3, 4])
-        assert model.log_joint_components(cs)["likelihood"] == -np.inf
+        assert model.log_joint_components(cs)["likelihood"][0] == -np.inf
 
 
 class TestStationarity:
@@ -941,7 +1207,6 @@ class TestRunMCMC:
 
     def test_seed_changes_draws(self, small_run):
         peaks, cfg, res, _ = small_run
-        import dataclasses
         res2 = run_mcmc(peaks, dataclasses.replace(cfg, seed=99))
         assert not np.array_equal(res.lambda_draws, res2.lambda_draws)
 
