@@ -27,8 +27,8 @@ generator per chain, and each chain draws from its own generator in the
 same order and sizes as when swept alone, so chain r of a lockstep run
 equals that chain run by itself, bit for bit.  Only elementwise work is
 shared between chains; each float reduction (the Gram sums, residual sums
-and prior sums) is taken per chain and gel.  The restart phase runs its
-chains in one state, and the main chain is a one-chain state (R = 1).
+and prior sums) is taken per chain and gel.  One loop, _sample, runs the
+restart tail, the main chain (R = 1) and align_new_gel's lockstep chains.
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: TAU_SHAPE and TAU_RATE for the inverse-gamma prior on the
@@ -752,28 +752,27 @@ class DewarpModel:
 
     # -- constraint checks and log joint -------------------------------------
 
-    def count_violations(self, cs: _ChainState) -> int:
-        """Number of broken constraints in the current state, summed over
-        the chains: in each chain, one per gel with a non-monotone column,
-        one per gel with an unpinned boundary row, one per lane whose
-        assignments are not strictly increasing, one per gel with an
-        assignment outside its window, and one for a non-positive lambda."""
+    def count_violations(self, cs: _ChainState) -> np.ndarray:
+        """Number of broken constraints in each chain, an (R,) array: one
+        per gel with a non-monotone column, one per gel with an unpinned
+        boundary row, one per lane whose assignments are not strictly
+        increasing, one per gel with an assignment outside its window, and
+        one for a non-positive lambda."""
         lo, hi = self.bounds
         beta, Z = cs.beta, cs.Z
-        bad = int(np.count_nonzero(~np.all(np.diff(beta, axis=2) > 0, axis=(2, 3))))
+        R = len(Z)
+        bad = (~np.all(np.diff(beta, axis=2) > 0, axis=(2, 3))).sum(axis=1)
         unpinned = (np.abs(beta[:, :, 0, :] - lo) > 1e-9) | (np.abs(beta[:, :, -1, :] - hi) > 1e-9)
-        bad += int(np.count_nonzero(unpinned.any(axis=2)))
+        bad += unpinned.any(axis=2).sum(axis=1)
         broken = (np.diff(Z) <= 0) & self._same_lane
         if broken.any():
             chain, pair = np.nonzero(broken)
-            bad += np.unique(chain * len(self.lane_key_list) + self._pair_lane[pair]).size
+            bad += np.bincount(np.unique([chain, self._pair_lane[pair]], axis=1)[0], minlength=R)
         outside = (Z < self._wlo_all) | (Z > self._whi_all)
         if outside.any():
             chain, peak = np.nonzero(outside)
-            bad += np.unique(chain * len(self.gels) + self._gel_of[peak]).size
-        nonpositive = cs.lam <= 0
-        if nonpositive.any():
-            bad += int(np.count_nonzero(nonpositive.any(axis=1)))
+            bad += np.bincount(np.unique([chain, self._gel_of[peak]], axis=1)[0], minlength=R)
+        bad += (cs.lam <= 0).any(axis=1)
         return bad
 
     def _rw_sums(self, beta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -784,17 +783,13 @@ class DewarpModel:
         inc = np.diff(beta[1 : self.cfg.T_nu - 1, :], axis=1)
         return float(d @ d), np.sum(inc * inc, axis=1)
 
-    def log_joint_components(self, cs: _ChainState) -> dict:
+    def log_joint_components(self, cs: _ChainState, violations: np.ndarray) -> dict:
         """The log joint's terms and total, each an (R,) array over the
-        chains; -inf throughout for a chain that breaks a constraint."""
-        R = len(cs.lam)
-        if self.count_violations(cs) == 0:
-            ok = [True] * R
-        else:
-            ok = [self.count_violations(cs.chain(r)) == 0 for r in range(R)]
+        chains; violations is count_violations(cs), and a chain that breaks
+        a constraint gets -inf throughout."""
         resid = self._T_all - cs.mu
-        terms = np.array([self._chain_log_joint(cs, r, resid[r]) if ok[r] else (-np.inf,) * 5
-                          for r in range(R)])
+        terms = np.array([(-np.inf,) * 5 if bad else self._chain_log_joint(cs, r, resid[r])
+                          for r, bad in enumerate(violations.tolist())])
         return dict(zip(("likelihood", "z_prior", "beta_prior", "hyper", "total"), terms.T))
 
     def _chain_log_joint(self, cs: _ChainState, r: int, resid: np.ndarray) -> tuple:
@@ -837,9 +832,10 @@ class DewarpModel:
                 hyper += _log_invgamma(float(v), SIGMA_SHAPE, SIGMA_RATE)
         return lik, z_prior, beta_prior, hyper, lik + z_prior + beta_prior + hyper
 
-    def log_joint(self, cs: _ChainState) -> np.ndarray:
-        """The log joint of each chain, an (R,) array."""
-        return self.log_joint_components(cs)["total"]
+    def log_joint(self, cs: _ChainState, violations: np.ndarray) -> np.ndarray:
+        """The log joint of each chain, an (R,) array; violations is
+        count_violations(cs)."""
+        return self.log_joint_components(cs, violations)["total"]
 
 
 # ---------------------------------------------------------------------------
@@ -890,16 +886,15 @@ class MCMCResult:
     standardizers: dict
 
 
-def _summarize(model: DewarpModel, peaks: PeakTable, draws: list,
+def _summarize(model: DewarpModel, peaks: PeakTable, draws: tuple,
                violations: int, accept: float) -> MCMCResult:
-    """Posterior summaries from the saved draws, one (Z, beta, lambda, log
-    joint) tuple per kept sweep, with Z over every peak in lane_key_list
-    order."""
+    """Posterior summaries from the saved draws: the (Z, beta, lambda, log
+    joint) arrays of _sample, a row per kept sweep, with Z over every peak
+    in lane_key_list order."""
     cfg = model.cfg
-    K = len(draws)
     L2 = cfg.L + 2
-    Z, betas, lambda_draws, trace = map(np.array, zip(*draws))
-    P = Z.shape[1]
+    Z, betas, lambda_draws, trace = draws
+    K, P = Z.shape
     # one count table over (peak, landmark); a lane's assignments strictly
     # increase, so summing its rows counts each landmark at most once a draw
     counts = np.bincount((Z + np.arange(P) * L2).ravel(), minlength=P * L2).reshape(P, L2)
@@ -952,6 +947,28 @@ def _summarize(model: DewarpModel, peaks: PeakTable, draws: list,
     )
 
 
+def _sample(model: DewarpModel, cs: _ChainState, rngs, sweeps: int, keep: range,
+            fix_lambda: bool = False) -> tuple:
+    """Sweep every chain of cs, count the violations once after each sweep,
+    and save each chain's (Z, beta, lambda, log joint) on the sweeps in keep.
+    Returns those arrays stacked chain after chain, (R len(keep), ...), the
+    violation total and the summed lambda acceptance rate."""
+    R, K = len(rngs), len(keep)
+    Z, beta, lam = (np.empty((R, K) + a.shape[1:], a.dtype) for a in (cs.Z, cs.beta, cs.lam))
+    trace = np.empty((R, K))
+    violations, accept = 0, 0.0
+    for it in range(sweeps):
+        accept += model.sweep(cs, rngs, fix_lambda=fix_lambda)
+        bad = model.count_violations(cs)
+        violations += int(bad.sum())
+        if it in keep:
+            k = keep.index(it)
+            Z[:, k], beta[:, k], lam[:, k] = cs.Z, cs.beta, cs.lam
+            trace[:, k] = model.log_joint(cs, bad)
+    draws = tuple(a.reshape((R * K,) + a.shape[2:]) for a in (Z, beta, lam, trace))
+    return draws, violations, accept
+
+
 def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
     """Short annealed chains from independent streams, swept in lockstep;
     keeps the state with the best settled log joint.
@@ -978,14 +995,10 @@ def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
         model.sweep(cs, rngs)
         clamp = hi * (lo / hi) ** (it / max(n - 1, 1))
         np.minimum(cs.sigma_eps2, clamp * clamp, out=cs.sigma_eps2)
-        viol += model.count_violations(cs)
-    tail = []
-    for it in range(release):
-        model.sweep(cs, rngs)
-        viol += model.count_violations(cs)
-        if it >= release - tail_n:
-            tail.append(model.log_joint(cs))
-    scores = [float(np.mean(chain_tail)) for chain_tail in np.array(tail).T.tolist()]
+        viol += int(model.count_violations(cs).sum())
+    draws, v, _ = _sample(model, cs, rngs, release, range(release - tail_n, release))
+    viol += v
+    scores = [float(np.mean(tail)) for tail in draws[-1].reshape(cfg.restarts, tail_n)]
     best = None
     best_score = -np.inf
     for i, score in enumerate(scores):
@@ -1013,24 +1026,17 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig) -> MCMCResult:
             )
     rngs = [np.random.default_rng(cfg.seed)]
     cs = model.init_chain_state()
-    comp = model.log_joint_components(cs)
+    comp = model.log_joint_components(cs, model.count_violations(cs))
     if not np.isfinite(comp["total"][0]):
         bad = [k for k, v in comp.items() if k != "total" and not np.isfinite(v[0])]
         raise ValueError(f"non-finite log joint at initialization: {', '.join(bad)}")
 
     violations = 0
     if cfg.restarts > 1:
-        cs, v0 = _explore_restarts(model, cfg)
-        violations += v0
-    accept_sum = 0.0
-    draws = []
-    for it in range(cfg.iterations):
-        accept_sum += model.sweep(cs, rngs)
-        violations += model.count_violations(cs)
-        if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            draws.append((cs.Z[0].copy(), cs.beta[0].copy(), cs.lam[0].copy(),
-                          model.log_joint(cs)[0]))
-    return _summarize(model, peaks, draws, violations, accept_sum / cfg.iterations)
+        cs, violations = _explore_restarts(model, cfg)
+    draws, v, accept = _sample(model, cs, rngs, cfg.iterations,
+                               range(cfg.burnin, cfg.iterations, cfg.thin))
+    return _summarize(model, peaks, draws, violations + v, accept / cfg.iterations)
 
 
 def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
@@ -1039,10 +1045,11 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     """Posterior for a held-out gel given the training landmark frequencies.
 
     Averages one-gel conditional chains over up to ``lambda_budget`` evenly
-    spaced stored lambda draws; tau and lambda stay fixed within each chain.
-    Each chain runs ``iterations`` sweeps and keeps those after the first
-    ``burnin``.  ``cfg`` supplies the model (L, bases, window, seed); its
-    iteration, burn-in, thinning and restart settings are not used."""
+    spaced stored lambda draws, swept in lockstep; tau and lambda stay fixed
+    within each chain.  Each chain runs ``iterations`` sweeps and keeps
+    those after the first ``burnin``.  ``cfg`` supplies the model (L, bases,
+    window, seed); its iteration, burn-in, thinning and restart settings are
+    not used."""
     for name, value in (("lambda_budget", lambda_budget), ("iterations", iterations),
                         ("burnin", burnin)):
         check_int(value, name)
@@ -1055,9 +1062,9 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     stored = np.atleast_2d(np.asarray(stored_lambda_samples, dtype=float))
     if stored.size == 0:
         raise ValueError("no stored lambda samples")
-    if stored.shape[1] != cfg.L:
+    if stored.ndim != 2 or stored.shape[1] != cfg.L:
         raise ValueError(
-            f"stored lambda draws have {stored.shape[1]} columns, expected {cfg.L}"
+            f"stored lambda draws have shape {stored.shape}, expected rows of {cfg.L} columns"
         )
     # a NaN or non-positive entry would run through as a silently broken chain
     bad = ~(np.isfinite(stored) & (stored > 0))
@@ -1071,19 +1078,12 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     idx = np.unique(np.linspace(0, stored.shape[0] - 1, n_use).astype(int))
 
     model = DewarpModel(new_peaks, cfg)
-    draws = []
-    violations = 0
-    for chain_i, k in enumerate(idx):
-        rngs = [np.random.default_rng(cfg.seed + 1000 + chain_i)]
-        cs = model.init_chain_state()
-        cs.lam[0] = stored[k]
-        cs.lam_sum[0] = float(cs.lam[0].sum())
-        for it in range(iterations):
-            model.sweep(cs, rngs, fix_lambda=True)
-            violations += model.count_violations(cs)
-            if it >= burnin:
-                draws.append((cs.Z[0].copy(), cs.beta[0].copy(), cs.lam[0].copy(),
-                              model.log_joint(cs)[0]))
+    rngs = [np.random.default_rng(cfg.seed + 1000 + i) for i in range(idx.size)]
+    cs = model.init_chain_state(idx.size)
+    cs.lam[:] = stored[idx]
+    cs.lam_sum[:] = [float(row.sum()) for row in cs.lam]
+    draws, violations, _ = _sample(model, cs, rngs, iterations, range(burnin, iterations),
+                                   fix_lambda=True)
     return _summarize(model, new_peaks, draws, violations, 0.0)
 
 
@@ -1148,8 +1148,7 @@ def write_landmarks(result: MCMCResult, path) -> None:
 def write_signatures_csv(result: MCMCResult, path) -> None:
     """N x L binary matrix from the MAP assignments, one row per lane."""
     L = result.cfg.L
-    z_map = {k: v for k, v in result.z_map.items()}
-    keys, Y = signatures(z_map, L)
+    keys, Y = signatures(result.z_map, L)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:

@@ -24,6 +24,7 @@ from gelwarp.dewarp import (
     ModelConfig,
     _ChainState,
     _explore_restarts,
+    _summarize,
     _trunc_normal,
     align_new_gel,
     read_zmap,
@@ -468,7 +469,7 @@ class TestBetaConditional:
             trial = copy.deepcopy(s0)
             trial.beta[0, 0, 1, 0] = b
             refresh(model, trial)
-            logp[i] = model.log_joint(trial)[0]
+            logp[i] = model.log_joint(trial, model.count_violations(trial))[0]
         dens = np.exp(logp - logp.max())
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
         cdf /= cdf[-1]
@@ -758,7 +759,7 @@ class TestStateLayout:
                     for gi, gel in enumerate(model.gels):
                         want = model.Bnu_land @ cs.beta[r, gi] @ gel.Bu.T
                         assert np.array_equal(cs.W[r][:, gel.cols], want), (step.__name__, gi)
-                assert model.count_violations(cs) == 0, step.__name__
+                assert not model.count_violations(cs).any(), step.__name__
             moved += int(np.any(cs.Z != before))
         assert moved > 0
         if R > 1:
@@ -803,9 +804,10 @@ class TestLockstep:
                 assert_same_state(together.chain(r), alone[r])
             assert ([g.bit_generator.state for g in rngs]
                     == [g.bit_generator.state for g in alone_rngs])
-            assert model.count_violations(together) == 0
-        assert np.array_equal(model.log_joint(together),
-                              np.concatenate([model.log_joint(cs) for cs in alone]))
+            assert not model.count_violations(together).any()
+        assert np.array_equal(
+            model.log_joint(together, model.count_violations(together)),
+            np.concatenate([model.log_joint(cs, model.count_violations(cs)) for cs in alone]))
         assert not np.array_equal(together.Z[0], together.Z[1])
 
     @staticmethod
@@ -829,13 +831,14 @@ class TestLockstep:
                 clamp = hi * (lo / hi) ** (it / max(n - 1, 1))
                 if cs.sigma_eps2[0] > clamp * clamp:
                     cs.sigma_eps2[0] = clamp * clamp
-                viol += model.count_violations(cs)
+                viol += int(model.count_violations(cs)[0])
             tail = []
             for it in range(release):
                 model.sweep(cs, rngs)
-                viol += model.count_violations(cs)
+                bad = model.count_violations(cs)
+                viol += int(bad[0])
                 if it >= release - tail_n:
-                    tail.append(float(model.log_joint(cs)[0]))
+                    tail.append(float(model.log_joint(cs, bad)[0]))
             score = float(np.mean(tail))
             states.append(cs)
             if score > best_score:
@@ -861,7 +864,7 @@ class TestLockstep:
         # a tie keeps the earlier chain, and a NaN never wins
         model = unequal_two_gel_model(restarts=4, restart_sweeps=30)
         scores = np.array([np.nan, -5.0, -5.0, -7.0])
-        monkeypatch.setattr(DewarpModel, "log_joint", lambda self, cs: scores.copy())
+        monkeypatch.setattr(DewarpModel, "log_joint", lambda self, cs, violations: scores.copy())
         picked = []
         chain = _ChainState.chain
         monkeypatch.setattr(_ChainState, "chain",
@@ -876,7 +879,7 @@ class TestLockstep:
         cfg = ModelConfig(L=20, T_nu=6, T_u=4, iterations=10, burnin=0, seed=0,
                           restarts=2, restart_sweeps=30)
         monkeypatch.setattr(DewarpModel, "log_joint",
-                            lambda self, cs: np.full(len(cs.lam), score))
+                            lambda self, cs, violations: np.full(len(cs.lam), score))
         msg = f"no restart reached a finite settled log joint; scores by restart: {score!r}, {score!r}"
         with pytest.raises(ValueError, match=re.escape(msg)):
             run_mcmc(peaks, cfg)
@@ -1023,8 +1026,9 @@ class TestConstraints:
                 edit(one)
             for f in dataclasses.fields(three):
                 getattr(three, f.name)[r] = getattr(one, f.name)[0]
-        assert model.count_violations(three) == 5
-        lj = model.log_joint(three)
+        counts = model.count_violations(three)
+        assert counts.tolist() == [0, 2, 3]
+        lj = model.log_joint(three, counts)
         assert np.isfinite(lj[0]) and lj[1] == lj[2] == -np.inf
 
     def test_init_state_admissible(self):
@@ -1063,18 +1067,20 @@ class TestLogJoint:
         cfg = ModelConfig(L=20, T_nu=5, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         cs = model.init_chain_state()
-        comp = {k: v[0] for k, v in model.log_joint_components(cs).items()}
+        counts = model.count_violations(cs)
+        comp = {k: v[0] for k, v in model.log_joint_components(cs, counts).items()}
         assert np.isfinite(comp["total"])
         parts = comp["likelihood"] + comp["z_prior"] + comp["beta_prior"] + comp["hyper"]
         assert comp["total"] == pytest.approx(parts)
-        assert model.log_joint(cs)[0] == pytest.approx(comp["total"])
+        assert model.log_joint(cs, counts)[0] == pytest.approx(comp["total"])
 
     def test_likelihood_component_independent_route(self):
         peaks = make_table({1: [0.2, 0.5, 0.8], 2: [0.3, 0.6]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
         model = DewarpModel(peaks, cfg)
         s0 = model.init_chain_state()
-        comp = {k: v[0] for k, v in model.log_joint_components(s0).items()}
+        comp = {k: v[0] for k, v in
+                model.log_joint_components(s0, model.count_violations(s0)).items()}
         sigma_eps = math.sqrt(s0.sigma_eps2[0])
 
         spacing = 1.0 / (cfg.L + 1)
@@ -1104,13 +1110,14 @@ class TestLogJoint:
 
     def test_broken_state_is_minus_inf(self):
         model, cs = self.state_with_lane([5, 3, 1])
-        assert model.log_joint(cs)[0] == -np.inf
+        assert model.log_joint(cs, model.count_violations(cs))[0] == -np.inf
 
     def test_outside_window_minus_inf(self):
         # ordered, but the peak at 0.8 (landmark 7.2 of L=8) cannot take
         # landmark 4, more than three spacings away
         model, cs = self.state_with_lane([2, 3, 4])
-        assert model.log_joint_components(cs)["likelihood"][0] == -np.inf
+        comp = model.log_joint_components(cs, model.count_violations(cs))
+        assert comp["likelihood"][0] == -np.inf
 
 
 class TestStationarity:
@@ -1257,6 +1264,21 @@ class TestRunMCMC:
                 f.write("\n")
             assert path.read_bytes() == ref.read_bytes(), write.__name__
 
+    def test_violations_counted_once_per_sweep(self, small_run, monkeypatch):
+        # one count after each restart, release and main sweep, plus one at
+        # initialization; the log joint of a kept sweep reuses its count
+        peaks, cfg, res, _ = small_run
+        calls = []
+        count = DewarpModel.count_violations
+        monkeypatch.setattr(DewarpModel, "count_violations",
+                            lambda self, cs: calls.append(len(cs.Z)) or count(self, cs))
+        again = run_mcmc(peaks, cfg)
+        release = max(30, cfg.restart_sweeps // 4)
+        assert len(calls) == cfg.restart_sweeps + release + cfg.iterations + 1 == 511
+        assert calls == [1] + [cfg.restarts] * (cfg.restart_sweeps + release) + [1] * cfg.iterations
+        assert again.violations == res.violations == 0
+        assert np.array_equal(again.log_joint_trace, res.log_joint_trace)
+
     def test_warns_when_underdetermined(self):
         peaks = make_table({1: [0.3, 0.7]}, B=200)
         cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=20, burnin=10,
@@ -1273,6 +1295,9 @@ class TestAlignNewGel:
             align_new_gel(peaks, np.empty((0, 8)), cfg)
         with pytest.raises(ValueError, match="columns"):
             align_new_gel(peaks, np.ones((3, 5)), cfg)
+        # before, this passed the column check and failed inside numpy
+        with pytest.raises(ValueError, match=re.escape("have shape (3, 8, 1)")):
+            align_new_gel(peaks, np.ones((3, 8, 1)), cfg)
         with pytest.raises(ValueError, match="lambda_budget >= 1"):
             align_new_gel(peaks, np.ones((3, 8)), cfg, lambda_budget=0)
         for kwargs, msg in (({"lambda_budget": 2.5}, "lambda_budget must be an integer, got 2.5"),
@@ -1303,6 +1328,51 @@ class TestAlignNewGel:
         with pytest.raises(ValueError, match=msg):
             align_new_gel(peaks, np.ones((3, 8)), cfg,
                           iterations=iterations, burnin=burnin)
+
+    @staticmethod
+    def serial_align_new_gel(new_peaks, stored, cfg, lambda_budget, iterations, burnin):
+        """align_new_gel's chains as they ran before lockstep sweeps: one
+        chain after another on its own one-chain state, each draw appended
+        as it was kept."""
+        n_use = min(lambda_budget, stored.shape[0])
+        idx = np.unique(np.linspace(0, stored.shape[0] - 1, n_use).astype(int))
+        model = DewarpModel(new_peaks, cfg)
+        draws = []
+        violations = 0
+        for chain_i, k in enumerate(idx):
+            rngs = [np.random.default_rng(cfg.seed + 1000 + chain_i)]
+            cs = model.init_chain_state()
+            cs.lam[0] = stored[k]
+            cs.lam_sum[0] = float(cs.lam[0].sum())
+            for it in range(iterations):
+                model.sweep(cs, rngs, fix_lambda=True)
+                bad = model.count_violations(cs)
+                violations += int(bad[0])
+                if it >= burnin:
+                    draws.append((cs.Z[0].copy(), cs.beta[0].copy(), cs.lam[0].copy(),
+                                  model.log_joint(cs, bad)[0]))
+        return _summarize(model, new_peaks, tuple(map(np.array, zip(*draws))), violations, 0.0)
+
+    @pytest.mark.parametrize("lambda_budget", [1, 3, 9])
+    def test_lockstep_matches_serial_loop(self, small_run, lambda_budget):
+        # 5 stored draws, so a budget of 9 runs one chain per stored draw
+        peaks, cfg, res, _ = small_run
+        held = peaks.filter(lambda p: p.gel_id == "g2")
+        stored = res.lambda_draws[::20]
+        assert len(stored) == 5
+        kwargs = dict(lambda_budget=lambda_budget, iterations=30, burnin=10)
+        out = align_new_gel(held, stored, cfg, **kwargs)
+        ref = self.serial_align_new_gel(held, stored, cfg, **kwargs)
+        assert len(out.log_joint_trace) == min(lambda_budget, len(stored)) * 20
+        assert out.lane_keys == ref.lane_keys
+        for key in ref.lane_keys:
+            assert np.array_equal(out.z_draws[key], ref.z_draws[key])
+        for name in ("lambda_draws", "log_joint_trace", "presence"):
+            assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+        for gel_id, field in ref.beta_mean.items():
+            assert np.array_equal(out.beta_mean[gel_id].beta, field.beta)
+        assert out.violations == ref.violations
+        assert type(out.violations) is int
 
     def test_new_gel_uses_training_frequencies(self):
         peaks, truth = two_gel_peaks(seed=5)
