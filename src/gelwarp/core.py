@@ -12,9 +12,7 @@ import io
 import json
 import math
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -325,57 +323,61 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
-# One traces CSV row; loadtxt maps each gel id to its first-seen rank.
-_TRACE_ROW = np.dtype(
-    [("gel", np.int64), ("lane", np.int64), ("bin", np.int64), ("intensity", float)]
-)
-
-
 def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:
     """Load a traces CSV (columns gel_id,lane,bin,intensity, bins 1..B).
 
-    Bins must be present and contiguous for every lane; every lane within a
-    gel must have the same bin count.  Gels keep the order in which they
-    first appear; lanes are sorted by index.  Reference lanes are flagged
-    from the manifest when given.
+    The file is UTF-8 text; one that is not fails naming the file.  Bins
+    must be present and contiguous for every lane; every lane within a gel
+    must have the same bin count.  Gels keep the order in which they first
+    appear; lanes are sorted by index.  Reference lanes are flagged from
+    the manifest when given.
     """
-    with open(path, newline="") as f:
+    try:
+        return _read_traces(path, manifest)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+# Bytes of a gel id held per row: with 4-byte lane and bin fields a row takes
+# 32 bytes, as four 8-byte numbers would.  A file with an id that fills the
+# field reads its ids again, a block of lines at a time.
+_GEL_WIDTH = 16
+
+
+def _read_traces(path, manifest: dict | None) -> IntensityGrid:
+    with open(path, newline="", encoding="utf-8") as f:
         first = f.readline()
-        header = next(csv.reader([first]), None) if first else None
-        if header is None or tuple(h.strip() for h in header) != TRACE_COLUMNS:
-            raise ValueError(
-                f"{path}: expected header {','.join(TRACE_COLUMNS)}, got {header}"
-            )
-        # a C-level lookup per row; only a new gel id runs Python code
-        gel_rank: defaultdict[str, int] = defaultdict(lambda: len(gel_rank))
-        shortest: list[int] = []
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.x reads an int field such as "1.5" via float, warning
-                warnings.simplefilter("error", DeprecationWarning)
-                # a file without data rows warns; it is an error below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(
-                    chain.from_iterable(_line_blocks(f, shortest)),
-                    dtype=_TRACE_ROW, delimiter=",", comments=None,
-                    quotechar='"', ndmin=1, encoding=None,
-                    converters={0: gel_rank.__getitem__},
-                )
-        except (ValueError, DeprecationWarning) as exc:
-            _raise_row_error(path)
-            raise ValueError(f"{path}: {exc}") from None
-    # loadtxt skips blank lines, which are at most two characters ("\r\n");
-    # a line that short has the csv re-scan decide
-    if shortest and min(shortest) <= 2:
-        _raise_row_error(path)
-    if rows.size == 0:
+    header = next(csv.reader([first]), None) if first else None
+    if header is None or tuple(h.strip() for h in header) != TRACE_COLUMNS:
+        raise ValueError(
+            f"{path}: expected header {','.join(TRACE_COLUMNS)}, got {header}"
+        )
+    rows = _load_rows(path)
+    if rows.size != _line_count(path) - 1:
+        # a blank line, which loadtxt skips, or a line break inside quotes,
+        # which it reads with \r as \n: the gel ids are csv's
+        heads, ids = _raise_row_error(path)
+    elif rows.size == 0:
         raise ValueError(f"{path}: no data rows")
+    else:
+        heads = _run_heads(rows["gel"])
+        ids = rows["gel"][heads].tolist()
+        if max(map(len, ids)) >= _GEL_WIDTH:
+            # an id that fills the field may have been cut short
+            heads, ids = _gel_runs(path)
+        else:
+            ids = [h.decode() for h in ids]
+
+    # rank the runs of equal ids by each id's first appearance
+    rank: dict[str, int] = {}
+    head_rank = [rank.setdefault(h, len(rank)) for h in ids]
+    gel_ids = list(rank)
+    ranks = np.repeat(np.array(head_rank, dtype=np.min_scalar_type(len(rank) - 1)),
+                      np.diff(heads, append=rows.size))
 
     # one sort groups every lane's bins, gels in first-seen order
-    gel_ids = list(gel_rank)
-    g, lane, bins = rows["gel"], rows["lane"], rows["bin"]
-    idx = np.lexsort((bins, lane, g))
-    g, lane, bins = g[idx], lane[idx], bins[idx]
+    idx = np.lexsort((rows["bin"], rows["lane"], ranks))
+    g, lane, bins = ranks[idx], rows["lane"][idx], rows["bin"][idx]
 
     same_lane = (g[1:] == g[:-1]) & (lane[1:] == lane[:-1])
     dup = same_lane & (bins[1:] == bins[:-1])
@@ -384,7 +386,7 @@ def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:
         # smallest file index among second-and-later copies
         r = int(idx[1:][dup].min())
         raise ValueError(
-            f"gel {gel_ids[rows['gel'][r]]} lane {rows['lane'][r]}: "
+            f"gel {gel_ids[ranks[r]]} lane {rows['lane'][r]}: "
             f"duplicate bin {rows['bin'][r]}"
         )
     starts = np.flatnonzero(np.concatenate(([True], ~same_lane)))
@@ -417,21 +419,76 @@ def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:
     return IntensityGrid(tuple(gels), B)
 
 
-def _line_blocks(f, shortest: list[int]):
-    """The lines of ``f`` in blocks of about 1 MB, noting each block's shortest line."""
-    while block := f.readlines(1 << 20):
-        shortest.append(min(map(len, block)))
-        yield block
+def _load_rows(path) -> np.ndarray:
+    """The data rows, parsed in C; the gel field holds each id's first
+    ``_GEL_WIDTH`` bytes (latin-1 maps every byte to one character)."""
+    dtype = np.dtype([("gel", f"S{_GEL_WIDTH}"), ("lane", np.int32), ("bin", np.int32),
+                      ("intensity", float)])
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads an int field such as "1.5" via float, warning
+            warnings.simplefilter("error", DeprecationWarning)
+            # a file without data rows warns; it is an error above
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                              quotechar='"', skiprows=1, ndmin=1, encoding="latin-1")
+    except (ValueError, DeprecationWarning) as exc:
+        _raise_row_error(path)
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _raise_row_error(path) -> None:
+def _line_count(path) -> int:
+    """The file's lines as csv splits them: each ends at an LF, a CRLF or a
+    lone CR, and a last line without an end counts too.  The file is read
+    in blocks of 256 kB, which keeps the byte masks small."""
+    n, last = 0, b""
+    with open(path, "rb") as f:
+        while block := f.read(1 << 18):
+            a = np.frombuffer(block, np.uint8)
+            lf, cr = a == 10, a == 13
+            n += np.count_nonzero(lf)
+            if n_cr := np.count_nonzero(cr):
+                # a CR ends a line unless an LF follows it
+                n += n_cr - np.count_nonzero(cr[:-1] & lf[1:])
+            n -= last == b"\r" and block[:1] == b"\n"
+            last = block[-1:]
+    return n + (last not in (b"", b"\r", b"\n"))
+
+
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """The indices at which a run of equal values starts."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+
+
+def _gel_runs(path) -> tuple[list[int], list[str]]:
+    """The row at which each run of equal gel ids starts, and its id, for a
+    file whose lines are its rows.  The ids are parsed a block of about
+    1 MB of lines at a time, in a field as wide as the block's longest
+    line, so none is cut short and the field's size stays bounded; a run
+    that spans two blocks is listed twice."""
+    heads, ids, n = [], [], 0
+    with open(path, newline="", encoding="utf-8") as f:
+        f.readline()
+        while block := f.readlines(1 << 20):
+            gel = np.loadtxt(block, dtype=f"U{max(map(len, block))}", usecols=0,
+                             delimiter=",", comments=None, quotechar='"', ndmin=1)
+            h = _run_heads(gel)
+            heads += (h + n).tolist()
+            ids += gel[h].tolist()
+            n += len(block)
+    return heads, ids
+
+
+def _raise_row_error(path) -> tuple[list[int], list[str]]:
     """Name the first malformed data row of a traces CSV.
 
-    Runs only after the column-wise parse has failed or may have skipped a
-    blank line; it re-reads the file row by row so the error names the
-    file's line, and returns when every row is well formed.
+    Runs only after the column-wise parse has failed or may have read the
+    file's lines differently from csv; it re-reads the file row by row so
+    the error names the file's line.  When every row is well formed it
+    returns the row at which each run of equal gel ids starts, and its id.
     """
-    with open(path, newline="") as f:
+    heads, ids = [], []
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         next(reader, None)
         for row_num, row in enumerate(reader, start=2):
@@ -441,24 +498,34 @@ def _raise_row_error(path) -> None:
                 int(row[1]), int(row[2]), float(row[3])
             except ValueError as exc:
                 raise ValueError(f"{path}:{row_num}: {exc}") from None
+            if not ids or row[0] != ids[-1]:
+                heads.append(row_num - 2)
+                ids.append(row[0])
+    return heads, ids
 
 
 def write_traces_csv(grid: IntensityGrid, path) -> None:
-    """Write a traces CSV, byte for byte what ``csv.writer`` writes row by row.
+    """Write a traces CSV as UTF-8, byte for byte what ``csv.writer`` writes
+    row by row.
 
     Rows end in csv's CRLF and intensities are written with repr().
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
+    B = grid.B
+    # a lane's rows are "".join of (prefix, bin, intensity, CRLF) per bin;
+    # each lane refills the prefixes and the intensities.  A list's repr
+    # holds each float's repr, and IntensityGrid holds only finite floats.
+    parts = [""] * (4 * B)
+    parts[1::4] = [f"{b}," for b in range(1, B + 1)]
+    parts[3::4] = ["\r\n"] * B
+    with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(TRACE_COLUMNS)
         for gel in grid.gels:
             for lane in gel.lanes:
-                prefix = _csv_prefix(gel.gel_id, lane.index)
-                f.write("".join(
-                    [f"{prefix}{b},{v!r}\r\n"
-                     for b, v in enumerate(lane.intensity.tolist(), start=1)]
-                ))
+                parts[0::4] = [_csv_prefix(gel.gel_id, lane.index)] * B
+                parts[2::4] = repr(lane.intensity.tolist())[1:-1].split(", ")
+                f.write("".join(parts))
 
 
 def _csv_prefix(*fields) -> str:

@@ -666,6 +666,7 @@ class DewarpModel:
         cfg = self.cfg
         L = cfg.L
         resid = self._T_all - cs.mu
+        dd, ssq = self._rw_sums(cs.beta)
         for r, rng in enumerate(rngs):
             if not fix_lambda:
                 lam = cs.lam[r]
@@ -684,14 +685,13 @@ class DewarpModel:
                 rng,
             )
             for gi in range(len(self.gels)):
-                dd, ssq = self._rw_sums(cs.beta[r, gi])
                 cs.sigma_g1_2[r, gi] = _draw_invgamma(
                     SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
-                    SIGMA_RATE + 0.5 * dd,
+                    SIGMA_RATE + 0.5 * dd[r, gi],
                     rng,
                 )
                 # one gamma draw per free row, from the same stream as row-by-row calls
-                cs.sigma_gs_2[r, gi] = (SIGMA_RATE + 0.5 * ssq) / rng.gamma(
+                cs.sigma_gs_2[r, gi] = (SIGMA_RATE + 0.5 * ssq[r, gi]) / rng.gamma(
                     SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
                 )
         if fix_lambda:
@@ -775,62 +775,74 @@ class DewarpModel:
         bad += (cs.lam <= 0).any(axis=1)
         return bad
 
-    def _rw_sums(self, beta: np.ndarray) -> tuple[float, np.ndarray]:
-        """A gel's random-walk prior sums: d.d for the first column's
-        increments about the identity's, and each free row's sum of squared
-        increments across lanes."""
-        d = np.diff(beta[: self.cfg.T_nu - 1, 0]) - self.id_incr
-        inc = np.diff(beta[1 : self.cfg.T_nu - 1, :], axis=1)
-        return float(d @ d), np.sum(inc * inc, axis=1)
+    def _rw_sums(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The random-walk prior sums of beta (..., T_nu, T_u), per gel: d.d
+        for the first column's increments about the identity's, and each
+        free row's sum of squared increments across lanes.  The stacked
+        matmul adds d.d in the order d @ d does; einsum does not."""
+        T_nu = self.cfg.T_nu
+        col = beta[..., : T_nu - 1, 0]
+        d = col[..., 1:] - col[..., :-1] - self.id_incr
+        rows = beta[..., 1 : T_nu - 1, :]
+        inc = rows[..., 1:] - rows[..., :-1]
+        return (d[..., None, :] @ d[..., :, None])[..., 0, 0], (inc * inc).sum(axis=-1)
 
     def log_joint_components(self, cs: _ChainState, violations: np.ndarray) -> dict:
         """The log joint's terms and total, each an (R,) array over the
         chains; violations is count_violations(cs), and a chain that breaks
         a constraint gets -inf throughout."""
-        resid = self._T_all - cs.mu
-        terms = np.array([(-np.inf,) * 5 if bad else self._chain_log_joint(cs, r, resid[r])
-                          for r, bad in enumerate(violations.tolist())])
+        terms = np.full((len(violations), 5), -np.inf)
+        ok = violations == 0
+        if ok.any():
+            # a broken chain may hold a lambda <= 0 or a Z outside 1..L
+            if not ok.all():
+                cs = _ChainState(*(getattr(cs, f.name)[ok] for f in fields(cs)))
+            terms[ok] = self._log_joint_terms(cs)
         return dict(zip(("likelihood", "z_prior", "beta_prior", "hyper", "total"), terms.T))
 
-    def _chain_log_joint(self, cs: _ChainState, r: int, resid: np.ndarray) -> tuple:
-        """Chain r's likelihood, z_prior, beta_prior, hyper and total; resid
-        is its T - mu over all peaks."""
+    def _log_joint_terms(self, cs: _ChainState) -> list:
+        """Likelihood, z_prior, beta_prior, hyper and total of each chain.
+        The array sums are taken for every chain and gel at once; each chain
+        then adds its terms in Python floats, gel by gel."""
         cfg = self.cfg
-        se2 = float(cs.sigma_eps2[r])
-        tau = float(cs.tau[r])
-        lam = cs.lam[r]
-        lik = 0.0
-        z_prior = 0.0
-        beta_prior = 0.0
-        hyper = _log_invgamma(tau, TAU_SHAPE, TAU_RATE)
-        hyper += _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
+        lam, tau, vgs = cs.lam, cs.tau, cs.sigma_gs_2
+        resid = self._T_all - cs.mu
+        log_lam_z = np.log(lam[np.arange(len(lam))[:, None], cs.Z - 1])
+        norms = np.array([(rg[:, None, :] @ rg[:, :, None])[:, 0, 0]
+                          for rg in (resid[:, gel.peaks] for gel in self.gels)]).T
+        z_sums = np.array([log_lam_z[:, gel.peaks].sum(axis=1) for gel in self.gels]).T
+        dd, ssq = self._rw_sums(cs.beta)
+        log_tau = [log(t) for t in tau.tolist()]
         # half-normal over lambda
-        hyper += float(
-            np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(tau)
-                   - lam**2 / (2.0 * tau))
-        )
-        log_lam_sum = log(cs.lam_sum[r])
-        for gi, gel in enumerate(self.gels):
-            rg = resid[gel.peaks]
-            lik += -0.5 * float(rg @ rg) / se2 - 0.5 * gel.n_peaks * (
-                LOG_2PI + log(se2)
-            )
-            z_prior += gel.log_jfact
-            z_prior += float(np.sum(np.log(lam[cs.Z[r, gel.peaks] - 1])))
-            z_prior -= gel.n_peaks * log_lam_sum
+        half_normal = ((0.5 * math.log(2.0 / math.pi) - 0.5 * np.array(log_tau))[:, None]
+                       - lam**2 / (2.0 * tau)[:, None]).sum(axis=1)
+        ssq_terms = (-0.5 * ssq / vgs).sum(axis=-1)
+        log_vgs = (LOG_2PI + np.log(vgs)).sum(axis=-1)
+        rows = []
+        for (se2, tau_r, lam_sum, hn, v1s, vgs_r, norm_r, z_r, dd_r, ssq_r, logv_r) in zip(
+                *(a.tolist() for a in (cs.sigma_eps2, tau, cs.lam_sum, half_normal,
+                                       cs.sigma_g1_2, vgs, norms, z_sums, dd, ssq_terms,
+                                       log_vgs))):
+            lik = z_prior = beta_prior = 0.0
+            hyper = _log_invgamma(tau_r, TAU_SHAPE, TAU_RATE)
+            hyper += _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
+            hyper += hn
+            log_lam_sum = log(lam_sum)
+            for gi, gel in enumerate(self.gels):
+                lik += -0.5 * norm_r[gi] / se2 - 0.5 * gel.n_peaks * (LOG_2PI + log(se2))
+                z_prior += gel.log_jfact
+                z_prior += z_r[gi]
+                z_prior -= gel.n_peaks * log_lam_sum
 
-            v1 = float(cs.sigma_g1_2[r, gi])
-            vgs = cs.sigma_gs_2[r, gi]
-            dd, ssq = self._rw_sums(cs.beta[r, gi])
-            beta_prior += -0.5 * dd / v1 - 0.5 * (cfg.T_nu - 2) * (LOG_2PI + log(v1))
-            beta_prior += float(np.sum(-0.5 * ssq / vgs)) - 0.5 * (cfg.T_u - 1) * float(
-                np.sum(LOG_2PI + np.log(vgs))
-            )
+                v1 = v1s[gi]
+                beta_prior += -0.5 * dd_r[gi] / v1 - 0.5 * (cfg.T_nu - 2) * (LOG_2PI + log(v1))
+                beta_prior += ssq_r[gi] - 0.5 * (cfg.T_u - 1) * logv_r[gi]
 
-            hyper += _log_invgamma(v1, SIGMA_SHAPE, SIGMA_RATE)
-            for v in vgs:
-                hyper += _log_invgamma(float(v), SIGMA_SHAPE, SIGMA_RATE)
-        return lik, z_prior, beta_prior, hyper, lik + z_prior + beta_prior + hyper
+                hyper += _log_invgamma(v1, SIGMA_SHAPE, SIGMA_RATE)
+                for v in vgs_r[gi]:
+                    hyper += _log_invgamma(v, SIGMA_SHAPE, SIGMA_RATE)
+            rows.append((lik, z_prior, beta_prior, hyper, lik + z_prior + beta_prior + hyper))
+        return rows
 
     def log_joint(self, cs: _ChainState, violations: np.ndarray) -> np.ndarray:
         """The log joint of each chain, an (R,) array; violations is

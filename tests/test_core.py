@@ -1,13 +1,19 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gelwarp
+from gelwarp import core
 from gelwarp.core import (
     GelTrace,
     GelwarpWarning,
@@ -197,6 +203,7 @@ class TestTraceIO:
             ("G1,1,1,0.0\nG1,1,2,0.5\n\n", ":4: expected 4 columns, got 0"),
             ("G1,1,1,0.0\r\n\r\nG1,1,2,0.5\r\n", ":3: expected 4 columns, got 0"),
             ("G1,1,1,0.0\r\rG1,1,2,0.5\r", ":3: expected 4 columns, got 0"),
+            ("G1,1,1,0.0\n\rG1,1,2,0.5\n", ":3: expected 4 columns, got 0"),
             ("G1,1,1,0.0\nG1,1.5,2,0.5\n",
              ":3: invalid literal for int() with base 10: '1.5'"),
             ("G1,1,x,0.0\n", ":2: invalid literal for int() with base 10: 'x'"),
@@ -223,6 +230,13 @@ class TestTraceIO:
         with pytest.raises(ValueError) as err:
             read_traces_csv(path)
         assert str(err.value) == f"{path}:2: invalid literal for int() with base 10: '1.5'"
+
+    @pytest.mark.parametrize("lane", [2**31, -(2**31) - 1])
+    def test_lane_beyond_32_bits_is_rejected(self, tmp_path, lane):
+        path = tmp_path / "big_lane.csv"
+        path.write_text(f"gel_id,lane,bin,intensity\nG1,{lane},1,0.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{lane}.*int32"):
+            read_traces_csv(path)
 
     @pytest.mark.parametrize(
         "body, gel_id",
@@ -299,6 +313,17 @@ class TestTraceIO:
             grid.matrix(), [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
         )
 
+    @staticmethod
+    def csv_writer_bytes(grid):
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(("gel_id", "lane", "bin", "intensity"))
+        for gel in grid.gels:
+            for lane in gel.lanes:
+                for b, val in enumerate(lane.intensity, start=1):
+                    writer.writerow([gel.gel_id, lane.index, b, repr(float(val))])
+        return want.getvalue().encode()
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["G1", "a,b", 'q"t', " sp ", ""]))
     @settings(max_examples=30, deadline=None)
     def test_writer_matches_csv_writer(self, tmp_path_factory, seed, odd_id):
@@ -312,18 +337,126 @@ class TestTraceIO:
             )
             gels.append(GelTrace(gel_id, lanes))
         grid = IntensityGrid(tuple(gels), B)
-        want = io.StringIO()
-        writer = csv.writer(want)
-        writer.writerow(("gel_id", "lane", "bin", "intensity"))
-        for gel in grid.gels:
-            for lane in gel.lanes:
-                for b, val in enumerate(lane.intensity, start=1):
-                    writer.writerow([gel.gel_id, lane.index, b, repr(float(val))])
         path = tmp_path_factory.mktemp("w") / "t.csv"
         write_traces_csv(grid, path)
-        assert path.read_bytes() == want.getvalue().encode()
+        assert path.read_bytes() == self.csv_writer_bytes(grid)
         back = read_traces_csv(path)
         np.testing.assert_array_equal(back.matrix(), grid.matrix())
+
+    @pytest.mark.parametrize("values", [
+        [[-0.0, 5e-324, 1e300, 1 / 3, 0.1 + 0.2], [0.1 + 0.2, 1 / 3, 1e300, 5e-324, -0.0]],
+        [[2.5e-8], [-1e22]],
+    ], ids=["edge_values", "one_bin"])
+    def test_writer_matches_csv_writer_on(self, tmp_path, values):
+        grid = make_grid(values)
+        path = tmp_path / "w.csv"
+        write_traces_csv(grid, path)
+        assert path.read_bytes() == self.csv_writer_bytes(grid)
+        np.testing.assert_array_equal(read_traces_csv(path).matrix(), grid.matrix())
+
+    @pytest.mark.parametrize("n_bytes", [16, 40, 70])
+    def test_long_gel_ids_stay_distinct(self, tmp_path, n_bytes):
+        # as long as the first parse's id field or longer, and equal in all
+        # but their last 8 bytes
+        ids = ["p" * (n_bytes - 8) + "-second!", "p" * (n_bytes - 8) + "-first!!"]
+        assert [len(i.encode()) for i in ids] == [n_bytes, n_bytes]
+        gels = tuple(GelTrace(gel_id, (Lane(1, [float(k), 0.5]),))
+                     for k, gel_id in enumerate(ids))
+        path = tmp_path / "long.csv"
+        write_traces_csv(IntensityGrid(gels, 2), path)
+        back = read_traces_csv(path)
+        assert [g.gel_id for g in back.gels] == ids
+        np.testing.assert_array_equal(back.matrix(), [[0.0, 0.5], [1.0, 0.5]])
+
+    def test_long_gel_ids_across_read_blocks(self, tmp_path):
+        # long ids are read again in blocks of about 1 MB of lines; here the
+        # second gel's rows cross a block's end
+        ids = ["é" * 35, '"a,b"' * 14, "G" * 70, "日本"]
+        rng = np.random.default_rng(3)
+        grid = IntensityGrid(tuple(
+            GelTrace(gel_id, (Lane(2, rng.random(3000)), Lane(1, rng.random(3000))))
+            for gel_id in ids
+        ), 3000)
+        path = tmp_path / "blocks.csv"
+        write_traces_csv(grid, path)
+        assert path.stat().st_size > 2 << 20
+        back = read_traces_csv(path)
+        assert [g.gel_id for g in back.gels] == ids
+        assert [[lane.index for lane in g.lanes] for g in back.gels] == [[1, 2]] * 4
+        np.testing.assert_array_equal(
+            back.matrix(), [lane.intensity for g in grid.gels for lane in g.lanes[::-1]]
+        )
+
+    @pytest.mark.parametrize("gel_ids", [("日本", "Gél"), ("x\ry", "x\r\ny", "x\ny")])
+    def test_gel_ids_read_back_through_writer(self, tmp_path, gel_ids):
+        grid = IntensityGrid(tuple(
+            GelTrace(gel_id, (Lane(1, [float(k)]), Lane(2, [0.25])))
+            for k, gel_id in enumerate(gel_ids)
+        ), 1)
+        path = tmp_path / "ids.csv"
+        write_traces_csv(grid, path)
+        back = read_traces_csv(path)
+        assert [g.gel_id for g in back.gels] == list(gel_ids)
+        np.testing.assert_array_equal(back.matrix(), grid.matrix())
+
+    @pytest.fixture
+    def no_rescan(self, monkeypatch):
+        """Fail if the row-by-row csv re-scan runs."""
+        def rescan(path):
+            raise AssertionError("re-scan ran")
+
+        monkeypatch.setattr(core, "_raise_row_error", rescan)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("final_end", [True, False], ids=["final_end", "no_final_end"])
+    def test_well_formed_file_is_not_rescanned(self, tmp_path, no_rescan, end, final_end):
+        lines = ["gel_id,lane,bin,intensity", "G1,1,1,0.0", "G1,1,2,0.5", "G2,1,1,1.0",
+                 "G2,1,2,1.5"]
+        path = tmp_path / "ok.csv"
+        path.write_bytes((end.join(lines) + (end if final_end else "")).encode())
+        back = read_traces_csv(path)
+        assert [g.gel_id for g in back.gels] == ["G1", "G2"]
+        np.testing.assert_array_equal(back.matrix(), [[0.0, 0.5], [1.0, 1.5]])
+
+    def test_crlf_split_across_count_blocks_is_not_rescanned(self, tmp_path, no_rescan):
+        # the line count reads 256 kB blocks: end the fourth block between a
+        # CR and its LF by padding the first value with zeros
+        header = b"gel_id,lane,bin,intensity\r\n"
+        rows = [b"G1,1,%d,0.5\r\n" % b for b in range(1, 90001)]
+        cr_at = len(header) + np.cumsum([len(r) for r in rows]) - 2
+        pad = (1 << 20) - 1 - cr_at[cr_at <= (1 << 20) - 1][-1]
+        rows[0] = b"G1,1,1,0.5" + b"0" * int(pad) + b"\r\n"
+        data = header + b"".join(rows)
+        assert data[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
+        path = tmp_path / "split.csv"
+        path.write_bytes(data)
+        back = read_traces_csv(path)
+        assert back.B == len(rows)
+        assert np.all(back.matrix() == 0.5)
+
+    @pytest.mark.parametrize("data, want", [
+        ("gel_id,lane,bin,intensity\nGél,1,1,0.5\nGél,1,2,0.25\n".encode(), "['G\\xe9l']"),
+        (b"gel_id,lane,bin,intensity\nG\xffl,1,1,0.5\n", "ValueError: {path}: not UTF-8 text"),
+        (b"gel_id,lane,bin,intensity\nG1,1,1,0.5\nG1,1,2,\xff\n",
+         "ValueError: {path}: not UTF-8 text"),
+    ], ids=["utf8_id", "bad_id", "bad_value"])
+    def test_read_is_utf8_in_c_locale(self, tmp_path, data, want):
+        path = tmp_path / "loc.csv"
+        path.write_bytes(data)
+        src = str(Path(gelwarp.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\n"
+            "from gelwarp.core import read_traces_csv\n"
+            "try:\n"
+            "    print(ascii([g.gel_id for g in read_traces_csv(sys.argv[1]).gels]))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.startswith(want.format(path=path)), out.stdout
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "nh.csv"

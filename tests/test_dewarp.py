@@ -1120,6 +1120,63 @@ class TestLogJoint:
         assert comp["likelihood"][0] == -np.inf
 
 
+    @staticmethod
+    def scalar_log_joint(model, cs, r):
+        """Test-only copy of the per-chain log joint that the batched one
+        replaced: one chain, numpy per gel, the rest in Python floats."""
+        cfg = model.cfg
+
+        def log_invgamma(x, shape, rate):
+            return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
+
+        log_2pi = math.log(2.0 * math.pi)
+        resid = (model._T_all - cs.mu)[r]
+        se2, tau, lam = float(cs.sigma_eps2[r]), float(cs.tau[r]), cs.lam[r]
+        lik = z_prior = beta_prior = 0.0
+        hyper = log_invgamma(tau, TAU_SHAPE, TAU_RATE)
+        hyper += log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
+        hyper += float(np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(tau)
+                              - lam**2 / (2.0 * tau)))
+        log_lam_sum = math.log(cs.lam_sum[r])
+        for gi, gel in enumerate(model.gels):
+            rg = resid[gel.peaks]
+            lik += -0.5 * float(rg @ rg) / se2 - 0.5 * gel.n_peaks * (log_2pi + math.log(se2))
+            z_prior += gel.log_jfact
+            z_prior += float(np.sum(np.log(lam[cs.Z[r, gel.peaks] - 1])))
+            z_prior -= gel.n_peaks * log_lam_sum
+            beta = cs.beta[r, gi]
+            d = np.diff(beta[: cfg.T_nu - 1, 0]) - model.id_incr
+            inc = np.diff(beta[1 : cfg.T_nu - 1, :], axis=1)
+            v1, vgs = float(cs.sigma_g1_2[r, gi]), cs.sigma_gs_2[r, gi]
+            beta_prior += -0.5 * float(d @ d) / v1 - 0.5 * (cfg.T_nu - 2) * (
+                log_2pi + math.log(v1))
+            beta_prior += float(np.sum(-0.5 * np.sum(inc * inc, axis=1) / vgs)) - 0.5 * (
+                cfg.T_u - 1) * float(np.sum(log_2pi + np.log(vgs)))
+            hyper += log_invgamma(v1, SIGMA_SHAPE, SIGMA_RATE)
+            for v in vgs:
+                hyper += log_invgamma(float(v), SIGMA_SHAPE, SIGMA_RATE)
+        return lik, z_prior, beta_prior, hyper, lik + z_prior + beta_prior + hyper
+
+    @pytest.mark.parametrize("broken", [None, 2])
+    def test_batched_equals_scalar_loop(self, broken):
+        model = unequal_two_gel_model()
+        cs = model.init_chain_state(4)
+        rngs = [np.random.default_rng(40 + r) for r in range(4)]
+        for _ in range(15):
+            model.sweep(cs, rngs)
+            counts = model.count_violations(cs)
+            if broken is not None:
+                cs.lam[broken, 3] = -cs.lam[broken, 3]
+                counts = model.count_violations(cs)
+                assert counts.tolist() == [0, 0, 1, 0]
+            got = np.array(list(model.log_joint_components(cs, counts).values())).T
+            for r in range(4):
+                want = (-np.inf,) * 5 if r == broken else self.scalar_log_joint(model, cs, r)
+                assert got[r].tolist() == list(want)
+            if broken is not None:
+                cs.lam[broken, 3] = -cs.lam[broken, 3]
+
+
 class TestStationarity:
     def test_white_noise_passes(self):
         rng = np.random.default_rng(0)
