@@ -36,9 +36,12 @@ from .core import (
     Standardizer,
     check_int,
     lane_name,
+    open_text,
+    read_json,
     read_manifest,
     read_traces_csv,
     standardize_intensities,
+    write_csv,
     write_json,
     write_manifest,
     write_traces_csv,
@@ -89,8 +92,15 @@ class StageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def merge_config(user: dict) -> dict:
-    """User settings over the defaults; unknown sections or keys are errors."""
+def _check_object(value, source: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{source}: expected a JSON object, got {type(value).__name__}")
+
+
+def merge_config(user: dict, source: str = "config") -> dict:
+    """User settings over the defaults; unknown sections or keys are errors,
+    and so is a ``user`` that is not an object, named by ``source``."""
+    _check_object(user, source)
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for section, value in user.items():
         if section not in cfg:
@@ -108,12 +118,11 @@ def merge_config(user: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        user = json.load(fh)
-    return merge_config(user)
+    return merge_config(read_json(path), f"config {path}")
 
 
-def model_config_from(section: dict, seed: int) -> ModelConfig:
+def model_config_from(section: dict, seed: int, source: str = "config") -> ModelConfig:
+    _check_object(section, source)
     fields = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(section) - fields
     if unknown:
@@ -169,10 +178,8 @@ def _hash_parts(stage: str, *parts) -> str:
 
 
 def stage_simulate(spec_path, seed: int, out_dir) -> list[Path]:
-    with open(spec_path) as fh:
-        raw = json.load(fh)
     rng = np.random.default_rng(seed)
-    grid, manifest, truth = simulate_gels(SimSpec.from_dict(raw, rng), rng)
+    grid, manifest, truth = simulate_gels(SimSpec.from_dict(read_json(spec_path), rng), rng)
     out = Path(out_dir)
     paths = [out / "traces.csv", out / "manifest.json", out / "truth.json"]
     write_traces_csv(grid, paths[0])
@@ -286,12 +293,16 @@ def read_truth_labels(path, lane_keys) -> np.ndarray:
         by_key = {k: v["cluster"] for k, v in truth["samples"].items()}
     else:
         by_key = {}
-        with open(path, newline="") as fh:
+        with open_text(path) as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or {"lane", "label"} - set(reader.fieldnames):
                 raise ValueError("truth CSV needs columns lane,label")
             for row in reader:
-                by_key[row["lane"]] = int(row["label"])
+                try:
+                    by_key[row["lane"]] = int(row["label"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}:{reader.line_num}: label {row['label']!r} "
+                                     f"is not an integer") from None
     labels = []
     for name in map(lane_name, lane_keys):
         if name not in by_key:
@@ -315,8 +326,7 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     D = distance_matrix(grid)
     dend = hclust_complete(D)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "dendrogram.nwk", "w") as fh:
+    with open_text(out / "dendrogram.nwk", "w") as fh:
         fh.write(to_newick(dend) + "\n")
 
     conf = bootstrap_confidence(grid, nboot, np.random.default_rng(seed))
@@ -344,7 +354,6 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     write_metrics(rows, out / "metrics.csv")
 
     plot = out / "plotdata"
-    plot.mkdir(exist_ok=True)
     write_metrics(rows, plot / "fig_quality.csv")
     _write_merge_table(dend, conf, plot / "fig_dendrogram.csv")
     return out
@@ -354,14 +363,12 @@ def _write_merge_table(dend, conf: dict, path) -> None:
     """Merge-by-merge dendrogram series with subtree confidences."""
     leaf_names = dend.leaf_names()
     conf_by_leafset = {frozenset(k): c for k, c in conf.items()}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["merge", "left", "right", "height", "confidence", "leaves"])
-        for k, ((a, b, h), members) in enumerate(zip(dend.merges, dend.leaf_sets())):
-            c = conf_by_leafset.get(frozenset(dend.labels[i] for i in members), "")
-            names = "|".join(sorted(leaf_names[i] for i in members))
-            writer.writerow([k, a, b, f"{h:.10g}",
-                             "" if c == "" else f"{c:.10g}", names])
+    rows = []
+    for k, ((a, b, h), members) in enumerate(zip(dend.merges, dend.leaf_sets())):
+        c = conf_by_leafset.get(frozenset(dend.labels[i] for i in members), "")
+        names = "|".join(sorted(leaf_names[i] for i in members))
+        rows.append([k, a, b, f"{h:.10g}", "" if c == "" else f"{c:.10g}", names])
+    write_csv(path, ["merge", "left", "right", "height", "confidence", "leaves"], rows)
 
 
 def stage_plotdata(run_dir, out_dir) -> Path:
@@ -383,50 +390,34 @@ def stage_plotdata(run_dir, out_dir) -> Path:
 
     warp_path = run / "posterior" / "warp.json"
     if zmap_path.is_file() and warp_path.is_file():
-        with open(zmap_path) as fh:
-            zpayload = json.load(fh)
+        zpayload = read_json(zmap_path)
         L = zpayload["L"]
         ax = Standardizer.from_dict(zpayload["axis_standardizer"])
         nu = LandmarkGrid(L).nu
         fields = read_warp_fields(warp_path)
-        with open(out / "fig_warps.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gel", "lane", "landmark", "nu", "s"])
-            for gel_id in sorted(fields):
-                field, std = fields[gel_id]
-                values = ax.invert(
-                    eval_warp_grid(field, ax.apply(nu), np.asarray(std["u_std"]))
-                )
-                for col, lane in enumerate(std["lanes"]):
-                    for ell in range(L + 2):
-                        writer.writerow([
-                            gel_id, lane, ell,
-                            f"{nu[ell]:.10g}", f"{values[ell, col]:.10g}",
-                        ])
-        with open(out / "fig_connections.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gel", "lane", "peak", "location", "landmark",
-                             "landmark_nu", "probability"])
-            for key in sorted(zpayload["lanes"]):
-                entry = zpayload["lanes"][key]
-                for j, (loc, ell) in enumerate(
-                    zip(entry["locations"], entry["z_map"]), start=1
-                ):
-                    prob = entry["marginals"][j - 1][ell]
-                    writer.writerow([
-                        entry["gel_id"], entry["lane"], j, f"{loc:.10g}",
-                        ell, f"{nu[ell]:.10g}", f"{prob:.10g}",
-                    ])
+        rows = []
+        for gel_id in sorted(fields):
+            field, std = fields[gel_id]
+            values = ax.invert(eval_warp_grid(field, ax.apply(nu), np.asarray(std["u_std"])))
+            for col, lane in enumerate(std["lanes"]):
+                rows += ([gel_id, lane, ell, f"{nu[ell]:.10g}", f"{values[ell, col]:.10g}"]
+                         for ell in range(L + 2))
+        write_csv(out / "fig_warps.csv", ["gel", "lane", "landmark", "nu", "s"], rows)
+        rows = []
+        for key in sorted(zpayload["lanes"]):
+            entry = zpayload["lanes"][key]
+            for j, (loc, ell) in enumerate(zip(entry["locations"], entry["z_map"]), start=1):
+                prob = entry["marginals"][j - 1][ell]
+                rows.append([entry["gel_id"], entry["lane"], j, f"{loc:.10g}",
+                             ell, f"{nu[ell]:.10g}", f"{prob:.10g}"])
+        write_csv(out / "fig_connections.csv", ["gel", "lane", "peak", "location", "landmark",
+                                                "landmark_nu", "probability"], rows)
 
     if landmarks_path.is_file():
-        with open(landmarks_path) as fh:
-            lpayload = json.load(fh)
-        with open(out / "fig_landmarks.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lane", "landmark", "probability"])
-            for key in sorted(lpayload["lanes"]):
-                for ell, p in enumerate(lpayload["lanes"][key], start=1):
-                    writer.writerow([key, ell, f"{p:.10g}"])
+        lanes = read_json(landmarks_path)["lanes"]
+        write_csv(out / "fig_landmarks.csv", ["lane", "landmark", "probability"],
+                  [[key, ell, f"{p:.10g}"]
+                   for key in sorted(lanes) for ell, p in enumerate(lanes[key], start=1)])
     return out
 
 
@@ -443,8 +434,7 @@ def run_pipeline(config_path, resume: bool = False) -> Path:
     hash_file = out / "hashes.json"
     hashes = {}
     if resume and hash_file.is_file():
-        with open(hash_file) as fh:
-            hashes = json.load(fh)
+        hashes = read_json(hash_file)
 
     traces, manifest, truth = (
         None if p is None else Path(p)
@@ -587,10 +577,9 @@ def main(argv=None) -> int:
             stage_refalign(ns.input, ns.manifest, ns.peaks, ns.template,
                            ns.out, ns.map_out)
         elif ns.command == "dewarp":
-            with open(ns.config) as fh:
-                section = json.load(fh)
-            stage_dewarp(ns.peaks, model_config_from(section, ns.seed), ns.out,
-                         manifest_path=ns.manifest)
+            section = read_json(ns.config)
+            model_cfg = model_config_from(section, ns.seed, f"config {ns.config}")
+            stage_dewarp(ns.peaks, model_cfg, ns.out, manifest_path=ns.manifest)
         elif ns.command == "align":
             stage_align(ns.input, ns.manifest, ns.zmap, ns.z_source, ns.out)
         elif ns.command == "cluster":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid, check_int, lane_name, write_json
+from .core import GelTrace, IntensityGrid, check_int, lane_name, open_text, write_json
 from .exactalign import exact_align
 from .peakdetect import PeakTable
 
@@ -396,7 +396,7 @@ def write_confidence(conf: dict, path) -> None:
 
 def write_metrics(rows: list[dict], path) -> None:
     cols = ["n", "ari_mean", "ari_lo", "ari_hi", "silhouette"]
-    with open(path, "w") as fh:
+    with open_text(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(

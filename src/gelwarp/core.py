@@ -266,13 +266,39 @@ def parse_lane_name(name: str) -> tuple[str, int]:
     return gel_id, int(lane)
 
 
+def open_text(path, mode="r"):
+    """Open a text file as UTF-8 in any locale, with no newline translation:
+    a read sees the file's own line ends and a write puts down exactly the
+    characters given.  Writing makes the parent directories."""
+    if mode != "r":
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, mode, encoding="utf-8", newline="")
+
+
+def read_json(path):
+    """The JSON value in ``path``; a file that is malformed or not UTF-8
+    fails with a ValueError naming it."""
+    try:
+        with open_text(path) as f:
+            return json.load(f)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def write_json(payload, path, indent=None) -> None:
-    """Write ``payload`` as JSON with sorted keys and one trailing newline,
-    making the parent directories.  Without an indent, json.dumps takes the
-    C encoder; json.dump to a file never does."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON with sorted keys and one trailing newline.
+    Without an indent, json.dumps takes the C encoder; json.dump to a file
+    never does."""
+    with open_text(path, "w") as f:
+        f.write(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows with ``csv.writer``, whose lines end in CRLF."""
+    with open_text(path, "w") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 TRACE_COLUMNS = ("gel_id", "lane", "bin", "intensity")
@@ -286,8 +312,7 @@ def read_manifest(path) -> dict:
     0 <= lo < hi <= 1}}.  All fields per gel optional; a malformed one fails
     with the file and the gel named.
     """
-    with open(path) as f:
-        manifest = json.load(f)
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest {path}: expected a JSON object keyed by gel_id")
     for gel_id, entry in manifest.items():
@@ -345,7 +370,7 @@ _GEL_WIDTH = 16
 
 
 def _read_traces(path, manifest: dict | None) -> IntensityGrid:
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_text(path) as f:
         first = f.readline()
     header = next(csv.reader([first]), None) if first else None
     if header is None or tuple(h.strip() for h in header) != TRACE_COLUMNS:
@@ -467,7 +492,7 @@ def _gel_runs(path) -> tuple[list[int], list[str]]:
     line, so none is cut short and the field's size stays bounded; a run
     that spans two blocks is listed twice."""
     heads, ids, n = [], [], 0
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_text(path) as f:
         f.readline()
         while block := f.readlines(1 << 20):
             gel = np.loadtxt(block, dtype=f"U{max(map(len, block))}", usecols=0,
@@ -488,7 +513,7 @@ def _raise_row_error(path) -> tuple[list[int], list[str]]:
     returns the row at which each run of equal gel ids starts, and its id.
     """
     heads, ids = [], []
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         next(reader, None)
         for row_num, row in enumerate(reader, start=2):
@@ -510,8 +535,6 @@ def write_traces_csv(grid: IntensityGrid, path) -> None:
 
     Rows end in csv's CRLF and intensities are written with repr().
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     B = grid.B
     # a lane's rows are "".join of (prefix, bin, intensity, CRLF) per bin;
     # each lane refills the prefixes and the intensities.  A list's repr
@@ -519,7 +542,7 @@ def write_traces_csv(grid: IntensityGrid, path) -> None:
     parts = [""] * (4 * B)
     parts[1::4] = [f"{b}," for b in range(1, B + 1)]
     parts[3::4] = ["\r\n"] * B
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_text(path, "w") as f:
         csv.writer(f).writerow(TRACE_COLUMNS)
         for gel in grid.gels:
             for lane in gel.lanes:

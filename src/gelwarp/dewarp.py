@@ -40,13 +40,10 @@ and ANNEAL_LO for the restart annealing schedule, in landmark spacings.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
 from math import lgamma, log
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -58,7 +55,10 @@ from .core import (
     check_int,
     fit_standardizer,
     lane_name,
+    open_text,
     parse_lane_name,
+    read_json,
+    write_csv,
     write_json,
 )
 from .peakdetect import PeakTable
@@ -1131,8 +1131,7 @@ def write_zmap(result: MCMCResult, path) -> None:
 def read_zmap(path) -> dict:
     """Returns {"L", "z_map": {key: array}, "z_draws": {key: array},
     "locations": {key: array}, "bins": {key: array}}."""
-    with open(path) as f:
-        payload = json.load(f)
+    payload = read_json(path)
     out = {"L": payload["L"], "z_map": {}, "z_draws": {}, "locations": {}, "bins": {}}
     for s, entry in payload["lanes"].items():
         key = parse_lane_name(s)
@@ -1161,19 +1160,12 @@ def write_signatures_csv(result: MCMCResult, path) -> None:
     """N x L binary matrix from the MAP assignments, one row per lane."""
     L = result.cfg.L
     keys, Y = signatures(result.z_map, L)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["lane"] + [f"l{ell}" for ell in range(1, L + 1)])
-        for key, row in zip(keys, Y):
-            writer.writerow([lane_name(key)] + row.tolist())
+    write_csv(path, ["lane"] + [f"l{ell}" for ell in range(1, L + 1)],
+              [[lane_name(key)] + row.tolist() for key, row in zip(keys, Y)])
 
 
 def write_chain_log(result: MCMCResult, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with open_text(path, "w") as f:
         f.write("# saved_state log_joint\n")
         for k, v in enumerate(result.log_joint_trace):
             f.write(f"{k} {float(v)!r}\n")

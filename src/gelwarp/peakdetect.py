@@ -8,12 +8,11 @@ at its intensity argmax.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityGrid, check_int, write_json
+from .core import IntensityGrid, check_int, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,7 @@ class PeakTable:
 
     @classmethod
     def from_json(cls, path) -> "PeakTable":
-        with open(path) as f:
-            data = json.load(f)
+        data = read_json(path)
         entries = [
             Peak(r["gel_id"], r["lane"], r["j"], r["bin"], r["location"], r["intensity"])
             for r in data["peaks"]

@@ -7,12 +7,11 @@ pairs for a piecewise-linear stretch/compression of the whole gel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid, Lane, write_json
+from .core import GelTrace, IntensityGrid, Lane, read_json, write_json
 from .peakdetect import PeakTable
 
 
@@ -136,9 +135,7 @@ def write_maps(maps: dict[str, PiecewiseLinearMap], path) -> None:
 
 
 def read_maps(path) -> dict[str, PiecewiseLinearMap]:
-    with open(path) as f:
-        payload = json.load(f)
     return {
         gel_id: PiecewiseLinearMap(np.array(d["query_knots"]), np.array(d["template_knots"]))
-        for gel_id, d in payload.items()
+        for gel_id, d in read_json(path).items()
     }

@@ -9,13 +9,12 @@ construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid, Lane, LandmarkGrid, lane_name, write_json
+from .core import GelTrace, IntensityGrid, Lane, LandmarkGrid, lane_name, read_json, write_json
 from .refalign import PiecewiseLinearMap, apply_map
 
 REFERENCE_KDA = (200.0, 116.0, 97.0, 66.0, 45.0, 31.0, 21.5)
@@ -357,5 +356,4 @@ def write_truth(truth: dict, path) -> None:
 
 
 def read_truth(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
+    return read_json(path)

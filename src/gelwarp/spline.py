@@ -7,12 +7,11 @@ first-difference matrices used by the random walk priors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import write_json
+from .core import read_json, write_json
 
 ORDER = 4  # cubic with intercept
 
@@ -228,10 +227,8 @@ def write_warp_fields(fields: dict, standardizers: dict, path) -> None:
 
 
 def read_warp_fields(path) -> dict:
-    with open(path) as f:
-        payload = json.load(f)
     out = {}
-    for d in payload:
+    for d in read_json(path):
         gel_id, field, std = warp_from_dict(d)
         out[gel_id] = (field, std)
     return out

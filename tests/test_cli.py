@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,14 @@ from gelwarp.cli import (
     read_truth_labels,
     stage_cluster,
 )
-from gelwarp.core import read_manifest, read_traces_csv
+from gelwarp.core import (
+    GelTrace,
+    IntensityGrid,
+    Lane,
+    read_manifest,
+    read_traces_csv,
+    write_traces_csv,
+)
 from gelwarp.peakdetect import PeakTable
 from gelwarp.refalign import apply_map, read_maps
 
@@ -152,6 +160,23 @@ class TestConfig:
         mc = model_config_from(dict(MODEL), seed=11)
         assert mc.seed == 11
         assert mc.L == 30
+
+    @pytest.mark.parametrize("text, msg", [
+        ("[1, 2]", "config {path}: expected a JSON object, got list"),
+        ('"run"', "config {path}: expected a JSON object, got str"),
+        ('{"seed": 7', "{path}: Expecting ',' delimiter"),
+    ], ids=["list", "str", "truncated"])
+    @pytest.mark.parametrize("command", ["pipeline", "dewarp"])
+    def test_config_that_is_not_an_object_is_named(self, tmp_path, capsys, command,
+                                                    text, msg):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = {"pipeline": [],
+                "dewarp": ["--peaks", str(tmp_path / "peaks.json"),
+                           "--out", str(tmp_path / "posterior")]}[command]
+        assert main([command, "--config", str(path), *argv]) == 1
+        assert f"gelwarp {command}: {msg.format(path=path)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSimulate:
@@ -333,6 +358,15 @@ class TestTruthLabels:
         path.write_text("sample,cluster\na,1\n")
         with pytest.raises(ValueError, match="lane,label"):
             read_truth_labels(path, [])
+
+    @pytest.mark.parametrize("row, label", [("g1:3,a", "'a'"), ("g1:3,1.5", "'1.5'"),
+                                            ("g1:3", "None")], ids=["word", "float", "missing"])
+    def test_bad_label_names_file_and_row(self, tmp_path, row, label):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"lane,label\ng1:2,1\n{row}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:3: label {label} is not an integer")):
+            read_truth_labels(path, [("g1", 2), ("g1", 3)])
 
 
 class TestPipeline:
@@ -524,3 +558,45 @@ def test_json_artifacts_sorted_with_one_newline(workdir):
         text = path.read_text()
         assert text.endswith("\n") and not text.endswith("\n\n"), path
         json.loads(text, object_pairs_hook=sorted_pairs)
+
+
+def test_text_files_are_utf8_in_c_locale(tmp_path):
+    """A raw-UTF-8 manifest reads, and a non-ASCII gel id writes into the
+    signature CSV, the metrics and the Newick file, with the same bytes
+    under the C locale as under C.UTF-8."""
+    (tmp_path / "manifest.json").write_bytes('{"gél1": {"reference_lane": 1}}'.encode())
+    t = np.linspace(0.0, 1.0, 40)
+    lanes = tuple(Lane(i, np.exp(-((t - c) / 0.05) ** 2))
+                  for i, c in enumerate([0.3, 0.32, 0.7], start=1))
+    write_traces_csv(IntensityGrid((GelTrace("Gél", lanes),), 40), tmp_path / "traces.csv")
+    src = str(Path(gelwarp.__file__).resolve().parents[1])
+    # the program text stays ASCII: under the C locale argv is not UTF-8
+    code = (
+        "import sys, types\n"
+        "from pathlib import Path\n"
+        "from gelwarp.cli import stage_cluster\n"
+        "from gelwarp.core import read_manifest\n"
+        "from gelwarp.dewarp import write_signatures_csv\n"
+        "inp, out = Path(sys.argv[1]), Path(sys.argv[2])\n"
+        "print(ascii(read_manifest(inp / 'manifest.json')))\n"
+        "result = types.SimpleNamespace(cfg=types.SimpleNamespace(L=3),\n"
+        "    z_map={('G\\xe9l', 1): [1, 3], ('G\\xe9l', 2): [2]})\n"
+        "write_signatures_csv(result, out / 'signatures.csv')\n"
+        "stage_cluster(inp / 'traces.csv', None, out / 'clusters', nboot=2, seed=0)\n"
+    )
+    trees = {}
+    for loc in ("C", "C.UTF-8"):
+        env = dict(os.environ, LC_ALL=loc, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / loc
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "{'g\\xe9l1': {'reference_lane': 1}}\n"
+        trees[loc] = {p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()}
+    assert trees["C"] == trees["C.UTF-8"]
+    files = trees["C"]
+    assert {"signatures.csv", "clusters/metrics.csv", "clusters/dendrogram.nwk"} <= set(files)
+    assert files["signatures.csv"] == "lane,l1,l2,l3\r\nGél:1,1,0,1\r\nGél:2,0,1,0\r\n".encode()
+    assert "Gél:3".encode() in files["clusters/dendrogram.nwk"]

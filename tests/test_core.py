@@ -24,6 +24,7 @@ from gelwarp.core import (
     fit_standardizer,
     lane_name,
     parse_lane_name,
+    read_json,
     read_manifest,
     read_traces_csv,
     standardize_intensities,
@@ -512,3 +513,14 @@ class TestNamesAndJson:
         text = path.read_text()
         assert text == json.dumps(payload, indent=indent, sort_keys=True) + "\n"
         assert json.loads(text) == payload
+        assert read_json(path) == payload
+
+    @pytest.mark.parametrize("data, msg", [
+        (b'{"G1": {"reference_lane": 1', "Expecting ',' delimiter"),
+        (b'{"G\xe9l": {}}', "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["truncated", "not_utf8"])
+    def test_read_json_names_file(self, tmp_path, data, msg):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {msg}")):
+            read_json(path)
