@@ -371,9 +371,9 @@ def posterior_clustering_summary(
 
 def to_newick(dend: Dendrogram) -> str:
     """Newick string of the leaf names, with branch lengths from merge
-    heights; commas and parentheses in a name become underscores."""
-    names = [s.replace(",", "_").replace("(", "_").replace(")", "_")
-             for s in dend.leaf_names()]
+    heights.  Each name is quoted, with any quote in it doubled, so that
+    the ':' of "gel:lane" and any comma or parenthesis are read as text."""
+    names = ["'" + s.replace("'", "''") + "'" for s in dend.leaf_names()]
     heights = {i: 0.0 for i in range(dend.n_leaves)}
     text = {i: names[i] for i in range(dend.n_leaves)}
     for k, (a, b, h) in enumerate(dend.merges):

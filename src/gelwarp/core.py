@@ -354,8 +354,9 @@ def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:
     The file is UTF-8 text; one that is not fails naming the file.  Bins
     must be present and contiguous for every lane; every lane within a gel
     must have the same bin count.  Gels keep the order in which they first
-    appear; lanes are sorted by index.  Reference lanes are flagged from
-    the manifest when given.
+    appear; lanes are sorted by index.  Rows in the order the writer puts
+    them down are used in place, and any other order is sorted.  Reference
+    lanes are flagged from the manifest when given.
     """
     try:
         return _read_traces(path, manifest)
@@ -400,37 +401,30 @@ def _read_traces(path, manifest: dict | None) -> IntensityGrid:
     ranks = np.repeat(np.array(head_rank, dtype=np.min_scalar_type(len(rank) - 1)),
                       np.diff(heads, append=rows.size))
 
-    # one sort groups every lane's bins, gels in first-seen order
-    idx = np.lexsort((rows["bin"], rows["lane"], ranks))
-    g, lane, bins = ranks[idx], rows["lane"][idx], rows["bin"][idx]
+    # g, lane and bins grouped by (gel rank, lane, bin); first is where the
+    # file's first data row lands among them
+    lane, bins = rows["lane"], rows["bin"]
+    if _grouped(ranks, lane, bins):
+        # rows as the writer puts them down are used in place
+        idx, g, first = None, ranks, 0
+    else:
+        # one sort groups every lane's bins, gels in first-seen order
+        idx = np.lexsort((bins, lane, ranks))
+        g, lane, bins = ranks[idx], lane[idx], bins[idx]
+        first = int(np.argmin(idx))
 
-    same_lane = (g[1:] == g[:-1]) & (lane[1:] == lane[:-1])
-    dup = same_lane & (bins[1:] == bins[:-1])
-    if dup.any():
-        # the sort is stable, so the earliest row that repeats a bin is the
-        # smallest file index among second-and-later copies
-        r = int(idx[1:][dup].min())
-        raise ValueError(
-            f"gel {gel_ids[ranks[r]]} lane {rows['lane'][r]}: "
-            f"duplicate bin {rows['bin'][r]}"
-        )
-    starts = np.flatnonzero(np.concatenate(([True], ~same_lane)))
-    counts = np.diff(np.append(starts, idx.size))
-    pos = np.arange(idx.size) - np.repeat(starts, counts) + 1
-    complete = np.logical_and.reduceat(bins == pos, starts)
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (g[1:] != g[:-1]) | (lane[1:] != lane[:-1]))))
+    counts = np.diff(starts, append=bins.size)
     # B is the bin count of the lane holding the file's first data row
-    B = int(counts[np.searchsorted(starts, np.argmin(idx), "right") - 1])
-    bad = ~complete | (counts != B)
-    if bad.any():
-        k = int(np.argmax(bad))
-        gel_id, lane_i, nb = gel_ids[g[starts[k]]], lane[starts[k]], int(counts[k])
-        if not complete[k]:
-            present = set(bins[starts[k] : starts[k] + nb].tolist())
-            b = next(b for b in range(1, nb + 1) if b not in present)
-            raise ValueError(f"gel {gel_id} lane {lane_i}: missing bin {b}")
-        raise ValueError(f"gel {gel_id} lane {lane_i}: {nb} bins, expected {B}")
+    B = int(counts[np.searchsorted(starts, first, "right") - 1])
+    if np.any(counts != B) or not np.all(
+            bins.reshape(-1, B) == np.arange(1, B + 1, dtype=bins.dtype)):
+        _raise_lane_error(g, lane, bins, idx, gel_ids, B)
 
-    intensity = rows["intensity"][idx].reshape(-1, B)
+    # a contiguous copy, so that the grid does not hold the parsed rows
+    intensity = (np.ascontiguousarray(rows["intensity"]) if idx is None
+                 else rows["intensity"][idx]).reshape(-1, B)
     lane_no = lane[starts].tolist()
     gel_bounds = np.searchsorted(g[starts], np.arange(len(gel_ids) + 1)).tolist()
     gels = []
@@ -527,6 +521,44 @@ def _raise_row_error(path) -> tuple[list[int], list[str]]:
                 heads.append(row_num - 2)
                 ids.append(row[0])
     return heads, ids
+
+
+def _grouped(g: np.ndarray, lane: np.ndarray, bins: np.ndarray) -> bool:
+    """Whether the rows strictly increase in (gel rank, lane, bin), as the
+    writer puts them down: one pass of adjacent comparisons on bool arrays."""
+    up = bins[1:] > bins[:-1]
+    up &= lane[1:] == lane[:-1]
+    up |= lane[1:] > lane[:-1]
+    up &= g[1:] == g[:-1]
+    up |= g[1:] > g[:-1]
+    return bool(up.all())
+
+
+def _raise_lane_error(g, lane, bins, idx, gel_ids, B) -> None:
+    """Name the first lane whose bins are not 1..B, for rows grouped by
+    (gel rank, lane) with bins ascending in each lane; ``idx`` maps each
+    grouped row to its file row, None when the two are the same.  A
+    duplicate bin is named first, then a missing one, then a bin count."""
+    if idx is None:
+        idx = np.arange(bins.size)
+    same_lane = (g[1:] == g[:-1]) & (lane[1:] == lane[:-1])
+    dup = np.flatnonzero(same_lane & (bins[1:] == bins[:-1])) + 1
+    if dup.size:
+        # the sort is stable, so the earliest row that repeats a bin is the
+        # smallest file index among second-and-later copies
+        r = dup[np.argmin(idx[dup])]
+        raise ValueError(f"gel {gel_ids[g[r]]} lane {lane[r]}: duplicate bin {bins[r]}")
+    starts = np.flatnonzero(np.concatenate(([True], ~same_lane)))
+    counts = np.diff(np.append(starts, bins.size))
+    pos = np.arange(bins.size) - np.repeat(starts, counts) + 1
+    complete = np.logical_and.reduceat(bins == pos, starts)
+    k = int(np.argmax(~complete | (counts != B)))
+    gel_id, lane_i, nb = gel_ids[g[starts[k]]], lane[starts[k]], int(counts[k])
+    if not complete[k]:
+        present = set(bins[starts[k] : starts[k] + nb].tolist())
+        b = next(b for b in range(1, nb + 1) if b not in present)
+        raise ValueError(f"gel {gel_id} lane {lane_i}: missing bin {b}")
+    raise ValueError(f"gel {gel_id} lane {lane_i}: {nb} bins, expected {B}")
 
 
 def write_traces_csv(grid: IntensityGrid, path) -> None:

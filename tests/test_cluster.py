@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,36 @@ def random_distance(rng, n):
     X = rng.random((n, 3))
     D = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
     return D
+
+
+def newick_paths(text):
+    """Each leaf name of a Newick tree whose leaves are quoted, with the
+    branch lengths from that leaf up to the root."""
+    tokens = re.findall(r"'(?:[^']|'')*'|[(),:;]|[^(),:;']+", text)
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def node():
+        tok = take()
+        if tok != "(":
+            assert tok[0] == tok[-1] == "'", tok
+            return {tok[1:-1].replace("''", "'"): []}
+        paths = {}
+        while True:
+            sub = node()
+            assert take() == ":"
+            length = float(take())
+            paths.update((name, [*p, length]) for name, p in sub.items())
+            if take() == ")":
+                return paths
+
+    paths = node()
+    assert tokens[pos:] == [";"]
+    return paths
 
 
 def dm(D):
@@ -263,6 +294,15 @@ class TestCompleteLinkage:
         assert s.endswith(";")
         for i in range(1, 6):
             assert f"G1:{i}" in s
+
+    def test_newick_names_read_back(self):
+        keys = (("gél1", 3), ("a,b", 1), ("q't", 2))
+        D = np.array([[0.0, 0.2, 0.5], [0.2, 0.0, 0.4], [0.5, 0.4, 0.0]])
+        paths = newick_paths(to_newick(hclust_complete(DistanceMatrix(keys, D))))
+        want = {"gél1:3": [0.2, 0.3], "a,b:1": [0.2, 0.3], "q't:2": [0.5]}
+        assert sorted(paths) == sorted(want)
+        for name, lengths in want.items():
+            assert paths[name] == pytest.approx(lengths)
 
 
 # -- adjusted Rand ----------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -161,6 +162,83 @@ class TestStandardizeIntensities:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             standardize_intensities(make_grid([[0.0, 1.0]]), method="zscore")
+
+
+def sorting_read_traces(path, manifest=None) -> IntensityGrid:
+    """The reader that sorts every file: a reference for the one that reads
+    rows in the writer's order in place."""
+    rows = core._load_rows(path)
+    if rows.size != core._line_count(path) - 1:
+        heads, ids = core._raise_row_error(path)
+    elif rows.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    else:
+        heads = core._run_heads(rows["gel"])
+        ids = rows["gel"][heads].tolist()
+        if max(map(len, ids)) >= core._GEL_WIDTH:
+            heads, ids = core._gel_runs(path)
+        else:
+            ids = [h.decode() for h in ids]
+
+    rank: dict[str, int] = {}
+    head_rank = [rank.setdefault(h, len(rank)) for h in ids]
+    gel_ids = list(rank)
+    ranks = np.repeat(np.array(head_rank, dtype=np.min_scalar_type(len(rank) - 1)),
+                      np.diff(heads, append=rows.size))
+
+    idx = np.lexsort((rows["bin"], rows["lane"], ranks))
+    g, lane, bins = ranks[idx], rows["lane"][idx], rows["bin"][idx]
+
+    same_lane = (g[1:] == g[:-1]) & (lane[1:] == lane[:-1])
+    dup = same_lane & (bins[1:] == bins[:-1])
+    if dup.any():
+        r = int(idx[1:][dup].min())
+        raise ValueError(
+            f"gel {gel_ids[ranks[r]]} lane {rows['lane'][r]}: "
+            f"duplicate bin {rows['bin'][r]}"
+        )
+    starts = np.flatnonzero(np.concatenate(([True], ~same_lane)))
+    counts = np.diff(np.append(starts, idx.size))
+    pos = np.arange(idx.size) - np.repeat(starts, counts) + 1
+    complete = np.logical_and.reduceat(bins == pos, starts)
+    B = int(counts[np.searchsorted(starts, np.argmin(idx), "right") - 1])
+    bad = ~complete | (counts != B)
+    if bad.any():
+        k = int(np.argmax(bad))
+        gel_id, lane_i, nb = gel_ids[g[starts[k]]], lane[starts[k]], int(counts[k])
+        if not complete[k]:
+            present = set(bins[starts[k] : starts[k] + nb].tolist())
+            b = next(b for b in range(1, nb + 1) if b not in present)
+            raise ValueError(f"gel {gel_id} lane {lane_i}: missing bin {b}")
+        raise ValueError(f"gel {gel_id} lane {lane_i}: {nb} bins, expected {B}")
+
+    intensity = rows["intensity"][idx].reshape(-1, B)
+    lane_no = lane[starts].tolist()
+    gel_bounds = np.searchsorted(g[starts], np.arange(len(gel_ids) + 1)).tolist()
+    gels = []
+    for r, gel_id in enumerate(gel_ids):
+        ref_lane = (manifest or {}).get(gel_id, {}).get("reference_lane")
+        lanes = tuple(
+            Lane(lane_no[k], intensity[k], is_reference=(lane_no[k] == ref_lane))
+            for k in range(gel_bounds[r], gel_bounds[r + 1])
+        )
+        gels.append(GelTrace(gel_id, lanes))
+    return IntensityGrid(tuple(gels), B)
+
+
+def read_outcome(read, path, manifest):
+    """A grid as comparable values (intensities as their bytes), or the
+    message it fails with."""
+    try:
+        grid = read(path, manifest)
+    except ValueError as exc:
+        return str(exc)
+    return grid.B, [(g.gel_id, [(ln.index, ln.is_reference, ln.intensity.tobytes())
+                                for ln in g.lanes]) for g in grid.gels]
+
+
+# short, quoted, and 16 bytes or more, which are read a second time
+ODD_GEL_IDS = ["G1", "g2", 'q"t,1', " sp ", "p" * 16, "é" * 9 + "-long"]
 
 
 class TestTraceIO:
@@ -399,6 +477,68 @@ class TestTraceIO:
         back = read_traces_csv(path)
         assert [g.gel_id for g in back.gels] == list(gel_ids)
         np.testing.assert_array_equal(back.matrix(), grid.matrix())
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_read_matches_sorting_reference(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(st.sampled_from(ODD_GEL_IDS), min_size=1, max_size=3,
+                                 unique=True))
+        n_lanes = data.draw(st.lists(st.integers(1, 4), min_size=len(ids),
+                                     max_size=len(ids)))
+        B = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        grid = IntensityGrid(tuple(
+            GelTrace(gel_id, tuple(Lane(i, rng.normal(size=B)) for i in range(1, n + 1)))
+            for gel_id, n in zip(ids, n_lanes)
+        ), B)
+        manifest = {gel_id: {"reference_lane": int(rng.integers(1, 5))} for gel_id in ids}
+        path = tmp_path_factory.mktemp("ref") / "t.csv"
+        write_traces_csv(grid, path)
+        header, *rows = path.read_bytes().decode().split("\r\n")[:-1]
+
+        permuted = data.draw(st.permutations(rows))
+        changed = list(data.draw(st.sampled_from([rows, permuted])))
+        i = data.draw(st.integers(0, len(changed) - 1))
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "extra bin"]))
+        if kind == "drop":
+            del changed[i]
+        elif kind == "duplicate":
+            changed.insert(i, changed[i])
+        else:
+            lane_fields, _, value = changed[i].rsplit(",", 2)
+            changed.insert(i + 1, f"{lane_fields},{B + 1},{value}")
+
+        for variant in (rows, permuted, changed):
+            path.write_bytes("".join(f"{line}\r\n" for line in [header, *variant])
+                             .encode())
+            assert (read_outcome(read_traces_csv, path, manifest)
+                    == read_outcome(sorting_read_traces, path, manifest))
+
+    def test_written_order_is_read_without_a_sort(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        grid = IntensityGrid(tuple(
+            GelTrace(gel_id, tuple(Lane(i, rng.random(1000)) for i in range(1, 26)))
+            for gel_id in ("g1", "g2", "g3", "g4")
+        ), 1000)
+        path = tmp_path / "big.csv"
+        write_traces_csv(grid, path)
+        read_traces_csv(path)
+        tracemalloc.start()
+        try:
+            back = read_traces_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 32 bytes of parsed row and 8 of intensity each, with no sort,
+        # gather or int64 position array beside them
+        assert peak < 52 * 100_000, peak / 100_000
+        np.testing.assert_array_equal(back.matrix(), grid.matrix())
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.lexsort ran")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        np.testing.assert_array_equal(read_traces_csv(path).matrix(), grid.matrix())
 
     @pytest.fixture
     def no_rescan(self, monkeypatch):
