@@ -18,7 +18,7 @@ on log lambda.
 The sampler state is internal, with no public form: arrays for R chains
 swept in lockstep, with a leading chain axis and peaks and lanes in
 lane_key_list order, the order the draws are saved in.  lambda is (R, L);
-its running sum lam_sum, tau and sigma_eps^2 are (R,); Z and the peak means
+its running sum lam_sum and sigma_eps^2 are (R,); Z and the peak means
 mu are (R, P) over the peaks of all gels; the warped landmarks W are
 (R, L + 2, N) with a column per lane; beta is (R, G, T_nu, T_u),
 sigma_g1^2 is (R, G) and sigma_gs^2 is (R, G, T_nu - 2).  Each gel holds
@@ -31,11 +31,12 @@ and prior sums) is taken per chain and gel.  One loop, _sample, runs the
 restart tail, the main chain (R = 1) and align_new_gel's lockstep chains.
 
 The hyperpriors and sampler tuning are fixed module constants, not
-settings: TAU_SHAPE and TAU_RATE for the inverse-gamma prior on the
-half-normal scale tau of lambda, SIGMA_SHAPE and SIGMA_RATE for the
-inverse-gamma priors on every variance, LAMBDA_STEP for the log-scale
-proposal sd of lambda and the (lambda, tau) rescaling move, and ANNEAL_HI
-and ANNEAL_LO for the restart annealing schedule, in landmark spacings.
+settings: SIGMA_SHAPE and SIGMA_RATE for the inverse-gamma priors on every
+variance, LAMBDA_STEP for the log-scale proposal sd of each lambda
+coordinate, and ANNEAL_HI and ANNEAL_LO for the restart annealing schedule,
+in landmark spacings.  lambda is iid half-normal with unit variance and no
+scale hyperparameter: only lambda* = lambda / sum(lambda) enters the
+likelihood and the Z prior, and its law does not depend on a common scale.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ SQRT_HALF = math.sqrt(0.5)
 _STD_NORMAL = NormalDist()
 
 # fixed hyperpriors and sampler tuning, named in the module docstring
-TAU_SHAPE = 1e-4
-TAU_RATE = 1e-4
 SIGMA_SHAPE = 0.01
 SIGMA_RATE = 0.01
 LAMBDA_STEP = 0.5
@@ -241,7 +240,6 @@ class _ChainState:
 
     lam: np.ndarray
     lam_sum: np.ndarray
-    tau: np.ndarray
     sigma_eps2: np.ndarray
     beta: np.ndarray
     Z: np.ndarray
@@ -444,12 +442,13 @@ class DewarpModel:
     # -- state construction -------------------------------------------------
 
     def init_chain_state(self, chains: int = 1) -> _ChainState:
-        """Identity warps, greedy nearest admissible Z, flat lambda, the same
+        """Identity warps, greedy nearest admissible Z, and every lambda at
+        the half-normal mean sqrt(2/pi), so lambda* is flat at 1/L; the same
         for each of the chains."""
         cfg = self.cfg
         G = len(self.gels)
         R = chains
-        lam = np.full(cfg.L, 1.0 / cfg.L)
+        lam = np.full(cfg.L, math.sqrt(2.0 / math.pi))
         Z = np.zeros(self.n_peaks_total, dtype=np.intp)
         for gel in self.gels:
             Zg = Z[gel.peaks]
@@ -475,7 +474,7 @@ class DewarpModel:
                     prev = Zg[p]
         cs = _ChainState(
             lam=np.tile(lam, (R, 1)), lam_sum=np.full(R, float(lam.sum())),
-            tau=np.ones(R), sigma_eps2=np.full(R, 0.01**2),
+            sigma_eps2=np.full(R, 0.01**2),
             beta=np.tile(self.beta_id[:, None], (R, G, 1, cfg.T_u)), Z=np.tile(Z, (R, 1)),
             sigma_g1_2=np.full((R, G), 0.01**2),
             sigma_gs_2=np.full((R, G, self.n_free_rows), 0.01**2),
@@ -668,13 +667,6 @@ class DewarpModel:
         resid = self._T_all - cs.mu
         dd, ssq = self._rw_sums(cs.beta)
         for r, rng in enumerate(rngs):
-            if not fix_lambda:
-                lam = cs.lam[r]
-                cs.tau[r] = _draw_invgamma(
-                    TAU_SHAPE + 0.5 * L,
-                    TAU_RATE + 0.5 * float(lam @ lam),
-                    rng,
-                )
             ss = 0.0
             for gel in self.gels:
                 rg = resid[r, gel.peaks]
@@ -713,7 +705,7 @@ class DewarpModel:
         xp = x + noise * LAMBDA_STEP
         lp = np.exp(xp)
         jacobian = ((counts + 1.0) * (xp - x)).tolist()
-        prior = ((lp * lp - lam * lam) * (0.5 / cs.tau)[:, None]).tolist()
+        prior = (0.5 * (lp * lp - lam * lam)).tolist()
         accepted = 0
         for r, rng in enumerate(rngs):
             lam_r, lp_r, jac_r, prior_r = lam[r], lp[r], jacobian[r], prior[r]
@@ -731,18 +723,6 @@ class DewarpModel:
             np.putmask(lam_r, accept, lp_r)
             cs.lam_sum[r] = lam_sum
             accepted += sum(accept)
-
-            # joint rescaling of (lambda, tau): the normalized weights are
-            # scale-free, so the common scale mixes only through this move;
-            # acceptance ratio reduces to the tau prior plus the Jacobian
-            logc = rng.standard_normal() * LAMBDA_STEP
-            c2 = math.exp(2.0 * logc)
-            tau = float(cs.tau[r])
-            logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / tau) * (1.0 / c2 - 1.0)
-            if logr >= 0.0 or rng.random() < math.exp(logr):
-                lam_r *= math.exp(logc)
-                cs.lam_sum[r] = float(lam_r.sum())
-                cs.tau[r] = tau * c2
         return accepted / (R * L)
 
     def sweep(self, cs: _ChainState, rngs, fix_lambda: bool = False) -> float:
@@ -805,27 +785,24 @@ class DewarpModel:
         The array sums are taken for every chain and gel at once; each chain
         then adds its terms in Python floats, gel by gel."""
         cfg = self.cfg
-        lam, tau, vgs = cs.lam, cs.tau, cs.sigma_gs_2
+        lam, vgs = cs.lam, cs.sigma_gs_2
         resid = self._T_all - cs.mu
         log_lam_z = np.log(lam[np.arange(len(lam))[:, None], cs.Z - 1])
         norms = np.array([(rg[:, None, :] @ rg[:, :, None])[:, 0, 0]
                           for rg in (resid[:, gel.peaks] for gel in self.gels)]).T
         z_sums = np.array([log_lam_z[:, gel.peaks].sum(axis=1) for gel in self.gels]).T
         dd, ssq = self._rw_sums(cs.beta)
-        log_tau = [log(t) for t in tau.tolist()]
-        # half-normal over lambda
-        half_normal = ((0.5 * math.log(2.0 / math.pi) - 0.5 * np.array(log_tau))[:, None]
-                       - lam**2 / (2.0 * tau)[:, None]).sum(axis=1)
+        # unit half-normal over lambda
+        half_normal = (0.5 * math.log(2.0 / math.pi) - 0.5 * lam**2).sum(axis=1)
         ssq_terms = (-0.5 * ssq / vgs).sum(axis=-1)
         log_vgs = (LOG_2PI + np.log(vgs)).sum(axis=-1)
         rows = []
-        for (se2, tau_r, lam_sum, hn, v1s, vgs_r, norm_r, z_r, dd_r, ssq_r, logv_r) in zip(
-                *(a.tolist() for a in (cs.sigma_eps2, tau, cs.lam_sum, half_normal,
+        for (se2, lam_sum, hn, v1s, vgs_r, norm_r, z_r, dd_r, ssq_r, logv_r) in zip(
+                *(a.tolist() for a in (cs.sigma_eps2, cs.lam_sum, half_normal,
                                        cs.sigma_g1_2, vgs, norms, z_sums, dd, ssq_terms,
                                        log_vgs))):
             lik = z_prior = beta_prior = 0.0
-            hyper = _log_invgamma(tau_r, TAU_SHAPE, TAU_RATE)
-            hyper += _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
+            hyper = _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
             hyper += hn
             log_lam_sum = log(lam_sum)
             for gi, gel in enumerate(self.gels):
@@ -1057,8 +1034,8 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     """Posterior for a held-out gel given the training landmark frequencies.
 
     Averages one-gel conditional chains over up to ``lambda_budget`` evenly
-    spaced stored lambda draws, swept in lockstep; tau and lambda stay fixed
-    within each chain.  Each chain runs ``iterations`` sweeps and keeps
+    spaced stored lambda draws, swept in lockstep; lambda stays fixed within
+    each chain.  Each chain runs ``iterations`` sweeps and keeps
     those after the first ``burnin``.  ``cfg`` supplies the model (L, bases,
     window, seed); its iteration, burn-in, thinning and restart settings are
     not used."""

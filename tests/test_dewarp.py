@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import invgamma, truncnorm
+from scipy.stats import invgamma, ks_2samp, truncnorm
 
 from gelwarp.core import GelwarpWarning, Standardizer, standardize_intensities
 from gelwarp.dewarp import (
@@ -18,8 +18,6 @@ from gelwarp.dewarp import (
     SQRT_HALF,
     SIGMA_RATE,
     SIGMA_SHAPE,
-    TAU_RATE,
-    TAU_SHAPE,
     DewarpModel,
     ModelConfig,
     _ChainState,
@@ -582,39 +580,57 @@ class TestHyperConditionals:
         emp = np.arange(1, len(draws) + 1) / len(draws)
         assert np.max(np.abs(emp - cdf)) < 0.03
 
-    def test_tau_kernel_matches_two_step_oracle(self):
-        # the sweep draws tau from its inverse-gamma conditional and then
-        # applies the scale move tau -> tau * c^2 with logc ~ N(0, step),
-        # accepted against the tau prior plus Jacobian; simulate that kernel
-        # from its definition and compare samples
+    @staticmethod
+    def scaled_lambda_sweep(model, Z, lam, tau, rng):
+        """Test-only copy of the earlier (lambda, tau) kernel given Z: tau
+        from its inverse-gamma conditional under an IG(1e-4, 1e-4) prior, the
+        coordinate moves on log lambda under a half-normal of variance tau,
+        then the joint rescaling lambda -> c lambda, tau -> c^2 tau.  Returns
+        the new (lambda, tau)."""
+        shape = rate = 1e-4
+        L, P = model.cfg.L, model.n_peaks_total
+        lam = lam.copy()
+        tau = (rate + 0.5 * float(lam @ lam)) / rng.gamma(shape + 0.5 * L)
+        counts = np.bincount(Z - 1, minlength=L)
+        lam_sum = float(lam.sum())
+        for ell in range(L):
+            cur = lam[ell]
+            x = math.log(cur)
+            xp = x + rng.standard_normal() * LAMBDA_STEP
+            lp = math.exp(xp)
+            new_sum = lam_sum - cur + lp
+            logr = ((counts[ell] + 1.0) * (xp - x) - P * (math.log(new_sum) - math.log(lam_sum))
+                    - (lp * lp - cur * cur) * (0.5 / tau))
+            if logr >= 0.0 or rng.random() < math.exp(logr):
+                lam[ell], lam_sum = lp, new_sum
+        logc = rng.standard_normal() * LAMBDA_STEP
+        c2 = math.exp(2.0 * logc)
+        logr = -2.0 * shape * logc - (rate / tau) * (1.0 / c2 - 1.0)
+        if logr >= 0.0 or rng.random() < math.exp(logr):
+            lam, tau = lam * math.exp(logc), tau * c2
+        return lam, tau
+
+    def test_lambda_star_matches_scaled_kernel(self):
+        # only lambda* = lambda / sum(lambda) enters the likelihood and the Z
+        # prior, and under iid half-normal lambda its law does not depend on
+        # the scale, so dropping tau and its rescaling move leaves the lambda*
+        # marginals given Z as they were.  sweep_hyper moves no Z or beta.
         peaks, cfg, model, s0 = self.setup_state()
-        shape = TAU_SHAPE + 0.5 * cfg.L
-        rate = TAU_RATE + 0.5 * float(np.dot(s0.lam[0], s0.lam[0]))
-        rngs = [np.random.default_rng(10)]
-        n = 4000
-        draws = []
-        for _ in range(n):
-            cs = copy.deepcopy(s0)
+        cs, rngs = copy.deepcopy(s0), [np.random.default_rng(10)]
+        lam, tau, orng = s0.lam[0], 1.0, np.random.default_rng(77)
+        # thinned past the draws' integrated autocorrelation time (about 20)
+        n, thin = 500, 40
+        new, old = np.empty((n, cfg.L)), np.empty((n, cfg.L))
+        for k in range(n * thin):
             model.sweep_hyper(cs, rngs)
-            draws.append(cs.tau[0])
-        draws = np.sort(draws)
-
-        orng = np.random.default_rng(77)
-        oracle = []
-        for _ in range(n):
-            tau = rate / orng.gamma(shape)
-            logc = orng.standard_normal() * LAMBDA_STEP
-            c2 = math.exp(2.0 * logc)
-            logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / tau) * (1.0 / c2 - 1.0)
-            if logr >= 0 or orng.random() < math.exp(logr):
-                tau *= c2
-            oracle.append(tau)
-        oracle = np.sort(oracle)
-
-        grid = np.concatenate([draws, oracle])
-        e1 = np.searchsorted(draws, grid, side="right") / n
-        e2 = np.searchsorted(oracle, grid, side="right") / n
-        assert np.max(np.abs(e1 - e2)) < 0.045
+            lam, tau = self.scaled_lambda_sweep(model, s0.Z[0], lam, tau, orng)
+            if k % thin == thin - 1:
+                new[k // thin] = cs.lam[0] / cs.lam_sum[0]
+                old[k // thin] = lam / lam.sum()
+        assert np.array_equal(cs.Z, s0.Z) and np.array_equal(cs.beta, s0.beta)
+        assert np.isfinite(tau) and tau > 0
+        for ell in range(cfg.L):
+            assert ks_2samp(new[:, ell], old[:, ell]).pvalue > 1e-3, ell
 
     @staticmethod
     def coordinate_loop_sweep(model, cs, rng):
@@ -623,7 +639,6 @@ class TestHyperConditionals:
         cfg, L = model.cfg, model.cfg.L
         inv_gamma = lambda shape, rate: rate / rng.gamma(shape)  # noqa: E731
         lam = cs.lam[0]
-        cs.tau[0] = inv_gamma(TAU_SHAPE + 0.5 * L, TAU_RATE + 0.5 * float(lam @ lam))
         mu = cs.mu[0]
         ss = sum(float((gel.T_flat - mu[gel.peaks]) @ (gel.T_flat - mu[gel.peaks]))
                  for gel in model.gels)
@@ -643,7 +658,6 @@ class TestHyperConditionals:
         noise = rng.standard_normal(L) * LAMBDA_STEP
         uls = rng.random(L)
         accepted = 0
-        tau = float(cs.tau[0])
         for ell in range(L):
             cur = lam[ell]
             x = math.log(cur)
@@ -652,17 +666,10 @@ class TestHyperConditionals:
             new_sum = cs.lam_sum[0] - cur + lp
             logr = ((counts[ell] + 1.0) * (xp - x)
                     - model.n_peaks_total * (math.log(new_sum) - math.log(cs.lam_sum[0]))
-                    - (lp * lp - cur * cur) * (0.5 / tau))
+                    - (lp * lp - cur * cur) * 0.5)
             if logr >= 0.0 or uls[ell] < math.exp(logr):
                 lam[ell], cs.lam_sum[0] = lp, new_sum
                 accepted += 1
-        logc = rng.standard_normal() * LAMBDA_STEP
-        c2 = math.exp(2.0 * logc)
-        logr = -2.0 * TAU_SHAPE * logc - (TAU_RATE / tau) * (1.0 / c2 - 1.0)
-        if logr >= 0.0 or rng.random() < math.exp(logr):
-            cs.lam[0] = lam * math.exp(logc)
-            cs.lam_sum[0] = float(cs.lam[0].sum())
-            cs.tau[0] = tau * c2
         return accepted / L
 
     def test_sweep_matches_coordinate_loop_reference(self):
@@ -677,8 +684,7 @@ class TestHyperConditionals:
             rate_a = model.sweep_hyper(a, [np.random.default_rng(k)])
             rate_b = self.coordinate_loop_sweep(model, b, np.random.default_rng(k))
             assert rate_a == rate_b
-            assert (a.sigma_eps2[0], a.tau[0]) == pytest.approx((b.sigma_eps2[0], b.tau[0]),
-                                                                rel=1e-12)
+            assert a.sigma_eps2[0] == pytest.approx(b.sigma_eps2[0], rel=1e-12)
             np.testing.assert_array_equal(a.sigma_g1_2, b.sigma_g1_2)
             np.testing.assert_array_equal(a.sigma_gs_2, b.sigma_gs_2)
             np.testing.assert_allclose(a.lam, b.lam, rtol=1e-12)
@@ -691,6 +697,22 @@ class TestHyperConditionals:
         rates = [model.sweep_hyper(cs, rngs) for _ in range(50)]
         assert 0.05 < float(np.mean(rates)) <= 1.0
         assert np.all(cs.lam > 0)
+
+    def test_lambda_scale_holds_on_a_long_chain(self):
+        # lambda's unit half-normal prior fixes its scale, which no likelihood
+        # term sees; with a free scale under a vague prior, such chains on
+        # this model had hyper terms spanning 770-1430 nats and lambda up to 5e8
+        model = chain_shaped_model()
+        cs = model.init_chain_state()
+        rngs = [np.random.default_rng(3)]
+        hyper = []
+        for it in range(1200):
+            model.sweep(cs, rngs)
+            assert np.all(np.isfinite(cs.lam)) and np.all(cs.lam > 0)
+            assert cs.lam.max() < 20.0
+            if it >= 200:
+                hyper.append(model.log_joint_components(cs, model.count_violations(cs))["hyper"][0])
+        assert np.ptp(hyper) < 100.0
 
 
 def unequal_two_gel_model(**settings):
@@ -743,7 +765,7 @@ class TestStateLayout:
         R = chains
         cs = model.init_chain_state(R)
         assert cs.lam.shape == (R, cfg.L)
-        assert cs.lam_sum.shape == cs.tau.shape == cs.sigma_eps2.shape == (R,)
+        assert cs.lam_sum.shape == cs.sigma_eps2.shape == (R,)
         assert cs.Z.shape == cs.mu.shape == (R, P)
         assert cs.W.shape == (R, cfg.L + 2, N)
         assert cs.beta.shape == (R, 2, cfg.T_nu, cfg.T_u)
@@ -1131,12 +1153,10 @@ class TestLogJoint:
 
         log_2pi = math.log(2.0 * math.pi)
         resid = (model._T_all - cs.mu)[r]
-        se2, tau, lam = float(cs.sigma_eps2[r]), float(cs.tau[r]), cs.lam[r]
+        se2, lam = float(cs.sigma_eps2[r]), cs.lam[r]
         lik = z_prior = beta_prior = 0.0
-        hyper = log_invgamma(tau, TAU_SHAPE, TAU_RATE)
-        hyper += log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
-        hyper += float(np.sum(0.5 * math.log(2.0 / math.pi) - 0.5 * math.log(tau)
-                              - lam**2 / (2.0 * tau)))
+        hyper = log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
+        hyper += float(np.sum(0.5 * math.log(2.0 / math.pi) - lam**2 / 2.0))
         log_lam_sum = math.log(cs.lam_sum[r])
         for gi, gel in enumerate(model.gels):
             rg = resid[gel.peaks]
