@@ -459,10 +459,10 @@ def _load_rows(path) -> np.ndarray:
 def _line_count(path) -> int:
     """The file's lines as csv splits them: each ends at an LF, a CRLF or a
     lone CR, and a last line without an end counts too.  The file is read
-    in blocks of 256 kB, which keeps the byte masks small."""
+    in blocks of 64 kB, which keeps the byte masks small."""
     n, last = 0, b""
     with open(path, "rb") as f:
-        while block := f.read(1 << 18):
+        while block := f.read(1 << 16):
             a = np.frombuffer(block, np.uint8)
             lf, cr = a == 10, a == 13
             n += np.count_nonzero(lf)

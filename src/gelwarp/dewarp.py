@@ -21,14 +21,17 @@ lane_key_list order, the order the draws are saved in.  lambda is (R, L);
 its running sum lam_sum and sigma_eps^2 are (R,); Z and the peak means
 mu are (R, P) over the peaks of all gels; the warped landmarks W are
 (R, L + 2, N) with a column per lane; beta is (R, G, T_nu, T_u),
-sigma_g1^2 is (R, G) and sigma_gs^2 is (R, G, T_nu - 2).  Each gel holds
-its slice of the peak axis and of W's columns.  Every sweep takes one
-generator per chain, and each chain draws from its own generator in the
-same order and sizes as when swept alone, so chain r of a lockstep run
-equals that chain run by itself, bit for bit.  Only elementwise work is
-shared between chains; each float reduction (the Gram sums, residual sums
-and prior sums) is taken per chain and gel.  One loop, _sample, runs the
-restart tail, the main chain (R = 1) and align_new_gel's lockstep chains.
+sigma_g1^2 is (R, G) and sigma_gs^2 is (R, G, T_nu - 2).  The model
+reads the peak table once, into one array per peak input on that same axis
+(location, window, lane column, place in its lane); each gel holds only
+what is per gel and its slices of the peak axis and of W's columns.  Every
+sweep takes one generator per chain, and each chain draws from its own
+generator in the same order and sizes as when swept alone, so chain r of a
+lockstep run equals that chain run by itself, bit for bit.  Only
+elementwise work is shared between chains; each float reduction (the Gram
+sums, residual sums and prior sums) is taken per chain and gel.  One loop,
+_sample, runs the restart tail, the main chain (R = 1) and align_new_gel's
+lockstep chains.
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: SIGMA_SHAPE and SIGMA_RATE for the inverse-gamma priors on every
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from itertools import groupby
 from math import lgamma, log
 from statistics import NormalDist
 
@@ -205,9 +209,11 @@ def _trunc_normal(mean: float, sd: float, lo: float, hi: float, u: float, rng) -
 
 @dataclass(slots=True, eq=False)
 class _GelData:
-    """Flattened per-gel peak arrays and design matrices.  wlo..whi is each
-    peak's admissible landmark range; peaks and cols are the gel's slices of
-    the chain state's peak axis and of W's lane columns."""
+    """What is per gel: its lanes, their standardizer and basis, the lane
+    design Bu and its rows at each of the gel's peaks (BuP), and the Z
+    prior's log J! term.  Per-peak inputs live once, on the model's peak
+    axis; peaks and cols are the gel's slices of it and of W's lane
+    columns."""
 
     gel_id: str
     lanes: list
@@ -215,20 +221,11 @@ class _GelData:
     lane_std: Standardizer
     basis_u: object
     Bu: np.ndarray
-    T_flat: np.ndarray
-    lane_idx: np.ndarray
-    lane_slices: list
+    BuP: np.ndarray
     log_jfact: float
-    wlo: np.ndarray
-    whi: np.ndarray
     peaks: slice
     cols: slice
-    n_peaks: int = field(init=False)
-    BuP: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.n_peaks = self.T_flat.size
-        self.BuP = self.Bu[self.lane_idx, :]
+    n_peaks: int
 
 
 @dataclass(slots=True, eq=False)
@@ -298,8 +295,30 @@ class DewarpModel:
         self.a0_std = cfg.a0_value / self.axis.scale
         self.spacing_std = self.grid.spacing / self.axis.scale
 
-        all_T = np.array([p.location for p in peaks])
-        self.basis_nu = make_basis(self.axis.apply(all_T), cfg.T_nu, domain=self.bounds)
+        # every peak once, lane after lane in lane_key_list order (gels
+        # sorted, then lanes, then peaks): its raw location and bin, its
+        # standardized location T, and its window.  Arrays that meet the
+        # state's (R, P) arrays are (1, P) rows, which numpy broadcasts over
+        # the chains faster than (P,) vectors.
+        self.lane_key_list = sorted(peaks.lane_keys())
+        lane_peaks = [peaks.lane_peaks(*key) for key in self.lane_key_list]
+        flat = [p for lane_pk in lane_peaks for p in lane_pk]
+        self._loc = np.array([p.location for p in flat])
+        self._bin = np.array([p.bin for p in flat], dtype=int)
+        T = self.axis.apply(self._loc)
+        # admissible landmark range from the window |T - nu| < A_0
+        lo = np.searchsorted(self.nu_std, T - self.a0_std, side="right")
+        hi = np.searchsorted(self.nu_std, T + self.a0_std, side="left") - 1
+        self._T_all = T[None]
+        self._wlo_all = np.maximum(lo, 1)[None]
+        self._whi_all = np.minimum(hi, cfg.L)[None]
+        # each peak's lane column and place in its lane
+        J = np.array([len(lane_pk) for lane_pk in lane_peaks])
+        self._lane_J = J
+        self._lane_of = np.repeat(np.arange(J.size), J)
+        self._peak_row = np.arange(T.size) - (np.cumsum(J) - J)[self._lane_of]
+
+        self.basis_nu = make_basis(T, cfg.T_nu, domain=self.bounds)
         self.beta_id = identity_coefficients(self.basis_nu)
         self.beta_id[0] = self.bounds[0]
         self.beta_id[-1] = self.bounds[1]
@@ -307,10 +326,9 @@ class DewarpModel:
         self.Bnu_land = self.basis_nu.design_matrix(self.nu_std)
 
         self.gels: list[_GelData] = []
-        gel_ids = sorted({p.gel_id for p in peaks})
         P = N = 0
-        for gel_id in gel_ids:
-            lanes = sorted({p.lane for p in peaks.gel_peaks(gel_id)})
+        for gel_id, keys in groupby(self.lane_key_list, key=lambda key: key[0]):
+            lanes = [lane for _, lane in keys]
             u_raw = np.array(lanes, dtype=float)
             if len(lanes) >= 2:
                 lane_std = fit_standardizer(u_raw)
@@ -322,49 +340,18 @@ class DewarpModel:
                 u_lo, u_hi = u_lo - 0.5, u_hi + 0.5
             basis_u = make_basis(u_std, cfg.T_u, domain=(u_lo, u_hi))
             Bu = basis_u.design_matrix(u_std)
-
-            T_parts, lane_idx_parts, slices, log_jfact = [], [], [], 0.0
-            start = 0
-            for k, lane in enumerate(lanes):
-                lane_pk = peaks.lane_peaks(gel_id, lane)
-                locs = self.axis.apply(np.array([p.location for p in lane_pk]))
-                T_parts.append(locs)
-                lane_idx_parts.append(np.full(locs.size, k, dtype=np.intp))
-                slices.append((start, start + locs.size))
-                start += locs.size
-                log_jfact += lgamma(locs.size + 1.0)
-            T_flat = np.concatenate(T_parts)
-            # per-peak admissible landmark range from the window |T - nu| < A_0
-            lo = np.searchsorted(self.nu_std, T_flat - self.a0_std, side="right")
-            hi = np.searchsorted(self.nu_std, T_flat + self.a0_std, side="left") - 1
+            n, log_jfact = 0, 0.0
+            for j in J[N : N + len(lanes)].tolist():
+                n += j
+                log_jfact += lgamma(j + 1.0)
             self.gels.append(_GelData(
-                gel_id, lanes, u_std, lane_std, basis_u, Bu, T_flat,
-                np.concatenate(lane_idx_parts), slices, log_jfact,
-                wlo=np.maximum(lo, 1), whi=np.minimum(hi, cfg.L),
-                peaks=slice(P, P + start), cols=slice(N, N + len(lanes)),
+                gel_id, lanes, u_std, lane_std, basis_u, Bu,
+                BuP=Bu[self._lane_of[P : P + n] - N], log_jfact=log_jfact,
+                peaks=slice(P, P + n), cols=slice(N, N + len(lanes)), n_peaks=n,
             ))
-            P, N = P + start, N + len(lanes)
+            P, N = P + n, N + len(lanes)
         self.n_peaks_total = P
         self.n_free_rows = cfg.T_nu - 2
-        self.lane_key_list = [
-            (g.gel_id, lane) for g in self.gels for lane in g.lanes
-        ]
-        self._init_peak_arrays()
-
-    def _init_peak_arrays(self) -> None:
-        """The peaks of all gels end to end, lane after lane: each peak's
-        lane column (_lane_of, lanes in lane_key_list order) and place in
-        its lane (_peak_row), location and window, and the flattened
-        per-peak arrays for the violation counter.  Arrays that meet the
-        state's (R, P) arrays are (1, P) rows, which numpy broadcasts over
-        the chains faster than (P,) vectors."""
-        J = np.array([end - start for g in self.gels for start, end in g.lane_slices])
-        self._lane_J = J
-        self._lane_of = np.repeat(np.arange(J.size), J)
-        self._peak_row = np.arange(self._lane_of.size) - (np.cumsum(J) - J)[self._lane_of]
-        self._T_all = np.concatenate([g.T_flat for g in self.gels])[None]
-        self._wlo_all = np.concatenate([g.wlo for g in self.gels])[None]
-        self._whi_all = np.concatenate([g.whi for g in self.gels])[None]
         self._grids: dict[int, _LaneGrid] = {}
         # violation counter
         self._pair_lane = self._lane_of[1:]
@@ -449,29 +436,23 @@ class DewarpModel:
         G = len(self.gels)
         R = chains
         lam = np.full(cfg.L, math.sqrt(2.0 / math.pi))
-        Z = np.zeros(self.n_peaks_total, dtype=np.intp)
-        for gel in self.gels:
-            Zg = Z[gel.peaks]
-            for start, end in gel.lane_slices:
-                prev = 0
-                J = end - start
-                for j in range(J):
-                    p = start + j
-                    lo = max(int(gel.wlo[p]), prev + 1)
-                    # leave admissible indices for the remaining peaks
-                    hi = min(int(gel.whi[p]), cfg.L - (J - 1 - j))
-                    if lo > hi:
-                        lane = gel.lanes[gel.lane_idx[p]]
-                        raise ValueError(
-                            f"infeasible window: gel {gel.gel_id} lane {lane} "
-                            f"peak {j + 1} has no admissible landmark; "
-                            f"increase A_0 (= {cfg.a0_value})"
-                        )
-                    nearest = int(
-                        np.argmin(np.abs(self.nu_std[lo : hi + 1] - gel.T_flat[p]))
-                    )
-                    Zg[p] = lo + nearest
-                    prev = Zg[p]
+        Z = np.empty(self.n_peaks_total, dtype=np.intp)
+        T = self._T_all[0]
+        later = self._lane_J[self._lane_of] - 1 - self._peak_row  # the lane's peaks after it
+        z = 0
+        for p, (j, lo, hi, rest) in enumerate(zip(
+                self._peak_row.tolist(), self._wlo_all[0].tolist(), self._whi_all[0].tolist(),
+                later.tolist())):
+            # above the lane's previous peak, leaving room for its later ones
+            lo, hi = max(lo, z + 1 if j else 1), min(hi, cfg.L - rest)
+            if lo > hi:
+                gel_id, lane = self.lane_key_list[self._lane_of[p]]
+                raise ValueError(
+                    f"infeasible window: gel {gel_id} lane {lane} "
+                    f"peak {j + 1} has no admissible landmark; "
+                    f"increase A_0 (= {cfg.a0_value})"
+                )
+            z = Z[p] = lo + int(np.argmin(np.abs(self.nu_std[lo : hi + 1] - T[p])))
         cs = _ChainState(
             lam=np.tile(lam, (R, 1)), lam_sum=np.full(R, float(lam.sum())),
             sigma_eps2=np.full(R, 0.01**2),
@@ -604,15 +585,16 @@ class DewarpModel:
         K = self.n_free_rows * T_u
         g_inc = self.id_incr.tolist()
         se2s = cs.sigma_eps2.tolist()
+        # mu is gathered again only after the last gel
+        resid = self._T_all - cs.mu
         for gi, gel in enumerate(self.gels):
             X = (
                 self.Bnu_land[cs.Z[:, gel.peaks], 1 : T_nu - 1][..., None] * gel.BuP[:, None, :]
             ).reshape(R, gel.n_peaks, K)
-            resid = gel.T_flat - cs.mu[:, gel.peaks]
             for r, rng in enumerate(rngs):
                 Xr = X[r]
                 G = (Xr.T @ Xr).tolist()
-                c = (Xr.T @ resid[r]).tolist()
+                c = (Xr.T @ resid[r, gel.peaks]).tolist()
                 beta = cs.beta[r, gi].tolist()
                 us = rng.random(K).tolist()
                 se2 = se2s[r]
@@ -832,8 +814,25 @@ class DewarpModel:
 # ---------------------------------------------------------------------------
 
 
+def _ess(x: np.ndarray) -> float:
+    """Effective sample size of a trace, n / tau, by Geyer's (1992) initial
+    positive sequence: tau = -1 + 2 sum_k (rho_2k + rho_2k+1), summed up to
+    the first pair that is not positive.  tau is held at 1 or more, so the
+    size never exceeds n, and a constant trace counts as n draws."""
+    n = x.size
+    f = np.fft.rfft(x - x.mean(), 2 * n)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, 2 * n)[:n]
+    if not acov[0] > 0:
+        return float(n)
+    pairs = (acov[: n - n % 2] / acov[0]).reshape(-1, 2).sum(axis=1)
+    k = int(np.argmin(pairs > 0)) if pairs.min() <= 0 else pairs.size
+    return n / max(2.0 * float(pairs[:k].sum()) - 1.0, 1.0)
+
+
 def stationarity_check(trace: np.ndarray) -> tuple[bool, dict]:
-    """Means of the last two quarters within two pooled standard errors."""
+    """Means of the last two quarters within two pooled standard errors,
+    each quarter's from its effective sample size, since saved draws are
+    autocorrelated."""
     trace = np.asarray(trace, dtype=float)
     n = trace.size
     if n < 8:
@@ -842,9 +841,11 @@ def stationarity_check(trace: np.ndarray) -> tuple[bool, dict]:
     a = trace[2 * q : 3 * q]
     b = trace[3 * q :]
     ma, mb = float(a.mean()), float(b.mean())
-    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    ess_a, ess_b = _ess(a), _ess(b)
+    se = math.sqrt(a.var(ddof=1) / ess_a + b.var(ddof=1) / ess_b)
     ok = abs(ma - mb) <= 2.0 * se if se > 0 else True
-    return ok, {"mean_q3": ma, "mean_q4": mb, "pooled_se": se}
+    return ok, {"mean_q3": ma, "mean_q4": mb, "pooled_se": se, "ess_q3": ess_a,
+                "ess_q4": ess_b}
 
 
 @dataclass
@@ -875,11 +876,11 @@ class MCMCResult:
     standardizers: dict
 
 
-def _summarize(model: DewarpModel, peaks: PeakTable, draws: tuple,
-               violations: int, accept: float) -> MCMCResult:
+def _summarize(model: DewarpModel, draws: tuple, violations: int,
+               accept: float) -> MCMCResult:
     """Posterior summaries from the saved draws: the (Z, beta, lambda, log
     joint) arrays of _sample, a row per kept sweep, with Z over every peak
-    in lane_key_list order."""
+    in lane_key_list order, the model's peak axis."""
     cfg = model.cfg
     L2 = cfg.L + 2
     Z, betas, lambda_draws, trace = draws
@@ -898,11 +899,10 @@ def _summarize(model: DewarpModel, peaks: PeakTable, draws: tuple,
     z_map = {}
     landmark_probs = {}
     end = 0
-    for key in lane_keys:
-        lane_pk = peaks.lane_peaks(*key)
-        peak_locations[key] = np.array([p.location for p in lane_pk])
-        peak_bins[key] = np.array([p.bin for p in lane_pk], dtype=int)
-        start, end = end, end + len(lane_pk)
+    for key, J in zip(lane_keys, model._lane_J.tolist()):
+        start, end = end, end + J
+        peak_locations[key] = model._loc[start:end]
+        peak_bins[key] = model._bin[start:end]
         z_draws[key] = Z[:, start:end]
         z_marginals[key] = marginals[start:end]
         z_map[key] = z_map_all[start:end]
@@ -1025,7 +1025,7 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig) -> MCMCResult:
         cs, violations = _explore_restarts(model, cfg)
     draws, v, accept = _sample(model, cs, rngs, cfg.iterations,
                                range(cfg.burnin, cfg.iterations, cfg.thin))
-    return _summarize(model, peaks, draws, violations + v, accept / cfg.iterations)
+    return _summarize(model, draws, violations + v, accept / cfg.iterations)
 
 
 def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
@@ -1073,7 +1073,7 @@ def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
     cs.lam_sum[:] = [float(row.sum()) for row in cs.lam]
     draws, violations, _ = _sample(model, cs, rngs, iterations, range(burnin, iterations),
                                    fix_lambda=True)
-    return _summarize(model, new_peaks, draws, violations, 0.0)
+    return _summarize(model, draws, violations, 0.0)
 
 
 # ---------------------------------------------------------------------------

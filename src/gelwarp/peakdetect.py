@@ -95,9 +95,6 @@ class PeakTable:
     def lane_peaks(self, gel_id: str, lane: int) -> list[Peak]:
         return list(self._by_lane.get((gel_id, lane), ()))
 
-    def gel_peaks(self, gel_id: str) -> list[Peak]:
-        return [p for p in self.entries if p.gel_id == gel_id]
-
     def counts(self) -> dict[tuple[str, int], int]:
         """Per-lane peak counts J_gi."""
         out: dict[tuple[str, int], int] = {}

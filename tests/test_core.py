@@ -560,8 +560,9 @@ class TestTraceIO:
         np.testing.assert_array_equal(back.matrix(), [[0.0, 0.5], [1.0, 1.5]])
 
     def test_crlf_split_across_count_blocks_is_not_rescanned(self, tmp_path, no_rescan):
-        # the line count reads 256 kB blocks: end the fourth block between a
-        # CR and its LF by padding the first value with zeros
+        # the line count reads the file in blocks that divide 1 MB: end a
+        # block at 1 MB between a CR and its LF by padding the first value
+        # with zeros
         header = b"gel_id,lane,bin,intensity\r\n"
         rows = [b"G1,1,%d,0.5\r\n" % b for b in range(1, 90001)]
         cr_at = len(header) + np.cumsum([len(r) for r in rows]) - 2
@@ -637,6 +638,74 @@ class TestTraceIO:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
         assert read_manifest(path) == manifest
+
+
+def csv_line_count(path) -> int:
+    """The lines of a file as the csv module splits them."""
+    with open(path, newline="", encoding="latin-1") as f:
+        return sum(1 for _ in csv.reader(f))
+
+
+def block_edge_cases():
+    """Line ends on either side of a read block's end, for blocks of 64 kB
+    and 256 kB: a CRLF split across it, a lone CR or an LF ending it, and an
+    LF or a CR opening the next block."""
+    cases = []
+    for edge in (1 << 16, 1 << 18):
+        body = b"G1,1,1,0.5" * (edge // 10)
+        head = body[: edge - 1]
+        cases += [
+            pytest.param(head + b"\r\nG1\r\n", id=f"crlf_split_{edge}"),
+            pytest.param(head + b"\rG1\n", id=f"cr_at_end_{edge}"),
+            pytest.param(head + b"\n\rG1", id=f"lf_at_end_{edge}"),
+            pytest.param(body[:edge] + b"\nG1\n", id=f"lf_opens_{edge}"),
+            pytest.param(body[:edge] + b"\r\r\n", id=f"cr_opens_{edge}"),
+        ]
+    return cases
+
+
+class TestLineCount:
+    """core._line_count counts a file's lines as csv splits them, reading
+    it a block at a time."""
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"", id="empty"),
+        pytest.param(b"a,1\nb,2\n", id="LF"),
+        pytest.param(b"a,1\r\nb,2\r\n", id="CRLF"),
+        pytest.param(b"a,1\rb,2\r", id="lone_CR"),
+        pytest.param(b"a,1\nb,2", id="no_final_LF"),
+        pytest.param(b"a,1\r\nb,2", id="no_final_CRLF"),
+        pytest.param(b"a,1\rb,2", id="no_final_CR"),
+        pytest.param(b"\n\r\n\r\r\n\n", id="blank_lines"),
+        pytest.param(b"a\r\rb\n\r", id="mixed"),
+        *block_edge_cases(),
+    ])
+    def test_matches_csv(self, tmp_path, data):
+        path = tmp_path / "lines.csv"
+        path.write_bytes(data)
+        assert core._line_count(path) == csv_line_count(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([b"a", b",", b"\r", b"\n", b"\r\n"]), max_size=40))
+    def test_matches_csv_on_any_line_ends(self, tmp_path_factory, parts):
+        path = tmp_path_factory.mktemp("count") / "lines.csv"
+        path.write_bytes(b"".join(parts))
+        assert core._line_count(path) == csv_line_count(path)
+
+    def test_traced_peak_stays_small(self, tmp_path):
+        # the byte masks of one block are all it holds: about 0.33 MB for
+        # blocks of 64 kB, where blocks of 256 kB held 1.3 MB
+        path = tmp_path / "big.csv"
+        n = (1 << 20) // 12
+        path.write_bytes(b"G1,1,1,0.5\r\n" * n)
+        tracemalloc.start()
+        try:
+            count = core._line_count(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == n
+        assert peak < 500_000, peak
 
 
 class TestNamesAndJson:

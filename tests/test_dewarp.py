@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import invgamma, ks_2samp, truncnorm
 
 from gelwarp.core import GelwarpWarning, Standardizer, standardize_intensities
@@ -77,11 +78,17 @@ def warp_field(model, cs, gi=0):
                      basis_u=model.gels[gi].basis_u, bounds=model.bounds)
 
 
+def lane_slices(model):
+    """Each lane's (start, end) on the model's peak axis, in lane_key_list
+    order."""
+    ends = np.cumsum(model._lane_J).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
 def lane_assignments(model, cs):
     """{(gel_id, lane): that lane's slice of chain 0's Z}"""
-    return {(gel.gel_id, lane): cs.Z[0, gel.peaks][start:end]
-            for gel in model.gels
-            for lane, (start, end) in zip(gel.lanes, gel.lane_slices)}
+    return {key: cs.Z[0, start:end]
+            for key, (start, end) in zip(model.lane_key_list, lane_slices(model))}
 
 
 class TestModelConfig:
@@ -274,7 +281,7 @@ class TestZBlockedDraw:
         for _ in range(n):
             model.sweep_Z(cs, rngs)
             Z = cs.Z[0]
-            for k, (start, end) in enumerate(model.gels[0].lane_slices):
+            for k, (start, end) in enumerate(lane_slices(model)):
                 z = tuple(int(v) for v in Z[start:end])
                 c = counts[("G1", k + 1)]
                 c[z] = c.get(z, 0) + 1
@@ -321,16 +328,16 @@ def full_grid_sweep_Z(model, cs, rng):
     draw run over all L landmarks of every padded (Jmax, N) slot, with a
     -inf mask outside each peak's window."""
     L = model.cfg.L
-    J = np.array([end - start for g in model.gels for start, end in g.lane_slices])
+    J = model._lane_J
     N, Jmax = J.size, int(J.max())
     T_pad = np.zeros((Jmax, N))
     lo_pad = np.full((Jmax, N), L + 1)
     hi_pad = np.zeros((Jmax, N), dtype=np.intp)
     lane_of = np.repeat(np.arange(N), J)
     slot = (np.arange(lane_of.size) - (np.cumsum(J) - J)[lane_of]) * N + lane_of
-    T_pad.flat[slot] = np.concatenate([gel.T_flat for gel in model.gels])
-    lo_pad.flat[slot] = np.maximum(np.concatenate([gel.wlo for gel in model.gels]), slot // N + 1)
-    hi_pad.flat[slot] = np.concatenate([gel.whi for gel in model.gels])
+    T_pad.flat[slot] = model._T_all[0]
+    lo_pad.flat[slot] = np.maximum(model._wlo_all[0], slot // N + 1)
+    hi_pad.flat[slot] = model._whi_all[0]
     ell = np.arange(1, L + 1)
     inside = (ell >= lo_pad[:, :, None]) & (ell <= hi_pad[:, :, None])
     rows = np.arange(N)
@@ -381,18 +388,15 @@ class TestZBandedKernel:
     def widest_window(model):
         """Most admissible landmarks of any peak: its window, and for the
         (j+1)-th peak of a lane, landmarks above j."""
-        widths = []
-        for gel in model.gels:
-            starts = np.array([start for start, _ in gel.lane_slices])
-            j = np.arange(gel.n_peaks) - starts[gel.lane_idx]
-            widths.append(gel.whi - np.maximum(gel.wlo, j + 1) + 1)
-        return int(np.concatenate(widths).max())
+        starts = np.array([start for start, _ in lane_slices(model)])
+        j = np.arange(model.n_peaks_total) - starts[model._lane_of]
+        return int((model._whi_all[0] - np.maximum(model._wlo_all[0], j + 1) + 1).max())
 
     def check_against_reference(self, peaks, cfg, sweeps=200, seed=0):
         model = DewarpModel(peaks, cfg)
         Wb = self.widest_window(model)
         N = len(model.lane_key_list)
-        Jmax = max(end - start for g in model.gels for start, end in g.lane_slices)
+        Jmax = max(end - start for start, end in lane_slices(model))
         # no (Jmax, R, N, L) grid: a per-slot axis spans at most the band
         lane_grid = model._lane_grid(1)
         grids = {f.name: getattr(lane_grid, f.name).shape for f in dataclasses.fields(lane_grid)
@@ -435,9 +439,7 @@ class TestZBandedKernel:
         peaks = make_table({1: [0.03, 0.5, 0.96], 2: [0.05, 0.08, 0.93, 0.97]}, B=400)
         cfg = ModelConfig(L=12, T_nu=4, T_u=4, iterations=10, burnin=0)
         model, _ = self.check_against_reference(peaks, cfg, seed=5)
-        wlo = np.concatenate([g.wlo for g in model.gels])
-        whi = np.concatenate([g.whi for g in model.gels])
-        assert wlo.min() == 1 and whi.max() == cfg.L
+        assert model._wlo_all.min() == 1 and model._whi_all.max() == cfg.L
 
     def test_band_spans_all_landmarks(self):
         peaks = make_table({1: [0.2, 0.6], 2: [0.3, 0.5, 0.8]}, B=400)
@@ -493,6 +495,7 @@ class TestBetaConditional:
         g_inc = model.id_incr
         for gi, gel in enumerate(model.gels):
             beta = cs.beta[0, gi]
+            T = model._T_all[0, gel.peaks]
             BnZ = model.Bnu_land[cs.Z[0, gel.peaks], :]
             mu = cs.mu[0, gel.peaks]
             v1 = cs.sigma_g1_2[0, gi]
@@ -501,7 +504,7 @@ class TestBetaConditional:
                 for t in range(cfg.T_u):
                     a = BnZ[:, s] * gel.BuP[:, t]
                     prec = (a @ a) / se2
-                    num = (a @ (gel.T_flat - mu)) / se2 + prec * beta[s, t]
+                    num = (a @ (T - mu)) / se2 + prec * beta[s, t]
                     if t > 0:
                         prec += 1.0 / vs
                         num += beta[s, t - 1] / vs
@@ -519,7 +522,7 @@ class TestBetaConditional:
                     mu = mu + a * (new - beta[s, t])
                     beta[s, t] = new
             cs.W[0][:, gel.cols] = model.Bnu_land @ beta @ gel.Bu.T
-            cs.mu[0, gel.peaks] = cs.W[0][:, gel.cols][cs.Z[0, gel.peaks], gel.lane_idx]
+            cs.mu[0, gel.peaks] = cs.W[0][cs.Z[0, gel.peaks], model._lane_of[gel.peaks]]
 
     def test_sweep_matches_element_loop_reference(self):
         # same random stream and the same conditionals; the Gram sums round
@@ -640,8 +643,8 @@ class TestHyperConditionals:
         inv_gamma = lambda shape, rate: rate / rng.gamma(shape)  # noqa: E731
         lam = cs.lam[0]
         mu = cs.mu[0]
-        ss = sum(float((gel.T_flat - mu[gel.peaks]) @ (gel.T_flat - mu[gel.peaks]))
-                 for gel in model.gels)
+        resid = model._T_all[0] - mu
+        ss = sum(float(resid[gel.peaks] @ resid[gel.peaks]) for gel in model.gels)
         cs.sigma_eps2[0] = inv_gamma(SIGMA_SHAPE + 0.5 * model.n_peaks_total,
                                      SIGMA_RATE + 0.5 * ss)
         for gi in range(len(model.gels)):
@@ -760,7 +763,7 @@ class TestStateLayout:
         assert (g2.peaks, g2.cols) == (slice(g1.n_peaks, P), slice(len(g1.lanes), N))
         for gel in model.gels:
             assert model.lane_key_list[gel.cols] == [(gel.gel_id, lane) for lane in gel.lanes]
-        lane_col = np.concatenate([gel.cols.start + gel.lane_idx for gel in model.gels])
+        lane_col = model._lane_of
 
         R = chains
         cs = model.init_chain_state(R)
@@ -922,7 +925,7 @@ def eager_sweep_beta(model, cs, rng):
             model.Bnu_land[cs.Z[0, gel.peaks], 1 : T_nu - 1][:, :, None] * gel.BuP[:, None, :]
         ).reshape(gel.n_peaks, K)
         G = (X.T @ X).tolist()
-        c = (X.T @ (gel.T_flat - cs.mu[0, gel.peaks])).tolist()
+        c = (X.T @ (model._T_all[0, gel.peaks] - cs.mu[0, gel.peaks])).tolist()
         beta = cs.beta[0, gi].tolist()
         us = rng.random(K).tolist()
         v1 = float(cs.sigma_g1_2[0, gi])
@@ -960,7 +963,7 @@ def eager_sweep_beta(model, cs, rng):
                 k += 1
         cs.beta[0, gi] = beta
         cs.W[0][:, gel.cols] = model.Bnu_land @ cs.beta[0, gi] @ gel.Bu.T
-        cs.mu[0, gel.peaks] = cs.W[0][:, gel.cols][cs.Z[0, gel.peaks], gel.lane_idx]
+        cs.mu[0, gel.peaks] = cs.W[0][cs.Z[0, gel.peaks], model._lane_of[gel.peaks]]
     return far
 
 
@@ -1021,7 +1024,7 @@ class TestConstraints:
 
         def lane(k):
             def edit(s):
-                start, _ = model.gels[0].lane_slices[k]
+                start, _ = lane_slices(model)[k]
                 s.Z[0, start + 1] = s.Z[0, start]
             return edit
 
@@ -1059,10 +1062,9 @@ class TestConstraints:
         model = DewarpModel(peaks, cfg)
         cs = model.init_chain_state()
         assert model.count_violations(cs) == 0
-        for gi, gel in enumerate(model.gels):
-            for start, end in gel.lane_slices:
-                z = cs.Z[0, gel.peaks][start:end]
-                assert np.all(np.diff(z) > 0)
+        for start, end in lane_slices(model):
+            z = cs.Z[0, start:end]
+            assert np.all(np.diff(z) > 0)
 
     def test_infeasible_window_named(self):
         # five right-shifted peaks: the window bars landmark 1, leaving only
@@ -1081,6 +1083,109 @@ class TestConstraints:
                           seed=1, restarts=2, restart_sweeps=60)
         res = run_mcmc(peaks, cfg)
         assert res.violations == 0
+
+
+def table_from(layout: dict, B: int = 400) -> PeakTable:
+    """A PeakTable listing gels and lanes in the layout's order: {gel_id:
+    {lane: [bins]}}, each peak at location bin / B."""
+    entries = []
+    for gel_id, lanes in layout.items():
+        for lane, bins in lanes.items():
+            for j, b in enumerate(sorted(bins), start=1):
+                entries.append(Peak(gel_id, lane, j, b, b / B, 1.0))
+    return PeakTable(tuple(entries), B)
+
+
+def per_lane_greedy_start(model, peaks):
+    """Test-only copy of init_chain_state's greedy start as it ran gel by
+    gel and lane by lane, on each lane's locations and windows built from
+    the peak table.  Returns Z over the peaks, lanes sorted within sorted
+    gels."""
+    cfg = model.cfg
+    Z = []
+    for gel_id, lane in sorted(peaks.counts()):
+        T_flat = model.axis.apply([p.location for p in peaks.lane_peaks(gel_id, lane)])
+        wlo = np.maximum(np.searchsorted(model.nu_std, T_flat - model.a0_std, side="right"), 1)
+        whi = np.minimum(np.searchsorted(model.nu_std, T_flat + model.a0_std, side="left") - 1,
+                         cfg.L)
+        prev = 0
+        J = T_flat.size
+        for j in range(J):
+            lo = max(int(wlo[j]), prev + 1)
+            # leave admissible indices for the remaining peaks
+            hi = min(int(whi[j]), cfg.L - (J - 1 - j))
+            if lo > hi:
+                raise ValueError(
+                    f"infeasible window: gel {gel_id} lane {lane} "
+                    f"peak {j + 1} has no admissible landmark; "
+                    f"increase A_0 (= {cfg.a0_value})"
+                )
+            nearest = int(np.argmin(np.abs(model.nu_std[lo : hi + 1] - T_flat[j])))
+            prev = lo + nearest
+            Z.append(prev)
+    return np.array(Z)
+
+
+layouts = st.dictionaries(
+    st.sampled_from(["g1", "g2", "g3"]),
+    st.dictionaries(st.integers(1, 9),
+                    st.lists(st.integers(1, 399), min_size=1, max_size=5, unique=True),
+                    min_size=1, max_size=4),
+    min_size=1, max_size=3)
+
+
+class TestPeakAxis:
+    """The model reads the peak table once into one peak axis in
+    lane_key_list order, whatever order the table lists its gels and lanes
+    in."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout=layouts, L=st.integers(5, 12), a0=st.sampled_from(["narrow", None, 0.4]))
+    # windows clipped at landmark 1 and at L; five ordered peaks that do
+    # not fit in the landmarks their windows leave
+    @example(layout={"g2": {3: [2, 5, 395]}, "g1": {4: [1, 398, 399], 2: [200]}}, L=8, a0=None)
+    @example(layout={"g1": {4: [240, 248, 256, 264, 272]}}, L=5, a0="narrow")
+    def test_greedy_start_matches_per_lane_loop(self, layout, L, a0):
+        peaks = table_from(layout)
+        cfg = ModelConfig(L=L, T_nu=4, T_u=4, a0=2.0 / (L + 1) if a0 == "narrow" else a0,
+                          iterations=10, burnin=0)
+        model = DewarpModel(peaks, cfg)
+        try:
+            want = per_lane_greedy_start(model, peaks)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                model.init_chain_state()
+        else:
+            cs = model.init_chain_state(2)
+            assert cs.Z.tolist() == [want.tolist()] * 2
+            assert not model.count_violations(cs).any()
+
+    def test_flat_arrays_follow_lane_key_list(self):
+        layout = {"g2": {3: [60, 150, 240, 330], 1: [90, 200, 380]},
+                  "g1": {4: [30, 170, 300], 1: [10, 120, 260, 390], 2: [80, 210]}}
+        peaks = table_from(layout)
+        cfg = ModelConfig(L=12, T_nu=4, T_u=4, iterations=6, burnin=0, seed=0, restarts=1)
+        model = DewarpModel(peaks, cfg)
+        keys = [("g1", 1), ("g1", 2), ("g1", 4), ("g2", 1), ("g2", 3)]
+        assert model.lane_key_list == keys
+        assert [(g.gel_id, g.lanes) for g in model.gels] == [("g1", [1, 2, 4]), ("g2", [1, 3])]
+        lane_locs = [[p.location for p in peaks.lane_peaks(*key)] for key in keys]
+        T = np.concatenate([model.axis.apply(locs) for locs in lane_locs])
+        assert np.array_equal(model._T_all[0], T)
+        assert model._lane_of.tolist() == [k for k, locs in enumerate(lane_locs) for _ in locs]
+        assert model._peak_row.tolist() == [j for locs in lane_locs for j in range(len(locs))]
+        for p, t in enumerate(T.tolist()):
+            lo = np.searchsorted(model.nu_std, t - model.a0_std, side="right")
+            hi = np.searchsorted(model.nu_std, t + model.a0_std, side="left") - 1
+            assert model._wlo_all[0, p] == max(lo, 1) and model._whi_all[0, p] == min(hi, cfg.L)
+        assert [(g.peaks, g.cols, g.n_peaks) for g in model.gels] == [
+            (slice(0, 9), slice(0, 3), 9), (slice(9, 16), slice(3, 5), 7)]
+        result = run_mcmc(peaks, cfg)
+        assert result.lane_keys == keys
+        for key in keys:
+            lane_pk = peaks.lane_peaks(*key)
+            assert result.peak_locations[key].tolist() == [p.location for p in lane_pk]
+            assert result.peak_bins[key].tolist() == [p.bin for p in lane_pk]
 
 
 class TestLogJoint:
@@ -1212,6 +1317,28 @@ class TestStationarity:
         ok, detail = stationarity_check(np.array([1.0, 2.0, 3.0]))
         assert ok
         assert "note" in detail
+
+    def test_autocorrelated_stationary_trace_passes(self):
+        # AR(1) at rho 0.6 is stationary, but its quarter means spread about
+        # twice as far as an iid standard error allows; with that error, 74
+        # of these 100 traces passed
+        rng = np.random.default_rng(20)
+        rho, n, passed = 0.6, 400, 0
+        for _ in range(100):
+            e = rng.normal(0, 1, size=n)
+            x = np.empty(n)
+            x[0] = e[0] / math.sqrt(1.0 - rho * rho)
+            for t in range(1, n):
+                x[t] = rho * x[t - 1] + e[t]
+            passed += stationarity_check(x)[0]
+        assert passed >= 90
+
+    def test_constant_trace_passes_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, detail = stationarity_check(np.full(400, -3.5))
+        assert ok
+        assert detail["pooled_se"] == 0.0 and detail["ess_q3"] == detail["ess_q4"] == 100
 
 
 class TestSignatures:
@@ -1428,7 +1555,7 @@ class TestAlignNewGel:
                 if it >= burnin:
                     draws.append((cs.Z[0].copy(), cs.beta[0].copy(), cs.lam[0].copy(),
                                   model.log_joint(cs, bad)[0]))
-        return _summarize(model, new_peaks, tuple(map(np.array, zip(*draws))), violations, 0.0)
+        return _summarize(model, tuple(map(np.array, zip(*draws))), violations, 0.0)
 
     @pytest.mark.parametrize("lambda_budget", [1, 3, 9])
     def test_lockstep_matches_serial_loop(self, small_run, lambda_budget):
