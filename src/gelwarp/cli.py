@@ -12,7 +12,6 @@ import argparse
 import copy
 import csv
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -160,6 +159,8 @@ def check_config(cfg: dict) -> None:
 def _hash_parts(stage: str, *parts) -> str:
     """Digest of a stage's inputs: a Path by its file's bytes, any other part
     (a str included) as JSON text."""
+    import hashlib  # OpenSSL is loaded only by the pipeline's resume digests
+
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, Path):
@@ -390,7 +391,9 @@ def stage_plotdata(run_dir, out_dir) -> Path:
 
     warp_path = run / "posterior" / "warp.json"
     if zmap_path.is_file() and warp_path.is_file():
-        zpayload = read_json(zmap_path)
+        # the draws are dropped as each lane's entry closes
+        zpayload = read_json(zmap_path, object_hook=lambda entry: {
+            k: v for k, v in entry.items() if k != "draws"})
         L = zpayload["L"]
         ax = Standardizer.from_dict(zpayload["axis_standardizer"])
         nu = LandmarkGrid(L).nu

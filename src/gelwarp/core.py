@@ -275,12 +275,14 @@ def open_text(path, mode="r"):
     return open(path, mode, encoding="utf-8", newline="")
 
 
-def read_json(path):
+def read_json(path, object_hook=None):
     """The JSON value in ``path``; a file that is malformed or not UTF-8
-    fails with a ValueError naming it."""
+    fails with a ValueError naming it.  ``object_hook``, as in json.load,
+    replaces each object as soon as it closes, so a caller can turn an
+    entry's lists into arrays before the next entry is parsed."""
     try:
         with open_text(path) as f:
-            return json.load(f)
+            return json.load(f, object_hook=object_hook)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -291,6 +293,29 @@ def write_json(payload, path, indent=None) -> None:
     never does."""
     with open_text(path, "w") as f:
         f.write(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+
+
+def write_json_entries(payload, path, key: str, items: dict, build) -> None:
+    """Write the bytes ``write_json(payload | {key: {name: build(item) for
+    name, item in items.items()}}, path)`` would write, but build and encode
+    one entry of ``payload[key]`` at a time, in sorted name order, so only
+    one entry's value and text are alive at once."""
+    with open_text(path, "w") as f:
+        sep = "{"
+        for k in sorted({*payload, key}):
+            f.write(f"{sep}{json.dumps(k)}: ")
+            sep = ", "
+            if k != key:
+                f.write(json.dumps(payload[k], sort_keys=True))
+                continue
+            f.write("{")
+            inner = ""
+            for name in sorted(items):
+                f.write(f"{inner}{json.dumps(name)}: "
+                        f"{json.dumps(build(items[name]), sort_keys=True)}")
+                inner = ", "
+            f.write("}")
+        f.write("}\n")
 
 
 def write_csv(path, header, rows) -> None:

@@ -65,6 +65,7 @@ from .core import (
     read_json,
     write_csv,
     write_json,
+    write_json_entries,
 )
 from .peakdetect import PeakTable
 from .spline import WarpField, identity_coefficients, make_basis, write_warp_fields
@@ -1086,14 +1087,13 @@ def write_warp_json(result: MCMCResult, path) -> None:
 
 
 def write_zmap(result: MCMCResult, path) -> None:
-    """MAP assignments, per-peak marginals, and the stored draws."""
-    payload = {
-        "L": result.cfg.L,
-        "axis_standardizer": result.standardizers["axis"],
-        "lanes": {},
-    }
-    for key in result.lane_keys:
-        payload["lanes"][lane_name(key)] = {
+    """MAP assignments, per-peak marginals and the stored draws of each lane,
+    under its "gel:lane" name.  The lanes are built and encoded one at a time
+    (core.write_json_entries), so one lane's lists and text are alive at
+    once, not a list for every saved draw of every lane; the bytes are those
+    write_json gives for the whole payload."""
+    def lane_entry(key):
+        return {
             "gel_id": key[0],
             "lane": key[1],
             "bins": result.peak_bins[key].tolist(),
@@ -1102,20 +1102,34 @@ def write_zmap(result: MCMCResult, path) -> None:
             "marginals": result.z_marginals[key].tolist(),
             "draws": result.z_draws[key].tolist(),
         }
-    write_json(payload, path)
+
+    write_json_entries({"L": result.cfg.L, "axis_standardizer": result.standardizers["axis"]},
+                       path, "lanes", {lane_name(key): key for key in result.lane_keys},
+                       lane_entry)
+
+
+def _zmap_lane_arrays(entry: dict) -> dict:
+    """read_json hook: a lane entry of zmap.json (the object holding "draws")
+    as the arrays read_zmap returns, made as soon as the entry closes."""
+    if "draws" not in entry:
+        return entry
+    return {"z_map": np.array(entry["z_map"], dtype=int),
+            "z_draws": np.array(entry["draws"], dtype=int),
+            "locations": np.array(entry["locations"], dtype=float),
+            "bins": np.array(entry["bins"], dtype=int)}
 
 
 def read_zmap(path) -> dict:
     """Returns {"L", "z_map": {key: array}, "z_draws": {key: array},
-    "locations": {key: array}, "bins": {key: array}}."""
-    payload = read_json(path)
+    "locations": {key: array}, "bins": {key: array}}.  Each lane's lists
+    become arrays as soon as its entry is parsed, so one lane's lists are
+    alive at once."""
+    payload = read_json(path, object_hook=_zmap_lane_arrays)
     out = {"L": payload["L"], "z_map": {}, "z_draws": {}, "locations": {}, "bins": {}}
-    for s, entry in payload["lanes"].items():
+    for s, arrays in payload["lanes"].items():
         key = parse_lane_name(s)
-        out["z_map"][key] = np.array(entry["z_map"], dtype=int)
-        out["z_draws"][key] = np.array(entry["draws"], dtype=int)
-        out["locations"][key] = np.array(entry["locations"], dtype=float)
-        out["bins"][key] = np.array(entry["bins"], dtype=int)
+        for field, value in arrays.items():
+            out[field][key] = value
     return out
 
 

@@ -107,6 +107,26 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_openssl():
+    """Only the pipeline's resume digests use hashlib, which loads OpenSSL;
+    the standalone commands start without it unless numpy loaded it (numpy
+    1.24 does, through numpy.random)."""
+    src = str(Path(gelwarp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys, numpy; before = '_hashlib' in sys.modules; import gelwarp.cli; "
+        "print(before, '_hashlib' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    before, after = out.stdout.split()
+    assert after == before, out.stdout
+
+
 def test_public_names_resolve():
     for name in gelwarp.__all__:
         assert hasattr(gelwarp, name), name

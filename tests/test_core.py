@@ -30,6 +30,7 @@ from gelwarp.core import (
     read_traces_csv,
     standardize_intensities,
     write_json,
+    write_json_entries,
     write_manifest,
     write_traces_csv,
 )
@@ -723,6 +724,31 @@ class TestNamesAndJson:
         assert text == json.dumps(payload, indent=indent, sort_keys=True) + "\n"
         assert json.loads(text) == payload
         assert read_json(path) == payload
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.dictionaries(st.text(), json_values, max_size=4),
+           key=st.sampled_from(["lanes", "L", "", "é\"", "a"]),
+           items=st.dictionaries(st.text() | st.sampled_from(["g1:2", "g1:10", 'gé"1:1']),
+                                 json_values, max_size=5))
+    def test_write_json_entries_matches_write_json(self, tmp_path_factory, payload, key, items):
+        # entries go in sorted name order ("g1:10" before "g1:2"), a payload
+        # value under the entries' key is replaced, and each entry is built once
+        d = tmp_path_factory.mktemp("entries")
+        built = []
+
+        def build(value):
+            built.append(value)
+            return value
+
+        write_json_entries(payload, d / "entries.json", key, items, build)
+        write_json(payload | {key: items}, d / "whole.json")
+        assert (d / "entries.json").read_bytes() == (d / "whole.json").read_bytes()
+        assert built == [items[name] for name in sorted(items)]
 
     @pytest.mark.parametrize("data, msg", [
         (b'{"G1": {"reference_lane": 1', "Expecting ',' delimiter"),

@@ -4,14 +4,22 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import invgamma, ks_2samp, truncnorm
 
-from gelwarp.core import GelwarpWarning, Standardizer, standardize_intensities
+from gelwarp.core import (
+    GelwarpWarning,
+    Standardizer,
+    lane_name,
+    parse_lane_name,
+    standardize_intensities,
+)
 from gelwarp.dewarp import (
     ANNEAL_HI,
     ANNEAL_LO,
@@ -1371,6 +1379,69 @@ def assert_summaries_match_draws(res):
     assert np.array_equal(res.presence, np.mean(1.0 - np.exp(-lam_star), axis=0))
 
 
+def synthetic_result(layout: dict, K: int, L: int = 12, seed: int = 0):
+    """run_mcmc's summary of K random saved draws on table_from(layout):
+    each lane's peaks take distinct landmarks in increasing order, and the
+    warps and lambda stay at their starting values."""
+    model = DewarpModel(table_from(layout), ModelConfig(L=L, T_nu=4, T_u=4, iterations=K,
+                                                        burnin=0))
+    cs = model.init_chain_state()
+    rng = np.random.default_rng(seed)
+    Z = np.concatenate([np.sort(rng.random((K, L)).argsort(axis=1)[:, :J] + 1, axis=1)
+                        for J in model._lane_J.tolist()], axis=1)
+    draws = (Z, np.repeat(cs.beta, K, axis=0), np.repeat(cs.lam, K, axis=0), rng.normal(size=K))
+    return _summarize(model, draws, 0, 0.0)
+
+
+ZMAP_CASES = {
+    # twelve lanes in one gel: "G1:10" sorts before "G1:2"
+    "twelve_lanes": ({"G1": {lane: [60, 150, 240, 330] for lane in range(1, 13)}}, 6),
+    "gel_ids_non_ascii_and_quote": ({"gél1": {1: [80, 200, 300], 2: [90, 210]},
+                                     'g"2': {1: [100, 250]}, "run:3": {2: [60, 330]}}, 5),
+    "one_peak_lane": ({"g1": {1: [200], 2: [70, 160, 310]}}, 4),
+    "one_draw": ({"g1": {1: [50, 250], 2: [120, 300]}, "g2": {1: [200]}}, 1),
+}
+
+
+def zmap_case(name):
+    layout, K = ZMAP_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GelwarpWarning)  # small gels are weakly identified
+        return synthetic_result(layout, K)
+
+
+def whole_zmap_payload(result) -> dict:
+    """Test-only copy of the payload write_zmap built whole before it wrote
+    lane by lane."""
+    return {
+        "L": result.cfg.L,
+        "axis_standardizer": result.standardizers["axis"],
+        "lanes": {lane_name(key): {
+            "gel_id": key[0],
+            "lane": key[1],
+            "bins": result.peak_bins[key].tolist(),
+            "locations": result.peak_locations[key].tolist(),
+            "z_map": result.z_map[key].tolist(),
+            "marginals": result.z_marginals[key].tolist(),
+            "draws": result.z_draws[key].tolist(),
+        } for key in result.lane_keys},
+    }
+
+
+def whole_file_read_zmap(path) -> dict:
+    """Test-only copy of read_zmap as it parsed the whole payload into lists
+    before it made any array."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    out = {"L": payload["L"], "z_map": {}, "z_draws": {}, "locations": {}, "bins": {}}
+    for s, entry in payload["lanes"].items():
+        key = parse_lane_name(s)
+        out["z_map"][key] = np.array(entry["z_map"], dtype=int)
+        out["z_draws"][key] = np.array(entry["draws"], dtype=int)
+        out["locations"][key] = np.array(entry["locations"], dtype=float)
+        out["bins"][key] = np.array(entry["bins"], dtype=int)
+    return out
+
+
 @pytest.fixture(scope="module")
 def small_run():
     peaks, truth = two_gel_peaks(seed=4)
@@ -1456,17 +1527,70 @@ class TestRunMCMC:
         assert np.array_equal(back[:, 1], res.log_joint_trace)
 
     def test_json_writers_match_json_dump(self, small_run, tmp_path):
-        # the writers encode in one json.dumps call; the bytes must be the
-        # ones json.dump to a file gives for the same payload
-        _, _, res, _ = small_run
-        for write in (write_zmap, write_landmarks):
-            path = tmp_path / f"{write.__name__}.json"
-            write(res, path)
-            ref = tmp_path / "ref.json"
-            with open(ref, "w") as f:
-                json.dump(json.loads(path.read_text()), f, sort_keys=True)
-                f.write("\n")
-            assert path.read_bytes() == ref.read_bytes(), write.__name__
+        # the bytes must be the ones json.dump to a file gives for the same
+        # payload, and write_zmap's those of one json.dumps of the payload
+        # it built whole before it wrote lane by lane
+        for case in ["small_run", *ZMAP_CASES]:
+            res = small_run[2] if case == "small_run" else zmap_case(case)
+            for write in (write_zmap, write_landmarks):
+                path = tmp_path / f"{write.__name__}.json"
+                write(res, path)
+                ref = tmp_path / "ref.json"
+                with open(ref, "w") as f:
+                    json.dump(json.loads(path.read_text()), f, sort_keys=True)
+                    f.write("\n")
+                assert path.read_bytes() == ref.read_bytes(), (case, write.__name__)
+            whole = json.dumps(whole_zmap_payload(res), sort_keys=True) + "\n"
+            assert (tmp_path / "write_zmap.json").read_bytes() == whole.encode(), case
+
+    @pytest.mark.parametrize("case", ["small_run", *ZMAP_CASES])
+    def test_read_zmap_matches_whole_file_reader(self, case, request, tmp_path):
+        res = request.getfixturevalue("small_run")[2] if case == "small_run" else zmap_case(case)
+        path = tmp_path / "zmap.json"
+        write_zmap(res, path)
+        got, want = read_zmap(path), whole_file_read_zmap(path)
+        assert got.keys() == want.keys() and got["L"] == want["L"] == res.cfg.L
+        for field in ("z_map", "z_draws", "locations", "bins"):
+            # both in the file's order, where ("G1", 10) comes before ("G1", 2)
+            assert list(got[field]) == list(want[field]), field
+            assert sorted(got[field]) == res.lane_keys, field
+            for key, array in want[field].items():
+                assert got[field][key].dtype == array.dtype, (field, key)
+                assert np.array_equal(got[field][key], array), (field, key)
+        for key in res.lane_keys:
+            assert np.array_equal(got["z_draws"][key], res.z_draws[key])
+
+    def test_read_zmap_names_file_with_ragged_draws(self, tmp_path):
+        # the hook's array error surfaces through read_json, naming the file
+        path = tmp_path / "zmap.json"
+        write_zmap(zmap_case("one_peak_lane"), path)
+        text = path.read_text().replace('"draws": [[', '"draws": [[1, ', 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            read_zmap(path)
+
+    def test_zmap_io_holds_one_lane_of_lists(self, tmp_path):
+        # 2000 saved draws of 40 lanes of 5 peaks: the whole-payload writer
+        # and reader held a list per (draw, lane), a traced peak of 12.9 MB
+        # to write and 13.7 MB to read; lane by lane they take 1.0 and 5.2
+        res = synthetic_result({f"g{g}": {lane: [40 + 60 * j + 3 * lane for j in range(5)]
+                                          for lane in range(1, 21)} for g in (1, 2)},
+                               K=2000, L=20)
+        path = tmp_path / "zmap.json"
+        tracemalloc.start()
+        try:
+            write_zmap(res, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_zmap(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back["z_draws"][("g2", 20)], res.z_draws[("g2", 20)])
+        assert write_peak < 2_000_000, write_peak
+        # the read returns 3.2 MB of draws (2000 x 200 at 8 bytes) and holds
+        # the file's 1.6 MB of text while it parses
+        assert read_peak < 7_000_000, read_peak
 
     def test_violations_counted_once_per_sweep(self, small_run, monkeypatch):
         # one count after each restart, release and main sweep, plus one at
