@@ -287,17 +287,26 @@ def stage_align(traces_path, manifest_path, zmap_path, z_source, out_path) -> Pa
 
 def read_truth_labels(path, lane_keys) -> np.ndarray:
     """True cluster labels for the given lanes, from the simulator's truth
-    JSON or a two-column lane,label CSV."""
+    JSON or a two-column lane,label CSV; an error names the file, and the
+    lane or row."""
     path = Path(path)
     if path.suffix == ".json":
         truth = read_truth(path)
-        by_key = {k: v["cluster"] for k, v in truth["samples"].items()}
+        samples = truth.get("samples") if isinstance(truth, dict) else None
+        if not isinstance(samples, dict):
+            raise ValueError(f"{path}: truth JSON needs a \"samples\" object")
+        by_key = {}
+        for name, entry in samples.items():
+            label = entry.get("cluster") if isinstance(entry, dict) else None
+            if isinstance(label, bool) or not isinstance(label, int):
+                raise ValueError(f"{path}: lane {name}: cluster {label!r} is not an integer")
+            by_key[name] = label
     else:
         by_key = {}
         with open_text(path) as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or {"lane", "label"} - set(reader.fieldnames):
-                raise ValueError("truth CSV needs columns lane,label")
+                raise ValueError(f"{path}: truth CSV needs columns lane,label")
             for row in reader:
                 try:
                     by_key[row["lane"]] = int(row["label"])
@@ -307,14 +316,16 @@ def read_truth_labels(path, lane_keys) -> np.ndarray:
     labels = []
     for name in map(lane_name, lane_keys):
         if name not in by_key:
-            raise ValueError(f"truth file has no label for lane {name}")
-        labels.append(int(by_key[name]))
+            raise ValueError(f"{path}: no label for lane {name}")
+        labels.append(by_key[name])
     return np.asarray(labels, dtype=int)
 
 
 def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
                   truth_path=None, n_values=None, zmap_path=None,
                   aligned_path=None, draw_thin: int = 1) -> Path:
+    """Every input is read and checked before the first write, so a bad
+    truth file or posterior leaves out_dir as it was."""
     manifest = read_manifest(manifest_path) if manifest_path else None
     grid = read_traces_csv(traces_path, manifest)
     lane_keys = grid.lane_keys(include_reference=False)
@@ -323,6 +334,12 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     n_values = check_n_values(n_values, len(lane_keys))
     check_int(draw_thin, "cluster.draw_thin", 1)
     check_int(nboot, "cluster.nboot", 1)
+    truth = read_truth_labels(truth_path, lane_keys) if truth_path else None
+    posterior = None
+    if zmap_path and aligned_path:
+        agrid = read_traces_csv(aligned_path, manifest)
+        payload = read_zmap(zmap_path)
+        posterior = (agrid, peaks_from_zmap(payload, agrid.B), payload["z_draws"], payload["L"])
 
     D = distance_matrix(grid)
     dend = hclust_complete(D)
@@ -333,19 +350,10 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     conf = bootstrap_confidence(grid, nboot, np.random.default_rng(seed))
     write_confidence(conf, out / "confidence.json")
 
-    truth = None
-    if truth_path:
-        truth = read_truth_labels(truth_path, lane_keys)
-
-    if zmap_path and aligned_path:
+    if posterior:
         # quality bands across the stored assignment draws
-        agrid = read_traces_csv(aligned_path, manifest)
-        payload = read_zmap(zmap_path)
-        peaks = peaks_from_zmap(payload, agrid.B)
-        rows = posterior_clustering_summary(
-            agrid, peaks, payload["z_draws"], payload["L"],
-            truth=truth, n_values=n_values, thin=draw_thin,
-        )
+        rows = posterior_clustering_summary(*posterior, truth=truth, n_values=n_values,
+                                            thin=draw_thin)
     else:
         sil, ari = partition_scores(D, dend, n_values, truth)
         rows = [{"n": n, "silhouette": s} for n, s in zip(n_values, sil)]

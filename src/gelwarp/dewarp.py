@@ -30,15 +30,14 @@ generator in the same order and sizes as when swept alone, so chain r of a
 lockstep run equals that chain run by itself, bit for bit.  Only
 elementwise work is shared between chains; each float reduction (the Gram
 sums, residual sums and prior sums) is taken per chain and gel.  One loop,
-_sample, runs the restart tail, the main chain (R = 1) and align_new_gel's
-lockstep chains.
+_sample, runs every sweep: the restart chains, the main chain (R = 1) and
+align_new_gel's lockstep chains.
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: SIGMA_SHAPE and SIGMA_RATE for the inverse-gamma priors on every
-variance, LAMBDA_STEP for the log-scale proposal sd of each lambda
-coordinate, and ANNEAL_HI and ANNEAL_LO for the restart annealing schedule,
-in landmark spacings.  lambda is iid half-normal with unit variance and no
-scale hyperparameter: only lambda* = lambda / sum(lambda) enters the
+variance, and LAMBDA_STEP for the log-scale proposal sd of each lambda
+coordinate.  lambda is iid half-normal with unit variance and no scale
+hyperparameter: only lambda* = lambda / sum(lambda) enters the
 likelihood and the Z prior, and its law does not depend on a common scale.
 """
 
@@ -78,8 +77,6 @@ _STD_NORMAL = NormalDist()
 SIGMA_SHAPE = 0.01
 SIGMA_RATE = 0.01
 LAMBDA_STEP = 0.5
-ANNEAL_HI = 1.2
-ANNEAL_LO = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +291,6 @@ class DewarpModel:
         self.nu_std = self.axis.apply(self.grid.nu)
         self.bounds = (float(self.nu_std[0]), float(self.nu_std[-1]))
         self.a0_std = cfg.a0_value / self.axis.scale
-        self.spacing_std = self.grid.spacing / self.axis.scale
 
         # every peak once, lane after lane in lane_key_list order (gels
         # sorted, then lanes, then peaks): its raw location and bin, its
@@ -960,34 +956,19 @@ def _sample(model: DewarpModel, cs: _ChainState, rngs, sweeps: int, keep: range,
 
 
 def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
-    """Short annealed chains from independent streams, swept in lockstep;
-    keeps the state with the best settled log joint.
+    """Short chains from independent streams, swept in lockstep; keeps the
+    state with the best settled log joint.
 
-    The residual scale is clamped to a geometric schedule (ANNEAL_HI down to
-    ANNEAL_LO landmark spacings) so every restart is forced through a soft
-    phase, where warps absorb coarse structure, into a crystallized one.
-    Scoring happens only after a stretch of unclamped sweeps: at the clamp
-    floor an over-fitted labeling can outscore the right one, whereas once
-    the residual scale has re-equilibrated the settled log joint compares
-    basins at their own posterior scale.  The winner is the first chain
-    whose score beats every earlier one, so a tie keeps the earlier chain
-    and a NaN never wins; it is carried forward as a one-chain state, and
-    samples are drawn later under the unclamped kernel."""
+    Each chain runs restart_sweeps sweeps plus max(30, restart_sweeps // 4)
+    more, so that it settles before it is scored, and its score is the mean
+    log joint of its last 25 sweeps.  The winner is the first chain whose
+    score beats every earlier one, so a tie keeps the earlier chain and a
+    NaN never wins; it is carried forward as a one-chain state."""
     rngs = [np.random.default_rng((cfg.seed, 911, i)) for i in range(cfg.restarts)]
     cs = model.init_chain_state(cfg.restarts)
-    viol = 0
-    n = cfg.restart_sweeps
-    hi = ANNEAL_HI * model.spacing_std
-    lo = ANNEAL_LO * model.spacing_std
-    release = max(30, n // 4)
-    tail_n = min(25, release)
-    for it in range(n):
-        model.sweep(cs, rngs)
-        clamp = hi * (lo / hi) ** (it / max(n - 1, 1))
-        np.minimum(cs.sigma_eps2, clamp * clamp, out=cs.sigma_eps2)
-        viol += int(model.count_violations(cs).sum())
-    draws, v, _ = _sample(model, cs, rngs, release, range(release - tail_n, release))
-    viol += v
+    sweeps = cfg.restart_sweeps + max(30, cfg.restart_sweeps // 4)
+    tail_n = 25
+    draws, viol, _ = _sample(model, cs, rngs, sweeps, range(sweeps - tail_n, sweeps))
     scores = [float(np.mean(tail)) for tail in draws[-1].reshape(cfg.restarts, tail_n)]
     best = None
     best_score = -np.inf

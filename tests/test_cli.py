@@ -346,6 +346,33 @@ class TestStages:
         assert f"--{given} needs --{missing}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["csv_missing_lane", "json_no_samples", "json_word"])
+    def test_cluster_bad_truth_fails_before_any_output(self, workdir, capsys, case):
+        run_dir, sim = workdir / "run", workdir / "sim"
+        samples = json.loads((sim / "truth.json").read_text())["samples"]
+        last = sorted(samples)[-1]
+        truth = workdir / f"truth_{case}.{case.split('_')[0]}"
+        if case == "csv_missing_lane":
+            truth.write_text("lane,label\n" + "".join(
+                f"{name},{s['cluster']}\n" for name, s in sorted(samples.items()) if name != last))
+            message = f"{truth}: no label for lane {last}"
+        elif case == "json_no_samples":
+            truth.write_text(json.dumps({"clusters": samples}))
+            message = f'{truth}: truth JSON needs a "samples" object'
+        else:
+            samples[last]["cluster"] = "x"
+            truth.write_text(json.dumps({"samples": samples}))
+            message = f"{truth}: lane {last}: cluster 'x' is not an integer"
+        out = workdir / f"clusters_{case}"
+        out.mkdir()
+        rc = main(["cluster", "--input", str(run_dir / "exact.csv"),
+                   "--manifest", str(sim / "manifest.json"), "--truth", str(truth),
+                   "--nboot", "5", "--zmap", str(run_dir / "posterior" / "zmap.json"),
+                   "--aligned", str(run_dir / "aligned.csv"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"gelwarp cluster: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_cluster_recovers_truth(self, workdir):
         rows = (workdir / "run" / "clusters" / "metrics.csv").read_text().splitlines()
         by_n = {int(r.split(",")[0]): r.split(",") for r in rows[1:]}
