@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .cluster import (
     hclust_complete,
     partition_scores,
     posterior_clustering_summary,
+    quality_rows,
     to_newick,
     write_confidence,
     write_metrics,
@@ -138,6 +140,10 @@ def check_config(cfg: dict) -> None:
             continue
         if not (isinstance(path, str) and Path(path).is_file()):
             raise ValueError(f"inputs.{key}: no file {path!r}")
+    if cfg["inputs"]["truth"] is not None:
+        # only the traces say which lanes are samples, so a lane without a
+        # label is left to the cluster stage
+        read_truth_file(cfg["inputs"]["truth"])
     detect = cfg["detect"]
     if detect["standardize"] not in STANDARDIZE_METHODS:
         raise ValueError(f"detect.standardize must be one of {', '.join(STANDARDIZE_METHODS)}, "
@@ -285,24 +291,23 @@ def stage_align(traces_path, manifest_path, zmap_path, z_source, out_path) -> Pa
     return Path(out_path)
 
 
-def read_truth_labels(path, lane_keys) -> np.ndarray:
-    """True cluster labels for the given lanes, from the simulator's truth
-    JSON or a two-column lane,label CSV; an error names the file, and the
-    lane or row."""
+def read_truth_file(path) -> dict:
+    """Lane name -> true cluster label, from the simulator's truth JSON or a
+    two-column lane,label CSV; a format error names the file, and the lane
+    or row."""
     path = Path(path)
+    by_key = {}
     if path.suffix == ".json":
         truth = read_truth(path)
         samples = truth.get("samples") if isinstance(truth, dict) else None
         if not isinstance(samples, dict):
             raise ValueError(f"{path}: truth JSON needs a \"samples\" object")
-        by_key = {}
         for name, entry in samples.items():
             label = entry.get("cluster") if isinstance(entry, dict) else None
             if isinstance(label, bool) or not isinstance(label, int):
                 raise ValueError(f"{path}: lane {name}: cluster {label!r} is not an integer")
             by_key[name] = label
     else:
-        by_key = {}
         with open_text(path) as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or {"lane", "label"} - set(reader.fieldnames):
@@ -313,6 +318,13 @@ def read_truth_labels(path, lane_keys) -> np.ndarray:
                 except (TypeError, ValueError):
                     raise ValueError(f"{path}:{reader.line_num}: label {row['label']!r} "
                                      f"is not an integer") from None
+    return by_key
+
+
+def read_truth_labels(path, lane_keys) -> np.ndarray:
+    """True cluster labels for the given lanes, in their order, from
+    ``read_truth_file``; a lane the file does not label is named."""
+    by_key = read_truth_file(path)
     labels = []
     for name in map(lane_name, lane_keys):
         if name not in by_key:
@@ -325,7 +337,8 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
                   truth_path=None, n_values=None, zmap_path=None,
                   aligned_path=None, draw_thin: int = 1) -> Path:
     """Every input is read and checked before the first write, so a bad
-    truth file or posterior leaves out_dir as it was."""
+    truth file, or a posterior whose lanes are not the input's, leaves
+    out_dir as it was."""
     manifest = read_manifest(manifest_path) if manifest_path else None
     grid = read_traces_csv(traces_path, manifest)
     lane_keys = grid.lane_keys(include_reference=False)
@@ -338,7 +351,18 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
     posterior = None
     if zmap_path and aligned_path:
         agrid = read_traces_csv(aligned_path, manifest)
+        # the truth labels and each draw's distances are matched by position
+        for akey, key in zip_longest(agrid.lane_keys(include_reference=False), lane_keys):
+            if akey != key:
+                raise ValueError(f"{aligned_path}: sample lane {lane_name(akey or key)} is out "
+                                 f"of step with {traces_path}, whose sample lanes it must list "
+                                 f"in order")
         payload = read_zmap(zmap_path)
+        samples = set(lane_keys)
+        for key in payload["z_draws"]:
+            if key not in samples:
+                raise ValueError(f"{zmap_path}: lane {lane_name(key)} is not a sample lane "
+                                 f"of {traces_path}")
         posterior = (agrid, peaks_from_zmap(payload, agrid.B), payload["z_draws"], payload["L"])
 
     D = distance_matrix(grid)
@@ -356,15 +380,9 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
                                             thin=draw_thin)
     else:
         sil, ari = partition_scores(D, dend, n_values, truth)
-        rows = [{"n": n, "silhouette": s} for n, s in zip(n_values, sil)]
-        if ari is not None:
-            for row, a in zip(rows, ari):
-                row.update(ari_mean=a, ari_lo=a, ari_hi=a)
+        rows = quality_rows(n_values, np.array([sil]), None if ari is None else np.array([ari]))
     write_metrics(rows, out / "metrics.csv")
-
-    plot = out / "plotdata"
-    write_metrics(rows, plot / "fig_quality.csv")
-    _write_merge_table(dend, conf, plot / "fig_dendrogram.csv")
+    _write_merge_table(dend, conf, out / "plotdata" / "fig_dendrogram.csv")
     return out
 
 

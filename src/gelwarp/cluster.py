@@ -278,16 +278,20 @@ def bootstrap_confidence(grid: IntensityGrid, n_boot: int, rng) -> dict:
 
 def check_n_values(n_values, N: int | None = None):
     """The cluster counts to cut N leaves at: 2..N when n_values is None,
-    else n_values, each of which must be an integer in 2..N.  Without N,
-    only the list and the lower bound are checked, and None stays None."""
+    else n_values, each an integer in 2..N listed once.  Without N, the
+    upper bound is left unchecked, and None stays None."""
     if n_values is None:
         return None if N is None else list(range(2, N + 1))
     if not isinstance(n_values, (list, tuple)):
         raise ValueError(f"cluster.n_values must be a list or null, got {n_values!r}")
     span = "an integer >= 2" if N is None else f"an integer in 2..{N} ({N} sample lanes)"
+    seen = set()
     for n in n_values:
         if not (isinstance(n, (int, np.integer)) and 2 <= n and (N is None or n <= N)):
             raise ValueError(f"cluster.n_values: {n!r} is not {span}")
+        if n in seen:
+            raise ValueError(f"cluster.n_values: {n!r} is listed more than once")
+        seen.add(n)
     return list(n_values)
 
 
@@ -298,6 +302,20 @@ def partition_scores(D: DistanceMatrix, dend: Dendrogram, n_values, truth=None):
     labels = cut_rows(dend, n_values)
     sil = [average_silhouette(D, row) for row in labels]
     return sil, None if truth is None else adjusted_rand_rows(labels, truth)
+
+
+def quality_rows(n_values, sil, ari=None) -> list[dict]:
+    """``metrics.csv`` rows from (draw x n) score arrays, column j at n_values[j]:
+    the mean silhouette and, given ARIs, their mean and 2.5/97.5 percentiles."""
+    rows = []
+    for j, n in enumerate(n_values):
+        row = {"n": n, "silhouette": float(np.mean(sil[:, j]))}
+        if ari is not None:
+            vals = ari[:, j]
+            row.update(ari_mean=float(vals.mean()), ari_lo=float(np.percentile(vals, 2.5)),
+                       ari_hi=float(np.percentile(vals, 97.5)))
+        rows.append(row)
+    return rows
 
 
 def posterior_clustering_summary(
@@ -315,10 +333,10 @@ def posterior_clustering_summary(
     true partition the adjusted Rand index is summarized by its mean and
     2.5/97.5 percentiles, otherwise only mean silhouettes are reported.
 
-    A slowly mixing chain repeats most of its draws, so identical draws
-    are scored once and a lane is resampled once per distinct assignment.
-    Every draw still enters the means and percentiles, in draw order, so
-    the results equal those of scoring each draw afresh.
+    A slowly mixing chain repeats most of its draws, so each distinct draw
+    is scored once into a row of a score table that each kept draw indexes,
+    and a lane is resampled once per distinct assignment.  Every draw enters
+    the means and percentiles in draw order, as if each were scored afresh.
     """
     keys = list(z_draws.keys())
     if not keys:
@@ -327,16 +345,14 @@ def posterior_clustering_summary(
     draws = [np.asarray(z_draws[key], dtype=int) for key in keys]
     K = len(draws[0])
     n_values = check_n_values(n_values, len(grid.lane_keys(include_reference=False)))
-    distinct = list(dict.fromkeys(n_values))
-    col = {n: j for j, n in enumerate(distinct)}
     lanes: dict = {}  # (lane key, assignment bytes) -> resampled lane
-    scores: dict = {}  # every lane's assignment bytes -> (silhouettes, ARIs)
-    ari = {n: [] for n in n_values}
-    sil = {n: [] for n in n_values}
+    seen: dict = {}  # every lane's assignment bytes -> row of the score table
+    table = []  # per distinct draw: (silhouettes, ARIs) at every n
+    index = []  # per kept draw: its row of the score table
     for k in range(0, K, thin):
         zk = [d[k] for d in draws]
         draw = tuple(z.tobytes() for z in zk)
-        if draw not in scores:
+        if draw not in seen:
             zbytes = dict(zip(keys, draw))
             todo = {key: z for key, z in zip(keys, zk) if (key, zbytes[key]) not in lanes}
             gels = []
@@ -349,24 +365,12 @@ def posterior_clustering_summary(
                     row.append(lanes.get((key, zbytes.get(key)), lane))
                 gels.append(GelTrace(gel.gel_id, tuple(row)))
             Dk = distance_matrix(IntensityGrid(tuple(gels), grid.B))
-            scores[draw] = partition_scores(Dk, hclust_complete(Dk), distinct, truth)
-        sil_k, ari_k = scores[draw]
-        for n in n_values:
-            if truth is not None:
-                ari[n].append(ari_k[col[n]])
-            sil[n].append(sil_k[col[n]])
-    rows = []
-    for n in n_values:
-        row = {"n": n, "silhouette": float(np.mean(sil[n]))}
-        if truth is not None:
-            vals = np.asarray(ari[n])
-            row.update(
-                ari_mean=float(vals.mean()),
-                ari_lo=float(np.percentile(vals, 2.5)),
-                ari_hi=float(np.percentile(vals, 97.5)),
-            )
-        rows.append(row)
-    return rows
+            seen[draw] = len(table)
+            table.append(partition_scores(Dk, hclust_complete(Dk), n_values, truth))
+        index.append(seen[draw])
+    sil, ari = zip(*table)
+    return quality_rows(n_values, np.asarray(sil)[index],
+                        None if truth is None else np.asarray(ari)[index])
 
 
 def to_newick(dend: Dendrogram) -> str:

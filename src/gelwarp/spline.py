@@ -1,8 +1,8 @@
 """Cubic B-spline machinery for the warp field.
 
 Univariate clamped bases evaluated by the Cox-de Boor recursion, tensor
-product warp evaluation, least-squares identity coefficients, and the
-first-difference matrices used by the random walk priors.
+product warp evaluation, the identity map's coefficients (the Greville
+abscissae), and reading and writing warp fields.
 """
 
 from __future__ import annotations
@@ -112,20 +112,11 @@ def make_basis(data, T: int, domain: tuple[float, float] | None = None) -> BSpli
 
 
 def identity_coefficients(basis: BSplineBasis) -> np.ndarray:
-    """Coefficients reproducing the identity map on the basis domain.
-
-    Dense least squares on a 1000-point grid; cubic splines contain linear
-    functions, so the fit is exact up to conditioning.
-    """
-    grid = np.linspace(basis.lo, basis.hi, 1000)
-    design = basis.design_matrix(grid)
-    coef, _, rank, _ = np.linalg.lstsq(design, grid, rcond=None)
-    if rank < basis.T:
-        raise ValueError(f"singular design: rank {rank} < {basis.T} basis functions")
-    err = np.max(np.abs(design @ coef - grid))
-    if err > 1e-6:
-        raise ValueError(f"identity fit error {err:.2e} exceeds 1e-6")
-    return coef
+    """Coefficients reproducing the identity map on the basis domain: the
+    Greville abscissae, each the mean of the order - 1 knots after its own
+    index (Marsden's identity), exact for any knot vector."""
+    k = basis.order - 1
+    return sum(basis.knots[j : j + basis.T] for j in range(1, k + 1)) / k
 
 
 def eval_tensor(basis_nu: BSplineBasis, basis_u: BSplineBasis, beta: np.ndarray, nu, u):

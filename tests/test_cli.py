@@ -308,6 +308,7 @@ class TestStages:
         ({"n_values": [2.5]}, r"n_values: 2\.5 is not an integer in 2\.\.6"),
         ({"draw_thin": 0}, r"draw_thin must be an integer >= 1, got 0"),
         ({"nboot": 0}, r"nboot must be an integer >= 1, got 0"),
+        ({"n_values": [4, 2, 4]}, r"n_values: 4 is listed more than once"),
     ])
     def test_cluster_settings_rejected_before_any_output(self, workdir, settings, message):
         run_dir = workdir / "run"
@@ -371,6 +372,53 @@ class TestStages:
                    "--aligned", str(run_dir / "aligned.csv"), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"gelwarp cluster: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_cluster_repeated_n_fails_before_any_output(self, workdir, capsys):
+        run_dir, sim = workdir / "run", workdir / "sim"
+        out = workdir / "clusters_repeated_n"
+        rc = main(["cluster", "--input", str(run_dir / "exact.csv"),
+                   "--manifest", str(sim / "manifest.json"), "--truth", str(sim / "truth.json"),
+                   "--nboot", "5", "--zmap", str(run_dir / "posterior" / "zmap.json"),
+                   "--aligned", str(run_dir / "aligned.csv"), "--n-values", "3", "3",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "gelwarp cluster: cluster.n_values: 3 is listed more than once\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["aligned", "zmap"])
+    def test_cluster_foreign_posterior_fails_before_any_output(self, workdir, capsys, case):
+        # the posterior must describe --input's lanes: an --aligned grid with
+        # a lane that --input lacks, or a zmap.json lane outside --input
+        run_dir, sim = workdir / "run", workdir / "sim"
+        manifest = read_manifest(sim / "manifest.json")
+        exact = read_traces_csv(run_dir / "exact.csv", manifest)
+        aligned = read_traces_csv(run_dir / "aligned.csv", manifest)
+        inp, aln = workdir / f"foreign_{case}_input.csv", workdir / f"foreign_{case}_aligned.csv"
+        if case == "aligned":
+            # drop g2's last sample lane from the input only
+            last = exact.lane_keys(include_reference=False)[-1]
+            write_traces_csv(IntensityGrid(exact.gels[:1] + (GelTrace("g2", tuple(
+                ln for ln in exact.gels[1].lanes if ln.index != last[1])),), exact.B), inp)
+            aln = run_dir / "aligned.csv"
+            message = f"{aln}: sample lane g2:{last[1]} is out of step with {inp}"
+        else:
+            # keep gel g1 alone in the input and the aligned traces
+            write_traces_csv(IntensityGrid(exact.gels[:1], exact.B), inp)
+            write_traces_csv(IntensityGrid(aligned.gels[:1], aligned.B), aln)
+            zmap = json.loads((run_dir / "posterior" / "zmap.json").read_text())
+            first = next(name for name in zmap["lanes"] if name.startswith("g2:"))
+            message = (f"{run_dir / 'posterior' / 'zmap.json'}: lane {first} is not a "
+                       f"sample lane of {inp}")
+        out = workdir / f"clusters_foreign_{case}"
+        out.mkdir()
+        rc = main(["cluster", "--input", str(inp), "--manifest", str(sim / "manifest.json"),
+                   "--truth", str(sim / "truth.json"), "--nboot", "5",
+                   "--zmap", str(run_dir / "posterior" / "zmap.json"),
+                   "--aligned", str(aln), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"gelwarp cluster: {message}")
         assert list(out.iterdir()) == []
 
     def test_cluster_recovers_truth(self, workdir):
@@ -465,6 +513,7 @@ class TestPipeline:
         ("dewarp", "a0", True, "dewarp: a0 must be a finite number, got True"),
         ("dewarp", "a0", float("nan"), "dewarp: a0 must be a finite number, got nan"),
         ("dewarp", "a0", "wide", "dewarp: a0 must be a finite number, got 'wide'"),
+        ("cluster", "n_values", [3, 3], "cluster.n_values: 3 is listed more than once"),
     ])
     def test_bad_setting_fails_before_first_stage(self, workdir, capsys,
                                                   section, key, value, msg):
@@ -478,6 +527,33 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(path)]) == 1
         assert msg in capsys.readouterr().err
         assert not Path(cfg["out"]).exists()
+
+    @pytest.mark.parametrize("case", ["json_no_samples", "json_word", "csv_no_label"])
+    def test_malformed_truth_fails_before_first_stage(self, workdir, capsys, case):
+        # the truth file's format is checked with the settings, not after
+        # dewarp; a lane without a label is left to the cluster stage
+        samples = json.loads((workdir / "sim" / "truth.json").read_text())["samples"]
+        truth = workdir / f"truth_pipe_{case}.{case.split('_')[0]}"
+        if case == "json_no_samples":
+            truth.write_text(json.dumps({"clusters": {}}))
+            message = f'{truth}: truth JSON needs a "samples" object'
+        elif case == "json_word":
+            name = sorted(samples)[0]
+            samples[name]["cluster"] = "x"
+            truth.write_text(json.dumps({"samples": samples}))
+            message = f"{truth}: lane {name}: cluster 'x' is not an integer"
+        else:
+            truth.write_text("lane,cluster\n" + "".join(
+                f"{name},{s['cluster']}\n" for name, s in sorted(samples.items())))
+            message = f"{truth}: truth CSV needs columns lane,label"
+        cfg = json.loads((workdir / "pipe.json").read_text())
+        cfg["out"] = str(workdir / f"run_truth_{case}")
+        cfg["inputs"]["truth"] = str(truth)
+        path = workdir / f"pipe_truth_{case}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"gelwarp pipeline: {message}\n"
+        assert not (Path(cfg["out"]) / "peaks_raw.json").exists()
 
     def test_resume_reruns_cluster_when_draws_change(self, workdir, capsys):
         # thinning the saved draws rewrites zmap.json but keeps the MAP

@@ -11,11 +11,14 @@ from gelwarp.cluster import (
     adjusted_rand_rows,
     average_silhouette,
     bootstrap_confidence,
+    check_n_values,
     cut,
     cut_rows,
     distance_matrix,
     hclust_complete,
+    partition_scores,
     posterior_clustering_summary,
+    quality_rows,
     to_newick,
 )
 from gelwarp.core import GelTrace, IntensityGrid, Lane
@@ -496,6 +499,31 @@ class TestPosteriorSummarySettings:
             posterior_clustering_summary(grid, PeakTable((), grid.B), z_draws, 5,
                                          n_values=n_values)
 
+    @pytest.mark.parametrize("N", [None, 8])
+    def test_repeated_n_rejected(self, N):
+        # a repeated n would enter that n's means and percentiles twice
+        with pytest.raises(ValueError, match=r"cluster.n_values: 5 is listed more than once"):
+            check_n_values([3, 5, 2, 5], N)
+
+    def test_repeated_n_rejected_by_summary(self):
+        grid, peaks = draw_setup()
+        z_draws = repeated_draws(np.random.default_rng(3), 6, 2)
+        with pytest.raises(ValueError, match=r"n_values: 3 is listed more than once"):
+            posterior_clustering_summary(grid, peaks, z_draws, L_TEST, n_values=[3, 3, 5])
+
+    @pytest.mark.parametrize("truth", [None, np.array([1, 1, 1, 1, 2, 2, 2, 2])])
+    def test_one_row_is_a_single_cut(self, truth):
+        D = distance_matrix(block_grid(strong=False))
+        dend = hclust_complete(D)
+        n_values = [4, 2, 8]
+        sil, ari = partition_scores(D, dend, n_values, truth)
+        want = [{"n": n, "silhouette": s} for n, s in zip(n_values, sil)]
+        if truth is not None:
+            for row, a in zip(want, ari):
+                row.update(ari_mean=a, ari_lo=a, ari_hi=a)
+        rows = quality_rows(n_values, np.array([sil]), None if ari is None else np.array([ari]))
+        assert rows == want
+
 
 # -- posterior summary: identical draws scored once ------------------------
 
@@ -563,8 +591,8 @@ class TestPosteriorDrawCache:
         (None, None, 1),
         (TRUTH, None, 1),
         (TRUTH, None, 4),
-        (TRUTH, [5, 3, 5, 8], 3),
-        (None, [2, 2, 7], 2),
+        (TRUTH, [5, 3, 8], 3),
+        (None, [2, 7], 2),
     ])
     def test_equals_scoring_every_draw(self, truth, n_values, thin):
         grid, peaks = draw_setup()

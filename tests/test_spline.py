@@ -81,6 +81,18 @@ class TestIdentityCoefficients:
         D = basis.design_matrix(np.array([0.0, 1.0]))
         np.testing.assert_allclose(D @ beta, [0.0, 1.0], atol=1e-6)
 
+    def test_greville_abscissae(self):
+        # the exact coefficients are the knot averages (Marsden's identity),
+        # for quantile knots of any spacing
+        rng = np.random.default_rng(2)
+        for T in range(4, 11):
+            basis = make_basis(rng.gamma(2.0, size=400), T)
+            greville = [np.mean(basis.knots[i + 1 : i + basis.order]) for i in range(T)]
+            beta = identity_coefficients(basis)
+            np.testing.assert_array_equal(beta, greville)
+            x = np.linspace(basis.lo, basis.hi, 2001)
+            np.testing.assert_allclose(basis.design_matrix(x) @ beta, x, rtol=0, atol=1e-12)
+
     def test_constant_increments_on_equispaced_knots(self):
         basis = make_basis(np.linspace(0, 1, 500), 9)
         beta = identity_coefficients(basis)
