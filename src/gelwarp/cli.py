@@ -32,7 +32,6 @@ from .cluster import (
     write_metrics,
 )
 from .core import (
-    STANDARDIZE_METHODS,
     LandmarkGrid,
     Standardizer,
     check_int,
@@ -70,10 +69,9 @@ DEFAULT_CONFIG = {
     "seed": 7,
     "out": "run",
     "inputs": {"traces": "traces.csv", "manifest": "manifest.json", "truth": None},
-    "detect": {"h": PeakConfig.h, "c0": PeakConfig.c0, "standardize": "minmax"},
+    "detect": {"h": PeakConfig.h, "c0": PeakConfig.c0},
     "refalign": {"template": None},
     "dewarp": {f.name: f.default for f in dataclasses.fields(ModelConfig) if f.name != "seed"},
-    "align": {"z_source": "map"},
     "cluster": {"nboot": 1000, "n_values": None, "draw_thin": 1},
 }
 
@@ -134,7 +132,7 @@ def model_config_from(section: dict, seed: int, source: str = "config") -> Model
 def check_config(cfg: dict) -> None:
     """Reject every setting that is wrong whatever the data holds, so that it
     fails before the first stage writes anything.  The bounds that need the
-    data (n_values <= N, a sample:k index) stay with their stages."""
+    data (n_values <= N) stay with their stages."""
     for key, path in cfg["inputs"].items():
         if path is None and key != "traces":
             continue
@@ -145,9 +143,6 @@ def check_config(cfg: dict) -> None:
         # label is left to the cluster stage
         read_truth_file(cfg["inputs"]["truth"])
     detect = cfg["detect"]
-    if detect["standardize"] not in STANDARDIZE_METHODS:
-        raise ValueError(f"detect.standardize must be one of {', '.join(STANDARDIZE_METHODS)}, "
-                         f"got {detect['standardize']!r}")
     try:
         PeakConfig(h=detect["h"], c0=detect["c0"])
     except (TypeError, ValueError) as exc:
@@ -156,7 +151,6 @@ def check_config(cfg: dict) -> None:
         model_config_from(cfg["dewarp"], cfg["seed"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"dewarp: {exc}") from None
-    parse_z_source(cfg["align"]["z_source"], "align.z_source")
     check_int(cfg["cluster"]["nboot"], "cluster.nboot", 1)
     check_int(cfg["cluster"]["draw_thin"], "cluster.draw_thin", 1)
     check_n_values(cfg["cluster"]["n_values"])
@@ -195,11 +189,12 @@ def stage_simulate(spec_path, seed: int, out_dir) -> list[Path]:
     return paths
 
 
-def stage_detect(traces_path, manifest_path, h: int, c0: float, out_path,
-                 standardize: str = "minmax") -> Path:
+def stage_detect(traces_path, manifest_path, h: int, c0: float, out_path) -> Path:
+    """Call peaks on every lane, each lane scaled onto [0, 1] by its range
+    first; masked lanes' peaks are dropped."""
     manifest = read_manifest(manifest_path) if manifest_path else None
     grid = read_traces_csv(traces_path, manifest)
-    grid = standardize_intensities(grid, method=standardize)
+    grid = standardize_intensities(grid)
     peaks = detect_peaks(grid, PeakConfig(h=h, c0=c0))
     if manifest:
         peaks = peaks.drop_masked(manifest)
@@ -258,35 +253,27 @@ def peaks_from_zmap(payload: dict, B: int) -> PeakTable:
     return PeakTable(tuple(entries), B)
 
 
-def parse_z_source(z_source, name: str = "z-source") -> int | None:
-    """None for "map", k for "sample:k" with an integer k >= 0."""
-    kind, _, k = str(z_source).partition(":")
-    if z_source == "map":
-        return None
-    if kind == "sample" and k.isdecimal():
-        return int(k)
-    raise ValueError(
-        f"{name} must be 'map' or 'sample:k' with an integer k >= 0, got {z_source!r}"
-    )
+def check_zmap_lanes(zmap_lanes, zmap_path, sample_keys, traces_path) -> None:
+    """Every lane of a posterior must be a sample lane of the traces it is
+    used with; the first that is not is named.  A sample lane with no peaks
+    has no posterior entry, so a missing lane is allowed."""
+    samples = set(sample_keys)
+    for key in zmap_lanes:
+        if key not in samples:
+            raise ValueError(f"{zmap_path}: lane {lane_name(key)} is not a sample lane "
+                             f"of {traces_path}")
 
 
-def select_assignments(payload: dict, z_source: str) -> dict:
-    k = parse_z_source(z_source)
-    if k is None:
-        return payload["z_map"]
-    n_draws = min(len(v) for v in payload["z_draws"].values())
-    if k >= n_draws:
-        raise ValueError(f"draw index {k} outside 0..{n_draws - 1}")
-    return {key: draws[k] for key, draws in payload["z_draws"].items()}
-
-
-def stage_align(traces_path, manifest_path, zmap_path, z_source, out_path) -> Path:
+def stage_align(traces_path, manifest_path, zmap_path, out_path) -> Path:
+    """Snap every peak onto the landmark of its MAP assignment.  A posterior
+    whose lanes are not the input's sample lanes fails before the write."""
     manifest = read_manifest(manifest_path) if manifest_path else None
     grid = read_traces_csv(traces_path, manifest)
     payload = read_zmap(zmap_path)
+    check_zmap_lanes(payload["z_map"], zmap_path, grid.lane_keys(include_reference=False),
+                     traces_path)
     peaks = peaks_from_zmap(payload, grid.B)
-    z = select_assignments(payload, z_source)
-    aligned = exact_align(grid, peaks, z, payload["L"])
+    aligned = exact_align(grid, peaks, payload["z_map"], payload["L"])
     write_traces_csv(aligned, out_path)
     return Path(out_path)
 
@@ -358,11 +345,7 @@ def stage_cluster(traces_path, manifest_path, out_dir, nboot: int, seed: int,
                                  f"of step with {traces_path}, whose sample lanes it must list "
                                  f"in order")
         payload = read_zmap(zmap_path)
-        samples = set(lane_keys)
-        for key in payload["z_draws"]:
-            if key not in samples:
-                raise ValueError(f"{zmap_path}: lane {lane_name(key)} is not a sample lane "
-                                 f"of {traces_path}")
+        check_zmap_lanes(payload["z_draws"], zmap_path, lane_keys, traces_path)
         posterior = (agrid, peaks_from_zmap(payload, agrid.B), payload["z_draws"], payload["L"])
 
     D = distance_matrix(grid)
@@ -510,8 +493,8 @@ def run_pipeline(config_path, resume: bool = False) -> Path:
               lambda: stage_dewarp(peaks_aligned, model_config_from(cfg["dewarp"], seed),
                                    posterior, manifest_path=manifest))
 
-    run_stage("align", (aligned, manifest, zmap, cfg["align"]), [exact],
-              lambda: stage_align(aligned, manifest, zmap, out_path=exact, **cfg["align"]))
+    run_stage("align", (aligned, manifest, zmap), [exact],
+              lambda: stage_align(aligned, manifest, zmap, exact))
 
     # the quality bands read the posterior draws and the aligned traces
     run_stage("cluster", (exact, manifest, zmap, aligned, cfg["cluster"], seed, truth),
@@ -544,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--h", type=int, default=detect["h"])
     p.add_argument("--c0", type=float, default=detect["c0"])
-    p.add_argument("--standardize", default=detect["standardize"],
-                   choices=STANDARDIZE_METHODS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("refalign", help="align gels through their reference lanes")
@@ -567,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--manifest")
     p.add_argument("--zmap", required=True)
-    p.add_argument("--z-source", default=DEFAULT_CONFIG["align"]["z_source"])
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cluster", help="hierarchical clustering with quality measures")
@@ -600,8 +580,7 @@ def main(argv=None) -> int:
         if ns.command == "simulate":
             stage_simulate(ns.spec, ns.seed, ns.out)
         elif ns.command == "detect":
-            stage_detect(ns.input, ns.manifest, ns.h, ns.c0, ns.out,
-                         standardize=ns.standardize)
+            stage_detect(ns.input, ns.manifest, ns.h, ns.c0, ns.out)
         elif ns.command == "refalign":
             stage_refalign(ns.input, ns.manifest, ns.peaks, ns.template,
                            ns.out, ns.map_out)
@@ -610,7 +589,7 @@ def main(argv=None) -> int:
             model_cfg = model_config_from(section, ns.seed, f"config {ns.config}")
             stage_dewarp(ns.peaks, model_cfg, ns.out, manifest_path=ns.manifest)
         elif ns.command == "align":
-            stage_align(ns.input, ns.manifest, ns.zmap, ns.z_source, ns.out)
+            stage_align(ns.input, ns.manifest, ns.zmap, ns.out)
         elif ns.command == "cluster":
             # the quality bands need both; one alone would be silently ignored
             for given, missing in (("zmap", "aligned"), ("aligned", "zmap")):

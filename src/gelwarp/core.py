@@ -206,45 +206,25 @@ def fit_standardizer(values) -> Standardizer:
     return Standardizer(center=float(np.mean(x)), scale=sd)
 
 
-def _scale_lane_minmax(x: np.ndarray, label: str) -> np.ndarray:
-    lo, hi = float(x.min()), float(x.max())
-    if hi <= lo:
-        warnings.warn(f"{label}: constant intensity, mapped to zeros", GelwarpWarning)
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
-
-
-def _scale_lane_quantile(x: np.ndarray, label: str) -> np.ndarray:
-    lo = float(np.quantile(x, 0.10))
-    hi = float(np.quantile(x, 0.99))
-    if hi <= lo:
-        warnings.warn(f"{label}: degenerate quantile range, mapped to zeros", GelwarpWarning)
-        return np.zeros_like(x)
-    return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-
-
-STANDARDIZE_METHODS = ("minmax", "quantile")
-
-
-def standardize_intensities(raw: IntensityGrid, method: str = "minmax") -> IntensityGrid:
-    """Map every lane's intensities into [0, 1].
-
-    ``minmax`` rescales by the lane's range; ``quantile`` subtracts the lane's
-    10th percentile as background and scales by the 99th, clipping to [0, 1].
-    Both are monotone per lane, so within-lane ordering is preserved.
+def standardize_intensities(raw: IntensityGrid) -> IntensityGrid:
+    """Map every lane's intensities onto [0, 1] by the lane's range, so the
+    lane's minimum goes to 0 and its maximum to 1.  The map is monotone, so
+    within-lane ordering is preserved.
     A constant lane maps to all zeros and emits a GelwarpWarning.
     """
-    if method not in STANDARDIZE_METHODS:
-        raise ValueError(f"unknown standardization method {method!r}")
-    scale = _scale_lane_minmax if method == "minmax" else _scale_lane_quantile
     gels = []
     for gel in raw.gels:
         lanes = []
         for lane in gel.lanes:
-            label = f"gel {gel.gel_id} lane {lane.index}"
-            lanes.append(
-                Lane(lane.index, scale(lane.intensity, label), lane.is_reference)
-            )
+            x = lane.intensity
+            lo, hi = float(x.min()), float(x.max())
+            if hi <= lo:
+                warnings.warn(f"gel {gel.gel_id} lane {lane.index}: constant intensity, "
+                              f"mapped to zeros", GelwarpWarning)
+                x = np.zeros_like(x)
+            else:
+                x = (x - lo) / (hi - lo)
+            lanes.append(Lane(lane.index, x, lane.is_reference))
         gels.append(GelTrace(gel.gel_id, tuple(lanes)))
     return IntensityGrid(tuple(gels), raw.B)
 

@@ -275,21 +275,40 @@ class TestStages:
         grid = read_traces_csv(workdir / "run" / "exact.csv", manifest)
         assert grid.B == 400
 
-    def test_align_sample_source(self, workdir):
-        out = workdir / "exact_s3.csv"
-        run(["align", "--input", str(workdir / "run" / "aligned.csv"),
-             "--manifest", str(workdir / "sim" / "manifest.json"),
-             "--zmap", str(workdir / "run" / "posterior" / "zmap.json"),
-             "--z-source", "sample:3", "--out", str(out)])
-        assert out.is_file()
+    def test_removed_flags_rejected(self, workdir, capsys):
+        # lanes are always scaled by their range, and align always snaps to
+        # the MAP assignment; neither is a setting
+        run_dir, sim = workdir / "run", workdir / "sim"
+        out = workdir / "removed_flag.out"
+        for argv, flag in (
+                (["detect", "--input", str(sim / "traces.csv"), "--standardize", "minmax"],
+                 "--standardize minmax"),
+                (["align", "--input", str(run_dir / "aligned.csv"),
+                  "--zmap", str(run_dir / "posterior" / "zmap.json"), "--z-source", "map"],
+                 "--z-source map")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_align_bad_source(self, workdir, capsys):
-        rc = main(["align", "--input", str(workdir / "run" / "aligned.csv"),
-                   "--manifest", str(workdir / "sim" / "manifest.json"),
-                   "--zmap", str(workdir / "run" / "posterior" / "zmap.json"),
-                   "--z-source", "best", "--out", str(workdir / "nope.csv")])
+    def test_align_foreign_posterior_fails_before_writing(self, workdir, capsys):
+        # every zmap.json lane must be a sample lane of --input: here the
+        # input keeps gel g1 alone, so g2's posterior lanes have no trace
+        run_dir, sim = workdir / "run", workdir / "sim"
+        aligned = read_traces_csv(run_dir / "aligned.csv", read_manifest(sim / "manifest.json"))
+        inp = workdir / "foreign_align_input.csv"
+        write_traces_csv(IntensityGrid(aligned.gels[:1], aligned.B), inp)
+        zmap = run_dir / "posterior" / "zmap.json"
+        first = next(name for name in json.loads(zmap.read_text())["lanes"]
+                     if name.startswith("g2:"))
+        out = workdir / "exact_foreign.csv"
+        rc = main(["align", "--input", str(inp), "--manifest", str(sim / "manifest.json"),
+                   "--zmap", str(zmap), "--out", str(out)])
         assert rc == 1
-        assert "z-source" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"gelwarp align: {zmap}: lane {first} is not a sample lane of {inp}\n")
+        assert not out.exists()
 
     def test_cluster_outputs(self, workdir):
         clusters = workdir / "run" / "clusters"
@@ -500,10 +519,10 @@ class TestPipeline:
         ("inputs", "manifest", "missing.json", "inputs.manifest: no file"),
         ("inputs", "truth", "missing.json", "inputs.truth: no file"),
         ("detect", "h", 8.5, "detect: neighbor offset h must be an integer"),
-        ("detect", "standardize", "zscore", "detect.standardize must be one of"),
+        ("detect", "standardize", "quantile", "unknown config key detect.standardize"),
         ("dewarp", "burnin", 300, "dewarp: need 0 <= burnin < iterations"),
-        ("align", "z_source", "best", "align.z_source must be 'map' or 'sample:k'"),
-        ("align", "z_source", "sample:-1", "align.z_source must be 'map' or 'sample:k'"),
+        ("align", "z_source", "map", "unknown config section 'align'"),
+        ("align", "z_source", "sample:3", "unknown config section 'align'"),
         ("cluster", "nboot", 0, "cluster.nboot must be an integer >= 1"),
         ("cluster", "draw_thin", 0.5, "cluster.draw_thin must be an integer >= 1"),
         ("cluster", "n_values", [1, 3], "cluster.n_values: 1 is not an integer >= 2"),

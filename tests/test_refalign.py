@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gelwarp.core import standardize_intensities
 from gelwarp.peakdetect import Peak, PeakConfig, PeakTable, detect_peaks
@@ -62,6 +62,7 @@ class TestPiecewiseLinearMap:
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
     )
+    @example(raw=[(0.5, 0.25)], t1=0.0, t2=5e-324)
     @settings(max_examples=150)
     def test_strictly_increasing(self, raw, t1, t2):
         qs = sorted(set(round(q, 3) for q, _ in raw))
@@ -71,7 +72,12 @@ class TestPiecewiseLinearMap:
             return
         m = build_map(zip(qs[:n], ts[:n]))
         lo, hi = min(t1, t2), max(t1, t2)
-        assert apply_map(m, lo) < apply_map(m, hi)
+        a, b = apply_map(m, lo), apply_map(m, hi)
+        assert a <= b
+        # a segment whose slope is below 1 can round a gap of a few
+        # subnormals to nothing, so strictness needs a gap it can resolve
+        if hi - lo >= 1e-9:
+            assert a < b
 
     def test_round_trip_composition(self):
         m = build_map([(0.2, 0.3), (0.6, 0.55), (0.9, 0.92)])
