@@ -37,7 +37,6 @@ from .core import (
 from .dewarp import (
     MCMCResult,
     ModelConfig,
-    align_new_gel,
     run_mcmc,
     signatures,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "WarpField",
     "adjusted_rand",
     "adjusted_rand_rows",
-    "align_new_gel",
     "apply_map",
     "average_silhouette",
     "bootstrap_confidence",

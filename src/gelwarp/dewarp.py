@@ -30,8 +30,7 @@ generator in the same order and sizes as when swept alone, so chain r of a
 lockstep run equals that chain run by itself, bit for bit.  Only
 elementwise work is shared between chains; each float reduction (the Gram
 sums, residual sums and prior sums) is taken per chain and gel.  One loop,
-_sample, runs every sweep: the restart chains, the main chain (R = 1) and
-align_new_gel's lockstep chains.
+_sample, runs every sweep: the restart chains and the main chain (R = 1).
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: SIGMA_SHAPE and SIGMA_RATE for the inverse-gamma priors on every
@@ -634,12 +633,11 @@ class DewarpModel:
             self._warp_gel(cs, gi)
         self._gather_mu(cs)
 
-    def sweep_hyper(self, cs: _ChainState, rngs, fix_lambda: bool = False) -> float:
+    def sweep_hyper(self, cs: _ChainState, rngs) -> float:
         """Conjugate variance updates plus Metropolis on log lambda.
 
         Returns the fraction of lambda proposals accepted in this sweep,
-        over all chains (0 when lambda is held fixed, as in new-gel
-        alignment)."""
+        over all chains."""
         R = self._chain_count(cs, rngs)
         cfg = self.cfg
         L = cfg.L
@@ -665,8 +663,6 @@ class DewarpModel:
                 cs.sigma_gs_2[r, gi] = (SIGMA_RATE + 0.5 * ssq[r, gi]) / rng.gamma(
                     SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
                 )
-        if fix_lambda:
-            return 0.0
 
         # lambda: random-walk Metropolis on the log scale, coordinate by
         # coordinate; the log-normal Jacobian adds (x' - x)
@@ -704,10 +700,10 @@ class DewarpModel:
             accepted += sum(accept)
         return accepted / (R * L)
 
-    def sweep(self, cs: _ChainState, rngs, fix_lambda: bool = False) -> float:
+    def sweep(self, cs: _ChainState, rngs) -> float:
         self.sweep_Z(cs, rngs)
         self.sweep_beta(cs, rngs)
-        return self.sweep_hyper(cs, rngs, fix_lambda=fix_lambda)
+        return self.sweep_hyper(cs, rngs)
 
     # -- constraint checks and log joint -------------------------------------
 
@@ -933,8 +929,7 @@ def _summarize(model: DewarpModel, draws: tuple, violations: int,
     )
 
 
-def _sample(model: DewarpModel, cs: _ChainState, rngs, sweeps: int, keep: range,
-            fix_lambda: bool = False) -> tuple:
+def _sample(model: DewarpModel, cs: _ChainState, rngs, sweeps: int, keep: range) -> tuple:
     """Sweep every chain of cs, count the violations once after each sweep,
     and save each chain's (Z, beta, lambda, log joint) on the sweeps in keep.
     Returns those arrays stacked chain after chain, (R len(keep), ...), the
@@ -944,7 +939,7 @@ def _sample(model: DewarpModel, cs: _ChainState, rngs, sweeps: int, keep: range,
     trace = np.empty((R, K))
     violations, accept = 0, 0.0
     for it in range(sweeps):
-        accept += model.sweep(cs, rngs, fix_lambda=fix_lambda)
+        accept += model.sweep(cs, rngs)
         bad = model.count_violations(cs)
         violations += int(bad.sum())
         if it in keep:
@@ -1010,54 +1005,6 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig) -> MCMCResult:
     return _summarize(model, draws, violations + v, accept / cfg.iterations)
 
 
-def align_new_gel(new_peaks: PeakTable, stored_lambda_samples: np.ndarray,
-                  cfg: ModelConfig, lambda_budget: int = 20, iterations: int = 400,
-                  burnin: int = 150) -> MCMCResult:
-    """Posterior for a held-out gel given the training landmark frequencies.
-
-    Averages one-gel conditional chains over up to ``lambda_budget`` evenly
-    spaced stored lambda draws, swept in lockstep; lambda stays fixed within
-    each chain.  Each chain runs ``iterations`` sweeps and keeps
-    those after the first ``burnin``.  ``cfg`` supplies the model (L, bases,
-    window, seed); its iteration, burn-in, thinning and restart settings are
-    not used."""
-    for name, value in (("lambda_budget", lambda_budget), ("iterations", iterations),
-                        ("burnin", burnin)):
-        check_int(value, name)
-    if lambda_budget < 1:
-        raise ValueError(f"lambda_budget >= 1 required, got {lambda_budget}")
-    if not 0 <= burnin < iterations:
-        raise ValueError(
-            f"need 0 <= burnin < iterations, got burnin={burnin}, iterations={iterations}"
-        )
-    stored = np.atleast_2d(np.asarray(stored_lambda_samples, dtype=float))
-    if stored.size == 0:
-        raise ValueError("no stored lambda samples")
-    if stored.ndim != 2 or stored.shape[1] != cfg.L:
-        raise ValueError(
-            f"stored lambda draws have shape {stored.shape}, expected rows of {cfg.L} columns"
-        )
-    # a NaN or non-positive entry would run through as a silently broken chain
-    bad = ~(np.isfinite(stored) & (stored > 0))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(
-            f"stored lambda draw in row {row} has entry {float(stored[row, col])!r} at "
-            f"landmark {col + 1}; every entry must be finite and positive"
-        )
-    n_use = min(lambda_budget, stored.shape[0])
-    idx = np.unique(np.linspace(0, stored.shape[0] - 1, n_use).astype(int))
-
-    model = DewarpModel(new_peaks, cfg)
-    rngs = [np.random.default_rng(cfg.seed + 1000 + i) for i in range(idx.size)]
-    cs = model.init_chain_state(idx.size)
-    cs.lam[:] = stored[idx]
-    cs.lam_sum[:] = [float(row.sum()) for row in cs.lam]
-    draws, violations, _ = _sample(model, cs, rngs, iterations, range(burnin, iterations),
-                                   fix_lambda=True)
-    return _summarize(model, draws, violations, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Artifact serialization
 # ---------------------------------------------------------------------------
@@ -1091,23 +1038,58 @@ def write_zmap(result: MCMCResult, path) -> None:
 
 def _zmap_lane_arrays(entry: dict) -> dict:
     """read_json hook: a lane entry of zmap.json (the object holding "draws")
-    as the arrays read_zmap returns, made as soon as the entry closes."""
+    as the arrays read_zmap returns, made as soon as the entry closes.  Draws
+    that form no table of integers are kept as None, for read_zmap to reject
+    with the lane's name."""
     if "draws" not in entry:
         return entry
+    try:
+        draws = np.array(entry["draws"], dtype=int)
+    except ValueError:
+        draws = None
     return {"z_map": np.array(entry["z_map"], dtype=int),
-            "z_draws": np.array(entry["draws"], dtype=int),
+            "z_draws": draws,
             "locations": np.array(entry["locations"], dtype=float),
             "bins": np.array(entry["bins"], dtype=int)}
+
+
+def _check_zmap_lane(arrays: dict, L: int, K: int | None) -> None:
+    """A lane's z_map, locations, bins and every draw hold one entry per
+    peak, each landmark is in 1..L, each draw strictly increases, and the
+    lane holds K draws, as the lanes before it do (None for the first)."""
+    z_map, draws = arrays["z_map"], arrays["z_draws"]
+    lengths = (z_map.size, arrays["locations"].size, arrays["bins"].size)
+    if draws is None or draws.ndim != 2:
+        raise ValueError("draws are not a table of landmark rows")
+    if K is not None and len(draws) != K:
+        raise ValueError(f"{len(draws)} draws, where the first lane has {K}")
+    if set(lengths) != {draws.shape[1]}:
+        raise ValueError("z_map, locations, bins and draws have %d, %d, %d and %d entries"
+                         % (*lengths, draws.shape[1]))
+    for name, z in (("z_map", z_map), ("draws", draws)):
+        outside = (z < 1) | (z > L)
+        if outside.any():
+            raise ValueError(f"{name} has landmark {z[outside][0]} outside 1..{L}")
+    falls = np.diff(draws, axis=1) <= 0
+    if falls.any():
+        raise ValueError(f"draw {int(np.argmax(falls.any(axis=1)))} is not strictly increasing")
 
 
 def read_zmap(path) -> dict:
     """Returns {"L", "z_map": {key: array}, "z_draws": {key: array},
     "locations": {key: array}, "bins": {key: array}}.  Each lane's lists
     become arrays as soon as its entry is parsed, so one lane's lists are
-    alive at once."""
+    alive at once.  A lane that fails _check_zmap_lane is named, with the
+    file, before the caller can write anything."""
     payload = read_json(path, object_hook=_zmap_lane_arrays)
     out = {"L": payload["L"], "z_map": {}, "z_draws": {}, "locations": {}, "bins": {}}
+    K = None
     for s, arrays in payload["lanes"].items():
+        try:
+            _check_zmap_lane(arrays, out["L"], K)
+        except ValueError as exc:
+            raise ValueError(f"{path}: lane {s}: {exc}") from None
+        K = len(arrays["z_draws"])
         key = parse_lane_name(s)
         for field, value in arrays.items():
             out[field][key] = value

@@ -54,7 +54,8 @@ def exact_align(grid: IntensityGrid, peaks: PeakTable, z: dict, L: int) -> Inten
     """Dewarp every assigned lane so each peak lands on its landmark.
 
     ``z`` maps (gel_id, lane) to that lane's assignment vector.  Reference
-    lanes and lanes without an entry pass through unchanged.
+    lanes and lanes without an entry pass through unchanged.  A lane whose
+    assignment cannot be mapped fails with its gel and lane named.
     """
     gels = []
     for gel in grid.gels:
@@ -65,7 +66,10 @@ def exact_align(grid: IntensityGrid, peaks: PeakTable, z: dict, L: int) -> Inten
                 lanes.append(lane)
                 continue
             locs = [p.location for p in peaks.lane_peaks(gel.gel_id, lane.index)]
-            pl = lane_map(locs, z[key], L)
+            try:
+                pl = lane_map(locs, z[key], L)
+            except ValueError as exc:
+                raise ValueError(f"gel {gel.gel_id} lane {lane.index}: {exc}") from None
             lanes.append(
                 Lane(lane.index, resample_lane(lane.intensity, grid.t, pl))
             )

@@ -63,6 +63,24 @@ def run(argv):
     assert rc == 0, f"command failed: {argv}"
 
 
+def edit_first_lane(src, dst, case):
+    """Write a copy of zmap.json at dst with its first lane of two or more
+    peaks edited: "short_z_map" drops the last z_map entry, "short_draws"
+    the last entry of every draw, and "unrepairable_z_map" sets every z_map
+    entry to L.  Returns the lane's name and its count of peaks."""
+    payload = json.loads(Path(src).read_text(encoding="utf-8"))
+    name = next(k for k, v in payload["lanes"].items() if len(v["bins"]) >= 2)
+    entry = payload["lanes"][name]
+    if case == "short_z_map":
+        entry["z_map"] = entry["z_map"][:-1]
+    elif case == "short_draws":
+        entry["draws"] = [draw[:-1] for draw in entry["draws"]]
+    else:
+        entry["z_map"] = [payload["L"]] * len(entry["z_map"])
+    Path(dst).write_text(json.dumps(payload), encoding="utf-8")
+    return name, len(entry["bins"])
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """One simulated batch plus a full pipeline run, shared by the tests."""
@@ -160,8 +178,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["anneal_lo", "sigma_shape", "new_gel_iterations"])
     def test_fixed_sampler_constant_rejected(self, key):
-        # hyperpriors and sampler tuning are module constants, not settings;
-        # new_gel_* are align_new_gel arguments, which no stage calls
+        # hyperpriors and sampler tuning are module constants, not settings,
+        # and no setting is named new_gel_*: dewarp fits every gel in one run
         with pytest.raises(ValueError, match=f"unknown config key dewarp.{key}"):
             merge_config({"dewarp": {key: 0.1}})
 
@@ -310,6 +328,29 @@ class TestStages:
             f"gelwarp align: {zmap}: lane {first} is not a sample lane of {inp}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["short_z_map", "unrepairable_z_map"])
+    def test_align_malformed_posterior_fails_before_writing(self, workdir, capsys, case):
+        # a z_map one entry short of its lane's peaks, or one no repair can
+        # make strictly increasing within 1..L, names the file or the gel and
+        # the lane
+        run_dir, sim = workdir / "run", workdir / "sim"
+        zmap = workdir / f"zmap_{case}.json"
+        name, J = edit_first_lane(run_dir / "posterior" / "zmap.json", zmap, case)
+        gel, lane = name.split(":")
+        if case == "short_z_map":
+            message = (f"{zmap}: lane {name}: z_map, locations, bins and draws have "
+                       f"{J - 1}, {J}, {J} and {J} entries")
+        else:
+            message = (f"gel {gel} lane {lane}: assignment {(30,) * J} cannot be made "
+                       f"strictly increasing within 1..30")
+        out = workdir / f"exact_{case}.csv"
+        rc = main(["align", "--input", str(run_dir / "aligned.csv"),
+                   "--manifest", str(sim / "manifest.json"), "--zmap", str(zmap),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"gelwarp align: {message}\n"
+        assert not out.exists()
+
     def test_cluster_outputs(self, workdir):
         clusters = workdir / "run" / "clusters"
         nwk = (clusters / "dendrogram.nwk").read_text()
@@ -438,6 +479,24 @@ class TestStages:
                    "--aligned", str(aln), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"gelwarp cluster: {message}")
+        assert list(out.iterdir()) == []
+
+    def test_cluster_short_draws_fail_before_any_output(self, workdir, capsys):
+        # each draw of one lane one entry short of its peaks: the dendrogram
+        # and confidence.json were written before the draws were scored
+        run_dir, sim = workdir / "run", workdir / "sim"
+        zmap = workdir / "zmap_short_draws.json"
+        name, J = edit_first_lane(run_dir / "posterior" / "zmap.json", zmap, "short_draws")
+        out = workdir / "clusters_short_draws"
+        out.mkdir()
+        rc = main(["cluster", "--input", str(run_dir / "exact.csv"),
+                   "--manifest", str(sim / "manifest.json"), "--nboot", "5",
+                   "--zmap", str(zmap), "--aligned", str(run_dir / "aligned.csv"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"gelwarp cluster: {zmap}: lane {name}: z_map, locations, bins and draws "
+            f"have {J}, {J}, {J} and {J - 1} entries\n")
         assert list(out.iterdir()) == []
 
     def test_cluster_recovers_truth(self, workdir):

@@ -31,7 +31,6 @@ from gelwarp.dewarp import (
     _explore_restarts,
     _summarize,
     _trunc_normal,
-    align_new_gel,
     read_zmap,
     run_mcmc,
     signatures,
@@ -1457,14 +1456,8 @@ class TestRunMCMC:
             assert np.all(np.diff(res.z_map[key]) > 0)
 
     def test_summaries_match_per_lane_oracle(self, small_run):
-        peaks, cfg, res, _ = small_run
+        _, _, res, _ = small_run
         assert_summaries_match_draws(res)
-        # the draws of several conditional chains, summarized together
-        held = peaks.filter(lambda p: p.gel_id == "g2")
-        out = align_new_gel(held, res.lambda_draws, cfg,
-                            lambda_budget=3, iterations=40, burnin=20)
-        assert len(out.log_joint_trace) == 3 * 20
-        assert_summaries_match_draws(out)
 
     def test_beta_mean_is_valid_field(self, small_run):
         _, _, res, _ = small_run
@@ -1552,12 +1545,51 @@ class TestRunMCMC:
             assert np.array_equal(got["z_draws"][key], res.z_draws[key])
 
     def test_read_zmap_names_file_with_ragged_draws(self, tmp_path):
-        # the hook's array error surfaces through read_json, naming the file
+        # draws that form no table are named with the file and the lane
         path = tmp_path / "zmap.json"
         write_zmap(zmap_case("one_peak_lane"), path)
         text = path.read_text().replace('"draws": [[', '"draws": [[1, ', 1)
         path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        message = f"{path}: lane g1:1: draws are not a table of landmark rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_zmap(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda e: e.update(z_map=e["z_map"][:-1]),
+                     "z_map, locations, bins and draws have 2, 3, 3 and 3 entries",
+                     id="short-z_map"),
+        pytest.param(lambda e: e.update(locations=e["locations"][:-1]),
+                     "z_map, locations, bins and draws have 3, 2, 3 and 3 entries",
+                     id="short-locations"),
+        pytest.param(lambda e: e.update(bins=e["bins"] + [399]),
+                     "z_map, locations, bins and draws have 3, 3, 4 and 3 entries",
+                     id="long-bins"),
+        pytest.param(lambda e: e.update(draws=[d[:-1] for d in e["draws"]]),
+                     "z_map, locations, bins and draws have 3, 3, 3 and 2 entries",
+                     id="short-draws"),
+        pytest.param(lambda e: e["z_map"].__setitem__(0, 0),
+                     "z_map has landmark 0 outside 1..12", id="z_map-below"),
+        pytest.param(lambda e: e["z_map"].__setitem__(2, 13),
+                     "z_map has landmark 13 outside 1..12", id="z_map-above"),
+        pytest.param(lambda e: e["draws"][1].__setitem__(2, 13),
+                     "draws has landmark 13 outside 1..12", id="draw-above"),
+        pytest.param(lambda e: e["draws"][3].__setitem__(1, e["draws"][3][0]),
+                     "draw 3 is not strictly increasing", id="draw-repeat"),
+        pytest.param(lambda e: e["draws"].pop(), "3 draws, where the first lane has 4",
+                     id="fewer-draws"),
+    ])
+    def test_read_zmap_names_file_and_lane_of_malformed_lane(self, tmp_path, edit, message):
+        # a lane whose arrays differ in length, whose landmarks are out of
+        # range or out of order, or with fewer draws than the lanes before it
+        # used to read; align and cluster then failed naming neither, after
+        # cluster had written its first files, or cluster scored the draws
+        # of the lanes out of step
+        path = tmp_path / "zmap.json"
+        write_zmap(zmap_case("one_peak_lane"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload["lanes"]["g1:2"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: lane g1:2: {message}")):
             read_zmap(path)
 
     def test_zmap_io_holds_one_lane_of_lists(self, tmp_path):
@@ -1604,105 +1636,3 @@ class TestRunMCMC:
                           seed=0, restarts=1)
         with pytest.warns(GelwarpWarning, match="weakly identified"):
             run_mcmc(peaks, cfg)
-
-
-class TestAlignNewGel:
-    def test_validations(self):
-        peaks = make_table({1: [0.3, 0.7]}, B=200)
-        cfg = ModelConfig(L=8, T_nu=4, T_u=4)
-        with pytest.raises(ValueError, match="no stored lambda"):
-            align_new_gel(peaks, np.empty((0, 8)), cfg)
-        with pytest.raises(ValueError, match="columns"):
-            align_new_gel(peaks, np.ones((3, 5)), cfg)
-        # before, this passed the column check and failed inside numpy
-        with pytest.raises(ValueError, match=re.escape("have shape (3, 8, 1)")):
-            align_new_gel(peaks, np.ones((3, 8, 1)), cfg)
-        with pytest.raises(ValueError, match="lambda_budget >= 1"):
-            align_new_gel(peaks, np.ones((3, 8)), cfg, lambda_budget=0)
-        for kwargs, msg in (({"lambda_budget": 2.5}, "lambda_budget must be an integer, got 2.5"),
-                            ({"iterations": 40.0}, "iterations must be an integer, got 40.0"),
-                            ({"burnin": 1.0}, "burnin must be an integer, got 1.0"),
-                            ({"burnin": True}, "burnin must be an integer, got True")):
-            with pytest.raises(ValueError, match=msg):
-                align_new_gel(peaks, np.ones((3, 8)), cfg, **kwargs)
-
-    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_rejects_bad_lambda_draw(self, value):
-        # one bad entry used to run through: landmarks outside 1..L in z_map,
-        # a negative or NaN presence, and only a violation count to show it
-        peaks = make_table({1: [0.3, 0.7]}, B=200)
-        cfg = ModelConfig(L=8, T_nu=4, T_u=4)
-        stored = np.ones((3, 8))
-        stored[2, 4] = value
-        msg = f"stored lambda draw in row 2 has entry {value!r} at landmark 5"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            align_new_gel(peaks, stored, cfg, lambda_budget=3, iterations=20, burnin=10)
-
-    @pytest.mark.parametrize("iterations,burnin", [(10, 10), (10, 12), (10, -1)])
-    def test_burnin_must_leave_draws(self, iterations, burnin):
-        # burnin >= iterations would keep no draw to summarize
-        peaks = make_table({1: [0.3, 0.7]}, B=200)
-        cfg = ModelConfig(L=8, T_nu=4, T_u=4)
-        msg = f"burnin={burnin}, iterations={iterations}"
-        with pytest.raises(ValueError, match=msg):
-            align_new_gel(peaks, np.ones((3, 8)), cfg,
-                          iterations=iterations, burnin=burnin)
-
-    @staticmethod
-    def serial_align_new_gel(new_peaks, stored, cfg, lambda_budget, iterations, burnin):
-        """align_new_gel's chains as they ran before lockstep sweeps: one
-        chain after another on its own one-chain state, each draw appended
-        as it was kept."""
-        n_use = min(lambda_budget, stored.shape[0])
-        idx = np.unique(np.linspace(0, stored.shape[0] - 1, n_use).astype(int))
-        model = DewarpModel(new_peaks, cfg)
-        draws = []
-        violations = 0
-        for chain_i, k in enumerate(idx):
-            rngs = [np.random.default_rng(cfg.seed + 1000 + chain_i)]
-            cs = model.init_chain_state()
-            cs.lam[0] = stored[k]
-            cs.lam_sum[0] = float(cs.lam[0].sum())
-            for it in range(iterations):
-                model.sweep(cs, rngs, fix_lambda=True)
-                bad = model.count_violations(cs)
-                violations += int(bad[0])
-                if it >= burnin:
-                    draws.append((cs.Z[0].copy(), cs.beta[0].copy(), cs.lam[0].copy(),
-                                  model.log_joint(cs, bad)[0]))
-        return _summarize(model, tuple(map(np.array, zip(*draws))), violations, 0.0)
-
-    @pytest.mark.parametrize("lambda_budget", [1, 3, 9])
-    def test_lockstep_matches_serial_loop(self, small_run, lambda_budget):
-        # 5 stored draws, so a budget of 9 runs one chain per stored draw
-        peaks, cfg, res, _ = small_run
-        held = peaks.filter(lambda p: p.gel_id == "g2")
-        stored = res.lambda_draws[::20]
-        assert len(stored) == 5
-        kwargs = dict(lambda_budget=lambda_budget, iterations=30, burnin=10)
-        out = align_new_gel(held, stored, cfg, **kwargs)
-        ref = self.serial_align_new_gel(held, stored, cfg, **kwargs)
-        assert len(out.log_joint_trace) == min(lambda_budget, len(stored)) * 20
-        assert out.lane_keys == ref.lane_keys
-        for key in ref.lane_keys:
-            assert np.array_equal(out.z_draws[key], ref.z_draws[key])
-        for name in ("lambda_draws", "log_joint_trace", "presence"):
-            assert np.array_equal(getattr(out, name), getattr(ref, name)), name
-        for gel_id, field in ref.beta_mean.items():
-            assert np.array_equal(out.beta_mean[gel_id].beta, field.beta)
-        assert out.violations == ref.violations
-        assert type(out.violations) is int
-
-    def test_new_gel_uses_training_frequencies(self):
-        peaks, truth = two_gel_peaks(seed=5)
-        cfg = ModelConfig(L=20, T_nu=5, T_u=4, iterations=300, burnin=150,
-                          seed=2, restarts=2, restart_sweeps=60)
-        train = peaks.filter(lambda p: p.gel_id == "g1")
-        held = peaks.filter(lambda p: p.gel_id == "g2")
-        res = run_mcmc(train, cfg)
-        out = align_new_gel(held, res.lambda_draws, cfg,
-                            lambda_budget=3, iterations=120, burnin=60)
-        assert set(k[0] for k in out.lane_keys) == {"g2"}
-        assert out.violations == 0
-        for key in out.lane_keys:
-            assert np.all(np.diff(out.z_map[key]) > 0)

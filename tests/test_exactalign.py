@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,20 @@ class TestExactAlign:
         np.testing.assert_array_equal(out.gel("G1").lane(1).intensity, ref)
         np.testing.assert_array_equal(out.gel("G1").lane(3).intensity, other)
         assert not np.array_equal(out.gel("G1").lane(2).intensity, sample)
+
+    def test_unmappable_lane_named(self):
+        # lane_map's own message follows the gel and lane
+        B = 400
+        t = np.arange(1, B + 1) / B
+        lanes = (Lane(1, gaussian_lane(t, [0.5])), Lane(2, gaussian_lane(t, [0.3, 0.7])))
+        grid = IntensityGrid((GelTrace("G1", lanes),), B)
+        peaks = detect_peaks(grid, PeakConfig(h=8, c0=0.05))
+        for z, message in (
+                ([5, 5], "gel G1 lane 2: assignment (5, 5) cannot be made strictly "
+                         "increasing within 1..5"),
+                ([2], "gel G1 lane 2: 2 peaks but 1 assignments")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                exact_align(grid, peaks, {("G1", 1): np.array([3]), ("G1", 2): np.array(z)}, 5)
 
     def test_cross_lane_apex_spread_collapses(self):
         # all lanes share one signature; noise scatters the apexes, exact
