@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GelTrace, IntensityGrid, check_int, lane_name, open_text, write_json
+from .core import (
+    GelTrace,
+    IntensityGrid,
+    check_int,
+    lane_name,
+    linear_quantiles,
+    open_text,
+    write_json,
+)
 from .exactalign import exact_align
 from .peakdetect import PeakTable
 
@@ -312,8 +320,8 @@ def quality_rows(n_values, sil, ari=None) -> list[dict]:
         row = {"n": n, "silhouette": float(np.mean(sil[:, j]))}
         if ari is not None:
             vals = ari[:, j]
-            row.update(ari_mean=float(vals.mean()), ari_lo=float(np.percentile(vals, 2.5)),
-                       ari_hi=float(np.percentile(vals, 97.5)))
+            lo, hi = linear_quantiles(vals, np.array([2.5, 97.5]) / 100).tolist()
+            row.update(ari_mean=float(vals.mean()), ari_lo=lo, ari_hi=hi)
         rows.append(row)
     return rows
 

@@ -32,6 +32,25 @@ def check_int(value, name: str, lo: int | None = None):
     return value
 
 
+def linear_quantiles(data, q) -> np.ndarray:
+    """np.quantile(data, q) for q in [0, 1], numpy's default "linear"
+    method, bit for bit, from a sort: the value at index (n - 1) q of the
+    sorted data, between its floor and the next index, interpolated as
+    numpy's _lerp does (from the upper end when the fraction is at least
+    0.5).  np.quantile and np.percentile (which divides q by 100) import
+    numpy.ma on their first call, which costs 10-40 ms a process."""
+    x = np.sort(np.asarray(data, dtype=float), axis=None)
+    at = (x.size - 1) * np.asarray(q, dtype=float)
+    below = np.floor(at)
+    t = at - below
+    i = below.astype(np.intp)
+    a, b = x[i], x[np.minimum(i + 1, x.size - 1)]
+    step = b - a
+    out = np.where(t >= 0.5, b - step * (1 - t), a + step * t)
+    # numpy sorts a NaN last and then returns it at every q
+    return np.where(np.isnan(x[-1]), x[-1], out)
+
+
 @dataclass(frozen=True)
 class LandmarkGrid:
     """Equi-spaced candidate band positions nu_0 < ... < nu_{L+1} on [0, 1].

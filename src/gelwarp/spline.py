@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import read_json, write_json
+from .core import linear_quantiles, read_json, write_json
 
 ORDER = 4  # cubic with intercept
 
@@ -99,7 +99,7 @@ def make_basis(data, T: int, domain: tuple[float, float] | None = None) -> BSpli
     n_internal = T - ORDER
     if n_internal > 0:
         qs = np.arange(1, n_internal + 1) / (T - 3)
-        internal = np.quantile(data, qs)
+        internal = linear_quantiles(data, qs)
         full = np.concatenate([[lo], internal, [hi]])
         if np.any(np.diff(full) <= 0):
             raise ValueError(

@@ -145,6 +145,32 @@ def test_cli_import_loads_no_openssl():
     assert after == before, out.stdout
 
 
+def test_pipeline_loads_no_numpy_ma(workdir, tmp_path):
+    """np.quantile and np.percentile import numpy.ma on their first call,
+    10-40 ms a process; a pipeline run leaves it unloaded, unless numpy
+    loaded it itself (numpy 1.x does, on import)."""
+    cfg = json.loads((workdir / "pipe.json").read_text())
+    cfg["out"] = str(tmp_path / "run")
+    (tmp_path / "pipe.json").write_text(json.dumps(cfg))
+    src = str(Path(gelwarp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys, numpy; before = 'numpy.ma' in sys.modules; "
+        "from gelwarp.cli import main; "
+        f"rc = main(['pipeline', '--config', {str(tmp_path / 'pipe.json')!r}]); "
+        "print(rc, before, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    rc, before, after = out.stdout.split()[-3:]
+    assert rc == "0" and after == before, out.stdout
+    assert (tmp_path / "run" / "clusters" / "metrics.csv").is_file()
+
+
 def test_public_names_resolve():
     for name in gelwarp.__all__:
         assert hasattr(gelwarp, name), name

@@ -24,6 +24,7 @@ from gelwarp.core import (
     Standardizer,
     fit_standardizer,
     lane_name,
+    linear_quantiles,
     parse_lane_name,
     read_json,
     read_manifest,
@@ -96,6 +97,41 @@ class TestGelTypes:
         assert gel.reference_lane().index == 1
         assert [ln.index for ln in gel.sample_lanes()] == [2]
         assert grid.lane_keys(include_reference=False) == [("G1", 2)]
+
+
+class TestLinearQuantiles:
+    """linear_quantiles equals np.quantile and np.percentile bit for bit."""
+
+    QS = np.concatenate([[0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0],
+                         np.random.default_rng(0).random(40)])
+
+    @pytest.mark.parametrize("data", [
+        np.random.default_rng(1).normal(size=37),
+        np.random.default_rng(2).random(1000) * 1e3 - 500,
+        np.random.default_rng(3).integers(0, 4, size=25).astype(float),  # ties
+        np.array([0.3, 0.3, 0.3]),
+        np.array([-2.5]),
+        np.array([1.0, 2.0]),
+        np.array([0.1, np.nan, 0.4]),
+    ], ids=["normal", "wide", "tied", "constant", "one", "two", "nan"])
+    def test_matches_numpy(self, data):
+        got = linear_quantiles(data, self.QS)
+        assert got.tobytes() == np.quantile(data, self.QS).tobytes()
+        for q in self.QS.tolist():
+            assert linear_quantiles(data, q).tobytes() == np.quantile(data, q).tobytes()
+        for p in (2.5, 97.5, 50.0, 0.0, 100.0, 33.3):
+            assert (linear_quantiles(data, p / 100).tobytes()
+                    == np.asarray(np.percentile(data, p)).tobytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), min_size=1,
+                    max_size=60),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+    def test_matches_numpy_any(self, data, qs):
+        # equal values, bit for bit but for the sign of a zero: a sort and
+        # numpy's partition may order tied 0.0 and -0.0 differently
+        np.testing.assert_array_equal(linear_quantiles(data, qs),
+                                      np.quantile(np.array(data), np.array(qs)))
 
 
 class TestStandardizer:

@@ -22,15 +22,15 @@ from gelwarp.core import (
 )
 from gelwarp.dewarp import (
     LAMBDA_STEP,
-    SQRT_HALF,
+    SCORE_ROWS,
     SIGMA_RATE,
     SIGMA_SHAPE,
     DewarpModel,
     ModelConfig,
     _ChainState,
     _explore_restarts,
+    _sample,
     _summarize,
-    _trunc_normal,
     read_zmap,
     run_mcmc,
     signatures,
@@ -126,60 +126,6 @@ class TestModelConfig:
             with pytest.raises(ValueError, match=f"a0 must be a finite number, got {shown}"):
                 ModelConfig(a0=a0)
         assert ModelConfig(L=10, a0=1).a0_value == 1
-
-
-class TestTruncNormal:
-    def test_draws_stay_inside(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            mean = rng.normal(0, 3)
-            sd = rng.uniform(0.01, 2)
-            lo = rng.normal(0, 3)
-            hi = lo + rng.uniform(1e-6, 4)
-            x = _trunc_normal(mean, sd, lo, hi, rng.random(), rng)
-            assert lo < x < hi
-
-    def test_matches_truncnorm_distribution(self):
-        rng = np.random.default_rng(1)
-        mean, sd, lo, hi = 0.3, 1.1, -0.5, 2.0
-        draws = np.sort([_trunc_normal(mean, sd, lo, hi, rng.random(), rng)
-                         for _ in range(20_000)])
-        a, b = (lo - mean) / sd, (hi - mean) / sd
-        cdf = truncnorm.cdf(draws, a, b, loc=mean, scale=sd)
-        ks = np.max(np.abs(cdf - np.arange(1, draws.size + 1) / draws.size))
-        assert ks < 0.02
-
-    def test_cdf_rounding_to_zero_or_one_stays_inside(self):
-        # Phi(-40) rounds to 0 and Phi(40) to 1, so at u = 0 or 1 the
-        # quantile of the interval's end is infinite and must be clamped
-        # inside; the inverse-CDF branch draws nothing from rng
-        for lo, hi, u in ((-40.0, 0.5, 0.0), (-0.5, 40.0, 1.0)):
-            x = _trunc_normal(0.0, 1.0, lo, hi, u, None)
-            assert x == math.nextafter(lo if u == 0.0 else hi, 0.0)
-        rng = np.random.default_rng(4)
-        for lo, hi in ((-40.0, 0.5), (-0.5, 40.0)):
-            draws = np.sort([_trunc_normal(0.0, 1.0, lo, hi, rng.random(), rng)
-                             for _ in range(20_000)])
-            assert np.all((draws > lo) & (draws < hi))
-            cdf = truncnorm.cdf(draws, lo, hi)
-            ks = np.max(np.abs(cdf - np.arange(1, draws.size + 1) / draws.size))
-            assert ks < 0.02
-
-    def test_far_tail_rejection_branch(self):
-        rng = np.random.default_rng(2)
-        draws = np.array([_trunc_normal(0.0, 1.0, 8.0, 9.0, rng.random(), rng)
-                          for _ in range(4000)])
-        assert np.all((draws > 8.0) & (draws < 9.0))
-        want = truncnorm.mean(8.0, 9.0)
-        got = float(draws.mean())
-        assert got == pytest.approx(want, abs=0.01)
-
-    def test_left_tail_mirrored(self):
-        rng = np.random.default_rng(3)
-        draws = np.array([_trunc_normal(0.0, 1.0, -9.0, -8.0, rng.random(), rng)
-                          for _ in range(4000)])
-        assert np.all((draws > -9.0) & (draws < -8.0))
-        assert float(draws.mean()) == pytest.approx(-truncnorm.mean(8.0, 9.0), abs=0.01)
 
 
 class TestZGibbsExact:
@@ -454,101 +400,187 @@ class TestZBandedKernel:
         assert Wb == cfg.L
 
 
+def reference_scan(model, cs, rng):
+    """One sweep of the coordinate-wise scan that the block draw replaced,
+    as a test-only reference, on every chain of cs with Z and the variances
+    held: each free coefficient in turn, s = 1..T_nu-2 and then t, from its
+    univariate full conditional restricted to (beta[s-1, t], beta[s+1, t])
+    by scipy.stats.truncnorm.  The chains share numpy passes, not draws."""
+    cfg = model.cfg
+    g_inc = model.id_incr
+    se2 = cs.sigma_eps2
+    for gi, gel in enumerate(model.gels):
+        beta = cs.beta[:, gi]
+        T = model._T_all[:, gel.peaks]
+        BnZ = model.Bnu_land[cs.Z[:, gel.peaks]]
+        mu = cs.mu[:, gel.peaks].copy()
+        v1 = cs.sigma_g1_2[:, gi]
+        for s in range(1, cfg.T_nu - 1):
+            vs = cs.sigma_gs_2[:, gi, s - 1]
+            for t in range(cfg.T_u):
+                a = BnZ[:, :, s] * gel.BuP[:, t]
+                prec = (a * a).sum(axis=1) / se2
+                num = (a * (T - mu)).sum(axis=1) / se2 + prec * beta[:, s, t]
+                if t > 0:
+                    prec = prec + 1.0 / vs
+                    num = num + beta[:, s, t - 1] / vs
+                if t < cfg.T_u - 1:
+                    prec = prec + 1.0 / vs
+                    num = num + beta[:, s, t + 1] / vs
+                if t == 0:
+                    prec = prec + 1.0 / v1
+                    num = num + (beta[:, s - 1, 0] + g_inc[s - 1]) / v1
+                    if s <= cfg.T_nu - 3:
+                        prec = prec + 1.0 / v1
+                        num = num + (beta[:, s + 1, 0] - g_inc[s]) / v1
+                mean, sd = num / prec, 1.0 / np.sqrt(prec)
+                lo, hi = beta[:, s - 1, t], beta[:, s + 1, t]
+                new = truncnorm.rvs((lo - mean) / sd, (hi - mean) / sd, loc=mean, scale=sd,
+                                    random_state=rng)
+                mu += a * (new - beta[:, s, t])[:, None]
+                beta[:, s, t] = new
+    refresh(model, cs)
+
+
+class FixedNormals:
+    """A generator stand-in whose standard normals are the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, out):
+        out[...] = self.values
+
+
+STATE_FIELDS = ("lam", "lam_sum", "sigma_eps2", "beta", "Z", "sigma_g1_2", "sigma_gs_2")
+
+
+def repeated_state(model, cs, n, **fields):
+    """n copies of one-chain state cs as an n-chain state, with fields
+    replaced."""
+    arrays = {name: np.repeat(getattr(cs, name), n, axis=0) for name in STATE_FIELDS}
+    return model._state(**{**arrays, **fields})
+
+
 class TestBetaConditional:
-    """First free warp coefficient drawn by the conjugate update against a
-    brute-force grid normalization of the full joint."""
-
-    def test_conditional_matches_grid_density(self):
-        peaks = make_table({1: [0.2, 0.5, 0.8], 3: [0.25, 0.55, 0.85]}, B=200)
-        cfg = ModelConfig(L=8, T_nu=4, T_u=4, iterations=10, burnin=0, seed=0)
-        model = DewarpModel(peaks, cfg)
-        s0 = model.init_chain_state()
-        s0.sigma_g1_2[:] = 0.4**2
-        s0.sigma_gs_2[:] = 0.4**2
-        s0.sigma_eps2[:] = 0.6**2
-
-        beta0 = s0.beta[0, 0]
-        lo, hi = beta0[0, 0], beta0[2, 0]
-        grid = np.linspace(lo, hi, 801)[1:-1]
-        logp = np.empty(grid.size)
-        for i, b in enumerate(grid):
-            trial = copy.deepcopy(s0)
-            trial.beta[0, 0, 1, 0] = b
-            refresh(model, trial)
-            logp[i] = model.log_joint(trial, model.count_violations(trial))[0]
-        dens = np.exp(logp - logp.max())
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
-        cdf /= cdf[-1]
-
-        rngs = [np.random.default_rng(5)]
-        draws = []
-        for _ in range(6000):
-            cs = copy.deepcopy(s0)
-            model.sweep_beta(cs, rngs)
-            draws.append(cs.beta[0, 0, 1, 0])
-        draws = np.sort(draws)
-        emp = np.arange(1, len(draws) + 1) / len(draws)
-        oracle = np.interp(draws, grid, cdf)
-        assert np.max(np.abs(emp - oracle)) < 0.03
+    """The block draw of every gel's free warp coefficients, against the
+    log joint's quadratic form and against the scan it replaced."""
 
     @staticmethod
-    def element_loop_sweep(model, cs, rng):
-        """sweep_beta one coefficient at a time, with length-P dot products
-        and a residual update after every move: the reference kernel, on a
-        one-chain state."""
-        cfg = model.cfg
-        se2 = cs.sigma_eps2[0]
-        g_inc = model.id_incr
-        for gi, gel in enumerate(model.gels):
-            beta = cs.beta[0, gi]
-            T = model._T_all[0, gel.peaks]
-            BnZ = model.Bnu_land[cs.Z[0, gel.peaks], :]
-            mu = cs.mu[0, gel.peaks]
-            v1 = cs.sigma_g1_2[0, gi]
-            for s in range(1, cfg.T_nu - 1):
-                vs = cs.sigma_gs_2[0, gi][s - 1]
-                for t in range(cfg.T_u):
-                    a = BnZ[:, s] * gel.BuP[:, t]
-                    prec = (a @ a) / se2
-                    num = (a @ (T - mu)) / se2 + prec * beta[s, t]
-                    if t > 0:
-                        prec += 1.0 / vs
-                        num += beta[s, t - 1] / vs
-                    if t < cfg.T_u - 1:
-                        prec += 1.0 / vs
-                        num += beta[s, t + 1] / vs
-                    if t == 0:
-                        prec += 1.0 / v1
-                        num += (beta[s - 1, 0] + g_inc[s - 1]) / v1
-                        if s <= cfg.T_nu - 3:
-                            prec += 1.0 / v1
-                            num += (beta[s + 1, 0] - g_inc[s]) / v1
-                    new = _trunc_normal(num / prec, 1.0 / math.sqrt(prec),
-                                        beta[s - 1, t], beta[s + 1, t], rng.random(), rng)
-                    mu = mu + a * (new - beta[s, t])
-                    beta[s, t] = new
-            cs.W[0][:, gel.cols] = model.Bnu_land @ beta @ gel.Bu.T
-            cs.mu[0, gel.peaks] = cs.W[0][cs.Z[0, gel.peaks], model._lane_of[gel.peaks]]
-
-    def test_sweep_matches_element_loop_reference(self):
-        # same random stream and the same conditionals; the Gram sums round
-        # differently from the per-coefficient dot products in the last bits
-        peaks, _ = two_gel_peaks(seed=6)
-        cfg = ModelConfig(L=20, T_nu=6, T_u=4, iterations=10, burnin=0, seed=0)
-        model = DewarpModel(peaks, cfg)
-        rngs = [np.random.default_rng(13)]
+    def small_model(sigma_eps, sigma_g):
+        """Three lanes of three peaks on one gel, K = 12 free coefficients,
+        with the variances set: wide ones make the truncation bind."""
+        peaks = make_table({1: [0.2, 0.5, 0.8], 3: [0.25, 0.55, 0.85], 5: [0.3, 0.5, 0.9]},
+                           B=200)
+        model = DewarpModel(peaks, ModelConfig(L=8, T_nu=5, T_u=4, iterations=10, burnin=0))
         cs = model.init_chain_state()
-        for k in range(60):
+        cs.sigma_eps2[:] = sigma_eps**2
+        cs.sigma_g1_2[:] = cs.sigma_gs_2[:] = sigma_g**2
+        return model, cs
+
+    def test_block_moments_match_log_joint(self):
+        # With Z and the variances fixed, the log joint is quadratic in the
+        # free coefficients, so finite differences give its precision Q and
+        # its gradient exactly, up to rounding.  The block draw is
+        # solve(Q, b + C z): z = 0 gives the mode, and z = e_i the mode plus
+        # column i of C'^-1, so the columns' outer products sum to Q^-1.
+        # Both gels, one padded to the other's peak count, are checked at
+        # once, on the axis of every gel's free coefficients.
+        model = unequal_two_gel_model()
+        cs = model.init_chain_state()
+        rngs = [np.random.default_rng(8)]
+        for _ in range(50):
             model.sweep(cs, rngs)
-            a, b = copy.deepcopy(cs), copy.deepcopy(cs)
-            ra, rb = np.random.default_rng(k), np.random.default_rng(k)
-            model.sweep_beta(a, [ra])
-            self.element_loop_sweep(model, b, rb)
-            assert ra.random() == rb.random()
-            np.testing.assert_allclose(a.beta, b.beta, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(a.mu[0], a.W[0][a.Z[0], model._lane_of])
-            np.testing.assert_allclose(a.mu, b.mu, rtol=0, atol=1e-12)
-            assert model.count_violations(a) == 0
+        G, m, T_u = len(model.gels), model.n_free_rows, model.cfg.T_u
+        n = G * m * T_u
+
+        def block_draw(z):
+            st = copy.deepcopy(cs)
+            model.sweep_beta(st, [FixedNormals(z.reshape(G, -1))])
+            assert model.count_violations(st) == 0
+            return st.beta[0, :, 1 : m + 1].ravel()
+
+        mode = block_draw(np.zeros(n))
+        cols = np.stack([block_draw(e) - mode for e in np.eye(n)], axis=1)
+        cov = cols @ cols.T
+
+        # the log joint at the mode, at mode +- h e_i and at mode + h (e_i +
+        # e_j) for every i < j, as the chains of one state
+        h, eye = 0.05, np.eye(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        steps = np.concatenate([np.zeros((1, n)), h * eye, -h * eye,
+                                [h * (eye[i] + eye[j]) for i, j in pairs]])
+        beta = np.repeat(cs.beta, len(steps), axis=0)
+        beta[:, :, 1 : m + 1] = (mode + steps).reshape(len(steps), G, m, T_u)
+        probe = repeated_state(model, cs, len(steps), beta=beta)
+        assert not model.count_violations(probe).any()
+        f = model.log_joint(probe, np.zeros(len(steps), dtype=int))
+        f0, up, down = f[0], f[1 : n + 1], f[n + 1 : 2 * n + 1]
+        Q = np.diag(-(up - 2.0 * f0 + down) / h**2)
+        for (i, j), fij in zip(pairs, f[2 * n + 1 :]):
+            Q[i, j] = Q[j, i] = -(fij - up[i] - up[j] + f0) / h**2
+        grad = (up - down) / (2.0 * h)
+        # the gels share nothing, and their draws do not mix
+        assert np.abs(Q[: n // 2, n // 2 :]).max() < 1e-6 * np.abs(Q).max()
+        assert not cov[: n // 2, n // 2 :].any()
+        np.testing.assert_allclose(cov @ Q, np.eye(n), rtol=0, atol=1e-6)
+        # the mode: a Newton step from it is below 1e-8 landmark spacings
+        assert np.abs(np.linalg.solve(Q, grad)).max() < 1e-8
+
+    def test_block_draw_matches_reference_scan(self):
+        # 5000 block draws against 5000 of the scan, with Z and the
+        # variances held and the variances wide enough that about 6 in 10
+        # Gaussian draws are not monotone.  Each block draw is the end of its
+        # own 30-sweep chain (a chain still at its start after 30 sweeps has
+        # chance 0.63^30, about 1e-6), and the scan's are 1000 chains'
+        # states after 100 sweeps and then every 10th.
+        model, cs = self.small_model(sigma_eps=1.5, sigma_g=1.0)
+        n, m = 5000, model.n_free_rows
+        block = repeated_state(model, cs, n)
+        rngs = [np.random.default_rng((3, r)) for r in range(n)]
+        accepted = 0
+        for _ in range(30):
+            before = block.beta.copy()
+            model.sweep_beta(block, rngs)
+            accepted += int((block.beta != before).any(axis=(1, 2, 3)).sum())
+        assert 0.2 < accepted / (30 * n) < 0.6
+        assert not model.count_violations(block).any()
+        scan = repeated_state(model, cs, 1000)
+        rng = np.random.default_rng(4)
+        ref = []
+        for sweep in range(150):
+            reference_scan(model, scan, rng)
+            if sweep >= 100 and sweep % 10 == 9:
+                ref.append(scan.beta.copy())
+        assert not model.count_violations(scan).any()
+        got = block.beta[:, 0, 1 : m + 1].reshape(n, -1)
+        want = np.concatenate(ref)[:, 0, 1 : m + 1].reshape(n, -1)
+        sd = want.std(axis=0)
+        assert np.abs(got.mean(axis=0) - want.mean(axis=0)).max() < 0.1 * sd.min()
+        ratio = got.std(axis=0) / sd
+        assert 0.95 < ratio.min() and ratio.max() < 1.05
+        assert min(ks_2samp(x, y).pvalue for x, y in zip(got.T, want.T)) > 1e-3
+
+    def test_mostly_non_monotone_gaussian_keeps_valid_beta(self):
+        # Wide variances make about 9 in 10 Gaussian draws non-monotone: a
+        # gel that draws one keeps its beta bit for bit, one that draws a
+        # monotone one takes it, and no sweep breaks a constraint.
+        model, cs = self.small_model(sigma_eps=3.0, sigma_g=1.5)
+        R = 50
+        cs = repeated_state(model, cs, R)
+        rngs = [np.random.default_rng((6, r)) for r in range(R)]
+        kept = 0
+        for _ in range(40):
+            before = cs.beta.copy()
+            model.sweep_beta(cs, rngs)
+            moved = (cs.beta != before).any(axis=(1, 2, 3))
+            assert np.array_equal(cs.beta[~moved], before[~moved])
+            assert (np.diff(cs.beta, axis=2) > 0).all()
+            assert not model.count_violations(cs).any()
+            for r in range(R):
+                assert np.array_equal(cs.mu[r], cs.W[r][cs.Z[r], model._lane_of])
+            kept += int(moved.sum())
+        assert 0 < kept < 0.25 * 40 * R
 
 
 class TestHyperConditionals:
@@ -838,7 +870,9 @@ class TestLockstep:
         assert np.array_equal(
             model.log_joint(together, model.count_violations(together)),
             np.concatenate([model.log_joint(cs, model.count_violations(cs)) for cs in alone]))
-        assert not np.array_equal(together.Z[0], together.Z[1])
+        # not vacuous: the chains have left their common start apart (on the
+        # chain-shaped peaks every chain may reach the same Z)
+        assert not np.array_equal(together.beta[0], together.beta[1])
 
     @staticmethod
     def serial_explore_restarts(model, cfg):
@@ -883,11 +917,38 @@ class TestLockstep:
                 same.append(i)
         assert same == [best]
 
+    def test_batched_scores_equal_per_sweep_log_joint(self):
+        # _sample scores its saved draws after the loop, SCORE_ROWS at a time
+        # from the saved beta and Z; each score equals log_joint on the live
+        # state of its sweep, bit for bit, across chunk boundaries and thinning
+        model = chain_shaped_model()
+        R, sweeps, keep = 3, 300, range(7, 300, 2)
+        assert R * len(keep) % SCORE_ROWS and R * len(keep) > 2 * SCORE_ROWS
+        cs = model.init_chain_state(R)
+        rngs = [np.random.default_rng((5, 911, r)) for r in range(R)]
+        live = model.init_chain_state(R)
+        live_rngs = [np.random.default_rng((5, 911, r)) for r in range(R)]
+        (Z, beta, lam, trace), viol, _ = _sample(model, cs, rngs, sweeps, keep)
+        want = np.empty((R, len(keep)))
+        for it in range(sweeps):
+            model.sweep(live, live_rngs)
+            if it in keep:
+                want[:, keep.index(it)] = model.log_joint(live, model.count_violations(live))
+        assert viol == 0
+        assert_same_state(cs, live)
+        assert np.array_equal(trace, want.ravel())
+        assert np.array_equal(Z[len(keep) - 1 :: len(keep)], live.Z)
+        assert np.array_equal(beta[len(keep) - 1 :: len(keep)], live.beta)
+        assert np.array_equal(lam[len(keep) - 1 :: len(keep)], live.lam)
+
     def test_winner_is_first_strictly_best(self, monkeypatch):
         # a tie keeps the earlier chain, and a NaN never wins
         model = unequal_two_gel_model(restarts=4, restart_sweeps=30)
         scores = np.array([np.nan, -5.0, -5.0, -7.0])
-        monkeypatch.setattr(DewarpModel, "log_joint", lambda self, cs, violations: scores.copy())
+        # one score per saved row, the rows chain after chain, 25 a chain
+        rows = iter(np.repeat(scores, 25))
+        monkeypatch.setattr(DewarpModel, "log_joint",
+                            lambda self, cs, violations: np.array([next(rows) for _ in cs.lam]))
         picked = []
         chain = _ChainState.chain
         monkeypatch.setattr(_ChainState, "chain",
@@ -906,95 +967,6 @@ class TestLockstep:
         msg = f"no restart reached a finite settled log joint; scores by restart: {score!r}, {score!r}"
         with pytest.raises(ValueError, match=re.escape(msg)):
             run_mcmc(peaks, cfg)
-
-
-def eager_sweep_beta(model, cs, rng):
-    """sweep_beta on a one-chain state as it was before the lazy read: after
-    each move, every residual correlation is updated, c -= G_k delta.
-    Returns how many draws took _trunc_normal's far-tail branch."""
-    cfg = model.cfg
-    T_nu, T_u = cfg.T_nu, cfg.T_u
-    K = model.n_free_rows * T_u
-    se2 = float(cs.sigma_eps2[0])
-    g_inc = model.id_incr.tolist()
-    far = 0
-    for gi, gel in enumerate(model.gels):
-        X = (
-            model.Bnu_land[cs.Z[0, gel.peaks], 1 : T_nu - 1][:, :, None] * gel.BuP[:, None, :]
-        ).reshape(gel.n_peaks, K)
-        G = (X.T @ X).tolist()
-        c = (X.T @ (model._T_all[0, gel.peaks] - cs.mu[0, gel.peaks])).tolist()
-        beta = cs.beta[0, gi].tolist()
-        us = rng.random(K).tolist()
-        v1 = float(cs.sigma_g1_2[0, gi])
-        vgs = cs.sigma_gs_2[0, gi].tolist()
-        k = 0
-        for s in range(1, T_nu - 1):
-            row, below, above = beta[s], beta[s - 1], beta[s + 1]
-            vs = vgs[s - 1]
-            for t in range(T_u):
-                Gk = G[k]
-                prec = Gk[k] / se2
-                num = c[k] / se2 + prec * row[t]
-                if t > 0:
-                    prec += 1.0 / vs
-                    num += row[t - 1] / vs
-                if t < T_u - 1:
-                    prec += 1.0 / vs
-                    num += row[t + 1] / vs
-                if t == 0:
-                    prec += 1.0 / v1
-                    num += (below[0] + g_inc[s - 1]) / v1
-                    if s <= T_nu - 3:
-                        prec += 1.0 / v1
-                        num += (above[0] - g_inc[s]) / v1
-                mean = num / prec
-                sd = 1.0 / math.sqrt(prec)
-                fa = 0.5 * math.erfc(-(below[t] - mean) / sd * SQRT_HALF)
-                fb = 0.5 * math.erfc(-(above[t] - mean) / sd * SQRT_HALF)
-                far += not fb - fa > 1e-12
-                new = _trunc_normal(mean, sd, below[t], above[t], us[k], rng)
-                delta = new - row[t]
-                if delta != 0.0:
-                    row[t] = new
-                    c = [ci - gki * delta for ci, gki in zip(c, Gk)]
-                k += 1
-        cs.beta[0, gi] = beta
-        cs.W[0][:, gel.cols] = model.Bnu_land @ cs.beta[0, gi] @ gel.Bu.T
-        cs.mu[0, gel.peaks] = cs.W[0][cs.Z[0, gel.peaks], model._lane_of[gel.peaks]]
-    return far
-
-
-class TestLazyBetaScan:
-    """sweep_beta reads each residual correlation once, at its visit, from
-    its start value minus the earlier moves; its draws equal the eager
-    update's bit for bit, sweep after sweep of a running chain."""
-
-    @pytest.mark.parametrize("sigma_eps2", [None, 1e-8], ids=["running", "far_tail"])
-    def test_lazy_scan_matches_eager(self, sigma_eps2):
-        # at sigma_eps^2 = 1e-8 some conditionals sit far outside their
-        # monotone interval, so _trunc_normal takes its rejection branch
-        model = unequal_two_gel_model()
-        cs = model.init_chain_state()
-        rngs = [np.random.default_rng(21)]
-        far = 0
-        for k in range(500):
-            model.sweep_Z(cs, rngs)
-            if sigma_eps2 is not None:
-                cs.sigma_eps2[0] = sigma_eps2
-            lazy, eager = copy.deepcopy(cs), copy.deepcopy(cs)
-            r_lazy, r_eager = np.random.default_rng((21, k)), np.random.default_rng((21, k))
-            model.sweep_beta(lazy, [r_lazy])
-            far += eager_sweep_beta(model, eager, r_eager)
-            assert_same_state(lazy, eager)
-            assert r_lazy.bit_generator.state == r_eager.bit_generator.state
-            model.sweep_beta(cs, rngs)
-            model.sweep_hyper(cs, rngs)
-        if sigma_eps2 is None:
-            assert far == 0
-        else:
-            assert far > 0
-        assert model.count_violations(cs) == 0
 
 
 class TestConstraints:
