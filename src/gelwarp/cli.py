@@ -33,7 +33,6 @@ from .cluster import (
 )
 from .core import (
     LandmarkGrid,
-    Standardizer,
     check_int,
     lane_name,
     open_text,
@@ -48,6 +47,8 @@ from .core import (
 )
 from .dewarp import (
     ModelConfig,
+    read_landmark_probs,
+    read_warp_json,
     read_zmap,
     run_mcmc,
     write_chain_log,
@@ -60,7 +61,7 @@ from .exactalign import exact_align
 from .peakdetect import Peak, PeakConfig, PeakTable, detect_peaks
 from .refalign import reference_align, write_maps
 from .simulate import SimSpec, read_truth, simulate_gels, write_truth
-from .spline import eval_warp_grid, read_warp_fields
+from .spline import eval_warp_grid
 
 # All stage settings live in one config; these are the pre-filled defaults.
 # The detect and dewarp sections take theirs from PeakConfig and ModelConfig
@@ -381,7 +382,38 @@ def _write_merge_table(dend, conf: dict, path) -> None:
     write_csv(path, ["merge", "left", "right", "height", "confidence", "leaves"], rows)
 
 
+def _warp_tables(zmap_path, warp_path) -> dict:
+    """fig_warps.csv, each gel's posterior mean warp at the landmark grid for
+    each of its lanes, and fig_connections.csv, each peak's MAP landmark and
+    its marginal probability, as {name: (header, rows)}."""
+    z = read_zmap(zmap_path)
+    L, ax = z["L"], z["axis"]
+    nu = LandmarkGrid(L).nu
+    fields = read_warp_json(warp_path)
+    rows = []
+    for gel_id in sorted(fields):
+        field, lanes, u_std = fields[gel_id]
+        values = ax.invert(eval_warp_grid(field, ax.apply(nu), u_std))
+        for col, lane in enumerate(lanes):
+            rows += ([gel_id, lane, ell, f"{nu[ell]:.10g}", f"{values[ell, col]:.10g}"]
+                     for ell in range(L + 2))
+    tables = {"fig_warps.csv": (["gel", "lane", "landmark", "nu", "s"], rows)}
+    rows = []
+    for key in sorted(z["z_map"], key=lane_name):
+        marginals = z["z_marginals"][key]
+        for j, (loc, ell) in enumerate(zip(z["locations"][key].tolist(),
+                                           z["z_map"][key].tolist())):
+            rows.append([*key, j + 1, f"{loc:.10g}", ell, f"{nu[ell]:.10g}",
+                         f"{marginals[j, ell]:.10g}"])
+    tables["fig_connections.csv"] = (["gel", "lane", "peak", "location", "landmark",
+                                      "landmark_nu", "probability"], rows)
+    return tables
+
+
 def stage_plotdata(run_dir, out_dir) -> Path:
+    """Figure-ready CSV series of a run.  Every input is read and checked,
+    and every series built, before out_dir is made, so a malformed posterior
+    leaves out_dir as it was."""
     run = Path(run_dir)
     metrics = run / "clusters" / "metrics.csv"
     zmap_path = run / "posterior" / "zmap.json"
@@ -389,47 +421,28 @@ def stage_plotdata(run_dir, out_dir) -> Path:
     if not any(p.is_file() for p in (metrics, zmap_path, landmarks_path)):
         raise ValueError(f"{run}: no run artifacts (clusters/metrics.csv, "
                          f"posterior/zmap.json or posterior/landmarks.json)")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    if metrics.is_file():
-        (out / "fig_quality.csv").write_bytes(metrics.read_bytes())
-    merge_table = run / "clusters" / "plotdata" / "fig_dendrogram.csv"
-    if merge_table.is_file():
-        (out / "fig_dendrogram.csv").write_bytes(merge_table.read_bytes())
-
+    copies = {name: path.read_bytes() for name, path in (
+        ("fig_quality.csv", metrics),
+        ("fig_dendrogram.csv", run / "clusters" / "plotdata" / "fig_dendrogram.csv"),
+    ) if path.is_file()}
+    tables = {}
     warp_path = run / "posterior" / "warp.json"
     if zmap_path.is_file() and warp_path.is_file():
-        # the draws are dropped as each lane's entry closes
-        zpayload = read_json(zmap_path, object_hook=lambda entry: {
-            k: v for k, v in entry.items() if k != "draws"})
-        L = zpayload["L"]
-        ax = Standardizer.from_dict(zpayload["axis_standardizer"])
-        nu = LandmarkGrid(L).nu
-        fields = read_warp_fields(warp_path)
-        rows = []
-        for gel_id in sorted(fields):
-            field, std = fields[gel_id]
-            values = ax.invert(eval_warp_grid(field, ax.apply(nu), np.asarray(std["u_std"])))
-            for col, lane in enumerate(std["lanes"]):
-                rows += ([gel_id, lane, ell, f"{nu[ell]:.10g}", f"{values[ell, col]:.10g}"]
-                         for ell in range(L + 2))
-        write_csv(out / "fig_warps.csv", ["gel", "lane", "landmark", "nu", "s"], rows)
-        rows = []
-        for key in sorted(zpayload["lanes"]):
-            entry = zpayload["lanes"][key]
-            for j, (loc, ell) in enumerate(zip(entry["locations"], entry["z_map"]), start=1):
-                prob = entry["marginals"][j - 1][ell]
-                rows.append([entry["gel_id"], entry["lane"], j, f"{loc:.10g}",
-                             ell, f"{nu[ell]:.10g}", f"{prob:.10g}"])
-        write_csv(out / "fig_connections.csv", ["gel", "lane", "peak", "location", "landmark",
-                                                "landmark_nu", "probability"], rows)
-
+        tables.update(_warp_tables(zmap_path, warp_path))
     if landmarks_path.is_file():
-        lanes = read_json(landmarks_path)["lanes"]
-        write_csv(out / "fig_landmarks.csv", ["lane", "landmark", "probability"],
-                  [[key, ell, f"{p:.10g}"]
-                   for key in sorted(lanes) for ell, p in enumerate(lanes[key], start=1)])
+        probs = read_landmark_probs(landmarks_path)
+        tables["fig_landmarks.csv"] = (
+            ["lane", "landmark", "probability"],
+            [[lane_name(key), ell, f"{p:.10g}"] for key in sorted(probs, key=lane_name)
+             for ell, p in enumerate(probs[key].tolist(), start=1)])
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in copies.items():
+        (out / name).write_bytes(data)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     return out
 
 

@@ -261,8 +261,11 @@ def lane_name(key) -> str:
 
 def parse_lane_name(name: str) -> tuple[str, int]:
     """The (gel_id, lane) key of a "gel:lane" name; the gel id may hold ':'."""
-    gel_id, lane = name.rsplit(":", 1)
-    return gel_id, int(lane)
+    gel_id, _, lane = name.rpartition(":")
+    try:
+        return gel_id, int(lane)
+    except ValueError:
+        raise ValueError(f"{name!r} is not a gel:lane name") from None
 
 
 def open_text(path, mode="r"):

@@ -69,7 +69,13 @@ from .core import (
     write_json_entries,
 )
 from .peakdetect import PeakTable
-from .spline import WarpField, identity_coefficients, make_basis, write_warp_fields
+from .spline import (
+    WarpField,
+    identity_coefficients,
+    make_basis,
+    read_warp_fields,
+    write_warp_fields,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -1008,6 +1014,13 @@ def write_warp_json(result: MCMCResult, path) -> None:
     write_warp_fields(result.beta_mean, result.standardizers["lane"], path)
 
 
+def read_warp_json(path) -> dict:
+    """{gel_id: (posterior mean WarpField, the gel's lanes, their
+    standardized u)} of a write_warp_json file."""
+    return {gel_id: (field, std["lanes"], np.asarray(std["u_std"]))
+            for gel_id, (field, std) in read_warp_fields(path).items()}
+
+
 def write_zmap(result: MCMCResult, path) -> None:
     """MAP assignments, per-peak marginals and the stored draws of each lane,
     under its "gel:lane" name.  The lanes are built and encoded one at a time
@@ -1030,36 +1043,60 @@ def write_zmap(result: MCMCResult, path) -> None:
                        lane_entry)
 
 
-def _zmap_lane_arrays(entry: dict) -> dict:
-    """read_json hook: a lane entry of zmap.json (the object holding "draws")
-    as the arrays read_zmap returns, made as soon as the entry closes.  Draws
-    that form no table of integers are kept as None, for read_zmap to reject
-    with the lane's name."""
-    if "draws" not in entry:
-        return entry
+# each array field of a zmap.json lane entry, in the order a missing one is
+# named: its dimensions, its numpy dtype kinds, and what it must be
+_ZMAP_FIELDS = {
+    "z_map": (1, "iu", "z_map is not a list of landmarks"),
+    "locations": (1, "iuf", "locations are not a list of numbers"),
+    "bins": (1, "iu", "bins are not a list of trace bins"),
+    "marginals": (2, "iuf", "marginals are not a table of probability rows"),
+    "draws": (2, "iu", "draws are not a table of landmark rows"),
+}
+
+
+def _array_or_none(value) -> np.ndarray | None:
+    """``value`` as an array, or None if it forms no rectangular array."""
     try:
-        draws = np.array(entry["draws"], dtype=int)
+        return np.array(value)
     except ValueError:
-        draws = None
-    return {"z_map": np.array(entry["z_map"], dtype=int),
-            "z_draws": draws,
-            "locations": np.array(entry["locations"], dtype=float),
-            "bins": np.array(entry["bins"], dtype=int)}
+        return None
 
 
-def _check_zmap_lane(arrays: dict, L: int, K: int | None) -> None:
-    """A lane's z_map, locations, bins and every draw hold one entry per
-    peak, each landmark is in 1..L, each draw strictly increases, and the
-    lane holds K draws, as the lanes before it do (None for the first)."""
-    z_map, draws = arrays["z_map"], arrays["z_draws"]
-    lengths = (z_map.size, arrays["locations"].size, arrays["bins"].size)
-    if draws is None or draws.ndim != 2:
-        raise ValueError("draws are not a table of landmark rows")
+def _zmap_lane_arrays(entry: dict) -> dict:
+    """read_json hook: each array field of a zmap.json lane entry as an
+    array, made as soon as the entry closes.  A field that forms no
+    rectangular array is kept as None, for _check_zmap_lane to reject with
+    the lane's name."""
+    for field in _ZMAP_FIELDS.keys() & entry.keys():
+        entry[field] = _array_or_none(entry[field])
+    return entry
+
+
+def _check_zmap_lane(entry: dict, L: int, K: int | None) -> dict:
+    """The arrays read_zmap returns for one lane entry.  Every field is
+    there, with the dimensions and kind of number _ZMAP_FIELDS gives (an
+    empty one may be of any kind); z_map, locations, bins and every draw
+    hold one entry per peak and marginals one row of L + 2 per peak; each
+    landmark is in 1..L; each draw strictly increases; and the lane holds K
+    draws, as the lanes before it do (None for the first)."""
+    for field, (ndim, kinds, message) in _ZMAP_FIELDS.items():
+        if field not in entry:
+            raise ValueError(f'no "{field}"')
+        a = entry[field]
+        if a is None or a.ndim != ndim:
+            raise ValueError(message)
+        if a.size and a.dtype.kind not in kinds:
+            raise ValueError(f"{field} has an entry that is not "
+                             f"{'an integer' if kinds == 'iu' else 'a number'}")
+    z_map, draws = (entry[field].astype(int, copy=False) for field in ("z_map", "draws"))
     if K is not None and len(draws) != K:
         raise ValueError(f"{len(draws)} draws, where the first lane has {K}")
+    lengths = (z_map.size, entry["locations"].size, entry["bins"].size)
     if set(lengths) != {draws.shape[1]}:
         raise ValueError("z_map, locations, bins and draws have %d, %d, %d and %d entries"
                          % (*lengths, draws.shape[1]))
+    if entry["marginals"].shape != (z_map.size, L + 2):
+        raise ValueError(f"marginals are not {z_map.size} rows of L + 2 = {L + 2} numbers")
     for name, z in (("z_map", z_map), ("draws", draws)):
         outside = (z < 1) | (z > L)
         if outside.any():
@@ -1067,24 +1104,55 @@ def _check_zmap_lane(arrays: dict, L: int, K: int | None) -> None:
     falls = np.diff(draws, axis=1) <= 0
     if falls.any():
         raise ValueError(f"draw {int(np.argmax(falls.any(axis=1)))} is not strictly increasing")
+    return {"z_map": z_map, "z_draws": draws,
+            "z_marginals": entry["marginals"].astype(float, copy=False),
+            "locations": entry["locations"].astype(float, copy=False),
+            "bins": entry["bins"].astype(int, copy=False)}
+
+
+def _read_posterior_json(path, fields: tuple = (), object_hook=None) -> dict:
+    """The payload of a posterior JSON file: an object holding a positive
+    integer "L", each of ``fields`` and a "lanes" object of at least one
+    lane.  A missing field is named with the file."""
+    payload = read_json(path, object_hook=object_hook)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for field in ("L", *fields, "lanes"):
+        if field not in payload:
+            raise ValueError(f'{path}: no "{field}"')
+    check_int(payload["L"], f"{path}: L", 1)
+    if not isinstance(payload["lanes"], dict) or not payload["lanes"]:
+        raise ValueError(f"{path}: no lanes")
+    return payload
 
 
 def read_zmap(path) -> dict:
-    """Returns {"L", "z_map": {key: array}, "z_draws": {key: array},
-    "locations": {key: array}, "bins": {key: array}}.  Each lane's lists
+    """Returns {"L", "axis": Standardizer, "z_map": {key: array}, "z_draws":
+    {key: array}, "z_marginals": {key: array}, "locations": {key: array},
+    "bins": {key: array}}, the lanes in the file's order.  Each lane's lists
     become arrays as soon as its entry is parsed, so one lane's lists are
-    alive at once.  A lane that fails _check_zmap_lane is named, with the
-    file, before the caller can write anything."""
-    payload = read_json(path, object_hook=_zmap_lane_arrays)
-    out = {"L": payload["L"], "z_map": {}, "z_draws": {}, "locations": {}, "bins": {}}
+    alive at once.  A missing field, a file with no lanes, or a lane that
+    fails _check_zmap_lane is named, with the file, before the caller can
+    write anything."""
+    payload = _read_posterior_json(path, ("axis_standardizer",), _zmap_lane_arrays)
+    L = payload["L"]
+    try:
+        axis = Standardizer.from_dict(payload["axis_standardizer"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: axis_standardizer is not a center and a positive "
+                         f"scale") from None
+    out = {"L": L, "axis": axis, "z_map": {}, "z_draws": {}, "z_marginals": {},
+           "locations": {}, "bins": {}}
     K = None
-    for s, arrays in payload["lanes"].items():
+    for s, entry in payload["lanes"].items():
         try:
-            _check_zmap_lane(arrays, out["L"], K)
+            if not isinstance(entry, dict):
+                raise ValueError("expected a JSON object")
+            arrays = _check_zmap_lane(entry, L, K)
+            key = parse_lane_name(s)
         except ValueError as exc:
             raise ValueError(f"{path}: lane {s}: {exc}") from None
         K = len(arrays["z_draws"])
-        key = parse_lane_name(s)
         for field, value in arrays.items():
             out[field][key] = value
     return out
@@ -1102,6 +1170,25 @@ def write_landmarks(result: MCMCResult, path) -> None:
         },
     }
     write_json(payload, path)
+
+
+def read_landmark_probs(path) -> dict:
+    """{key: array of L} landmark hit probabilities of each lane of a
+    write_landmarks file, in the file's order.  A missing field, a file with
+    no lanes, or a lane whose row is not L numbers is named, with the
+    file."""
+    payload = _read_posterior_json(path)
+    L = payload["L"]
+    probs = {}
+    for s, row in payload["lanes"].items():
+        row = _array_or_none(row)
+        try:
+            if row is None or row.shape != (L,) or row.dtype.kind not in "iuf":
+                raise ValueError(f"not a row of L = {L} numbers")
+            probs[parse_lane_name(s)] = row.astype(float, copy=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: lane {s}: {exc}") from None
+    return probs
 
 
 def write_signatures_csv(result: MCMCResult, path) -> None:

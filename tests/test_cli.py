@@ -66,13 +66,16 @@ def run(argv):
 def edit_first_lane(src, dst, case):
     """Write a copy of zmap.json at dst with its first lane of two or more
     peaks edited: "short_z_map" drops the last z_map entry, "short_draws"
-    the last entry of every draw, and "unrepairable_z_map" sets every z_map
-    entry to L.  Returns the lane's name and its count of peaks."""
+    the last entry of every draw, "landmark_above" sets the last z_map entry
+    to L + 5, and "unrepairable_z_map" sets every z_map entry to L.  Returns
+    the lane's name and its count of peaks."""
     payload = json.loads(Path(src).read_text(encoding="utf-8"))
     name = next(k for k, v in payload["lanes"].items() if len(v["bins"]) >= 2)
     entry = payload["lanes"][name]
     if case == "short_z_map":
         entry["z_map"] = entry["z_map"][:-1]
+    elif case == "landmark_above":
+        entry["z_map"][-1] = payload["L"] + 5
     elif case == "short_draws":
         entry["draws"] = [draw[:-1] for draw in entry["draws"]]
     else:
@@ -750,6 +753,34 @@ class TestPlotdata:
             assert f"{run_dir}: no run artifacts" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [empty]
         assert list(empty.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["short_z_map", "landmark_above", "short_landmarks_row"])
+    def test_malformed_posterior_fails_before_writing(self, workdir, tmp_path, capsys, case):
+        # a z_map one entry short used to drop that peak's row and exit 0, a
+        # landmark above L to fail as "list index out of range" after
+        # fig_warps.csv was written, and a short landmarks.json row to write
+        # every file with that lane's row cut
+        run_dir = tmp_path / "run"
+        for rel in ("posterior/warp.json", "posterior/zmap.json", "posterior/landmarks.json",
+                    "clusters/metrics.csv", "clusters/plotdata/fig_dendrogram.csv"):
+            (run_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+            (run_dir / rel).write_bytes((workdir / "run" / rel).read_bytes())
+        zmap, landmarks = (run_dir / "posterior" / name for name in ("zmap.json", "landmarks.json"))
+        if case == "short_landmarks_row":
+            payload = json.loads(landmarks.read_text(encoding="utf-8"))
+            name = next(iter(payload["lanes"]))
+            payload["lanes"][name].pop()
+            landmarks.write_text(json.dumps(payload), encoding="utf-8")
+            message = f"{landmarks}: lane {name}: not a row of L = 30 numbers"
+        else:
+            name, J = edit_first_lane(zmap, zmap, case)
+            message = (f"{zmap}: lane {name}: " + (
+                f"z_map, locations, bins and draws have {J - 1}, {J}, {J} and {J} entries"
+                if case == "short_z_map" else "z_map has landmark 35 outside 1..30"))
+        out = tmp_path / "plot"
+        assert main(["plotdata", "--run", str(run_dir), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"gelwarp plotdata: {message}\n"
+        assert not out.exists()
 
     def test_quality_matches_metrics(self, workdir, plotdir):
         a = (plotdir / "fig_quality.csv").read_bytes()

@@ -31,6 +31,7 @@ from gelwarp.dewarp import (
     _explore_restarts,
     _sample,
     _summarize,
+    read_landmark_probs,
     read_zmap,
     run_mcmc,
     signatures,
@@ -1394,11 +1395,13 @@ def whole_file_read_zmap(path) -> dict:
     """Test-only copy of read_zmap as it parsed the whole payload into lists
     before it made any array."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    out = {"L": payload["L"], "z_map": {}, "z_draws": {}, "locations": {}, "bins": {}}
+    out = {"L": payload["L"], "axis": Standardizer.from_dict(payload["axis_standardizer"]),
+           "z_map": {}, "z_draws": {}, "z_marginals": {}, "locations": {}, "bins": {}}
     for s, entry in payload["lanes"].items():
         key = parse_lane_name(s)
         out["z_map"][key] = np.array(entry["z_map"], dtype=int)
         out["z_draws"][key] = np.array(entry["draws"], dtype=int)
+        out["z_marginals"][key] = np.array(entry["marginals"], dtype=float)
         out["locations"][key] = np.array(entry["locations"], dtype=float)
         out["bins"][key] = np.array(entry["bins"], dtype=int)
     return out
@@ -1506,7 +1509,8 @@ class TestRunMCMC:
         write_zmap(res, path)
         got, want = read_zmap(path), whole_file_read_zmap(path)
         assert got.keys() == want.keys() and got["L"] == want["L"] == res.cfg.L
-        for field in ("z_map", "z_draws", "locations", "bins"):
+        assert got["axis"] == want["axis"] == Standardizer.from_dict(res.standardizers["axis"])
+        for field in ("z_map", "z_draws", "z_marginals", "locations", "bins"):
             # both in the file's order, where ("G1", 10) comes before ("G1", 2)
             assert list(got[field]) == list(want[field]), field
             assert sorted(got[field]) == res.lane_keys, field
@@ -1515,6 +1519,7 @@ class TestRunMCMC:
                 assert np.array_equal(got[field][key], array), (field, key)
         for key in res.lane_keys:
             assert np.array_equal(got["z_draws"][key], res.z_draws[key])
+            assert np.array_equal(got["z_marginals"][key], res.z_marginals[key])
 
     def test_read_zmap_names_file_with_ragged_draws(self, tmp_path):
         # draws that form no table are named with the file and the lane
@@ -1549,6 +1554,21 @@ class TestRunMCMC:
                      "draw 3 is not strictly increasing", id="draw-repeat"),
         pytest.param(lambda e: e["draws"].pop(), "3 draws, where the first lane has 4",
                      id="fewer-draws"),
+        # a non-integer used to read as its floor
+        pytest.param(lambda e: e["z_map"].__setitem__(1, e["z_map"][1] + 0.5),
+                     "z_map has an entry that is not an integer", id="non-integer-z_map"),
+        pytest.param(lambda e: e["draws"][2].__setitem__(1, e["draws"][2][1] + 0.25),
+                     "draws has an entry that is not an integer", id="non-integer-draw"),
+        pytest.param(lambda e: e["bins"].__setitem__(0, e["bins"][0] + 0.5),
+                     "bins has an entry that is not an integer", id="non-integer-bin"),
+        # a missing field used to fail as a bare KeyError naming neither
+        pytest.param(lambda e: e.pop("z_map"), 'no "z_map"', id="no-z_map"),
+        pytest.param(lambda e: e.pop("draws"), 'no "draws"', id="no-draws"),
+        pytest.param(lambda e: e.pop("marginals"), 'no "marginals"', id="no-marginals"),
+        pytest.param(lambda e: e["marginals"].__setitem__(1, e["marginals"][1][:-1]),
+                     "marginals are not a table of probability rows", id="short-marginals-row"),
+        pytest.param(lambda e: e.update(marginals=[row[:-1] for row in e["marginals"]]),
+                     "marginals are not 3 rows of L + 2 = 14 numbers", id="short-marginals"),
     ])
     def test_read_zmap_names_file_and_lane_of_malformed_lane(self, tmp_path, edit, message):
         # a lane whose arrays differ in length, whose landmarks are out of
@@ -1563,6 +1583,64 @@ class TestRunMCMC:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: lane g1:2: {message}")):
             read_zmap(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda p: p.pop("L"), 'no "L"', id="no-L"),
+        pytest.param(lambda p: p.pop("lanes"), 'no "lanes"', id="no-lanes"),
+        pytest.param(lambda p: p.pop("axis_standardizer"), 'no "axis_standardizer"',
+                     id="no-axis"),
+        pytest.param(lambda p: p.update(L=12.5), "L must be an integer >= 1, got 12.5",
+                     id="non-integer-L"),
+        # align would pass every lane through unaligned
+        pytest.param(lambda p: p.update(lanes={}), "no lanes", id="empty-lanes"),
+        pytest.param(lambda p: p["axis_standardizer"].update(scale=0.0),
+                     "axis_standardizer is not a center and a positive scale", id="zero-scale"),
+        pytest.param(lambda p: p["lanes"].update({"g1": p["lanes"].pop("g1:2")}),
+                     "lane g1: 'g1' is not a gel:lane name", id="bad-lane-name"),
+        pytest.param(lambda p: p["lanes"].update({"g1:2": 5}),
+                     "lane g1:2: expected a JSON object", id="lane-not-object"),
+    ])
+    def test_read_zmap_names_file_of_malformed_payload(self, tmp_path, edit, message):
+        path = tmp_path / "zmap.json"
+        write_zmap(zmap_case("one_peak_lane"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_zmap(path)
+
+    @pytest.mark.parametrize("case", ["small_run", *ZMAP_CASES])
+    def test_read_landmark_probs_round_trips(self, case, request, tmp_path):
+        res = request.getfixturevalue("small_run")[2] if case == "small_run" else zmap_case(case)
+        path = tmp_path / "landmarks.json"
+        write_landmarks(res, path)
+        probs = read_landmark_probs(path)
+        assert list(probs) == sorted(res.lane_keys, key=lane_name)
+        for key in res.lane_keys:
+            assert probs[key].dtype == float
+            assert np.array_equal(probs[key], res.landmark_probs[key])
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda p: p.pop("L"), 'no "L"', id="no-L"),
+        pytest.param(lambda p: p.pop("lanes"), 'no "lanes"', id="no-lanes"),
+        pytest.param(lambda p: p.update(lanes={}), "no lanes", id="empty-lanes"),
+        pytest.param(lambda p: p["lanes"]["g1:2"].pop(), "lane g1:2: not a row of L = 12 numbers",
+                     id="short-row"),
+        pytest.param(lambda p: p["lanes"]["g1:2"].__setitem__(3, "0.5"),
+                     "lane g1:2: not a row of L = 12 numbers", id="string-entry"),
+        pytest.param(lambda p: p["lanes"]["g1:2"].__setitem__(3, [0.5]),
+                     "lane g1:2: not a row of L = 12 numbers", id="list-entry"),
+    ])
+    def test_read_landmark_probs_names_file_and_lane(self, tmp_path, edit, message):
+        # plotdata read this file as raw JSON: a missing "lanes" failed as
+        # 'lanes' and a string entry inside its number formatting
+        path = tmp_path / "landmarks.json"
+        write_landmarks(zmap_case("one_peak_lane"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_landmark_probs(path)
 
     def test_zmap_io_holds_one_lane_of_lists(self, tmp_path):
         # 2000 saved draws of 40 lanes of 5 peaks: the whole-payload writer
