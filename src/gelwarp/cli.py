@@ -385,11 +385,21 @@ def _write_merge_table(dend, conf: dict, path) -> None:
 def _warp_tables(zmap_path, warp_path) -> dict:
     """fig_warps.csv, each gel's posterior mean warp at the landmark grid for
     each of its lanes, and fig_connections.csv, each peak's MAP landmark and
-    its marginal probability, as {name: (header, rows)}."""
+    its marginal probability, as {name: (header, rows)}.  Each gel's warp
+    lanes must be that gel's zmap.json lanes."""
     z = read_zmap(zmap_path)
     L, ax = z["L"], z["axis"]
     nu = LandmarkGrid(L).nu
     fields = read_warp_json(warp_path)
+    zmap_lanes = {}
+    for gel_id, lane in z["z_map"]:
+        zmap_lanes.setdefault(gel_id, []).append(lane)
+    for gel_id in sorted(fields.keys() | zmap_lanes.keys()):
+        want = sorted(zmap_lanes.get(gel_id, []))
+        got = sorted(fields[gel_id][1]) if gel_id in fields else "none"
+        if got != want:
+            raise ValueError(f"{warp_path}: gel {gel_id}: lanes {got}, where {zmap_path} "
+                             f"has {want or 'none'}")
     rows = []
     for gel_id in sorted(fields):
         field, lanes, u_std = fields[gel_id]

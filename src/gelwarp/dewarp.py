@@ -69,13 +69,7 @@ from .core import (
     write_json_entries,
 )
 from .peakdetect import PeakTable
-from .spline import (
-    WarpField,
-    identity_coefficients,
-    make_basis,
-    read_warp_fields,
-    write_warp_fields,
-)
+from .spline import ORDER, BSplineBasis, WarpField, identity_coefficients, make_basis
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -1010,17 +1004,6 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig) -> MCMCResult:
 # ---------------------------------------------------------------------------
 
 
-def write_warp_json(result: MCMCResult, path) -> None:
-    write_warp_fields(result.beta_mean, result.standardizers["lane"], path)
-
-
-def read_warp_json(path) -> dict:
-    """{gel_id: (posterior mean WarpField, the gel's lanes, their
-    standardized u)} of a write_warp_json file."""
-    return {gel_id: (field, std["lanes"], np.asarray(std["u_std"]))
-            for gel_id, (field, std) in read_warp_fields(path).items()}
-
-
 def write_zmap(result: MCMCResult, path) -> None:
     """MAP assignments, per-peak marginals and the stored draws of each lane,
     under its "gel:lane" name.  The lanes are built and encoded one at a time
@@ -1155,6 +1138,109 @@ def read_zmap(path) -> dict:
         K = len(arrays["z_draws"])
         for field, value in arrays.items():
             out[field][key] = value
+    return out
+
+
+def write_warp_json(result: MCMCResult, path) -> None:
+    """Each gel's posterior mean warp, in gel order: its bases' sizes and
+    knots, beta row-major, the bounds, and under "standardizer" the gel's
+    lane standardizer, its lanes and their standardized u."""
+    write_json([{
+        "gel_id": gel_id,
+        "T_nu": field.basis_nu.T,
+        "T_u": field.basis_u.T,
+        "knots_nu": field.basis_nu.knots.tolist(),
+        "knots_u": field.basis_u.knots.tolist(),
+        "beta": field.beta.ravel().tolist(),
+        "bounds": list(field.bounds),
+        "standardizer": result.standardizers["lane"][gel_id],
+    } for gel_id, field in sorted(result.beta_mean.items())], path, indent=2)
+
+
+def _require(entry: dict, fields: tuple, prefix: str = "") -> None:
+    for field in fields:
+        if field not in entry:
+            raise ValueError(f'no "{prefix}{field}"')
+
+
+def _numbers(value, n: int, name: str) -> np.ndarray:
+    """``value`` as n finite floats; otherwise an error naming ``name``."""
+    a = _array_or_none(value)
+    if a is None or a.shape != (n,) or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        raise ValueError(f"{name} is not {n} finite numbers")
+    return a.astype(float, copy=False)
+
+
+def _check_warp_entry(entry: dict) -> tuple:
+    """(WarpField, lanes, u_std) of one warp.json gel entry.  T_nu and T_u
+    are integers >= 4; each knot vector is T + 4 nondecreasing numbers;
+    beta is T_nu T_u numbers and bounds two, and the field passes
+    WarpField.validate; the "standardizer" object holds a lane standardizer
+    with a positive scale, integer lanes each listed once, and one u_std
+    number per lane inside the u basis support."""
+    _require(entry, ("T_nu", "T_u", "knots_nu", "knots_u", "beta", "bounds", "standardizer"))
+    bases = []
+    for axis in ("nu", "u"):
+        T = check_int(entry[f"T_{axis}"], f"T_{axis}", ORDER)
+        knots = _numbers(entry[f"knots_{axis}"], T + ORDER, f"knots_{axis}")
+        try:
+            bases.append(BSplineBasis(knots))
+        except ValueError as exc:
+            raise ValueError(f"knots_{axis}: {exc}") from None
+    basis_nu, basis_u = bases
+    beta = _numbers(entry["beta"], basis_nu.T * basis_u.T, "beta")
+    bounds = tuple(_numbers(entry["bounds"], 2, "bounds").tolist())
+    field = WarpField(beta=beta.reshape(basis_nu.T, basis_u.T), basis_nu=basis_nu,
+                      basis_u=basis_u, bounds=bounds)
+    field.validate()
+
+    std = entry["standardizer"]
+    if not isinstance(std, dict):
+        raise ValueError("standardizer is not a JSON object")
+    _require(std, ("standardizer", "lanes", "u_std"), "standardizer.")
+    try:
+        Standardizer.from_dict(std["standardizer"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("standardizer.standardizer is not a center and a positive "
+                         "scale") from None
+    lanes = std["lanes"]
+    if not isinstance(lanes, list):
+        raise ValueError("standardizer.lanes is not a list")
+    seen = set()
+    for lane in lanes:
+        if check_int(lane, "standardizer.lanes entry") in seen:
+            raise ValueError(f"standardizer.lanes lists lane {lane} twice")
+        seen.add(lane)
+    u_std = _numbers(std["u_std"], len(lanes), "standardizer.u_std")
+    outside = (u_std < basis_u.lo) | (u_std > basis_u.hi)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"lane {lanes[i]}: u_std {u_std[i]} outside the u basis support "
+                         f"[{basis_u.lo}, {basis_u.hi}]")
+    return field, lanes, u_std
+
+
+def read_warp_json(path) -> dict:
+    """{gel_id: (posterior mean WarpField, the gel's lanes, their
+    standardized u)} of a write_warp_json file, in the file's order.  A
+    payload that is not a list of gel entries, an entry that is not an
+    object with a "gel_id" string, a gel listed twice, or one that fails
+    _check_warp_entry is named, with the file, before the caller can write
+    anything."""
+    payload = read_json(path)
+    if not isinstance(payload, list) or not payload:
+        raise ValueError(f"{path}: expected a JSON list of gel entries")
+    out = {}
+    for i, entry in enumerate(payload):
+        gel_id = entry.get("gel_id") if isinstance(entry, dict) else None
+        if not isinstance(gel_id, str):
+            raise ValueError(f'{path}: entry {i}: not an object with a "gel_id" string')
+        try:
+            if gel_id in out:
+                raise ValueError("listed twice")
+            out[gel_id] = _check_warp_entry(entry)
+        except ValueError as exc:
+            raise ValueError(f"{path}: gel {gel_id}: {exc}") from None
     return out
 
 

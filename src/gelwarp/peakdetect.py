@@ -8,6 +8,7 @@ at its intensity argmax.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,12 +158,51 @@ class PeakTable:
 
     @classmethod
     def from_json(cls, path) -> "PeakTable":
+        """The table of a to_json file; each peak is checked as it is built.
+        A payload that is not an object, a missing or non-integer B or one
+        below 1, peaks that are not a list, a peak that fails _peak_of, and
+        a table that fails the order checks are named with the file; a
+        peak by its index, gel and lane."""
         data = read_json(path)
-        entries = [
-            Peak(r["gel_id"], r["lane"], r["j"], r["bin"], r["location"], r["intensity"])
-            for r in data["peaks"]
-        ]
-        return cls(entries, int(data["B"]))
+        try:
+            if not isinstance(data, dict):
+                raise ValueError("expected a JSON object")
+            for field in ("B", "peaks"):
+                if field not in data:
+                    raise ValueError(f'no "{field}"')
+            check_int(data["B"], "B", 1)
+            if not isinstance(data["peaks"], list):
+                raise ValueError("peaks is not a list")
+            return cls([_peak_of(r, i) for i, r in enumerate(data["peaks"])], data["B"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+_PEAK_FIELDS = ("gel_id", "lane", "j", "bin", "location", "intensity")
+
+
+def _peak_of(row, i: int) -> Peak:
+    """The Peak of entry i of a peaks.json "peaks" list: an object holding
+    every field, a string gel_id, integer lane, j and bin, and a finite
+    number as its location and intensity."""
+    if not isinstance(row, dict):
+        raise ValueError(f"peaks[{i}]: expected a JSON object")
+    try:
+        for field in _PEAK_FIELDS:
+            if field not in row:
+                raise ValueError(f'no "{field}"')
+        if not isinstance(row["gel_id"], str):
+            raise ValueError(f"gel_id must be a string, got {row['gel_id']!r}")
+        for field in ("lane", "j", "bin"):
+            check_int(row[field], field)
+        for field in ("location", "intensity"):
+            x = row[field]
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+                raise ValueError(f"{field} must be a finite number, got {x!r}")
+    except ValueError as exc:
+        raise ValueError(f"peaks[{i}] (gel {row.get('gel_id')}, lane {row.get('lane')}): "
+                         f"{exc}") from None
+    return Peak(*(row[field] for field in _PEAK_FIELDS))
 
 
 def local_scores(intensity: np.ndarray, cfg: PeakConfig) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Cubic B-spline machinery for the warp field.
 
 Univariate clamped bases evaluated by the Cox-de Boor recursion, tensor
-product warp evaluation, the identity map's coefficients (the Greville
-abscissae), and reading and writing warp fields.
+product warp evaluation, and the identity map's coefficients (the
+Greville abscissae).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import linear_quantiles, read_json, write_json
+from .core import linear_quantiles
 
 ORDER = 4  # cubic with intercept
 
@@ -180,46 +180,3 @@ def identity_warp(basis_nu: BSplineBasis, basis_u: BSplineBasis,
     beta[-1, :] = bounds[1]
     return WarpField(beta=beta, basis_nu=basis_nu, basis_u=basis_u, bounds=bounds)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def warp_to_dict(gel_id: str, field: WarpField, standardizers: dict) -> dict:
-    return {
-        "gel_id": gel_id,
-        "T_nu": field.basis_nu.T,
-        "T_u": field.basis_u.T,
-        "knots_nu": field.basis_nu.knots.tolist(),
-        "knots_u": field.basis_u.knots.tolist(),
-        "beta": field.beta.ravel().tolist(),  # row-major
-        "bounds": list(field.bounds),
-        "standardizer": standardizers,
-    }
-
-
-def warp_from_dict(d: dict) -> tuple[str, WarpField, dict]:
-    basis_nu = BSplineBasis(knots=np.array(d["knots_nu"]))
-    basis_u = BSplineBasis(knots=np.array(d["knots_u"]))
-    beta = np.array(d["beta"]).reshape(d["T_nu"], d["T_u"])
-    field = WarpField(
-        beta=beta, basis_nu=basis_nu, basis_u=basis_u, bounds=tuple(d["bounds"])
-    )
-    return d["gel_id"], field, d["standardizer"]
-
-
-def write_warp_fields(fields: dict, standardizers: dict, path) -> None:
-    payload = [
-        warp_to_dict(gel_id, field, standardizers[gel_id])
-        for gel_id, field in sorted(fields.items())
-    ]
-    write_json(payload, path, indent=2)
-
-
-def read_warp_fields(path) -> dict:
-    out = {}
-    for d in read_json(path):
-        gel_id, field, std = warp_from_dict(d)
-        out[gel_id] = (field, std)
-    return out

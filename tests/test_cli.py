@@ -84,6 +84,35 @@ def edit_first_lane(src, dst, case):
     return name, len(entry["bins"])
 
 
+WARP_CASES = ("no_u_std", "lane_dropped", "lane_and_u_std_dropped", "string_beta",
+              "gel_missing")
+
+
+def edit_warp_g1(path, case):
+    """Write warp.json back at path with gel g1's entry edited: "no_u_std"
+    removes its u_std, "lane_dropped" its first lane, "lane_and_u_std_dropped"
+    that lane and its u_std, "string_beta" sets a beta entry to a string,
+    and "gel_missing" removes the entry.  Returns g1's lanes before the
+    edit."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    g1 = next(entry for entry in payload if entry["gel_id"] == "g1")
+    std = g1["standardizer"]
+    lanes = list(std["lanes"])
+    if case == "no_u_std":
+        del std["u_std"]
+    elif case == "lane_dropped":
+        std["lanes"].pop(0)
+    elif case == "lane_and_u_std_dropped":
+        std["lanes"].pop(0)
+        std["u_std"].pop(0)
+    elif case == "string_beta":
+        g1["beta"][3] = "x"
+    else:
+        payload.remove(g1)
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    return lanes
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """One simulated batch plus a full pipeline run, shared by the tests."""
@@ -754,19 +783,32 @@ class TestPlotdata:
         assert list(tmp_path.iterdir()) == [empty]
         assert list(empty.iterdir()) == []
 
-    @pytest.mark.parametrize("case", ["short_z_map", "landmark_above", "short_landmarks_row"])
+    @pytest.mark.parametrize("case", ["short_z_map", "landmark_above", "short_landmarks_row",
+                                      *WARP_CASES])
     def test_malformed_posterior_fails_before_writing(self, workdir, tmp_path, capsys, case):
         # a z_map one entry short used to drop that peak's row and exit 0, a
         # landmark above L to fail as "list index out of range" after
         # fig_warps.csv was written, and a short landmarks.json row to write
-        # every file with that lane's row cut
+        # every file with that lane's row cut; in warp.json, a lane dropped
+        # from gel g1's lanes, or a gel dropped, used to drop their warp
+        # curves and exit 0, and a missing u_std to fail as 'u_std'
         run_dir = tmp_path / "run"
         for rel in ("posterior/warp.json", "posterior/zmap.json", "posterior/landmarks.json",
                     "clusters/metrics.csv", "clusters/plotdata/fig_dendrogram.csv"):
             (run_dir / rel).parent.mkdir(parents=True, exist_ok=True)
             (run_dir / rel).write_bytes((workdir / "run" / rel).read_bytes())
-        zmap, landmarks = (run_dir / "posterior" / name for name in ("zmap.json", "landmarks.json"))
-        if case == "short_landmarks_row":
+        zmap, landmarks, warp = (run_dir / "posterior" / name
+                                 for name in ("zmap.json", "landmarks.json", "warp.json"))
+        if case in WARP_CASES:
+            lanes = edit_warp_g1(warp, case)
+            message = f"{warp}: gel g1: " + {
+                "no_u_std": 'no "standardizer.u_std"',
+                "lane_dropped": f"standardizer.u_std is not {len(lanes) - 1} finite numbers",
+                "lane_and_u_std_dropped": f"lanes {lanes[1:]}, where {zmap} has {lanes}",
+                "string_beta": "beta is not 20 finite numbers",
+                "gel_missing": f"lanes none, where {zmap} has {lanes}",
+            }[case]
+        elif case == "short_landmarks_row":
             payload = json.loads(landmarks.read_text(encoding="utf-8"))
             name = next(iter(payload["lanes"]))
             payload["lanes"][name].pop()

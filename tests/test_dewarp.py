@@ -32,6 +32,7 @@ from gelwarp.dewarp import (
     _sample,
     _summarize,
     read_landmark_probs,
+    read_warp_json,
     read_zmap,
     run_mcmc,
     signatures,
@@ -44,7 +45,7 @@ from gelwarp.dewarp import (
 )
 from gelwarp.peakdetect import Peak, PeakConfig, PeakTable, detect_peaks
 from gelwarp.simulate import SimSpec, simulate_gels
-from gelwarp.spline import WarpField, eval_warp, read_warp_fields
+from gelwarp.spline import WarpField, eval_warp, eval_warp_grid
 
 
 def make_table(lanes: dict, B: int = 200, gel_id: str = "G1") -> PeakTable:
@@ -1463,10 +1464,11 @@ class TestRunMCMC:
 
         wpath = tmp_path / "warp.json"
         write_warp_json(res, wpath)
-        fields = read_warp_fields(wpath)
+        fields = read_warp_json(wpath)
         for gel_id, field in res.beta_mean.items():
-            f2, _std = fields[gel_id]
-            np.testing.assert_allclose(f2.beta, field.beta)
+            f2, lanes, _ = fields[gel_id]
+            assert np.array_equal(f2.beta, field.beta)
+            assert lanes == res.standardizers["lane"][gel_id]["lanes"]
 
         lpath = tmp_path / "landmarks.json"
         write_landmarks(res, lpath)
@@ -1641,6 +1643,107 @@ class TestRunMCMC:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_landmark_probs(path)
+
+    @pytest.mark.parametrize("case", ["small_run", *ZMAP_CASES])
+    def test_warp_json_round_trips(self, case, request, tmp_path):
+        # write, read, write again gives the same bytes; the lane
+        # standardizer, which read_warp_json checks but does not return, is
+        # the result's own
+        res = request.getfixturevalue("small_run")[2] if case == "small_run" else zmap_case(case)
+        path = tmp_path / "warp.json"
+        write_warp_json(res, path)
+        fields = read_warp_json(path)
+        assert list(fields) == sorted(res.beta_mean)
+        lane_std = res.standardizers["lane"]
+        again = dataclasses.replace(
+            res, beta_mean={gel_id: field for gel_id, (field, _, _) in fields.items()},
+            standardizers={"lane": {gel_id: {"standardizer": lane_std[gel_id]["standardizer"],
+                                             "lanes": lanes, "u_std": u_std.tolist()}
+                                    for gel_id, (_, lanes, u_std) in fields.items()}})
+        write_warp_json(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        for gel_id, field in res.beta_mean.items():
+            back, lanes, u_std = fields[gel_id]
+            assert np.array_equal(back.beta, field.beta) and back.bounds == field.bounds
+            assert lanes == lane_std[gel_id]["lanes"]
+            assert np.array_equal(u_std, lane_std[gel_id]["u_std"])
+            nus = np.linspace(field.basis_nu.lo, field.basis_nu.hi, 17)
+            assert np.array_equal(eval_warp_grid(back, nus, u_std),
+                                  eval_warp_grid(field, nus, u_std))
+
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param({}, "expected a JSON list of gel entries", id="object"),
+        pytest.param([], "expected a JSON list of gel entries", id="no-gels"),
+        pytest.param([5], 'entry 0: not an object with a "gel_id" string', id="entry-not-object"),
+        pytest.param([{"T_nu": 4}], 'entry 0: not an object with a "gel_id" string',
+                     id="no-gel_id"),
+        pytest.param([{"gel_id": 1}], 'entry 0: not an object with a "gel_id" string',
+                     id="non-string-gel_id"),
+    ])
+    def test_read_warp_json_names_file_of_malformed_payload(self, tmp_path, payload, message):
+        path = tmp_path / "warp.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_warp_json(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda w: w.append(copy.deepcopy(w[0])), "gel g1: listed twice",
+                     id="gel-twice"),
+        *(pytest.param(lambda w, f=f: w[0].pop(f), f'gel g1: no "{f}"', id=f"no-{f}")
+          for f in ("T_nu", "T_u", "knots_nu", "knots_u", "beta", "bounds", "standardizer")),
+        pytest.param(lambda w: w[0].update(T_nu=3), "gel g1: T_nu must be an integer >= 4, got 3",
+                     id="T_nu-below-4"),
+        pytest.param(lambda w: w[1].update(T_u=4.0),
+                     "gel g2: T_u must be an integer >= 4, got 4.0", id="non-integer-T_u"),
+        pytest.param(lambda w: w[0]["knots_nu"].pop(), "gel g1: knots_nu is not 8 finite numbers",
+                     id="short-knots"),
+        pytest.param(lambda w: w[0]["knots_u"].__setitem__(0, "-1"),
+                     "gel g1: knots_u is not 8 finite numbers", id="string-knot"),
+        pytest.param(lambda w: w[0]["knots_u"].reverse(),
+                     "gel g1: knots_u: knots must be nondecreasing", id="falling-knots"),
+        pytest.param(lambda w: w[0]["beta"].pop(), "gel g1: beta is not 16 finite numbers",
+                     id="short-beta"),
+        pytest.param(lambda w: w[0]["beta"].__setitem__(5, "0.5"),
+                     "gel g1: beta is not 16 finite numbers", id="string-beta"),
+        pytest.param(lambda w: w[0]["beta"].__setitem__(5, math.nan),
+                     "gel g1: beta is not 16 finite numbers", id="nan-beta"),
+        pytest.param(lambda w: w[0]["bounds"].append(1.0), "gel g1: bounds is not 2 finite numbers",
+                     id="three-bounds"),
+        pytest.param(lambda w: w[0]["beta"].__setitem__(0, w[0]["beta"][0] + 0.5),
+                     "gel g1: first coefficient row not pinned at lower bound", id="unpinned"),
+        pytest.param(lambda w: w[0]["beta"].__setitem__(4, w[0]["beta"][8]),
+                     "gel g1: coefficient columns not strictly increasing", id="flat-column"),
+        pytest.param(lambda w: w[0].update(standardizer=[]),
+                     "gel g1: standardizer is not a JSON object", id="standardizer-not-object"),
+        *(pytest.param(lambda w, f=f: w[0]["standardizer"].pop(f),
+                       f'gel g1: no "standardizer.{f}"', id=f"no-standardizer.{f}")
+          for f in ("standardizer", "lanes", "u_std")),
+        pytest.param(lambda w: w[0]["standardizer"]["standardizer"].update(scale=0.0),
+                     "gel g1: standardizer.standardizer is not a center and a positive scale",
+                     id="zero-scale"),
+        pytest.param(lambda w: w[0]["standardizer"].update(lanes=2),
+                     "gel g1: standardizer.lanes is not a list", id="lanes-not-list"),
+        pytest.param(lambda w: w[0]["standardizer"]["lanes"].__setitem__(1, 1.5),
+                     "gel g1: standardizer.lanes entry must be an integer, got 1.5",
+                     id="non-integer-lane"),
+        pytest.param(lambda w: w[0]["standardizer"]["lanes"].__setitem__(1, 1),
+                     "gel g1: standardizer.lanes lists lane 1 twice", id="lane-twice"),
+        # a lane dropped from "lanes" alone used to drop its warp curve
+        pytest.param(lambda w: w[0]["standardizer"]["lanes"].pop(),
+                     "gel g1: standardizer.u_std is not 1 finite numbers", id="lane-dropped"),
+        pytest.param(lambda w: w[0]["standardizer"]["u_std"].__setitem__(0, "-0.7"),
+                     "gel g1: standardizer.u_std is not 2 finite numbers", id="string-u_std"),
+        pytest.param(lambda w: w[0]["standardizer"]["u_std"].__setitem__(1, 5.0),
+                     "gel g1: lane 2: u_std 5.0 outside the u basis support", id="u_std-outside"),
+    ])
+    def test_read_warp_json_names_file_and_gel(self, tmp_path, edit, message):
+        path = tmp_path / "warp.json"
+        write_warp_json(zmap_case("one_draw"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_warp_json(path)
 
     def test_zmap_io_holds_one_lane_of_lists(self, tmp_path):
         # 2000 saved draws of 40 lanes of 5 peaks: the whole-payload writer

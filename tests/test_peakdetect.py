@@ -1,3 +1,5 @@
+import json
+import math
 import re
 
 import numpy as np
@@ -217,3 +219,71 @@ class TestPeakTable:
         table = PeakTable(entries, 100)
         out = table.drop_masked({"G1": {"masked_intervals": [[0.4, 0.6]]}})
         assert [p.bin for p in out] == [10]
+
+    def test_json_round_trips(self, tmp_path):
+        table = PeakTable([Peak("G1", 1, 1, 10, 0.10, 1.0), Peak("G1", 1, 2, 50, 0.50, 0.25),
+                           Peak("g2", 3, 1, 7, 0.07, 0.5)], 100)
+        path = tmp_path / "peaks.json"
+        table.to_json(path)
+        back = PeakTable.from_json(path)
+        assert back.entries == table.entries and back.B == 100
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(None, "expected a JSON object", id="list"),
+        pytest.param(lambda d: d.pop("B"), 'no "B"', id="no-B"),
+        pytest.param(lambda d: d.update(B=100.0), "B must be an integer >= 1, got 100.0",
+                     id="non-integer-B"),
+        pytest.param(lambda d: d.update(B="100"), "B must be an integer >= 1, got '100'",
+                     id="string-B"),
+        pytest.param(lambda d: d.update(B=0), "B must be an integer >= 1, got 0", id="B-zero"),
+        pytest.param(lambda d: d.pop("peaks"), 'no "peaks"', id="no-peaks"),
+        pytest.param(lambda d: d.update(peaks={}), "peaks is not a list", id="peaks-object"),
+        pytest.param(lambda d: d["peaks"].__setitem__(1, 5), "peaks[1]: expected a JSON object",
+                     id="peak-not-object"),
+        *(pytest.param(lambda d, f=f: d["peaks"][1].pop(f),
+                       f'peaks[1] (gel {"None" if f == "gel_id" else "G1"}, '
+                       f'lane {"None" if f == "lane" else 1}): no "{f}"', id=f"no-{f}")
+          for f in ("gel_id", "lane", "j", "bin", "location", "intensity")),
+        pytest.param(lambda d: d["peaks"][1].update(gel_id=1),
+                     "peaks[1] (gel 1, lane 1): gel_id must be a string, got 1",
+                     id="non-string-gel_id"),
+        pytest.param(lambda d: d["peaks"][1].update(lane=1.5),
+                     "peaks[1] (gel G1, lane 1.5): lane must be an integer, got 1.5",
+                     id="non-integer-lane"),
+        pytest.param(lambda d: d["peaks"][1].update(j="2"),
+                     "peaks[1] (gel G1, lane 1): j must be an integer, got '2'", id="string-j"),
+        pytest.param(lambda d: d["peaks"][1].update(bin=True),
+                     "peaks[1] (gel G1, lane 1): bin must be an integer, got True", id="bool-bin"),
+        pytest.param(lambda d: d["peaks"][1].update(location="0.5"),
+                     "peaks[1] (gel G1, lane 1): location must be a finite number, got '0.5'",
+                     id="string-location"),
+        pytest.param(lambda d: d["peaks"][1].update(location=math.nan),
+                     "peaks[1] (gel G1, lane 1): location must be a finite number, got nan",
+                     id="nan-location"),
+        pytest.param(lambda d: d["peaks"][1].update(intensity=math.inf),
+                     "peaks[1] (gel G1, lane 1): intensity must be a finite number, got inf",
+                     id="inf-intensity"),
+        pytest.param(lambda d: d["peaks"][1].update(intensity=None),
+                     "peaks[1] (gel G1, lane 1): intensity must be a finite number, got None",
+                     id="null-intensity"),
+        # the table's own order checks
+        pytest.param(lambda d: d["peaks"][1].update(j=3),
+                     "gel G1 lane 1: peak index 3, expected 2", id="j-skipped"),
+        pytest.param(lambda d: d["peaks"][1].update(location=0.05),
+                     "gel G1 lane 1: locations not strictly increasing at j=2",
+                     id="location-falls"),
+    ])
+    def test_from_json_names_file_and_peak(self, tmp_path, edit, message):
+        # these used to fail as 'intensity', 'B' or "list indices must be
+        # integers or slices, not str", naming neither the file nor the peak
+        path = tmp_path / "peaks.json"
+        PeakTable([Peak("G1", 1, 1, 10, 0.10, 1.0), Peak("G1", 1, 2, 50, 0.50, 0.25)],
+                  100).to_json(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if edit is None:
+            payload = [payload]
+        else:
+            edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            PeakTable.from_json(path)

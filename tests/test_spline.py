@@ -10,8 +10,6 @@ from gelwarp.spline import (
     identity_coefficients,
     identity_warp,
     make_basis,
-    read_warp_fields,
-    write_warp_fields,
 )
 
 
@@ -171,22 +169,6 @@ class TestWarpField:
     def test_eval_warp_scalar(self):
         f = identity_warp(self.basis_nu, self.basis_u, (0.0, 1.0))
         assert eval_warp(f, 0.37, 0.5) == pytest.approx(0.37, abs=1e-6)
-
-    def test_serialization_round_trip(self, tmp_path):
-        beta = random_monotone_beta(self.rng, self.basis_nu, self.basis_u)
-        f = self.field(beta)
-        std = {"axis": {"center": 0.5, "scale": 0.02}}
-        path = tmp_path / "warp.json"
-        write_warp_fields({"G1": f}, {"G1": std}, path)
-        back = read_warp_fields(path)
-        f2, std2 = back["G1"]
-        assert std2 == std
-        np.testing.assert_allclose(f2.beta, f.beta)
-        nus = np.linspace(0, 1, 17)
-        us = np.linspace(0, 1, 5)
-        np.testing.assert_allclose(
-            eval_warp_grid(f2, nus, us), eval_warp_grid(f, nus, us), atol=1e-12
-        )
 
 
 @given(st.integers(min_value=4, max_value=14))
