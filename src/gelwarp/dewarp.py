@@ -13,13 +13,18 @@ gels in one vectorized pass over each peak's band of admissible landmarks
 (its window |T - nu| < A_0, not all L), a block draw of each gel's free
 spline coefficients from their Gaussian full conditional, kept when it is
 monotone, with every chain and gel in one stacked Cholesky pass, conjugate
-inverse-gamma updates for the variances, and a per-coordinate random-walk
-Metropolis step on log lambda.
+inverse-gamma updates for the variances, and a random-walk Metropolis step
+on every log lambda at once.  That step is exact through a data
+augmentation: lambda enters the Z prior through (sum lambda)^-P over the P
+peaks, and Gamma(P) (sum lambda)^-P = int t^(P-1) exp(-t sum lambda) dt, so
+drawing t | lambda ~ Gamma(P, rate sum lambda) and then moving lambda given
+t, under which the landmarks are independent, leaves lambda's full
+conditional invariant (see sweep_hyper).
 
 The sampler state is internal, with no public form: arrays for R chains
 swept in lockstep, with a leading chain axis and peaks and lanes in
 lane_key_list order, the order the draws are saved in.  lambda is (R, L);
-its running sum lam_sum and sigma_eps^2 are (R,); Z and the peak means
+its sum lam_sum and sigma_eps^2 are (R,); Z and the peak means
 mu are (R, P) over the peaks of all gels; the warped landmarks W are
 (R, L + 2, N) with a column per lane; beta is (R, G, T_nu, T_u),
 sigma_g1^2 is (R, G) and sigma_gs^2 is (R, G, T_nu - 2).  The model
@@ -30,10 +35,10 @@ sweep takes one generator per chain, and each chain draws from its own
 generator in the same order and sizes as when swept alone, so chain r of a
 lockstep run equals that chain run by itself, bit for bit.  Only
 elementwise work is shared between chains; each float reduction (the Gram
-sums, residual sums, prior sums and each gel's Cholesky factor and solve)
-is taken per chain and gel.  One loop, _sample, runs every sweep: the
-restart chains and the main chain (R = 1).  It scores the saved draws after
-its sweeps, not on each one.
+sums, residual sums, prior sums, lambda's sum and each gel's Cholesky
+factor and solve) is taken per chain, and per gel where it is a gel's.
+One loop, _sample, runs every sweep: the restart chains and the main chain
+(R = 1).  It scores the saved draws after its sweeps, not on each one.
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: SIGMA_SHAPE and SIGMA_RATE for the inverse-gamma priors on every
@@ -152,13 +157,8 @@ def signatures(Z: dict, L: int) -> tuple[list, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar sampling helpers
+# Scalar log density
 # ---------------------------------------------------------------------------
-
-
-def _draw_invgamma(shape: float, rate: float, rng) -> float:
-    """X ~ InvGamma(shape, rate): density x^-(shape+1) exp(-rate/x)."""
-    return rate / rng.gamma(shape)
 
 
 def _log_invgamma(x: float, shape: float, rate: float) -> float:
@@ -197,8 +197,7 @@ class _GelData:
 class _ChainState:
     """Mutable sampler state of R chains, in the array layout of the module
     docstring: every field has a leading chain axis.  W (warped landmarks)
-    and mu (peak means) follow from beta and Z; lam_sum is lam's running
-    sum."""
+    and mu (peak means) follow from beta and Z; lam_sum is lam's sum."""
 
     lam: np.ndarray
     lam_sum: np.ndarray
@@ -341,6 +340,11 @@ class DewarpModel:
         step = np.diff(np.eye(cfg.T_u), axis=0)
         self._walk_v = np.kron(np.eye(m), step.T @ step)
         self._walk_row = np.repeat(np.arange(m), cfg.T_u)
+        # sweep_hyper's gamma shapes in draw order: sigma_eps, then each
+        # gel's sigma_g1 and its free rows' sigma_gs
+        self._var_shapes = np.concatenate([[SIGMA_SHAPE + 0.5 * P], np.tile(
+            [SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2)] + [SIGMA_SHAPE + 0.5 * (cfg.T_u - 1)] * m,
+            len(self.gels))])
         self._grids: dict[int, _LaneGrid] = {}
         # violation counter
         self._pair_lane = self._lane_of[1:]
@@ -423,7 +427,7 @@ class DewarpModel:
         cfg = self.cfg
         G = len(self.gels)
         R = chains
-        lam = np.full(cfg.L, math.sqrt(2.0 / math.pi))
+        lam = np.full((R, cfg.L), math.sqrt(2.0 / math.pi))
         Z = np.empty(self.n_peaks_total, dtype=np.intp)
         T = self._T_all[0]
         later = self._lane_J[self._lane_of] - 1 - self._peak_row  # the lane's peaks after it
@@ -442,7 +446,7 @@ class DewarpModel:
                 )
             z = Z[p] = lo + int(np.argmin(np.abs(self.nu_std[lo : hi + 1] - T[p])))
         return self._state(
-            lam=np.tile(lam, (R, 1)), lam_sum=np.full(R, float(lam.sum())),
+            lam=lam, lam_sum=lam.sum(axis=1),
             sigma_eps2=np.full(R, 0.01**2),
             beta=np.tile(self.beta_id[:, None], (R, G, 1, cfg.T_u)), Z=np.tile(Z, (R, 1)),
             sigma_g1_2=np.full((R, G), 0.01**2),
@@ -514,8 +518,7 @@ class DewarpModel:
         W_band = cs.W.take(g.w_flat)
         A = g.T_band - W_band
         A *= A
-        for r, se2 in enumerate(cs.sigma_eps2.tolist()):
-            A[:, r] *= -0.5 / se2
+        A *= (-0.5 / cs.sigma_eps2)[:, None, None]
         A += np.log(cs.lam).take(g.lam_idx)
         np.logaddexp.accumulate(A[0], axis=-1, out=A[0])
         for j in range(1, len(A)):
@@ -613,71 +616,69 @@ class DewarpModel:
         self._refresh(cs)
 
     def sweep_hyper(self, cs: _ChainState, rngs) -> float:
-        """Conjugate variance updates plus Metropolis on log lambda.
+        """Conjugate variance updates, then one Metropolis step on every log
+        lambda at once given a Gamma auxiliary.
+
+        lambda enters the Z prior as prod_l lambda_l^c_l (sum lambda)^-P,
+        with c_l the assignments to landmark l and P the peak count.  Since
+        Gamma(P) (sum lambda)^-P = int t^(P-1) exp(-t sum lambda) dt, the
+        joint density of (lambda, t) has lambda's full conditional as its
+        marginal, so the Gibbs step t | lambda ~ Gamma(P, rate sum lambda)
+        followed by any step that leaves lambda | t invariant leaves
+        p(lambda | Z) invariant.  Given t the landmarks are independent: on
+        x = log lambda_l each has log density (c_l + 1) x - t e^x - e^2x / 2
+        (the unit half-normal and the log-normal Jacobian), and one
+        random-walk step of sd LAMBDA_STEP moves every (chain, landmark) at
+        once.  It accepts where log(1 - u) < the log ratio, with u uniform on
+        [0, 1), and lam_sum is then lam's sum.
+
+        Each chain draws from its own generator, in this order: its variance
+        gammas in one call (sigma_eps, then each gel's sigma_g1 and its free
+        rows' sigma_gs, the stream of one call per variance), then t, then L
+        normals, then L uniforms.
 
         Returns the fraction of lambda proposals accepted in this sweep,
         over all chains."""
         R = self._chain_count(cs, rngs)
-        cfg = self.cfg
-        L = cfg.L
+        L = self.cfg.L
+        P = self.n_peaks_total
+        gam = np.empty((R, self._var_shapes.size))
+        t = np.empty(R)
+        noise = np.empty((R, L))
+        u = np.empty((R, L))
+        for r, (rng, lam_sum) in enumerate(zip(rngs, cs.lam_sum.tolist())):
+            gam[r] = rng.gamma(self._var_shapes)
+            t[r] = rng.standard_gamma(P) / lam_sum
+            rng.standard_normal(out=noise[r])
+            rng.random(out=u[r])
+
+        # variances: InvGamma(shape, rate) is rate / Gamma(shape), with the
+        # sums of squares in the gammas' order
         resid = self._T_all - cs.mu
         dd, ssq = self._rw_sums(cs.beta)
-        for r, rng in enumerate(rngs):
-            ss = 0.0
-            for gel in self.gels:
-                rg = resid[r, gel.peaks]
-                ss += float(rg @ rg)
-            cs.sigma_eps2[r] = _draw_invgamma(
-                SIGMA_SHAPE + 0.5 * self.n_peaks_total,
-                SIGMA_RATE + 0.5 * ss,
-                rng,
-            )
-            for gi in range(len(self.gels)):
-                cs.sigma_g1_2[r, gi] = _draw_invgamma(
-                    SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2),
-                    SIGMA_RATE + 0.5 * dd[r, gi],
-                    rng,
-                )
-                # one gamma draw per free row, from the same stream as row-by-row calls
-                cs.sigma_gs_2[r, gi] = (SIGMA_RATE + 0.5 * ssq[r, gi]) / rng.gamma(
-                    SIGMA_SHAPE + 0.5 * (cfg.T_u - 1), size=self.n_free_rows
-                )
+        sums = np.concatenate([(resid[:, None, :] @ resid[:, :, None])[:, 0],
+                               np.concatenate([dd[..., None], ssq], axis=-1).reshape(R, -1)],
+                              axis=1)
+        var = (SIGMA_RATE + 0.5 * sums) / gam
+        per_gel = var[:, 1:].reshape(R, len(self.gels), -1)
+        cs.sigma_eps2[:] = var[:, 0]
+        cs.sigma_g1_2[:] = per_gel[..., 0]
+        cs.sigma_gs_2[:] = per_gel[..., 1:]
 
-        # lambda: random-walk Metropolis on the log scale, coordinate by
-        # coordinate; the log-normal Jacobian adds (x' - x)
+        # lambda given t
         counts = np.bincount(
             (cs.Z + self._lane_grid(R).count_base).ravel(), minlength=R * L
         ).reshape(R, L)
-        # Each proposal moves one coordinate, so every term but the sum's
-        # is fixed up front; only lam_sum carries from one step to the next.
-        P_tot = self.n_peaks_total
         lam = cs.lam
         x = np.log(lam)
-        noise = np.empty((R, L))
-        for r, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[r])
         xp = x + noise * LAMBDA_STEP
         lp = np.exp(xp)
-        jacobian = ((counts + 1.0) * (xp - x)).tolist()
-        prior = (0.5 * (lp * lp - lam * lam)).tolist()
-        accepted = 0
-        for r, rng in enumerate(rngs):
-            lam_r, lp_r, jac_r, prior_r = lam[r], lp[r], jacobian[r], prior[r]
-            uls = rng.random(L).tolist()
-            lam_sum = float(cs.lam_sum[r])
-            log_sum = log(lam_sum)
-            accept = [False] * L
-            for ell, (cur, prop) in enumerate(zip(lam_r.tolist(), lp_r.tolist())):
-                new_sum = lam_sum - cur + prop
-                log_new = log(new_sum)
-                logr = jac_r[ell] - P_tot * (log_new - log_sum) - prior_r[ell]
-                if logr >= 0.0 or uls[ell] < math.exp(logr):
-                    accept[ell] = True
-                    lam_sum, log_sum = new_sum, log_new
-            np.putmask(lam_r, accept, lp_r)
-            cs.lam_sum[r] = lam_sum
-            accepted += sum(accept)
-        return accepted / (R * L)
+        logr = (counts + 1.0) * (xp - x) - t[:, None] * (lp - lam) - 0.5 * (lp * lp - lam * lam)
+        np.negative(u, out=u)
+        accept = np.log1p(u, out=u) < logr
+        np.putmask(lam, accept, lp)
+        cs.lam_sum[:] = lam.sum(axis=1)
+        return int(accept.sum()) / (R * L)
 
     def sweep(self, cs: _ChainState, rngs) -> float:
         self.sweep_Z(cs, rngs)
@@ -1177,7 +1178,8 @@ def _check_warp_entry(entry: dict) -> tuple:
     beta is T_nu T_u numbers and bounds two, and the field passes
     WarpField.validate; the "standardizer" object holds a lane standardizer
     with a positive scale, integer lanes each listed once, and one u_std
-    number per lane inside the u basis support."""
+    number per lane inside the u basis support, which is that lane under
+    the standardizer."""
     _require(entry, ("T_nu", "T_u", "knots_nu", "knots_u", "beta", "bounds", "standardizer"))
     bases = []
     for axis in ("nu", "u"):
@@ -1199,7 +1201,7 @@ def _check_warp_entry(entry: dict) -> tuple:
         raise ValueError("standardizer is not a JSON object")
     _require(std, ("standardizer", "lanes", "u_std"), "standardizer.")
     try:
-        Standardizer.from_dict(std["standardizer"])
+        lane_std = Standardizer.from_dict(std["standardizer"])
     except (KeyError, TypeError, ValueError):
         raise ValueError("standardizer.standardizer is not a center and a positive "
                          "scale") from None
@@ -1217,6 +1219,12 @@ def _check_warp_entry(entry: dict) -> tuple:
         i = int(np.argmax(outside))
         raise ValueError(f"lane {lanes[i]}: u_std {u_std[i]} outside the u basis support "
                          f"[{basis_u.lo}, {basis_u.hi}]")
+    # the writer computes u_std from these same floats, so it is exact
+    want = lane_std.apply(lanes)
+    if not np.array_equal(u_std, want):
+        i = int(np.argmax(u_std != want))
+        raise ValueError(f"lane {lanes[i]}: u_std {float(u_std[i])!r} is not the lane "
+                         f"standardized, {float(want[i])!r}")
     return field, lanes, u_std
 
 

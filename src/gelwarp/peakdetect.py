@@ -160,7 +160,8 @@ class PeakTable:
     def from_json(cls, path) -> "PeakTable":
         """The table of a to_json file; each peak is checked as it is built.
         A payload that is not an object, a missing or non-integer B or one
-        below 1, peaks that are not a list, a peak that fails _peak_of, and
+        below 1, peaks that are not a list, a peak that fails _peak_of (its
+        bin outside 1..B or its location off bin / B among them), and
         a table that fails the order checks are named with the file; a
         peak by its index, gel and lane."""
         data = read_json(path)
@@ -170,10 +171,10 @@ class PeakTable:
             for field in ("B", "peaks"):
                 if field not in data:
                     raise ValueError(f'no "{field}"')
-            check_int(data["B"], "B", 1)
+            B = check_int(data["B"], "B", 1)
             if not isinstance(data["peaks"], list):
                 raise ValueError("peaks is not a list")
-            return cls([_peak_of(r, i) for i, r in enumerate(data["peaks"])], data["B"])
+            return cls([_peak_of(r, i, B) for i, r in enumerate(data["peaks"])], B)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -181,10 +182,11 @@ class PeakTable:
 _PEAK_FIELDS = ("gel_id", "lane", "j", "bin", "location", "intensity")
 
 
-def _peak_of(row, i: int) -> Peak:
-    """The Peak of entry i of a peaks.json "peaks" list: an object holding
-    every field, a string gel_id, integer lane, j and bin, and a finite
-    number as its location and intensity."""
+def _peak_of(row, i: int, B: int) -> Peak:
+    """The Peak of entry i of a peaks.json "peaks" list of a B-bin trace:
+    an object holding every field, a string gel_id, integer lane and j, an
+    integer bin in 1..B, and finite numbers as its location, which is
+    bin / B as detect_peaks computes it, and intensity."""
     if not isinstance(row, dict):
         raise ValueError(f"peaks[{i}]: expected a JSON object")
     try:
@@ -199,6 +201,10 @@ def _peak_of(row, i: int) -> Peak:
             x = row[field]
             if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
                 raise ValueError(f"{field} must be a finite number, got {x!r}")
+        if not 1 <= row["bin"] <= B:
+            raise ValueError(f"bin {row['bin']} outside 1..{B}")
+        if row["location"] != row["bin"] / B:
+            raise ValueError(f"location {row['location']!r} is not bin / B = {row['bin'] / B!r}")
     except ValueError as exc:
         raise ValueError(f"peaks[{i}] (gel {row.get('gel_id')}, lane {row.get('lane')}): "
                          f"{exc}") from None

@@ -85,19 +85,19 @@ def edit_first_lane(src, dst, case):
 
 
 WARP_CASES = ("no_u_std", "lane_dropped", "lane_and_u_std_dropped", "string_beta",
-              "gel_missing")
+              "gel_missing", "u_std_reversed")
 
 
 def edit_warp_g1(path, case):
     """Write warp.json back at path with gel g1's entry edited: "no_u_std"
     removes its u_std, "lane_dropped" its first lane, "lane_and_u_std_dropped"
     that lane and its u_std, "string_beta" sets a beta entry to a string,
-    and "gel_missing" removes the entry.  Returns g1's lanes before the
-    edit."""
+    "gel_missing" removes the entry and "u_std_reversed" reverses its u_std.
+    Returns g1's lanes and u_std before the edit."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     g1 = next(entry for entry in payload if entry["gel_id"] == "g1")
     std = g1["standardizer"]
-    lanes = list(std["lanes"])
+    lanes, u_std = list(std["lanes"]), list(std["u_std"])
     if case == "no_u_std":
         del std["u_std"]
     elif case == "lane_dropped":
@@ -107,10 +107,12 @@ def edit_warp_g1(path, case):
         std["u_std"].pop(0)
     elif case == "string_beta":
         g1["beta"][3] = "x"
+    elif case == "u_std_reversed":
+        std["u_std"].reverse()
     else:
         payload.remove(g1)
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
-    return lanes
+    return lanes, u_std
 
 
 @pytest.fixture(scope="module")
@@ -791,7 +793,9 @@ class TestPlotdata:
         # fig_warps.csv was written, and a short landmarks.json row to write
         # every file with that lane's row cut; in warp.json, a lane dropped
         # from gel g1's lanes, or a gel dropped, used to drop their warp
-        # curves and exit 0, and a missing u_std to fail as 'u_std'
+        # curves and exit 0, a reversed u_std to draw each lane's warp at
+        # another lane's place and exit 0, and a missing u_std to fail as
+        # 'u_std'
         run_dir = tmp_path / "run"
         for rel in ("posterior/warp.json", "posterior/zmap.json", "posterior/landmarks.json",
                     "clusters/metrics.csv", "clusters/plotdata/fig_dendrogram.csv"):
@@ -800,13 +804,15 @@ class TestPlotdata:
         zmap, landmarks, warp = (run_dir / "posterior" / name
                                  for name in ("zmap.json", "landmarks.json", "warp.json"))
         if case in WARP_CASES:
-            lanes = edit_warp_g1(warp, case)
+            lanes, u_std = edit_warp_g1(warp, case)
             message = f"{warp}: gel g1: " + {
                 "no_u_std": 'no "standardizer.u_std"',
                 "lane_dropped": f"standardizer.u_std is not {len(lanes) - 1} finite numbers",
                 "lane_and_u_std_dropped": f"lanes {lanes[1:]}, where {zmap} has {lanes}",
                 "string_beta": "beta is not 20 finite numbers",
                 "gel_missing": f"lanes none, where {zmap} has {lanes}",
+                "u_std_reversed": (f"lane {lanes[0]}: u_std {u_std[-1]!r} is not the lane "
+                                   f"standardized, {u_std[0]!r}"),
             }[case]
         elif case == "short_landmarks_row":
             payload = json.loads(landmarks.read_text(encoding="utf-8"))

@@ -677,8 +677,10 @@ class TestHyperConditionals:
 
     @staticmethod
     def coordinate_loop_sweep(model, cs, rng):
-        """sweep_hyper as one scalar update at a time: the reference kernel,
-        on a one-chain state."""
+        """The variance updates as one scalar draw at a time, and the lambda
+        scan that sweep_hyper's augmented block step replaced, which moves
+        one coordinate at a time and carries lambda's running sum: the
+        reference kernel, on a one-chain state."""
         cfg, L = model.cfg, model.cfg.L
         inv_gamma = lambda shape, rate: rate / rng.gamma(shape)  # noqa: E731
         lam = cs.lam[0]
@@ -716,22 +718,36 @@ class TestHyperConditionals:
         return accepted / L
 
     def test_sweep_matches_coordinate_loop_reference(self):
-        # same random stream and same decisions; lambda may differ only in
-        # the last bits, because numpy's log/exp round differently from math's
+        # the variances come first on the same random stream, so they match
+        # the reference; lambda then takes another exact kernel, so its
+        # lambda* marginals given Z must match the reference's in law
         peaks, cfg, model, s0 = self.setup_state()
         rngs = [np.random.default_rng(12)]
         cs = s0
         for k in range(60):
             model.sweep(cs, rngs)
             a, b = copy.deepcopy(cs), copy.deepcopy(cs)
-            rate_a = model.sweep_hyper(a, [np.random.default_rng(k)])
-            rate_b = self.coordinate_loop_sweep(model, b, np.random.default_rng(k))
-            assert rate_a == rate_b
+            model.sweep_hyper(a, [np.random.default_rng(k)])
+            self.coordinate_loop_sweep(model, b, np.random.default_rng(k))
             assert a.sigma_eps2[0] == pytest.approx(b.sigma_eps2[0], rel=1e-12)
             np.testing.assert_array_equal(a.sigma_g1_2, b.sigma_g1_2)
             np.testing.assert_array_equal(a.sigma_gs_2, b.sigma_gs_2)
-            np.testing.assert_allclose(a.lam, b.lam, rtol=1e-12)
-            assert a.lam_sum[0] == pytest.approx(b.lam_sum[0], rel=1e-12)
+
+        a, b = copy.deepcopy(s0), copy.deepcopy(s0)
+        rng, ref_rng = [np.random.default_rng(13)], np.random.default_rng(78)
+        # thinned past either kernel's integrated autocorrelation time (at
+        # most about 30 on this model)
+        n, thin = 500, 40
+        new, old = np.empty((n, cfg.L)), np.empty((n, cfg.L))
+        for k in range(n * thin):
+            model.sweep_hyper(a, rng)
+            self.coordinate_loop_sweep(model, b, ref_rng)
+            if k % thin == thin - 1:
+                new[k // thin] = a.lam[0] / a.lam_sum[0]
+                old[k // thin] = b.lam[0] / b.lam_sum[0]
+        assert np.array_equal(a.Z, s0.Z) and np.array_equal(a.beta, s0.beta)
+        for ell in range(cfg.L):
+            assert ks_2samp(new[:, ell], old[:, ell]).pvalue > 1e-3, ell
 
     def test_lambda_moves_accept_some(self):
         peaks, cfg, model, s0 = self.setup_state()
@@ -789,8 +805,9 @@ def assert_same_state(a, b):
 
 class TestStateLayout:
     """The chain state as arrays on two gels of unequal size: after every
-    block, in every chain, mu is W at (Z, lane) and each gel's W block is
-    B_nu beta_g B_u', bit for bit, with no broken constraint."""
+    block, in every chain, mu is W at (Z, lane), each gel's W block is
+    B_nu beta_g B_u' and lam_sum is lam's sum, bit for bit, with no broken
+    constraint."""
 
     def test_unequal_gels(self):
         self.check_layout(chains=1)
@@ -831,6 +848,7 @@ class TestStateLayout:
                     for gi, gel in enumerate(model.gels):
                         want = model.Bnu_land @ cs.beta[r, gi] @ gel.Bu.T
                         assert np.array_equal(cs.W[r][:, gel.cols], want), (step.__name__, gi)
+                assert np.array_equal(cs.lam_sum, cs.lam.sum(axis=1)), step.__name__
                 assert not model.count_violations(cs).any(), step.__name__
             moved += int(np.any(cs.Z != before))
         assert moved > 0
@@ -1735,6 +1753,10 @@ class TestRunMCMC:
                      "gel g1: standardizer.u_std is not 2 finite numbers", id="string-u_std"),
         pytest.param(lambda w: w[0]["standardizer"]["u_std"].__setitem__(1, 5.0),
                      "gel g1: lane 2: u_std 5.0 outside the u basis support", id="u_std-outside"),
+        # a reversed u_std used to draw each lane's warp at the other's place
+        pytest.param(lambda w: w[0]["standardizer"]["u_std"].reverse(),
+                     "gel g1: lane 1: u_std 0.7071067811865475 is not the lane standardized, "
+                     "-0.7071067811865475", id="u_std-reversed"),
     ])
     def test_read_warp_json_names_file_and_gel(self, tmp_path, edit, message):
         path = tmp_path / "warp.json"

@@ -266,10 +266,16 @@ class TestPeakTable:
         pytest.param(lambda d: d["peaks"][1].update(intensity=None),
                      "peaks[1] (gel G1, lane 1): intensity must be a finite number, got None",
                      id="null-intensity"),
+        # a bin past B used to read without error
+        pytest.param(lambda d: d["peaks"][1].update(bin=5000),
+                     "peaks[1] (gel G1, lane 1): bin 5000 outside 1..100", id="bin-past-B"),
+        pytest.param(lambda d: d["peaks"][1].update(location=0.49),
+                     "peaks[1] (gel G1, lane 1): location 0.49 is not bin / B = 0.5",
+                     id="location-off-bin"),
         # the table's own order checks
         pytest.param(lambda d: d["peaks"][1].update(j=3),
                      "gel G1 lane 1: peak index 3, expected 2", id="j-skipped"),
-        pytest.param(lambda d: d["peaks"][1].update(location=0.05),
+        pytest.param(lambda d: d["peaks"][1].update(bin=5, location=0.05),
                      "gel G1 lane 1: locations not strictly increasing at j=2",
                      id="location-falls"),
     ])
