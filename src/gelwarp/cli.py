@@ -438,7 +438,7 @@ def stage_plotdata(run_dir, out_dir) -> Path:
     ) if path.is_file()}
     tables = {}
     warp_path = run / "posterior" / "warp.json"
-    if zmap_path.is_file() and warp_path.is_file():
+    if zmap_path.is_file() or warp_path.is_file():
         tables.update(_warp_tables(zmap_path, warp_path))
     if landmarks_path.is_file():
         probs = read_landmark_probs(landmarks_path)
@@ -470,6 +470,8 @@ def run_pipeline(config_path, resume: bool = False) -> Path:
     hashes = {}
     if resume and hash_file.is_file():
         hashes = read_json(hash_file)
+        if not isinstance(hashes, dict):
+            raise ValueError(f"{hash_file}: expected a JSON object of stage digests")
 
     traces, manifest, truth = (
         None if p is None else Path(p)

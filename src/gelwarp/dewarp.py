@@ -39,6 +39,10 @@ sums, residual sums, prior sums, lambda's sum and each gel's Cholesky
 factor and solve) is taken per chain, and per gel where it is a gel's.
 One loop, _sample, runs every sweep: the restart chains and the main chain
 (R = 1).  It scores the saved draws after its sweeps, not on each one.
+The restart phase is one _sample call over run_mcmc's initial state of
+restarts chains, restart_sweeps sweeps long, and one argmax over each
+chain's mean log joint of its last 25 sweeps; the winner starts the main
+chain.
 
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: SIGMA_SHAPE and SIGMA_RATE for the inverse-gamma priors on every
@@ -107,13 +111,13 @@ class ModelConfig:
     thin: int = 1
     seed: int = 0
     restarts: int = 4
-    restart_sweeps: int = 600
+    restart_sweeps: int = 750
 
     def __post_init__(self):
         # a float such as 300.0 (say from JSON) would fail mid-run
         for name, lo in (("L", None), ("T_nu", None), ("T_u", None), ("iterations", 1),
                          ("burnin", 0), ("thin", 1), ("seed", 0), ("restarts", 1),
-                         ("restart_sweeps", 1)):
+                         ("restart_sweeps", 25)):
             check_int(getattr(self, name), name, lo)
         if self.L < 2:
             raise ValueError("need L >= 2 landmarks")
@@ -945,36 +949,30 @@ def _sample(model: DewarpModel, cs: _ChainState, rngs, sweeps: int, keep: range)
     return (rows["Z"], rows["beta"], rows["lam"], trace), violations, accept
 
 
-def _explore_restarts(model: DewarpModel, cfg: ModelConfig) -> tuple:
-    """Short chains from independent streams, swept in lockstep; keeps the
-    state with the best settled log joint.
-
-    Each chain runs restart_sweeps sweeps plus max(30, restart_sweeps // 4)
-    more, so that it settles before it is scored, and its score is the mean
-    log joint of its last 25 sweeps.  The winner is the first chain whose
-    score beats every earlier one, so a tie keeps the earlier chain and a
-    NaN never wins; it is carried forward as a one-chain state."""
+def _explore_restarts(model: DewarpModel, cs: _ChainState, cfg: ModelConfig) -> tuple:
+    """Sweeps cs, a state of cfg.restarts chains, in lockstep for
+    cfg.restart_sweeps sweeps, each chain on its own stream, and keeps the
+    chain with the best settled log joint: the mean of its last 25 sweeps.
+    The winner is the argmax of those scores with a NaN read as -inf, so a
+    tie keeps the earlier chain and a NaN never wins; it is carried forward
+    as a one-chain state."""
     rngs = [np.random.default_rng((cfg.seed, 911, i)) for i in range(cfg.restarts)]
-    cs = model.init_chain_state(cfg.restarts)
-    sweeps = cfg.restart_sweeps + max(30, cfg.restart_sweeps // 4)
-    tail_n = 25
-    draws, viol, _ = _sample(model, cs, rngs, sweeps, range(sweeps - tail_n, sweeps))
-    scores = [float(np.mean(tail)) for tail in draws[-1].reshape(cfg.restarts, tail_n)]
-    best = None
-    best_score = -np.inf
-    for i, score in enumerate(scores):
-        if score > best_score:
-            best, best_score = i, score
-    if best is None:
+    sweeps = cfg.restart_sweeps
+    draws, viol, _ = _sample(model, cs, rngs, sweeps, range(sweeps - 25, sweeps))
+    scores = draws[-1].reshape(cfg.restarts, 25).mean(axis=1)
+    if not np.isfinite(scores).any():
         raise ValueError(
             "no restart reached a finite settled log joint; scores by restart: "
-            + ", ".join(repr(score) for score in scores)
+            + ", ".join(repr(score) for score in scores.tolist())
         )
-    return cs.chain(best), viol
+    return cs.chain(int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))), viol
 
 
 def run_mcmc(peaks: PeakTable, cfg: ModelConfig) -> MCMCResult:
-    """Systematic-scan Gibbs chain; deterministic given cfg.seed.
+    """Systematic-scan Gibbs chain; deterministic given cfg.seed.  One
+    initial state of cfg.restarts chains is built and its log joint checked;
+    with more than one chain, _explore_restarts sweeps it and its winner
+    starts the main chain, and otherwise it is the main chain's start.
     Constraint violations are counted after every sweep."""
     model = DewarpModel(peaks, cfg)
     for gel in model.gels:
@@ -985,17 +983,16 @@ def run_mcmc(peaks: PeakTable, cfg: ModelConfig) -> MCMCResult:
                 GelwarpWarning,
                 stacklevel=2,
             )
-    rngs = [np.random.default_rng(cfg.seed)]
-    cs = model.init_chain_state()
+    cs = model.init_chain_state(cfg.restarts)
     comp = model.log_joint_components(cs, model.count_violations(cs))
-    if not np.isfinite(comp["total"][0]):
-        bad = [k for k, v in comp.items() if k != "total" and not np.isfinite(v[0])]
+    if not np.isfinite(comp["total"]).all():
+        bad = [k for k, v in comp.items() if k != "total" and not np.isfinite(v).all()]
         raise ValueError(f"non-finite log joint at initialization: {', '.join(bad)}")
 
     violations = 0
     if cfg.restarts > 1:
-        cs, violations = _explore_restarts(model, cfg)
-    draws, v, accept = _sample(model, cs, rngs, cfg.iterations,
+        cs, violations = _explore_restarts(model, cs, cfg)
+    draws, v, accept = _sample(model, cs, [np.random.default_rng(cfg.seed)], cfg.iterations,
                                range(cfg.burnin, cfg.iterations, cfg.thin))
     return _summarize(model, draws, violations + v, accept / cfg.iterations)
 
@@ -1061,8 +1058,9 @@ def _check_zmap_lane(entry: dict, L: int, K: int | None) -> dict:
     there, with the dimensions and kind of number _ZMAP_FIELDS gives (an
     empty one may be of any kind); z_map, locations, bins and every draw
     hold one entry per peak and marginals one row of L + 2 per peak; each
-    landmark is in 1..L; each draw strictly increases; and the lane holds K
-    draws, as the lanes before it do (None for the first)."""
+    landmark is in 1..L; every location is finite; locations, bins and
+    each draw strictly increase; and the lane holds K draws, as the lanes
+    before it do (None for the first)."""
     for field, (ndim, kinds, message) in _ZMAP_FIELDS.items():
         if field not in entry:
             raise ValueError(f'no "{field}"')
@@ -1085,6 +1083,13 @@ def _check_zmap_lane(entry: dict, L: int, K: int | None) -> dict:
         outside = (z < 1) | (z > L)
         if outside.any():
             raise ValueError(f"{name} has landmark {z[outside][0]} outside 1..{L}")
+    if not np.isfinite(entry["locations"]).all():
+        raise ValueError("locations has an entry that is not finite")
+    for name in ("locations", "bins"):
+        falls = np.diff(entry[name]) <= 0
+        if falls.any():
+            raise ValueError(f"{name} are not strictly increasing at peak "
+                             f"{int(np.argmax(falls)) + 2}")
     falls = np.diff(draws, axis=1) <= 0
     if falls.any():
         raise ValueError(f"draw {int(np.argmax(falls.any(axis=1)))} is not strictly increasing")

@@ -693,6 +693,20 @@ class TestPipeline:
         assert capsys.readouterr().err == f"gelwarp pipeline: {message}\n"
         assert not (Path(cfg["out"]) / "peaks_raw.json").exists()
 
+    def test_resume_with_non_object_hashes_fails_before_first_stage(self, workdir, capsys):
+        # a list used to fail as "'list' object has no attribute 'get'"
+        cfg = json.loads((workdir / "pipe.json").read_text())
+        cfg["out"] = str(workdir / "run_list_hashes")
+        hash_file = Path(cfg["out"]) / "hashes.json"
+        hash_file.parent.mkdir()
+        hash_file.write_text("[]\n")
+        path = workdir / "pipe_list_hashes.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path), "--resume"]) == 1
+        assert capsys.readouterr().err == (
+            f"gelwarp pipeline: {hash_file}: expected a JSON object of stage digests\n")
+        assert sorted(hash_file.parent.iterdir()) == [hash_file]
+
     def test_resume_reruns_cluster_when_draws_change(self, workdir, capsys):
         # thinning the saved draws rewrites zmap.json but keeps the MAP
         # assignments, so exact.csv keeps its bytes; the cluster stage reads
@@ -786,7 +800,7 @@ class TestPlotdata:
         assert list(empty.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["short_z_map", "landmark_above", "short_landmarks_row",
-                                      *WARP_CASES])
+                                      "no_warp", "no_zmap", *WARP_CASES])
     def test_malformed_posterior_fails_before_writing(self, workdir, tmp_path, capsys, case):
         # a z_map one entry short used to drop that peak's row and exit 0, a
         # landmark above L to fail as "list index out of range" after
@@ -795,7 +809,8 @@ class TestPlotdata:
         # from gel g1's lanes, or a gel dropped, used to drop their warp
         # curves and exit 0, a reversed u_std to draw each lane's warp at
         # another lane's place and exit 0, and a missing u_std to fail as
-        # 'u_std'
+        # 'u_std'; with no warp.json, or no zmap.json, the other went unread,
+        # and the run exited 0 without fig_warps.csv and fig_connections.csv
         run_dir = tmp_path / "run"
         for rel in ("posterior/warp.json", "posterior/zmap.json", "posterior/landmarks.json",
                     "clusters/metrics.csv", "clusters/plotdata/fig_dendrogram.csv"):
@@ -814,6 +829,10 @@ class TestPlotdata:
                 "u_std_reversed": (f"lane {lanes[0]}: u_std {u_std[-1]!r} is not the lane "
                                    f"standardized, {u_std[0]!r}"),
             }[case]
+        elif case in ("no_warp", "no_zmap"):
+            missing = warp if case == "no_warp" else zmap
+            missing.unlink()
+            message = f"[Errno 2] No such file or directory: {str(missing)!r}"
         elif case == "short_landmarks_row":
             payload = json.loads(landmarks.read_text(encoding="utf-8"))
             name = next(iter(payload["lanes"]))

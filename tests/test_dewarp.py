@@ -129,6 +129,13 @@ class TestModelConfig:
                 ModelConfig(a0=a0)
         assert ModelConfig(L=10, a0=1).a0_value == 1
 
+    def test_restart_sweeps_cover_the_scoring_window(self):
+        # each restart chain is scored on its last 25 sweeps
+        with pytest.raises(ValueError, match="restart_sweeps must be an integer >= 25, got 24"):
+            ModelConfig(restart_sweeps=24)
+        assert ModelConfig(restart_sweeps=25).restart_sweeps == 25
+        assert ModelConfig().restart_sweeps == 750
+
 
 class TestZGibbsExact:
     """Blocked FFBS assignment draw against exhaustive enumeration on a
@@ -897,13 +904,13 @@ class TestLockstep:
     @staticmethod
     def serial_explore_restarts(model, cfg):
         """The restart phase as one chain after another on its own state,
-        each under the unchanged kernel for restart_sweeps +
-        max(30, restart_sweeps // 4) sweeps and scored on the last 25.
+        each under the unchanged kernel for restart_sweeps sweeps and scored
+        on the last 25.
         Returns the winner's index, every chain's final state and the
         violation count."""
         states = []
         viol = 0
-        sweeps = cfg.restart_sweeps + max(30, cfg.restart_sweeps // 4)
+        sweeps = cfg.restart_sweeps
         best, best_score = None, -np.inf
         for i in range(cfg.restarts):
             rngs = [np.random.default_rng((cfg.seed, 911, i))]
@@ -926,7 +933,7 @@ class TestLockstep:
                              [unequal_two_gel_model, chain_shaped_model, noisy_chain_model])
     def test_restarts_match_serial_loop(self, make_model, restarts):
         model = make_model(seed=3, restarts=restarts, restart_sweeps=60)
-        cs, viol = _explore_restarts(model, model.cfg)
+        cs, viol = _explore_restarts(model, model.init_chain_state(restarts), model.cfg)
         best, states, serial_viol = self.serial_explore_restarts(model, model.cfg)
         assert viol == serial_viol == 0
         assert_same_state(cs, states[best])
@@ -973,7 +980,7 @@ class TestLockstep:
         chain = _ChainState.chain
         monkeypatch.setattr(_ChainState, "chain",
                             lambda self, r: picked.append(r) or chain(self, r))
-        _explore_restarts(model, model.cfg)
+        _explore_restarts(model, model.init_chain_state(model.cfg.restarts), model.cfg)
         assert picked == [1]
 
     @pytest.mark.parametrize("score", [np.nan, -np.inf])
@@ -1574,6 +1581,16 @@ class TestRunMCMC:
                      "draw 3 is not strictly increasing", id="draw-repeat"),
         pytest.param(lambda e: e["draws"].pop(), "3 draws, where the first lane has 4",
                      id="fewer-draws"),
+        # reversed locations used to fail in align and cluster naming neither
+        # the file nor the lane, and plotdata drew them; bins were unchecked
+        pytest.param(lambda e: e.update(locations=e["locations"][::-1]),
+                     "locations are not strictly increasing at peak 2", id="locations-reversed"),
+        pytest.param(lambda e: e["bins"].__setitem__(2, e["bins"][1]),
+                     "bins are not strictly increasing at peak 3", id="bins-repeat"),
+        # an infinite last location passed the order check; plotdata wrote
+        # it as inf, and align failed naming neither the file nor the lane
+        pytest.param(lambda e: e["locations"].__setitem__(2, float("inf")),
+                     "locations has an entry that is not finite", id="location-inf"),
         # a non-integer used to read as its floor
         pytest.param(lambda e: e["z_map"].__setitem__(1, e["z_map"][1] + 0.5),
                      "z_map has an entry that is not an integer", id="non-integer-z_map"),
@@ -1799,9 +1816,8 @@ class TestRunMCMC:
         monkeypatch.setattr(DewarpModel, "count_violations",
                             lambda self, cs: calls.append(len(cs.Z)) or count(self, cs))
         again = run_mcmc(peaks, cfg)
-        release = max(30, cfg.restart_sweeps // 4)
-        assert len(calls) == cfg.restart_sweeps + release + cfg.iterations + 1 == 511
-        assert calls == [1] + [cfg.restarts] * (cfg.restart_sweeps + release) + [1] * cfg.iterations
+        assert len(calls) == cfg.restart_sweeps + cfg.iterations + 1 == 481
+        assert calls == [cfg.restarts] * (cfg.restart_sweeps + 1) + [1] * cfg.iterations
         assert again.violations == res.violations == 0
         assert np.array_equal(again.log_joint_trace, res.log_joint_trace)
 
