@@ -123,6 +123,9 @@ def load_config(path) -> dict:
 
 def model_config_from(section: dict, seed: int, source: str = "config") -> ModelConfig:
     _check_object(section, source)
+    if "seed" in section:
+        raise ValueError(f"{source}: seed is not a dewarp setting; it comes from --seed "
+                         f"or the pipeline config's top-level seed key")
     fields = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(section) - fields
     if unknown:
@@ -134,6 +137,11 @@ def check_config(cfg: dict) -> None:
     """Reject every setting that is wrong whatever the data holds, so that it
     fails before the first stage writes anything.  The bounds that need the
     data (n_values <= N) stay with their stages."""
+    if not isinstance(cfg["out"], str):
+        raise ValueError(f"out must be a string, got {cfg['out']!r}")
+    template = cfg["refalign"]["template"]
+    if template is not None and not isinstance(template, str):
+        raise ValueError(f"refalign.template must be a string or null, got {template!r}")
     for key, path in cfg["inputs"].items():
         if path is None and key != "traces":
             continue
@@ -301,6 +309,9 @@ def read_truth_file(path) -> dict:
             if reader.fieldnames is None or {"lane", "label"} - set(reader.fieldnames):
                 raise ValueError(f"{path}: truth CSV needs columns lane,label")
             for row in reader:
+                if row["lane"] in by_key:
+                    raise ValueError(f"{path}:{reader.line_num}: lane {row['lane']} "
+                                     f"is listed twice")
                 try:
                     by_key[row["lane"]] = int(row["label"])
                 except (TypeError, ValueError):

@@ -35,8 +35,10 @@ sweep takes one generator per chain, and each chain draws from its own
 generator in the same order and sizes as when swept alone, so chain r of a
 lockstep run equals that chain run by itself, bit for bit.  Only
 elementwise work is shared between chains; each float reduction (the Gram
-sums, residual sums, prior sums, lambda's sum and each gel's Cholesky
-factor and solve) is taken per chain, and per gel where it is a gel's.
+sums, the sums of squares under each variance, lambda's sum, the log
+joint's sums and each gel's Cholesky factor and solve) is taken per chain,
+and per gel where it is a gel's.  The variance step and the log joint read
+one (R, V) layout of the V variances of a chain (see _var_sums).
 One loop, _sample, runs every sweep: the restart chains and the main chain
 (R = 1).  It scores the saved draws after its sweeps, not on each one.
 The restart phase is one _sample call over run_mcmc's initial state of
@@ -59,7 +61,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from itertools import groupby
-from math import lgamma, log
 
 import numpy as np
 
@@ -161,28 +162,24 @@ def signatures(Z: dict, L: int) -> tuple[list, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar log density
-# ---------------------------------------------------------------------------
-
-
-def _log_invgamma(x: float, shape: float, rate: float) -> float:
-    if x <= 0:
-        return -np.inf
-    return shape * log(rate) - lgamma(shape) - (shape + 1.0) * log(x) - rate / x
-
-
-# ---------------------------------------------------------------------------
 # Model context
 # ---------------------------------------------------------------------------
 
 
+def _var_layout(eps: np.ndarray, g1: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """An (R,) sigma_eps, (R, G) sigma_g1 and (R, G, T_nu - 2) sigma_gs
+    quantity as one (R, V) array, in sweep_hyper's draw order."""
+    R = len(eps)
+    return np.concatenate(
+        [eps[:, None], np.concatenate([g1[..., None], gs], axis=-1).reshape(R, -1)], axis=1)
+
+
 @dataclass(slots=True, eq=False)
 class _GelData:
-    """What is per gel: its lanes, their standardizer and basis, the lane
-    design Bu and its rows at each of the gel's peaks (BuP), and the Z
-    prior's log J! term.  Per-peak inputs live once, on the model's peak
-    axis; peaks and cols are the gel's slices of it and of W's lane
-    columns."""
+    """What is per gel: its lanes, their standardizer and basis, and the
+    lane design Bu and its rows at each of the gel's peaks (BuP).  Per-peak
+    inputs live once, on the model's peak axis; peaks and cols are the gel's
+    slices of it and of W's lane columns."""
 
     gel_id: str
     lanes: list
@@ -191,7 +188,6 @@ class _GelData:
     basis_u: object
     Bu: np.ndarray
     BuP: np.ndarray
-    log_jfact: float
     peaks: slice
     cols: slice
     n_peaks: int
@@ -305,13 +301,10 @@ class DewarpModel:
                 u_lo, u_hi = u_lo - 0.5, u_hi + 0.5
             basis_u = make_basis(u_std, cfg.T_u, domain=(u_lo, u_hi))
             Bu = basis_u.design_matrix(u_std)
-            n, log_jfact = 0, 0.0
-            for j in J[N : N + len(lanes)].tolist():
-                n += j
-                log_jfact += lgamma(j + 1.0)
+            n = int(J[N : N + len(lanes)].sum())
             self.gels.append(_GelData(
                 gel_id, lanes, u_std, lane_std, basis_u, Bu,
-                BuP=Bu[self._lane_of[P : P + n] - N], log_jfact=log_jfact,
+                BuP=Bu[self._lane_of[P : P + n] - N],
                 peaks=slice(P, P + n), cols=slice(N, N + len(lanes)), n_peaks=n,
             ))
             P, N = P + n, N + len(lanes)
@@ -344,11 +337,13 @@ class DewarpModel:
         step = np.diff(np.eye(cfg.T_u), axis=0)
         self._walk_v = np.kron(np.eye(m), step.T @ step)
         self._walk_row = np.repeat(np.arange(m), cfg.T_u)
-        # sweep_hyper's gamma shapes in draw order: sigma_eps, then each
-        # gel's sigma_g1 and its free rows' sigma_gs
-        self._var_shapes = np.concatenate([[SIGMA_SHAPE + 0.5 * P], np.tile(
-            [SIGMA_SHAPE + 0.5 * (cfg.T_nu - 2)] + [SIGMA_SHAPE + 0.5 * (cfg.T_u - 1)] * m,
-            len(self.gels))])
+        # the Gaussian terms' counts under each variance, in sweep_hyper's
+        # draw order (see _var_sums), and the variances' gamma shapes
+        self._var_counts = np.concatenate(
+            [[P], np.tile([cfg.T_nu - 2] + [cfg.T_u - 1] * m, len(self.gels))])
+        self._var_shapes = SIGMA_SHAPE + 0.5 * self._var_counts
+        # the Z prior's log J! over every lane
+        self._log_jfact = sum(math.lgamma(j + 1.0) for j in J.tolist())
         self._grids: dict[int, _LaneGrid] = {}
         # violation counter
         self._pair_lane = self._lane_of[1:]
@@ -636,6 +631,7 @@ class DewarpModel:
         once.  It accepts where log(1 - u) < the log ratio, with u uniform on
         [0, 1), and lam_sum is then lam's sum.
 
+        The variances' sums of squares are _var_sums, in the gammas' order.
         Each chain draws from its own generator, in this order: its variance
         gammas in one call (sigma_eps, then each gel's sigma_g1 and its free
         rows' sigma_gs, the stream of one call per variance), then t, then L
@@ -656,14 +652,8 @@ class DewarpModel:
             rng.standard_normal(out=noise[r])
             rng.random(out=u[r])
 
-        # variances: InvGamma(shape, rate) is rate / Gamma(shape), with the
-        # sums of squares in the gammas' order
-        resid = self._T_all - cs.mu
-        dd, ssq = self._rw_sums(cs.beta)
-        sums = np.concatenate([(resid[:, None, :] @ resid[:, :, None])[:, 0],
-                               np.concatenate([dd[..., None], ssq], axis=-1).reshape(R, -1)],
-                              axis=1)
-        var = (SIGMA_RATE + 0.5 * sums) / gam
+        # variances: InvGamma(shape, rate) is rate / Gamma(shape)
+        var = (SIGMA_RATE + 0.5 * self._var_sums(cs)) / gam
         per_gel = var[:, 1:].reshape(R, len(self.gels), -1)
         cs.sigma_eps2[:] = var[:, 0]
         cs.sigma_g1_2[:] = per_gel[..., 0]
@@ -714,17 +704,22 @@ class DewarpModel:
         bad += (cs.lam <= 0).any(axis=1)
         return bad
 
-    def _rw_sums(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The random-walk prior sums of beta (..., T_nu, T_u), per gel: d.d
-        for the first column's increments about the identity's, and each
-        free row's sum of squared increments across lanes.  The stacked
-        matmul adds d.d in the order d @ d does; einsum does not."""
+    def _var_sums(self, cs: _ChainState) -> np.ndarray:
+        """The (R, V) sums of squares under each of a chain's V variances, in
+        sweep_hyper's draw order: the residuals' under sigma_eps, then per
+        gel the first column's increments about the identity's under
+        sigma_g1 and each free row's increments across lanes under its
+        sigma_gs.  The stacked matmuls add each dot product in the order
+        d @ d does; einsum does not."""
         T_nu = self.cfg.T_nu
-        col = beta[..., : T_nu - 1, 0]
+        resid = self._T_all - cs.mu
+        col = cs.beta[..., : T_nu - 1, 0]
         d = col[..., 1:] - col[..., :-1] - self.id_incr
-        rows = beta[..., 1 : T_nu - 1, :]
+        rows = cs.beta[..., 1 : T_nu - 1, :]
         inc = rows[..., 1:] - rows[..., :-1]
-        return (d[..., None, :] @ d[..., :, None])[..., 0, 0], (inc * inc).sum(axis=-1)
+        return _var_layout((resid[:, None, :] @ resid[:, :, None])[:, 0, 0],
+                           (d[..., None, :] @ d[..., :, None])[..., 0, 0],
+                           (inc * inc).sum(axis=-1))
 
     def log_joint_components(self, cs: _ChainState, violations: np.ndarray) -> dict:
         """The log joint's terms and total, each an (R,) array over the
@@ -739,46 +734,23 @@ class DewarpModel:
             terms[ok] = self._log_joint_terms(cs)
         return dict(zip(("likelihood", "z_prior", "beta_prior", "hyper", "total"), terms.T))
 
-    def _log_joint_terms(self, cs: _ChainState) -> list:
-        """Likelihood, z_prior, beta_prior, hyper and total of each chain.
-        The array sums are taken for every chain and gel at once; each chain
-        then adds its terms in Python floats, gel by gel."""
-        cfg = self.cfg
-        lam, vgs = cs.lam, cs.sigma_gs_2
-        resid = self._T_all - cs.mu
-        log_lam_z = np.log(lam[np.arange(len(lam))[:, None], cs.Z - 1])
-        norms = np.array([(rg[:, None, :] @ rg[:, :, None])[:, 0, 0]
-                          for rg in (resid[:, gel.peaks] for gel in self.gels)]).T
-        z_sums = np.array([log_lam_z[:, gel.peaks].sum(axis=1) for gel in self.gels]).T
-        dd, ssq = self._rw_sums(cs.beta)
-        # unit half-normal over lambda
-        half_normal = (0.5 * math.log(2.0 / math.pi) - 0.5 * lam**2).sum(axis=1)
-        ssq_terms = (-0.5 * ssq / vgs).sum(axis=-1)
-        log_vgs = (LOG_2PI + np.log(vgs)).sum(axis=-1)
-        rows = []
-        for (se2, lam_sum, hn, v1s, vgs_r, norm_r, z_r, dd_r, ssq_r, logv_r) in zip(
-                *(a.tolist() for a in (cs.sigma_eps2, cs.lam_sum, half_normal,
-                                       cs.sigma_g1_2, vgs, norms, z_sums, dd, ssq_terms,
-                                       log_vgs))):
-            lik = z_prior = beta_prior = 0.0
-            hyper = _log_invgamma(se2, SIGMA_SHAPE, SIGMA_RATE)
-            hyper += hn
-            log_lam_sum = log(lam_sum)
-            for gi, gel in enumerate(self.gels):
-                lik += -0.5 * norm_r[gi] / se2 - 0.5 * gel.n_peaks * (LOG_2PI + log(se2))
-                z_prior += gel.log_jfact
-                z_prior += z_r[gi]
-                z_prior -= gel.n_peaks * log_lam_sum
-
-                v1 = v1s[gi]
-                beta_prior += -0.5 * dd_r[gi] / v1 - 0.5 * (cfg.T_nu - 2) * (LOG_2PI + log(v1))
-                beta_prior += ssq_r[gi] - 0.5 * (cfg.T_u - 1) * logv_r[gi]
-
-                hyper += _log_invgamma(v1, SIGMA_SHAPE, SIGMA_RATE)
-                for v in vgs_r[gi]:
-                    hyper += _log_invgamma(v, SIGMA_SHAPE, SIGMA_RATE)
-            rows.append((lik, z_prior, beta_prior, hyper, lik + z_prior + beta_prior + hyper))
-        return rows
+    def _log_joint_terms(self, cs: _ChainState) -> np.ndarray:
+        """Likelihood, z_prior, beta_prior, hyper and total of each chain, an
+        (R, 5) array.  The Gaussian terms read _var_sums and the variances in
+        its layout; every sum runs along one chain's row."""
+        lam = cs.lam
+        var = _var_layout(cs.sigma_eps2, cs.sigma_g1_2, cs.sigma_gs_2)
+        log_var = np.log(var)
+        gauss = -0.5 * self._var_sums(cs) / var - 0.5 * self._var_counts * (LOG_2PI + log_var)
+        lik, beta_prior = gauss[:, 0], gauss[:, 1:].sum(axis=1)
+        z_prior = (self._log_jfact + np.log(lam[np.arange(len(lam))[:, None], cs.Z - 1]).sum(axis=1)
+                   - self.n_peaks_total * np.log(cs.lam_sum))
+        # inverse-gamma over every variance, unit half-normal over lambda
+        hyper = ((SIGMA_SHAPE * math.log(SIGMA_RATE) - math.lgamma(SIGMA_SHAPE)
+                  - (SIGMA_SHAPE + 1.0) * log_var - SIGMA_RATE / var).sum(axis=1)
+                 + (0.5 * math.log(2.0 / math.pi) - 0.5 * lam**2).sum(axis=1))
+        return np.stack([lik, z_prior, beta_prior, hyper, lik + z_prior + beta_prior + hyper],
+                        axis=1)
 
     def log_joint(self, cs: _ChainState, violations: np.ndarray) -> np.ndarray:
         """The log joint of each chain, an (R,) array; violations is

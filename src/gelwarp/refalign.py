@@ -95,9 +95,14 @@ def reference_align(
 ) -> tuple[IntensityGrid, dict[str, PiecewiseLinearMap]]:
     """Align every gel to the template via its reference-lane peak matches.
 
-    The template gel is returned unchanged (identity map).  Raises if a gel
-    lacks a reference lane or has too few reference peaks.
+    The template gel is returned unchanged (identity map).  Raises if the
+    template names no gel of the grid, or a gel lacks a reference lane or has
+    too few reference peaks.
     """
+    gel_ids = [gel.gel_id for gel in grid.gels]
+    if template_gel not in gel_ids:
+        raise ValueError(f"template {template_gel!r} is not a gel of the traces, "
+                         f"which hold gels {', '.join(gel_ids)}")
     template = grid.gel(template_gel)
     template_ref = template.reference_lane()
     template_peaks = peaks.lane_peaks(template_gel, template_ref.index)

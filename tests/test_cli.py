@@ -254,6 +254,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown dewarp settings"):
             model_config_from({"L": 10, "sweeps": 5}, seed=0)
 
+    def test_dewarp_config_with_seed_rejected(self, tmp_path, capsys):
+        # the seed is the top-level key or --seed; a dewarp config that held
+        # one failed as "got multiple values for keyword argument 'seed'"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(MODEL, seed=3)))
+        assert main(["dewarp", "--config", str(path), "--peaks", str(tmp_path / "peaks.json"),
+                     "--seed", "5", "--out", str(tmp_path / "posterior")]) == 1
+        assert capsys.readouterr().err == (
+            f"gelwarp dewarp: config {path}: seed is not a dewarp setting; it comes from "
+            f"--seed or the pipeline config's top-level seed key\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_model_config_carries_seed(self):
         mc = model_config_from(dict(MODEL), seed=11)
         assert mc.seed == 11
@@ -330,6 +342,18 @@ class TestStages:
         # template gel maps to itself
         x = np.linspace(0.05, 0.95, 7)
         assert np.allclose(apply_map(maps["g1"], x), x)
+
+    def test_refalign_unknown_template_named(self, workdir, capsys):
+        run_dir, sim = workdir / "run", workdir / "sim"
+        out, maps = workdir / "aligned_nope.csv", workdir / "refmaps_nope.json"
+        assert main(["refalign", "--input", str(sim / "traces.csv"),
+                     "--manifest", str(sim / "manifest.json"),
+                     "--peaks", str(run_dir / "peaks_raw.json"), "--template", "nope",
+                     "--out", str(out), "--map-out", str(maps)]) == 1
+        assert capsys.readouterr().err == (
+            "gelwarp refalign: template 'nope' is not a gel of the traces, "
+            "which hold gels g1, g2\n")
+        assert not out.exists() and not maps.exists()
 
     def test_dewarp_outputs(self, workdir):
         post = workdir / "run" / "posterior"
@@ -467,16 +491,23 @@ class TestStages:
         assert f"--{given} needs --{missing}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["csv_missing_lane", "json_no_samples", "json_word"])
+    @pytest.mark.parametrize("case", ["csv_missing_lane", "csv_repeated_lane", "json_no_samples",
+                                      "json_word"])
     def test_cluster_bad_truth_fails_before_any_output(self, workdir, capsys, case):
         run_dir, sim = workdir / "run", workdir / "sim"
         samples = json.loads((sim / "truth.json").read_text())["samples"]
-        last = sorted(samples)[-1]
+        first, last = sorted(samples)[0], sorted(samples)[-1]
         truth = workdir / f"truth_{case}.{case.split('_')[0]}"
         if case == "csv_missing_lane":
             truth.write_text("lane,label\n" + "".join(
                 f"{name},{s['cluster']}\n" for name, s in sorted(samples.items()) if name != last))
             message = f"{truth}: no label for lane {last}"
+        elif case == "csv_repeated_lane":
+            # the repeat on the last row used to win silently
+            truth.write_text("lane,label\n" + "".join(
+                f"{name},{s['cluster']}\n" for name, s in sorted(samples.items()))
+                + f"{first},99\n")
+            message = f"{truth}:{len(samples) + 2}: lane {first} is listed twice"
         elif case == "json_no_samples":
             truth.write_text(json.dumps({"clusters": samples}))
             message = f'{truth}: truth JSON needs a "samples" object'
@@ -652,6 +683,9 @@ class TestPipeline:
         ("dewarp", "a0", float("nan"), "dewarp: a0 must be a finite number, got nan"),
         ("dewarp", "a0", "wide", "dewarp: a0 must be a finite number, got 'wide'"),
         ("cluster", "n_values", [3, 3], "cluster.n_values: 3 is listed more than once"),
+        ("refalign", "template", 3, "refalign.template must be a string or null, got 3"),
+        ("refalign", "template", ["g1"],
+         "refalign.template must be a string or null, got ['g1']"),
     ])
     def test_bad_setting_fails_before_first_stage(self, workdir, capsys,
                                                   section, key, value, msg):
@@ -666,7 +700,31 @@ class TestPipeline:
         assert msg in capsys.readouterr().err
         assert not Path(cfg["out"]).exists()
 
-    @pytest.mark.parametrize("case", ["json_no_samples", "json_word", "csv_no_label"])
+    def test_non_string_out_fails_before_first_stage(self, workdir, capsys, tmp_path):
+        # it failed as "expected str, bytes or os.PathLike object, not int"
+        cfg = json.loads((workdir / "pipe.json").read_text())
+        cfg["out"] = 5
+        path = tmp_path / "pipe_out.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "gelwarp pipeline: out must be a string, got 5\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_template_naming_no_gel_fails_at_refalign(self, workdir, capsys):
+        # it failed as the KeyError repr 'no gel nope'
+        cfg = json.loads((workdir / "pipe.json").read_text())
+        cfg["out"] = str(workdir / "run_template_nope")
+        cfg["refalign"] = {"template": "nope"}
+        path = workdir / "pipe_template_nope.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "gelwarp: stage refalign: template 'nope' is not a gel of the traces, "
+            "which hold gels g1, g2\n")
+        assert not (Path(cfg["out"]) / "aligned.csv").exists()
+
+    @pytest.mark.parametrize("case", ["json_no_samples", "json_word", "csv_no_label",
+                                      "csv_repeated_lane"])
     def test_malformed_truth_fails_before_first_stage(self, workdir, capsys, case):
         # the truth file's format is checked with the settings, not after
         # dewarp; a lane without a label is left to the cluster stage
@@ -680,10 +738,16 @@ class TestPipeline:
             samples[name]["cluster"] = "x"
             truth.write_text(json.dumps({"samples": samples}))
             message = f"{truth}: lane {name}: cluster 'x' is not an integer"
-        else:
+        elif case == "csv_no_label":
             truth.write_text("lane,cluster\n" + "".join(
                 f"{name},{s['cluster']}\n" for name, s in sorted(samples.items())))
             message = f"{truth}: truth CSV needs columns lane,label"
+        else:
+            name = sorted(samples)[0]
+            truth.write_text("lane,label\n" + "".join(
+                f"{key},{s['cluster']}\n" for key, s in sorted(samples.items()))
+                + f"{name},99\n")
+            message = f"{truth}:{len(samples) + 2}: lane {name} is listed twice"
         cfg = json.loads((workdir / "pipe.json").read_text())
         cfg["out"] = str(workdir / f"run_truth_{case}")
         cfg["inputs"]["truth"] = str(truth)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -173,6 +175,13 @@ class TestReferenceAlign:
         np.testing.assert_allclose(
             ref_locs[ids[0]], ref_locs[ids[1]], atol=1.0 / aligned.B + 1e-12
         )
+
+    def test_unknown_template_names_gels(self):
+        grid, manifest, truth = two_gel_instance()
+        ids = ", ".join(g.gel_id for g in grid.gels)
+        with pytest.raises(ValueError, match=re.escape(
+                f"template 'nope' is not a gel of the traces, which hold gels {ids}")):
+            reference_align(grid, self.detect(grid), template_gel="nope")
 
     def test_missing_reference_lane(self):
         grid, manifest, truth = two_gel_instance()
