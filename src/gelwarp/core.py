@@ -278,13 +278,25 @@ def open_text(path, mode="r"):
 
 
 def read_json(path, object_hook=None):
-    """The JSON value in ``path``; a file that is malformed or not UTF-8
-    fails with a ValueError naming it.  ``object_hook``, as in json.load,
-    replaces each object as soon as it closes, so a caller can turn an
-    entry's lists into arrays before the next entry is parsed."""
+    """The JSON value in ``path``; a file that is malformed or not UTF-8, or
+    holds an object that repeats a key, fails with a ValueError naming it
+    (and the key).  ``object_hook``, as in json.load, replaces each object
+    as soon as it closes, so a caller can turn an entry's lists into arrays
+    before the next entry is parsed."""
+
+    def build(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ValueError(f"key {key!r} is repeated in one object")
+                seen.add(key)
+        return obj if object_hook is None else object_hook(obj)
+
     try:
         with open_text(path) as f:
-            return json.load(f, object_hook=object_hook)
+            return json.load(f, object_pairs_hook=build)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -370,9 +382,19 @@ def read_manifest(path) -> dict:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; a bool is not one."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite number (a numpy number counts); a bool is not one."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+def check_number(value, name: str, lo: float | None = None):
+    """``value`` if it is a finite number (a numpy number counts, a bool does
+    not) and, given ``lo``, at least ``lo``; otherwise an error naming
+    ``name``."""
+    if not _is_number(value) or (lo is not None and value < lo):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    return value
 
 
 def read_traces_csv(path, manifest: dict | None = None) -> IntensityGrid:

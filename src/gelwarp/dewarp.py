@@ -69,6 +69,7 @@ from .core import (
     LandmarkGrid,
     Standardizer,
     check_int,
+    check_number,
     fit_standardizer,
     lane_name,
     open_text,
@@ -79,7 +80,8 @@ from .core import (
     write_json_entries,
 )
 from .peakdetect import PeakTable
-from .spline import ORDER, BSplineBasis, WarpField, identity_coefficients, make_basis
+from .spline import (ORDER, BSplineBasis, WarpField, identity_coefficients, make_basis,
+                     warp_violations)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -125,11 +127,8 @@ class ModelConfig:
         if self.T_nu < 4 or self.T_u < 4:
             raise ValueError("cubic bases need T_nu >= 4 and T_u >= 4")
         # a JSON true would read as 1.0, a window over the whole gel
-        if self.a0 is not None and (
-                isinstance(self.a0, bool)
-                or not isinstance(self.a0, (int, float, np.integer, np.floating))
-                or not math.isfinite(self.a0)):
-            raise ValueError(f"a0 must be a finite number, got {self.a0!r}")
+        if self.a0 is not None:
+            check_number(self.a0, "a0")
         # window must span at least two landmarks or assignments degenerate
         if self.a0_value < 2.0 / (self.L + 1) - 1e-12:
             raise ValueError(
@@ -277,7 +276,8 @@ class DewarpModel:
         J = np.array([len(lane_pk) for lane_pk in lane_peaks])
         self._lane_J = J
         self._lane_of = np.repeat(np.arange(J.size), J)
-        self._peak_row = np.arange(T.size) - (np.cumsum(J) - J)[self._lane_of]
+        self._lane_starts = np.cumsum(J) - J
+        self._peak_row = np.arange(T.size) - self._lane_starts[self._lane_of]
 
         self.basis_nu = make_basis(T, cfg.T_nu, domain=self.bounds)
         self.beta_id = identity_coefficients(self.basis_nu)
@@ -345,10 +345,10 @@ class DewarpModel:
         # the Z prior's log J! over every lane
         self._log_jfact = sum(math.lgamma(j + 1.0) for j in J.tolist())
         self._grids: dict[int, _LaneGrid] = {}
-        # violation counter
-        self._pair_lane = self._lane_of[1:]
-        self._same_lane = (self._lane_of[1:] == self._lane_of[:-1])[None]
-        self._gel_of = np.repeat(np.arange(len(self.gels)), [g.n_peaks for g in self.gels])
+        # violation counter: gel starts, and which of peaks 1..P-1 follow
+        # another peak of their lane
+        self._gel_starts = np.array([gel.peaks.start for gel in self.gels])
+        self._has_prev = (self._peak_row[1:] > 0)[None]
 
     def _lane_grid(self, R: int) -> _LaneGrid:
         """Padded grid and landmark bands of the blocked Z draw for R
@@ -682,27 +682,24 @@ class DewarpModel:
     # -- constraint checks and log joint -------------------------------------
 
     def count_violations(self, cs: _ChainState) -> np.ndarray:
-        """Number of broken constraints in each chain, an (R,) array: one
-        per gel with a non-monotone column, one per gel with an unpinned
-        boundary row, one per lane whose assignments are not strictly
-        increasing, one per gel with an assignment outside its window, and
-        one for a non-positive lambda."""
-        lo, hi = self.bounds
-        beta, Z = cs.beta, cs.Z
-        R = len(Z)
-        bad = (~np.all(np.diff(beta, axis=2) > 0, axis=(2, 3))).sum(axis=1)
-        unpinned = (np.abs(beta[:, :, 0, :] - lo) > 1e-9) | (np.abs(beta[:, :, -1, :] - hi) > 1e-9)
-        bad += unpinned.any(axis=2).sum(axis=1)
-        broken = (np.diff(Z) <= 0) & self._same_lane
-        if broken.any():
-            chain, pair = np.nonzero(broken)
-            bad += np.bincount(np.unique([chain, self._pair_lane[pair]], axis=1)[0], minlength=R)
+        """Number of broken constraints in each chain, an (R,) array: per gel
+        one for an unpinned boundary row and one for a column that does not
+        strictly increase (spline.warp_violations), one per lane whose
+        assignments do not strictly increase, one per gel with an assignment
+        outside its window, and one for a lambda that is not positive, a NaN
+        included.  The lane and gel flags are each one logical_or.reduceat
+        from their first peaks."""
+        low, high, rise = warp_violations(cs.beta, self.bounds)
+        Z = cs.Z
+        # a peak that is not above the one before it in its lane
+        unordered = np.zeros(Z.shape, bool)
+        np.less_equal(Z[:, 1:], Z[:, :-1], out=unordered[:, 1:], where=self._has_prev)
         outside = (Z < self._wlo_all) | (Z > self._whi_all)
-        if outside.any():
-            chain, peak = np.nonzero(outside)
-            bad += np.bincount(np.unique([chain, self._gel_of[peak]], axis=1)[0], minlength=R)
-        bad += (cs.lam <= 0).any(axis=1)
-        return bad
+        return np.concatenate([
+            low | high, rise,
+            np.logical_or.reduceat(unordered, self._lane_starts, axis=1),
+            np.logical_or.reduceat(outside, self._gel_starts, axis=1),
+            ~(cs.lam > 0).all(axis=1, keepdims=True)], axis=1).sum(axis=1)
 
     def _var_sums(self, cs: _ChainState) -> np.ndarray:
         """The (R, V) sums of squares under each of a chain's V variances, in

@@ -8,12 +8,11 @@ at its intensity argmax.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityGrid, check_int, read_json, write_json
+from .core import IntensityGrid, check_int, check_number, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -28,8 +27,7 @@ class PeakConfig:
         check_int(self.h, "neighbor offset h")
         if self.h < 1:
             raise ValueError(f"neighbor offset h must be >= 1, got {self.h}")
-        if self.c0 < 0:
-            raise ValueError(f"minimum elevation c0 must be >= 0, got {self.c0}")
+        check_number(self.c0, "minimum elevation c0", 0)
 
 
 @dataclass(frozen=True)
@@ -198,9 +196,7 @@ def _peak_of(row, i: int, B: int) -> Peak:
         for field in ("lane", "j", "bin"):
             check_int(row[field], field)
         for field in ("location", "intensity"):
-            x = row[field]
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-                raise ValueError(f"{field} must be a finite number, got {x!r}")
+            check_number(row[field], field)
         if not 1 <= row["bin"] <= B:
             raise ValueError(f"bin {row['bin']} outside 1..{B}")
         if row["location"] != row["bin"] / B:

@@ -58,18 +58,19 @@ def apply_map(pl_map: PiecewiseLinearMap, t):
     return float(out) if np.isscalar(t) else out
 
 
-def match_references(query_peaks, template_peaks, expected_count: int):
+def match_references(query_peaks, template_peaks, expected_count: int, keys):
     """Pair the expected_count most intense peaks of each lane by location rank.
 
-    Returns (query_locations, template_locations) as sorted arrays.
+    Returns (query_locations, template_locations) as sorted arrays.  A lane
+    with fewer peaks fails naming its gel and lane: ``keys`` holds the query
+    and template lanes' (gel, lane).
     """
     out = []
-    for peaks in (query_peaks, template_peaks):
+    for peaks, (gel, lane) in zip((query_peaks, template_peaks), keys):
         peaks = list(peaks)
         if len(peaks) < expected_count:
-            gel = peaks[0].gel_id if peaks else "<empty>"
             raise ValueError(
-                f"gel {gel}: reference lane has {len(peaks)} peaks, "
+                f"gel {gel}: reference lane {lane} has {len(peaks)} peaks, "
                 f"expected {expected_count} (short by {expected_count - len(peaks)})"
             )
         top = sorted(peaks, key=lambda p: -p.intensity)[:expected_count]
@@ -104,17 +105,17 @@ def reference_align(
         raise ValueError(f"template {template_gel!r} is not a gel of the traces, "
                          f"which hold gels {', '.join(gel_ids)}")
     template = grid.gel(template_gel)
-    template_ref = template.reference_lane()
-    template_peaks = peaks.lane_peaks(template_gel, template_ref.index)
-    _, template_locs = match_references(template_peaks, template_peaks, expected_count)
+    template_key = (template_gel, template.reference_lane().index)
+    template_peaks = peaks.lane_peaks(*template_key)
+    match_references(template_peaks, template_peaks, expected_count, (template_key, template_key))
 
     t = grid.t
     maps: dict[str, PiecewiseLinearMap] = {}
     gels_out = []
     for gel in grid.gels:
-        ref = gel.reference_lane()
-        query_peaks = peaks.lane_peaks(gel.gel_id, ref.index)
-        query_locs, tmpl_locs = match_references(query_peaks, template_peaks, expected_count)
+        key = (gel.gel_id, gel.reference_lane().index)
+        query_locs, tmpl_locs = match_references(peaks.lane_peaks(*key), template_peaks,
+                                                 expected_count, (key, template_key))
         pl_map = build_map(zip(query_locs, tmpl_locs))
         maps[gel.gel_id] = pl_map
         if gel.gel_id == template_gel:

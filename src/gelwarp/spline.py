@@ -150,13 +150,28 @@ class WarpField:
             )
 
     def validate(self) -> None:
-        lo, hi = self.bounds
-        if not np.all(np.abs(self.beta[0, :] - lo) <= 1e-9):
+        """Raise a ValueError for the first rule of warp_violations that
+        beta breaks."""
+        low, high, rise = warp_violations(self.beta, self.bounds)
+        if low:
             raise ValueError("first coefficient row not pinned at lower bound")
-        if not np.all(np.abs(self.beta[-1, :] - hi) <= 1e-9):
+        if high:
             raise ValueError("last coefficient row not pinned at upper bound")
-        if not np.all(np.diff(self.beta, axis=0) > 0):
+        if rise:
             raise ValueError("coefficient columns not strictly increasing")
+
+
+def warp_violations(beta: np.ndarray, bounds: tuple[float, float]) -> tuple:
+    """The warp's three constraints on a (..., T_nu, T_u) coefficient array,
+    as three bool arrays over its leading axes, each True where the rule is
+    broken: the first row is off bounds[0] by more than 1e-9, the last row
+    is off bounds[1], or a column does not strictly increase down the rows.
+    A NaN breaks every rule it enters."""
+    lo, hi = bounds
+    low = ~(np.abs(beta[..., 0, :] - lo) <= 1e-9).all(axis=-1)
+    high = ~(np.abs(beta[..., -1, :] - hi) <= 1e-9).all(axis=-1)
+    rise = ~(beta[..., 1:, :] > beta[..., :-1, :]).all(axis=(-2, -1))
+    return low, high, rise
 
 
 def eval_warp(field: WarpField, nu, u):

@@ -266,6 +266,22 @@ class TestConfig:
             f"--seed or the pipeline config's top-level seed key\n")
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("pipeline", '{"seed": 7, "detect": {"h": 8}, "detect": {"h": 9}}', "detect"),
+        ("dewarp", '{"L": 30, "T_nu": 5, "L": 40}', "L"),
+    ])
+    def test_config_that_repeats_a_key_is_named(self, tmp_path, capsys, command, text, key):
+        # the JSON reader ran the last of two sections silently
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = {"pipeline": [],
+                "dewarp": ["--peaks", str(tmp_path / "peaks.json"),
+                           "--out", str(tmp_path / "posterior")]}[command]
+        assert main([command, "--config", str(path), *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"gelwarp {command}: {path}: key {key!r} is repeated in one object\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_model_config_carries_seed(self):
         mc = model_config_from(dict(MODEL), seed=11)
         assert mc.seed == 11
@@ -287,6 +303,13 @@ class TestConfig:
         assert main([command, "--config", str(path), *argv]) == 1
         assert f"gelwarp {command}: {msg.format(path=path)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+
+def repeated_lane_truth(samples: dict, name: str) -> str:
+    """A truth JSON whose "samples" object lists lane ``name`` a second
+    time, last, with cluster 99."""
+    entries = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(samples.items())]
+    return '{"samples": {' + ", ".join(entries + [f'{json.dumps(name)}: {{"cluster": 99}}']) + "}}"
 
 
 class TestSimulate:
@@ -342,6 +365,18 @@ class TestStages:
         # template gel maps to itself
         x = np.linspace(0.05, 0.95, 7)
         assert np.allclose(apply_map(maps["g1"], x), x)
+
+    @pytest.mark.parametrize("c0", ["nan", "inf"])
+    def test_detect_non_finite_c0_named(self, workdir, capsys, c0):
+        # --c0 nan used to warn from a cast, call no peak and exit 0
+        sim = workdir / "sim"
+        out = workdir / f"peaks_c0_{c0}.json"
+        assert main(["detect", "--input", str(sim / "traces.csv"),
+                     "--manifest", str(sim / "manifest.json"), "--c0", c0,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"gelwarp detect: minimum elevation c0 must be a finite number >= 0, got {c0}\n")
+        assert not out.exists()
 
     def test_refalign_unknown_template_named(self, workdir, capsys):
         run_dir, sim = workdir / "run", workdir / "sim"
@@ -492,7 +527,7 @@ class TestStages:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["csv_missing_lane", "csv_repeated_lane", "json_no_samples",
-                                      "json_word"])
+                                      "json_word", "json_repeated_lane"])
     def test_cluster_bad_truth_fails_before_any_output(self, workdir, capsys, case):
         run_dir, sim = workdir / "run", workdir / "sim"
         samples = json.loads((sim / "truth.json").read_text())["samples"]
@@ -511,6 +546,10 @@ class TestStages:
         elif case == "json_no_samples":
             truth.write_text(json.dumps({"clusters": samples}))
             message = f'{truth}: truth JSON needs a "samples" object'
+        elif case == "json_repeated_lane":
+            # the JSON reader kept the repeat's label (99) silently
+            truth.write_text(repeated_lane_truth(samples, first))
+            message = f"{truth}: key {first!r} is repeated in one object"
         else:
             samples[last]["cluster"] = "x"
             truth.write_text(json.dumps({"samples": samples}))
@@ -686,6 +725,9 @@ class TestPipeline:
         ("refalign", "template", 3, "refalign.template must be a string or null, got 3"),
         ("refalign", "template", ["g1"],
          "refalign.template must be a string or null, got ['g1']"),
+        ("detect", "c0", float("nan"),
+         "detect: minimum elevation c0 must be a finite number >= 0, got nan"),
+        ("detect", "c0", True, "detect: minimum elevation c0 must be a finite number >= 0, got True"),
     ])
     def test_bad_setting_fails_before_first_stage(self, workdir, capsys,
                                                   section, key, value, msg):
@@ -724,7 +766,7 @@ class TestPipeline:
         assert not (Path(cfg["out"]) / "aligned.csv").exists()
 
     @pytest.mark.parametrize("case", ["json_no_samples", "json_word", "csv_no_label",
-                                      "csv_repeated_lane"])
+                                      "csv_repeated_lane", "json_repeated_lane"])
     def test_malformed_truth_fails_before_first_stage(self, workdir, capsys, case):
         # the truth file's format is checked with the settings, not after
         # dewarp; a lane without a label is left to the cluster stage
@@ -742,6 +784,10 @@ class TestPipeline:
             truth.write_text("lane,cluster\n" + "".join(
                 f"{name},{s['cluster']}\n" for name, s in sorted(samples.items())))
             message = f"{truth}: truth CSV needs columns lane,label"
+        elif case == "json_repeated_lane":
+            name = sorted(samples)[0]
+            truth.write_text(repeated_lane_truth(samples, name))
+            message = f"{truth}: key {name!r} is repeated in one object"
         else:
             name = sorted(samples)[0]
             truth.write_text("lane,label\n" + "".join(

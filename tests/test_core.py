@@ -775,9 +775,23 @@ class TestNamesAndJson:
     @pytest.mark.parametrize("data, msg", [
         (b'{"G1": {"reference_lane": 1', "Expecting ',' delimiter"),
         (b'{"G\xe9l": {}}', "'utf-8' codec can't decode byte 0xe9"),
-    ], ids=["truncated", "not_utf8"])
+        (b'{"a": 1, "b": {"x": 1, "y": 2, "x": 3}}', "key 'x' is repeated in one object"),
+        (b'{"a": 1, "b": 2, "a": 1}', "key 'a' is repeated in one object"),
+    ], ids=["truncated", "not_utf8", "repeated_inner_key", "repeated_top_key"])
     def test_read_json_names_file(self, tmp_path, data, msg):
         path = tmp_path / "bad.json"
         path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {msg}")):
             read_json(path)
+
+    def test_read_json_hook_sees_each_object_once(self, tmp_path):
+        path = tmp_path / "hook.json"
+        path.write_text('{"a": {"x": [1, 2]}, "b": [{"y": 3}], "a2": {}}')
+        seen = []
+
+        def hook(obj):
+            seen.append(dict(obj))
+            return len(obj)
+
+        assert read_json(path, object_hook=hook) == 3
+        assert seen == [{"x": [1, 2]}, {"y": 3}, {}, {"a": 1, "b": [1], "a2": 0}]

@@ -1082,6 +1082,117 @@ class TestConstraints:
         assert res.violations == 0
 
 
+def sort_based_count_violations(model, cs):
+    """count_violations before it read spline.warp_violations and reduced
+    over lane and gel start offsets, kept as a reference: its pinned-row
+    test (> 1e-9) passes a NaN, and it finds the broken lanes and gels
+    through np.nonzero, np.unique and np.bincount."""
+    lo, hi = model.bounds
+    beta, Z = cs.beta, cs.Z
+    R = len(Z)
+    pair_lane = model._lane_of[1:]
+    same_lane = (model._lane_of[1:] == model._lane_of[:-1])[None]
+    gel_of = np.repeat(np.arange(len(model.gels)), [g.n_peaks for g in model.gels])
+    bad = (~np.all(np.diff(beta, axis=2) > 0, axis=(2, 3))).sum(axis=1)
+    unpinned = (np.abs(beta[:, :, 0, :] - lo) > 1e-9) | (np.abs(beta[:, :, -1, :] - hi) > 1e-9)
+    bad += unpinned.any(axis=2).sum(axis=1)
+    broken = (np.diff(Z) <= 0) & same_lane
+    if broken.any():
+        chain, pair = np.nonzero(broken)
+        bad += np.bincount(np.unique([chain, pair_lane[pair]], axis=1)[0], minlength=R)
+    outside = (Z < model._wlo_all) | (Z > model._whi_all)
+    if outside.any():
+        chain, peak = np.nonzero(outside)
+        bad += np.bincount(np.unique([chain, gel_of[peak]], axis=1)[0], minlength=R)
+    bad += (cs.lam <= 0).any(axis=1)
+    return bad
+
+
+def nan_only_unpinned(model, cs):
+    """Per chain, the gels whose boundary rows hold a NaN but no number off
+    its bound: count_violations counts them as unpinned and the sort-based
+    reference does not."""
+    edge = cs.beta[:, :, [0, -1]]
+    off = np.abs(edge - np.array(model.bounds)[:, None]) > 1e-9
+    return (np.isnan(edge).any(axis=(2, 3)) & ~off.any(axis=(2, 3))).sum(axis=1)
+
+
+def break_randomly(model, cs, rng):
+    """Put one to five random breaks into each chain of cs: a swap of two
+    adjacent coefficients in a column, a boundary coefficient moved (by
+    5e-10, inside the tolerance, or by more), a NaN coefficient, a peak
+    assigned at or below the one before it in its lane, a peak assigned
+    outside its window, or a lambda <= 0."""
+    G, (_, T_nu, T_u) = len(model.gels), cs.beta.shape[1:]
+    later = np.flatnonzero(model._peak_row > 0)
+    P, L = cs.Z.shape[1], cs.lam.shape[1]
+    for r in range(len(cs.Z)):
+        for kind in rng.integers(6, size=rng.integers(1, 6)):
+            g, t = rng.integers(G), rng.integers(T_u)
+            if kind == 0:
+                s = rng.integers(T_nu - 1)
+                col = cs.beta[r, g, :, t]
+                col[s], col[s + 1] = col[s + 1], col[s]
+            elif kind == 1:
+                cs.beta[r, g, rng.choice([0, -1]), t] += rng.choice([-1, 1]) * rng.choice([5e-10, 0.2])
+            elif kind == 2:
+                cs.beta[r, g, rng.integers(T_nu), t] = np.nan
+            elif kind == 3:
+                p = rng.choice(later)
+                cs.Z[r, p] = cs.Z[r, p - 1] - rng.integers(2)
+            elif kind == 4:
+                p = rng.integers(P)
+                cs.Z[r, p] = (model._wlo_all[0, p] - 1 if rng.random() < 0.5
+                              else model._whi_all[0, p] + 1)
+            else:
+                cs.lam[r, rng.integers(L)] = -rng.choice([0.0, 0.5])
+
+
+class TestViolationCounter:
+    @staticmethod
+    def model():
+        """Three gels of one- to four-peak lanes, with one-peak lanes first
+        and last on the peak axis and inside it."""
+        layout = {"g1": {1: [80], 2: [80, 160, 300], 3: [90, 170, 260]},
+                  "g2": {1: [100, 200, 250, 330], 2: [120], 4: [110, 240]},
+                  "g3": {2: [60, 200], 3: [70, 190, 280], 5: [310]}}
+        cfg = ModelConfig(L=12, T_nu=5, T_u=4, iterations=10, burnin=0, seed=0)
+        return DewarpModel(table_from(layout), cfg)
+
+    @pytest.mark.parametrize("R", [1, 4])
+    def test_equals_sort_based_reference(self, R):
+        # 2000 random broken states of R chains; the counts agree except
+        # where a NaN sits in a boundary row with no number off its bound,
+        # which now also counts as unpinned, one for its gel
+        model = self.model()
+        rng = np.random.default_rng(34 + R)
+        assert not model.count_violations(model.init_chain_state(R)).any()
+        differ = 0
+        for _ in range(2000):
+            cs = model.init_chain_state(R)
+            break_randomly(model, cs, rng)
+            want = sort_based_count_violations(model, cs)
+            extra = nan_only_unpinned(model, cs)
+            got = model.count_violations(cs)
+            assert got.tolist() == (want + extra).tolist()
+            differ += int(extra.any())
+        assert differ > 100
+
+    def test_nan_in_pinned_row_counts_as_unpinned(self):
+        model = self.model()
+        cs = model.init_chain_state()
+        cs.beta[0, 1, 0, 2] = np.nan
+        assert sort_based_count_violations(model, cs).tolist() == [1]
+        assert model.count_violations(cs).tolist() == [2]
+
+    def test_nan_lambda_counts(self):
+        # a NaN is not positive, so it breaks the lambda rule as it breaks the warp's
+        model = self.model()
+        cs = model.init_chain_state(2)
+        cs.lam[0, 2] = np.nan
+        assert model.count_violations(cs).tolist() == [1, 0]
+
+
 def table_from(layout: dict, B: int = 400) -> PeakTable:
     """A PeakTable listing gels and lanes in the layout's order: {gel_id:
     {lane: [bins]}}, each peak at location bin / B."""
@@ -1650,6 +1761,19 @@ class TestRunMCMC:
         edit(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_zmap(path)
+
+    def test_read_zmap_names_file_and_repeated_lane(self, tmp_path):
+        # the JSON reader kept the repeat's entry, and the lane read once
+        path = tmp_path / "zmap.json"
+        write_zmap(zmap_case("one_peak_lane"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        lanes = payload.pop("lanes")
+        entries = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in lanes.items()]
+        path.write_text(json.dumps(payload)[:-1] + ', "lanes": {'
+                        + ", ".join(entries + entries[:1]) + "}}", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: key {next(iter(lanes))!r} is repeated in one object")):
             read_zmap(path)
 
     @pytest.mark.parametrize("case", ["small_run", *ZMAP_CASES])

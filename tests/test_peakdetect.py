@@ -125,6 +125,17 @@ class TestLocalScore:
     def test_numpy_integer_h_accepted(self):
         assert PeakConfig(h=np.int64(3)).h == 3
 
+    @pytest.mark.parametrize("c0", [float("nan"), float("inf"), True, "0.05", None, -0.1])
+    def test_bad_c0_named(self, c0):
+        # a NaN c0 used to cast to a garbage score and call no peak at all
+        with pytest.raises(ValueError, match=re.escape(
+                f"minimum elevation c0 must be a finite number >= 0, got {c0!r}")):
+            PeakConfig(h=3, c0=c0)
+
+    @pytest.mark.parametrize("c0", [0, 0.0, 2, np.float64(0.05), np.float32(0.5)])
+    def test_finite_c0_accepted(self, c0):
+        assert PeakConfig(h=3, c0=c0).c0 == c0
+
 
 class TestDetectPeaks:
     def test_triangle_single_peak(self):

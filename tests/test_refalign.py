@@ -100,16 +100,19 @@ class TestPiecewiseLinearMap:
 
 
 class TestMatchReferences:
+    KEYS = (("A", 1), ("B", 1))
+
     def test_already_aligned(self):
         locs = [0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9]
-        q, t = match_references(make_ref_lane("A", locs), make_ref_lane("B", locs), 7)
+        q, t = match_references(make_ref_lane("A", locs), make_ref_lane("B", locs), 7, self.KEYS)
         np.testing.assert_allclose(q, t)
         np.testing.assert_allclose(q, locs)
 
     def test_uniform_shift(self):
         locs = np.array([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.85])
         q, t = match_references(
-            make_ref_lane("A", (locs + 0.01).tolist()), make_ref_lane("B", locs.tolist()), 7
+            make_ref_lane("A", (locs + 0.01).tolist()), make_ref_lane("B", locs.tolist()), 7,
+            self.KEYS,
         )
         np.testing.assert_allclose(q - t, 0.01)
 
@@ -118,7 +121,7 @@ class TestMatchReferences:
         locs = [0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9]
         inten = [0.1] + [1.0] * 7
         q, t = match_references(
-            make_ref_lane("A", locs, inten), make_ref_lane("B", locs, inten), 7
+            make_ref_lane("A", locs, inten), make_ref_lane("B", locs, inten), 7, self.KEYS
         )
         assert q.size == 7
         assert 0.05 not in q
@@ -127,7 +130,7 @@ class TestMatchReferences:
         six = make_ref_lane("A", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         seven = make_ref_lane("B", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
         with pytest.raises(ValueError, match="gel A.*short by 1"):
-            match_references(six, seven, 7)
+            match_references(six, seven, 7, self.KEYS)
 
 
 def two_gel_instance(seed=0, refwarp=0.05):
@@ -182,6 +185,18 @@ class TestReferenceAlign:
         with pytest.raises(ValueError, match=re.escape(
                 f"template 'nope' is not a gel of the traces, which hold gels {ids}")):
             reference_align(grid, self.detect(grid), template_gel="nope")
+
+    def test_reference_lane_with_no_peaks_named(self):
+        # with every peak of g2 masked, the shortfall used to name "gel <empty>"
+        grid, manifest, truth = two_gel_instance()
+        peaks = self.detect(grid).filter(lambda p: p.gel_id != "g2")
+        lane = grid.gel("g2").reference_lane().index
+        with pytest.raises(ValueError, match=re.escape(
+                f"gel g2: reference lane {lane} has 0 peaks, expected 7 (short by 7)")):
+            reference_align(grid, peaks, template_gel="g1")
+        with pytest.raises(ValueError, match=re.escape(
+                f"gel g2: reference lane {lane} has 0 peaks, expected 7 (short by 7)")):
+            reference_align(grid, peaks, template_gel="g2")
 
     def test_missing_reference_lane(self):
         grid, manifest, truth = two_gel_instance()

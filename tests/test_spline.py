@@ -10,6 +10,7 @@ from gelwarp.spline import (
     identity_coefficients,
     identity_warp,
     make_basis,
+    warp_violations,
 )
 
 
@@ -152,6 +153,37 @@ class TestWarpField:
         beta = random_monotone_beta(self.rng, self.basis_nu, self.basis_u)
         beta[0, 1] = 0.2
         with pytest.raises(ValueError):
+            self.field(beta).validate()
+
+    def test_violations_over_leading_axes(self):
+        # a (3, 2) stack of coefficient arrays, each breaking the rules set
+        # out for it; the flags come back in the stack's shape
+        beta = random_monotone_beta(self.rng, self.basis_nu, self.basis_u)
+        stack = np.tile(beta, (3, 2, 1, 1))
+        stack[0, 1, 0, 2] += 2e-9                  # first row off its bound
+        stack[1, 0, -1, 0] -= 2e-9                 # last row off its bound
+        stack[1, 1, 0, 3] += 5e-10                 # inside the tolerance
+        stack[2, 0, 3, 1] = stack[2, 0, 2, 1]      # a column that stalls
+        low, high, rise = warp_violations(stack, (0.0, 1.0))
+        assert low.tolist() == [[False, True], [False, False], [False, False]]
+        assert high.tolist() == [[False, False], [True, False], [False, False]]
+        assert rise.tolist() == [[False, False], [False, False], [True, False]]
+
+    @pytest.mark.parametrize("row, broken", [
+        (0, ["first row", "rise"]),
+        (3, ["rise"]),
+        (-1, ["last row", "rise"]),
+    ])
+    def test_nan_breaks_every_rule_it_enters(self, row, broken):
+        beta = random_monotone_beta(self.rng, self.basis_nu, self.basis_u)
+        beta[row, 1] = np.nan
+        flags = warp_violations(beta, (0.0, 1.0))
+        assert [name for name, flag in zip(["first row", "last row", "rise"], flags)
+                if flag] == broken
+        message = {"first row": "first coefficient row not pinned",
+                   "last row": "last coefficient row not pinned",
+                   "rise": "not strictly increasing"}[broken[0]]
+        with pytest.raises(ValueError, match=message):
             self.field(beta).validate()
 
     def test_bilinear_in_beta(self):
