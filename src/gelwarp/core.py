@@ -188,13 +188,15 @@ class IntensityGrid:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Location-scale transform x -> (x - center) / scale."""
+    """Location-scale transform x -> (x - center) / scale, with a finite
+    center and a finite positive scale."""
 
     center: float
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
+        check_number(self.center, "center")
+        if not check_number(self.scale, "scale") > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     def apply(self, x):

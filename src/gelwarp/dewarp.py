@@ -30,17 +30,26 @@ mu are (R, P) over the peaks of all gels; the warped landmarks W are
 sigma_g1^2 is (R, G) and sigma_gs^2 is (R, G, T_nu - 2).  The model
 reads the peak table once, into one array per peak input on that same axis
 (location, window, lane column, place in its lane); each gel holds only
-what is per gel and its slices of the peak axis and of W's columns.  Every
-sweep takes one generator per chain, and each chain draws from its own
-generator in the same order and sizes as when swept alone, so chain r of a
-lockstep run equals that chain run by itself, bit for bit.  Only
-elementwise work is shared between chains; each float reduction (the Gram
-sums, the sums of squares under each variance, lambda's sum, the log
-joint's sums and each gel's Cholesky factor and solve) is taken per chain,
-and per gel where it is a gel's.  The variance step and the log joint read
-one (R, V) layout of the V variances of a chain (see _var_sums).
+what is per gel and its slices of the peak axis and of W's columns.  Each
+chain draws from its own generator, in the same order and sizes as when
+swept alone, so chain r of a lockstep run equals that chain run by itself,
+bit for bit.  Only elementwise work is shared between chains; each float
+reduction (the Gram sums, the sums of squares under each variance,
+lambda's sum, the log joint's sums and each gel's Cholesky factor and
+solve) is taken per chain, and per gel where it is a gel's.  The variance
+step and the log joint read one (R, V) layout of the V variances of a
+chain (see _var_sums).
 One loop, _sample, runs every sweep: the restart chains and the main chain
-(R = 1).  It scores the saved draws after its sweeps, not on each one.
+(R = 1).  It sweeps in blocks of SWEEP_BLOCK sweeps, the last block the
+rest.  At the start of a block each chain draws the block's randomness
+(DewarpModel.draw_sweeps), in this order: the Z block's uniforms for all
+the block's sweeps, then the beta block's normals, the variances' gammas,
+t's gammas, and lambda's normals and uniforms; each sweep reads its
+slice.  A block of one sweep is one sweep's stream, so the block length
+orders each chain's stream and leaves the kernel's law as it is.  After a
+block, one count_violations call checks the states of its sweeps, every
+chain's after every sweep.  _sample scores the saved draws after its
+sweeps, not on each one.
 The restart phase is one _sample call over run_mcmc's initial state of
 restarts chains, restart_sweeps sweeps long, and one argmax over each
 chain's mean log joint of its last 25 sweeps; the winner starts the main
@@ -49,7 +58,8 @@ chain.
 The hyperpriors and sampler tuning are fixed module constants, not
 settings: SIGMA_SHAPE and SIGMA_RATE for the inverse-gamma priors on every
 variance, LAMBDA_STEP for the log-scale proposal sd of each lambda
-coordinate, and SCORE_ROWS for the saved draws scored per pass.  lambda is
+coordinate, SWEEP_BLOCK (64) for the sweeps drawn and checked per block,
+and SCORE_ROWS for the saved draws scored per pass.  lambda is
 iid half-normal with unit variance and no scale hyperparameter: only
 lambda* = lambda / sum(lambda) enters the likelihood and the Z prior, and
 its law does not depend on a common scale.
@@ -93,6 +103,13 @@ LAMBDA_STEP = 0.5
 # saved draws scored per pass after a run's sweeps: their rebuilt warps take
 # SCORE_ROWS (L + 2) N floats
 SCORE_ROWS = 64
+
+# sweeps whose randomness each chain draws at once, and whose states the
+# violation counter checks at once; the block buffers hold SWEEP_BLOCK sweeps
+SWEEP_BLOCK = 64
+
+# the sweep blocks, in the order a sweep runs them and draws their randomness
+_BLOCKS = ("Z", "beta", "hyper")
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +359,16 @@ class DewarpModel:
         self._var_counts = np.concatenate(
             [[P], np.tile([cfg.T_nu - 2] + [cfg.T_u - 1] * m, len(self.gels))])
         self._var_shapes = SIGMA_SHAPE + 0.5 * self._var_counts
+        # each sweep block's draws of one chain and sweep, in the order it
+        # uses them: (name, Generator method, shape, the method's arguments)
+        self._draw_plan = {
+            "Z": [("z_log_u", "random", (int(J.max()), J.size), ())],
+            "beta": [("beta_z", "standard_normal", (len(self.gels), m * cfg.T_u), ())],
+            "hyper": [("var_gam", "standard_gamma", self._var_shapes.shape, (self._var_shapes,)),
+                      ("t_gam", "standard_gamma", (), (P,)),
+                      ("lam_noise", "standard_normal", (cfg.L,), ()),
+                      ("lam_log_u", "random", (cfg.L,), ())],
+        }
         # the Z prior's log J! over every lane
         self._log_jfact = sum(math.lgamma(j + 1.0) for j in J.tolist())
         self._grids: dict[int, _LaneGrid] = {}
@@ -479,16 +506,47 @@ class DewarpModel:
 
     # -- Gibbs sweeps --------------------------------------------------------
 
-    @staticmethod
-    def _chain_count(cs: _ChainState, rngs) -> int:
-        """The state's number of chains, which must be the number of
-        generators."""
-        R = len(cs.lam)
-        if len(rngs) != R:
-            raise ValueError(f"{len(rngs)} generators for a state of {R} chains")
-        return R
+    def draw_sweeps(self, rngs, S: int, blocks: tuple = _BLOCKS) -> dict:
+        """The randomness of S sweeps of the named sweep blocks for
+        len(rngs) chains, chain r's from rngs[r], as {name: (S, R, ...)
+        array}.  Each chain draws in the order a sweep uses its draws:
+        sweep_Z's uniforms, z_log_u (S, Jmax, N); sweep_beta's standard
+        normals, beta_z (S, G, K); then sweep_hyper's variance gammas,
+        var_gam = standard_gamma(shapes, size=(S, V)), the stream of one
+        gamma call per variance; t's t_gam = standard_gamma(P, size=S); and
+        lambda's normals and uniforms, lam_noise and lam_log_u (S, L) each.
+        So a block of one sweep is that sweep's stream, and a longer block
+        takes each kind of draw for all its sweeps at once: the same law,
+        the stream in another order.  A uniform u is returned as log(1 - u),
+        taken once a block."""
+        R = len(rngs)
+        d = {}
+        for block in blocks:
+            for name, method, shape, args in self._draw_plan[block]:
+                # a chain's S draws at once, then as (S, R, ...) in C order
+                a = np.empty((R, S) + shape)
+                for r, rng in enumerate(rngs):
+                    getattr(rng, method)(*args, out=a[r])
+                a = a.swapaxes(0, 1)
+                if R > 1:
+                    a = a.copy()
+                if method == "random":
+                    np.negative(a, out=a)
+                    np.log1p(a, out=a)
+                d[name] = a
+        return d
 
-    def sweep_Z(self, cs: _ChainState, rngs) -> None:
+    def _sweep_draws(self, cs: _ChainState, draws, blocks: tuple) -> dict:
+        """The block of draws a sweep block reads for cs: draw_sweeps' dict
+        as it is, or a list of generators, one per chain, drawn as a block of
+        one sweep of the named blocks by draw_sweeps."""
+        if isinstance(draws, dict):
+            return draws
+        if len(draws) != len(cs.lam):
+            raise ValueError(f"{len(draws)} generators for a state of {len(cs.lam)} chains")
+        return self.draw_sweeps(draws, 1, blocks)
+
+    def sweep_Z(self, cs: _ChainState, draws, s: int = 0) -> None:
         """Blocked draw of every lane's assignment vector from its full
         conditional, by forward filtering, backward sampling (FFBS).
 
@@ -501,8 +559,10 @@ class DewarpModel:
         from alpha_j restricted to landmarks below Z_{j+1}, by inverting
         the log prefix sums.  Lanes are conditionally independent, so all
         lanes of all gels of all chains go through one numpy pass over the
-        padded (Jmax, R, N) grid, each chain's uniforms from its own
-        generator.  The order and window constraints hold by construction.
+        padded (Jmax, R, N) grid.  The order and window constraints hold by
+        construction.  draws is draw_sweeps' dict or a list of generators
+        (see _sweep_draws), and the backward pass reads sweep s's z_log_u,
+        (R, Jmax, N).
 
         Each slot works on its band of Wb landmarks (see _lane_grid),
         so a pass costs O(Jmax R N Wb), not O(Jmax R N L).  A_j is -inf
@@ -510,8 +570,8 @@ class DewarpModel:
         logaddexp(x, -inf) are exactly x, so the band's prefix sums and
         draws equal those over all L landmarks bit for bit.
         """
-        R = self._chain_count(cs, rngs)
-        g = self._lane_grid(R)
+        log_u = self._sweep_draws(cs, draws, ("Z",))["z_log_u"][s]
+        g = self._lane_grid(len(cs.lam))
         # log weights over each slot's band, then the forward prefix sums
         # in place; A is (Jmax, R, N, Wb + 1)
         W_band = cs.W.take(g.w_flat)
@@ -525,16 +585,10 @@ class DewarpModel:
             np.logaddexp.accumulate(A[j], axis=-1, out=A[j])
         # backward: each peak takes the first column whose prefix sum
         # reaches log(u) + (the sum up to its bound), with u uniform on
-        # (0, 1] and (Jmax, N) of them from each chain's generator.  top is
-        # the bound's flat index in A[j], first the last column (landmark
-        # L).  A padded slot's row is all -inf, so it draws the sentinel, and
-        # its shift row leaves the bound at the last column for the lane's
-        # last real peak.
-        log_u = np.empty((R, len(A), A.shape[2]))
-        for r, rng in enumerate(rngs):
-            rng.random(out=log_u[r])
-        np.negative(log_u, out=log_u)
-        np.log1p(log_u, out=log_u)
+        # (0, 1] (1 - u of a draw on [0, 1)).  top is the bound's flat index
+        # in A[j], first the last column (landmark L).  A padded slot's row
+        # is all -inf, so it draws the sentinel, and its shift row leaves the
+        # bound at the last column for the lane's last real peak.
         Z = np.empty(A.shape[:3], dtype=np.intp)
         top = g.top
         for j in range(len(A) - 1, -1, -1):
@@ -556,7 +610,7 @@ class DewarpModel:
         cs.Z = Z + g.band0
         cs.mu = W_band.take(Z + g.band_slot)
 
-    def sweep_beta(self, cs: _ChainState, rngs) -> None:
+    def sweep_beta(self, cs: _ChainState, draws, s: int = 0) -> None:
         """Every gel's free coefficients in one block, drawn from their
         Gaussian full conditional and kept if monotone; boundary rows stay
         pinned.
@@ -586,9 +640,10 @@ class DewarpModel:
         padded to a common peak count with zero design rows, the K x K
         systems are stacked over (chain, gel), b is passed as (..., K, 1)
         (numpy 2 reads a 1-D right-hand side of a stacked solve
-        differently), and each chain draws its (G, K) normals from its own
-        generator."""
-        R = self._chain_count(cs, rngs)
+        differently).  z is sweep s's beta_z, (R, G, K), of draws,
+        draw_sweeps' dict or a list of generators (see _sweep_draws)."""
+        z = self._sweep_draws(cs, draws, ("beta",))["beta_z"][s]
+        R = len(cs.lam)
         m, T_u = self.n_free_rows, self.cfg.T_u
         G, K = len(self.gels), m * T_u
         # X is (R, G, Pmax, K); its padded rows are zero
@@ -604,9 +659,6 @@ class DewarpModel:
         Q = XtX / se2 + w1 * self._walk_h + ws * self._walk_v
         # X'(T - offset) is X'(T - mu) + X'X beta_free
         b = (Xt @ resid + XtX @ free) / se2 + w1 * self._walk_lin
-        z = np.empty((R, G, K))
-        for r, rng in enumerate(rngs):
-            rng.standard_normal(out=z[r])
         draw = np.linalg.solve(Q, b + np.linalg.cholesky(Q) @ z[..., None])
         beta = cs.beta.copy()
         beta[:, :, 1 : m + 1] = draw.reshape(R, G, m, T_u)
@@ -614,7 +666,7 @@ class DewarpModel:
         cs.beta = np.where(ok[..., None, None], beta, cs.beta)
         self._refresh(cs)
 
-    def sweep_hyper(self, cs: _ChainState, rngs) -> float:
+    def sweep_hyper(self, cs: _ChainState, draws, s: int = 0) -> float:
         """Conjugate variance updates, then one Metropolis step on every log
         lambda at once given a Gamma auxiliary.
 
@@ -631,29 +683,19 @@ class DewarpModel:
         once.  It accepts where log(1 - u) < the log ratio, with u uniform on
         [0, 1), and lam_sum is then lam's sum.
 
-        The variances' sums of squares are _var_sums, in the gammas' order.
-        Each chain draws from its own generator, in this order: its variance
-        gammas in one call (sigma_eps, then each gel's sigma_g1 and its free
-        rows' sigma_gs, the stream of one call per variance), then t, then L
-        normals, then L uniforms.
+        The variances' sums of squares are _var_sums, in the gammas' order
+        (sigma_eps, then each gel's sigma_g1 and its free rows' sigma_gs).
+        draws is draw_sweeps' dict or a list of generators (see
+        _sweep_draws); this block reads sweep s's var_gam, t_gam, lam_noise
+        and lam_log_u, each with a leading chain axis.
 
         Returns the fraction of lambda proposals accepted in this sweep,
         over all chains."""
-        R = self._chain_count(cs, rngs)
-        L = self.cfg.L
-        P = self.n_peaks_total
-        gam = np.empty((R, self._var_shapes.size))
-        t = np.empty(R)
-        noise = np.empty((R, L))
-        u = np.empty((R, L))
-        for r, (rng, lam_sum) in enumerate(zip(rngs, cs.lam_sum.tolist())):
-            gam[r] = rng.gamma(self._var_shapes)
-            t[r] = rng.standard_gamma(P) / lam_sum
-            rng.standard_normal(out=noise[r])
-            rng.random(out=u[r])
+        d = self._sweep_draws(cs, draws, ("hyper",))
+        R, L = cs.lam.shape
 
         # variances: InvGamma(shape, rate) is rate / Gamma(shape)
-        var = (SIGMA_RATE + 0.5 * self._var_sums(cs)) / gam
+        var = (SIGMA_RATE + 0.5 * self._var_sums(cs)) / d["var_gam"][s]
         per_gel = var[:, 1:].reshape(R, len(self.gels), -1)
         cs.sigma_eps2[:] = var[:, 0]
         cs.sigma_g1_2[:] = per_gel[..., 0]
@@ -664,20 +706,23 @@ class DewarpModel:
             (cs.Z + self._lane_grid(R).count_base).ravel(), minlength=R * L
         ).reshape(R, L)
         lam = cs.lam
+        t = d["t_gam"][s] / cs.lam_sum
         x = np.log(lam)
-        xp = x + noise * LAMBDA_STEP
+        xp = x + d["lam_noise"][s] * LAMBDA_STEP
         lp = np.exp(xp)
         logr = (counts + 1.0) * (xp - x) - t[:, None] * (lp - lam) - 0.5 * (lp * lp - lam * lam)
-        np.negative(u, out=u)
-        accept = np.log1p(u, out=u) < logr
+        accept = d["lam_log_u"][s] < logr
         np.putmask(lam, accept, lp)
         cs.lam_sum[:] = lam.sum(axis=1)
         return int(accept.sum()) / (R * L)
 
-    def sweep(self, cs: _ChainState, rngs) -> float:
-        self.sweep_Z(cs, rngs)
-        self.sweep_beta(cs, rngs)
-        return self.sweep_hyper(cs, rngs)
+    def sweep(self, cs: _ChainState, draws, s: int = 0) -> float:
+        """The three blocks on sweep s of draw_sweeps' dict, or on a list of
+        generators drawn as a block of one sweep (see _sweep_draws)."""
+        draws = self._sweep_draws(cs, draws, _BLOCKS)
+        self.sweep_Z(cs, draws, s)
+        self.sweep_beta(cs, draws, s)
+        return self.sweep_hyper(cs, draws, s)
 
     # -- constraint checks and log joint -------------------------------------
 
@@ -883,31 +928,43 @@ def _summarize(model: DewarpModel, draws: tuple, violations: int,
 
 
 def _sample(model: DewarpModel, cs: _ChainState, rngs, sweeps: int, keep: range) -> tuple:
-    """Sweep every chain of cs, count the violations once after each sweep,
-    and save each chain's state (all but W and mu) and count on the sweeps
-    in keep.  The saved draws are scored after the loop, SCORE_ROWS at a
-    time: W and mu are rebuilt from the saved beta and Z, in the products the
-    sweeps use, so each score equals log_joint on the live state bit for
-    bit.  Returns the (Z, beta, lambda, log joint) arrays stacked chain after
-    chain, (R len(keep), ...), the violation total and the summed lambda
-    acceptance rate."""
+    """Sweep every chain of cs in blocks of SWEEP_BLOCK sweeps (the last
+    block is the rest): at the start of a block each chain draws the block's
+    randomness from its own generator (DewarpModel.draw_sweeps), and each
+    sweep reads its slice.  Each sweep's state (all but W and mu) is copied
+    into the block's (S, R, ...) buffers, and after the block the violations
+    of its S R states are counted in one count_violations call, so every
+    chain's state after every sweep is counted once.  The states and counts
+    of the sweeps in keep are saved.  The saved draws are scored after the
+    loop, SCORE_ROWS at a time: W and mu are rebuilt from the saved beta and
+    Z, in the products the sweeps use, so each score equals log_joint on the
+    live state bit for bit.  Returns the (Z, beta, lambda, log joint) arrays
+    stacked chain after chain, (R len(keep), ...), the violation total and
+    the summed lambda acceptance rate."""
     R, K = len(rngs), len(keep)
-    saved = {}
+    saved, block = {}, {}
     for f in fields(cs):
         if f.name not in ("W", "mu"):
             a = getattr(cs, f.name)
             saved[f.name] = np.empty((R, K) + a.shape[1:], a.dtype)
+            block[f.name] = np.empty((min(SWEEP_BLOCK, sweeps), R) + a.shape[1:], a.dtype)
     kept_bad = np.empty((R, K), dtype=int)
     violations, accept = 0, 0.0
-    for it in range(sweeps):
-        accept += model.sweep(cs, rngs)
-        bad = model.count_violations(cs)
+    for start in range(0, sweeps, SWEEP_BLOCK):
+        S = min(SWEEP_BLOCK, sweeps - start)
+        draws = model.draw_sweeps(rngs, S)
+        for s in range(S):
+            accept += model.sweep(cs, draws, s)
+            for name, a in block.items():
+                a[s] = getattr(cs, name)
+        states = {name: a[:S].reshape((S * R,) + a.shape[2:]) for name, a in block.items()}
+        bad = model.count_violations(_ChainState(**states, W=None, mu=None)).reshape(S, R)
         violations += int(bad.sum())
-        if it in keep:
-            k = keep.index(it)
-            for name, a in saved.items():
-                a[:, k] = getattr(cs, name)
-            kept_bad[:, k] = bad
+        kept = [s for s in range(S) if start + s in keep]
+        cols = [keep.index(start + s) for s in kept]
+        for name, a in block.items():
+            saved[name][:, cols] = a[kept].swapaxes(0, 1)
+        kept_bad[:, cols] = bad[kept].T
     rows = {name: a.reshape((R * K,) + a.shape[2:]) for name, a in saved.items()}
     kept_bad = kept_bad.ravel()
     trace = np.empty(R * K)

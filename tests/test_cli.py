@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -910,7 +911,7 @@ class TestPlotdata:
         assert list(empty.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["short_z_map", "landmark_above", "short_landmarks_row",
-                                      "no_warp", "no_zmap", *WARP_CASES])
+                                      "no_warp", "no_zmap", "nan_axis_center", *WARP_CASES])
     def test_malformed_posterior_fails_before_writing(self, workdir, tmp_path, capsys, case):
         # a z_map one entry short used to drop that peak's row and exit 0, a
         # landmark above L to fail as "list index out of range" after
@@ -920,7 +921,8 @@ class TestPlotdata:
         # curves and exit 0, a reversed u_std to draw each lane's warp at
         # another lane's place and exit 0, and a missing u_std to fail as
         # 'u_std'; with no warp.json, or no zmap.json, the other went unread,
-        # and the run exited 0 without fig_warps.csv and fig_connections.csv
+        # and the run exited 0 without fig_warps.csv and fig_connections.csv;
+        # a NaN axis center wrote every warp point as NaN and exited 0
         run_dir = tmp_path / "run"
         for rel in ("posterior/warp.json", "posterior/zmap.json", "posterior/landmarks.json",
                     "clusters/metrics.csv", "clusters/plotdata/fig_dendrogram.csv"):
@@ -949,6 +951,11 @@ class TestPlotdata:
             payload["lanes"][name].pop()
             landmarks.write_text(json.dumps(payload), encoding="utf-8")
             message = f"{landmarks}: lane {name}: not a row of L = 30 numbers"
+        elif case == "nan_axis_center":
+            payload = json.loads(zmap.read_text(encoding="utf-8"))
+            payload["axis_standardizer"]["center"] = math.nan
+            zmap.write_text(json.dumps(payload), encoding="utf-8")
+            message = f"{zmap}: axis_standardizer is not a center and a positive scale"
         else:
             name, J = edit_first_lane(zmap, zmap, case)
             message = (f"{zmap}: lane {name}: " + (

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -170,6 +171,19 @@ class TestStandardizer:
     def test_serialization(self):
         s = Standardizer(center=0.25, scale=2.0)
         assert Standardizer.from_dict(s.to_dict()) == s
+
+    @pytest.mark.parametrize("center, scale, message", [
+        (math.nan, 1.0, "center must be a finite number, got nan"),
+        (math.inf, 1.0, "center must be a finite number, got inf"),
+        (0.5, math.nan, "scale must be a finite number, got nan"),
+        (0.5, math.inf, "scale must be a finite number, got inf"),
+        (0.5, 0.0, "scale must be positive, got 0.0"),
+        (True, 1.0, "center must be a finite number, got True"),
+    ])
+    def test_rejects_non_finite_center_or_scale(self, center, scale, message):
+        # a NaN center standardized every lane to NaN without an error
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Standardizer(center=center, scale=scale)
 
 
 class TestStandardizeIntensities:

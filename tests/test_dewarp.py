@@ -25,6 +25,7 @@ from gelwarp.dewarp import (
     SCORE_ROWS,
     SIGMA_RATE,
     SIGMA_SHAPE,
+    SWEEP_BLOCK,
     DewarpModel,
     ModelConfig,
     _ChainState,
@@ -810,6 +811,17 @@ def assert_same_state(a, b):
         assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
+def block_sweeps(model, cs, rngs, sweeps):
+    """Sweeps cs one sweep at a time on the draws _sample takes, SWEEP_BLOCK
+    sweeps' worth at a time from each chain's generator (the last block the
+    rest), and yields each sweep's index after it."""
+    for start in range(0, sweeps, SWEEP_BLOCK):
+        draws = model.draw_sweeps(rngs, min(SWEEP_BLOCK, sweeps - start))
+        for s in range(len(draws["z_log_u"])):
+            model.sweep(cs, draws, s)
+            yield start + s
+
+
 class TestStateLayout:
     """The chain state as arrays on two gels of unequal size: after every
     block, in every chain, mu is W at (Z, lane), each gel's W block is
@@ -904,7 +916,8 @@ class TestLockstep:
     @staticmethod
     def serial_explore_restarts(model, cfg):
         """The restart phase as one chain after another on its own state,
-        each under the unchanged kernel for restart_sweeps sweeps and scored
+        each under the unchanged kernel for restart_sweeps sweeps, on its
+        generator's draws taken a block at a time (block_sweeps), and scored
         on the last 25.
         Returns the winner's index, every chain's final state and the
         violation count."""
@@ -916,8 +929,7 @@ class TestLockstep:
             rngs = [np.random.default_rng((cfg.seed, 911, i))]
             cs = model.init_chain_state()
             tail = []
-            for it in range(sweeps):
-                model.sweep(cs, rngs)
+            for it in block_sweeps(model, cs, rngs, sweeps):
                 bad = model.count_violations(cs)
                 viol += int(bad[0])
                 if it >= sweeps - 25:
@@ -932,7 +944,7 @@ class TestLockstep:
     @pytest.mark.parametrize("make_model",
                              [unequal_two_gel_model, chain_shaped_model, noisy_chain_model])
     def test_restarts_match_serial_loop(self, make_model, restarts):
-        model = make_model(seed=3, restarts=restarts, restart_sweeps=60)
+        model = make_model(seed=3, restarts=restarts, restart_sweeps=90)
         cs, viol = _explore_restarts(model, model.init_chain_state(restarts), model.cfg)
         best, states, serial_viol = self.serial_explore_restarts(model, model.cfg)
         assert viol == serial_viol == 0
@@ -947,7 +959,8 @@ class TestLockstep:
     def test_batched_scores_equal_per_sweep_log_joint(self):
         # _sample scores its saved draws after the loop, SCORE_ROWS at a time
         # from the saved beta and Z; each score equals log_joint on the live
-        # state of its sweep, bit for bit, across chunk boundaries and thinning
+        # state of its sweep, bit for bit, across chunk boundaries and
+        # thinning.  The live chains sweep on the same block draws.
         model = chain_shaped_model()
         R, sweeps, keep = 3, 300, range(7, 300, 2)
         assert R * len(keep) % SCORE_ROWS and R * len(keep) > 2 * SCORE_ROWS
@@ -957,12 +970,13 @@ class TestLockstep:
         live_rngs = [np.random.default_rng((5, 911, r)) for r in range(R)]
         (Z, beta, lam, trace), viol, _ = _sample(model, cs, rngs, sweeps, keep)
         want = np.empty((R, len(keep)))
-        for it in range(sweeps):
-            model.sweep(live, live_rngs)
+        assert sweeps % SWEEP_BLOCK
+        for it in block_sweeps(model, live, live_rngs, sweeps):
             if it in keep:
                 want[:, keep.index(it)] = model.log_joint(live, model.count_violations(live))
         assert viol == 0
         assert_same_state(cs, live)
+        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in live_rngs]
         assert np.array_equal(trace, want.ravel())
         assert np.array_equal(Z[len(keep) - 1 :: len(keep)], live.Z)
         assert np.array_equal(beta[len(keep) - 1 :: len(keep)], live.beta)
@@ -994,6 +1008,108 @@ class TestLockstep:
         msg = f"no restart reached a finite settled log joint; scores by restart: {score!r}, {score!r}"
         with pytest.raises(ValueError, match=re.escape(msg)):
             run_mcmc(peaks, cfg)
+
+
+class TestSweepBlocks:
+    """_sample draws each chain's randomness and counts the violations a
+    block of SWEEP_BLOCK sweeps at a time."""
+
+    def test_block_of_one_is_the_per_sweep_loop(self, monkeypatch):
+        # a block of one sweep is one sweep's stream: _sample then equals
+        # a loop that sweeps on the generators and counts after each sweep
+        monkeypatch.setattr("gelwarp.dewarp.SWEEP_BLOCK", 1)
+        model = chain_shaped_model()
+        R, sweeps, keep = 2, 70, range(5, 70, 3)
+        cs = model.init_chain_state(R)
+        rngs = [np.random.default_rng((6, 911, r)) for r in range(R)]
+        (Z, beta, lam, trace), viol, accept = _sample(model, cs, rngs, sweeps, keep)
+        live = model.init_chain_state(R)
+        live_rngs = [np.random.default_rng((6, 911, r)) for r in range(R)]
+        want = {name: np.empty((R, len(keep)) + a.shape[1:], a.dtype)
+                for name, a in (("Z", live.Z), ("beta", live.beta), ("lam", live.lam))}
+        want_trace = np.empty((R, len(keep)))
+        want_viol, want_accept = 0, 0.0
+        for it in range(sweeps):
+            want_accept += model.sweep(live, live_rngs)
+            bad = model.count_violations(live)
+            want_viol += int(bad.sum())
+            if it in keep:
+                k = keep.index(it)
+                for name, a in want.items():
+                    a[:, k] = getattr(live, name)
+                want_trace[:, k] = model.log_joint(live, bad)
+        assert_same_state(cs, live)
+        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in live_rngs]
+        for name, got in (("Z", Z), ("beta", beta), ("lam", lam)):
+            assert np.array_equal(got, want[name].reshape(got.shape)), name
+        assert np.array_equal(trace, want_trace.ravel())
+        assert (viol, accept) == (want_viol, want_accept)
+
+    @staticmethod
+    def planted(monkeypatch, chains, at):
+        """Wraps DewarpModel.sweep so that after sweep ``at`` each chain in
+        ``chains`` holds a first coefficient lifted off its pinned bound in
+        gel 0, restored before the next sweep: one broken state a chain,
+        which its later sweeps never see.  count_violations' counts are
+        recorded, one array a call."""
+        calls, counts, kept = [], [], []
+        sweep, count = DewarpModel.sweep, DewarpModel.count_violations
+
+        def planting(self, cs, *args):
+            if calls and calls[-1] == at:
+                cs.beta[chains, 0, 0, 0] = kept.pop()
+            rate = sweep(self, cs, *args)
+            calls.append(len(calls))
+            if calls[-1] == at:
+                kept.append(cs.beta[chains, 0, 0, 0])
+                cs.beta[chains, 0, 0, 0] = kept[0] + 0.5
+            return rate
+
+        monkeypatch.setattr(DewarpModel, "sweep", planting)
+        monkeypatch.setattr(DewarpModel, "count_violations",
+                            lambda self, cs: counts.append(count(self, cs)) or counts[-1])
+        return calls, counts
+
+    @pytest.mark.parametrize("sweeps, keep, at", [
+        (70, range(40, 70), 66),
+        (130, range(1, 130, 4), 97),
+    ])
+    def test_lockstep_equals_chains_alone(self, monkeypatch, sweeps, keep, at):
+        # sweep counts that are not multiples of the block length, so the
+        # last block is partial; a broken state planted in the second block
+        # in chain 1 is counted on its sweep only, and its kept row scores
+        # -inf.  Each chain run alone through _sample on its own generator
+        # gives that chain's rows of the lockstep run, bit for bit.
+        assert sweeps % SWEEP_BLOCK and SWEEP_BLOCK <= at < 2 * SWEEP_BLOCK
+        model = chain_shaped_model()
+        R, K, broken = 3, len(keep), 1
+        calls, counts = self.planted(monkeypatch, [broken], at)
+        cs = model.init_chain_state(R)
+        rngs = [np.random.default_rng((7, 911, r)) for r in range(R)]
+        (Z, beta, lam, trace), viol, accept = _sample(model, cs, rngs, sweeps, keep)
+        assert len(calls) == sweeps
+        assert len(counts) == math.ceil(sweeps / SWEEP_BLOCK)
+        per_state = np.concatenate(counts).reshape(sweeps, R)
+        assert per_state.sum() == per_state[at, broken] == viol == 1
+        row = broken * K + keep.index(at)
+        assert np.isneginf(trace[row]) and np.isfinite(np.delete(trace, row)).all()
+        assert beta[row, 0, 0, 0] == model.bounds[0] + 0.5
+
+        alone_accept = 0.0
+        for r in range(R):
+            monkeypatch.undo()
+            calls, counts = self.planted(monkeypatch, [0] if r == broken else [], at)
+            one = model.init_chain_state()
+            rng = np.random.default_rng((7, 911, r))
+            (Z1, beta1, lam1, trace1), viol1, accept1 = _sample(model, one, [rng], sweeps, keep)
+            part = slice(r * K, (r + 1) * K)
+            for got, want in ((Z, Z1), (beta, beta1), (lam, lam1), (trace, trace1)):
+                assert np.array_equal(got[part], want)
+            assert viol1 == (r == broken)
+            assert_same_state(cs.chain(r), one)
+            assert rng.bit_generator.state == rngs[r].bit_generator.state
+            alone_accept += accept1
+        assert accept * R == pytest.approx(alone_accept, rel=1e-12)
 
 
 class TestConstraints:
@@ -1749,6 +1865,9 @@ class TestRunMCMC:
         pytest.param(lambda p: p.update(lanes={}), "no lanes", id="empty-lanes"),
         pytest.param(lambda p: p["axis_standardizer"].update(scale=0.0),
                      "axis_standardizer is not a center and a positive scale", id="zero-scale"),
+        # a NaN center put every plotted warp at NaN, and the run exited 0
+        pytest.param(lambda p: p["axis_standardizer"].update(center=math.nan),
+                     "axis_standardizer is not a center and a positive scale", id="nan-center"),
         pytest.param(lambda p: p["lanes"].update({"g1": p["lanes"].pop("g1:2")}),
                      "lane g1: 'g1' is not a gel:lane name", id="bad-lane-name"),
         pytest.param(lambda p: p["lanes"].update({"g1:2": 5}),
@@ -1886,6 +2005,9 @@ class TestRunMCMC:
         pytest.param(lambda w: w[0]["standardizer"]["standardizer"].update(scale=0.0),
                      "gel g1: standardizer.standardizer is not a center and a positive scale",
                      id="zero-scale"),
+        pytest.param(lambda w: w[0]["standardizer"]["standardizer"].update(center=math.nan),
+                     "gel g1: standardizer.standardizer is not a center and a positive scale",
+                     id="nan-center"),
         pytest.param(lambda w: w[0]["standardizer"].update(lanes=2),
                      "gel g1: standardizer.lanes is not a list", id="lanes-not-list"),
         pytest.param(lambda w: w[0]["standardizer"]["lanes"].__setitem__(1, 1.5),
@@ -1938,16 +2060,34 @@ class TestRunMCMC:
         assert read_peak < 7_000_000, read_peak
 
     def test_violations_counted_once_per_sweep(self, small_run, monkeypatch):
-        # one count after each restart and main sweep, plus one at
-        # initialization; the log joint of a kept sweep reuses its count
+        # the initial state's chains are counted once, and then every
+        # chain's state after every restart and main sweep exactly once, in
+        # one call a block of sweeps; the log joint of a kept sweep reuses
+        # its count
         peaks, cfg, res, _ = small_run
-        calls = []
-        count = DewarpModel.count_violations
-        monkeypatch.setattr(DewarpModel, "count_violations",
-                            lambda self, cs: calls.append(len(cs.Z)) or count(self, cs))
+        swept, counted = [], []
+        sweep, count = DewarpModel.sweep, DewarpModel.count_violations
+
+        def record_sweep(self, cs, *args):
+            rate = sweep(self, cs, *args)
+            swept.append((cs.Z.copy(), cs.beta.copy(), cs.lam.copy()))
+            return rate
+
+        def record_count(self, cs):
+            counted.append((cs.Z.copy(), cs.beta.copy(), cs.lam.copy()))
+            return count(self, cs)
+
+        monkeypatch.setattr(DewarpModel, "sweep", record_sweep)
+        monkeypatch.setattr(DewarpModel, "count_violations", record_count)
         again = run_mcmc(peaks, cfg)
-        assert len(calls) == cfg.restart_sweeps + cfg.iterations + 1 == 481
-        assert calls == [cfg.restarts] * (cfg.restart_sweeps + 1) + [1] * cfg.iterations
+        rows = [len(Z) for Z, _, _ in counted]
+        assert sum(rows) == cfg.restarts * (cfg.restart_sweeps + 1) + cfg.iterations == 562
+        assert len(counted) == (1 + math.ceil(cfg.restart_sweeps / SWEEP_BLOCK)
+                                + math.ceil(cfg.iterations / SWEEP_BLOCK))
+        assert rows[0] == cfg.restarts
+        for i in range(3):
+            got = np.concatenate([state[i] for state in counted[1:]])
+            assert np.array_equal(got, np.concatenate([state[i] for state in swept])), i
         assert again.violations == res.violations == 0
         assert np.array_equal(again.log_joint_trace, res.log_joint_trace)
 
